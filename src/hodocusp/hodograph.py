@@ -10,6 +10,7 @@ point exactly when b02 = 0; that is the cusp-construction condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import UsageError
 from .pde import PotentialSolution, alpha_series
@@ -18,13 +19,11 @@ from .series import FLOAT, Series2, const2, variable2
 
 @dataclass(frozen=True)
 class HodographMap:
-    """t, x and the shifted coordinates tau = t - t*, xi = x - x* - v*(t - t*)."""
+    """t, x and the shifted coordinates tau = t - t*, xi = x - x* - v*(t - t*).
 
-    t: Series2
-    x: Series2
-    tau: Series2
-    xi: Series2
-    jac: Series2  # definition form x_h t_v - t_h x_v
+    Every series is derived from the potential on first use and then kept.
+    """
+
     sol: PotentialSolution
 
     @property
@@ -33,7 +32,7 @@ class HodographMap:
 
     @property
     def mode(self):
-        return self.t.mode
+        return self.sol.series.mode
 
     def consts(self):
         """(t_star, x_star, v_star) in the map's scalar kind."""
@@ -42,32 +41,50 @@ class HodographMap:
             return float(p.t_star), float(p.x_star), float(p.v_star)
         return p.t_star, p.x_star, p.v_star
 
+    def _const(self, value) -> Series2:
+        B = self.sol.series
+        return const2(B.names, B.cap, value, B.mode)
+
+    @cached_property
+    def t(self) -> Series2:
+        return self.sol.series.derivative("V")
+
+    @cached_property
+    def x(self) -> Series2:
+        B = self.sol.series
+        h = variable2(B.names, B.cap, "h", mode=B.mode)
+        V = variable2(B.names, B.cap, "V", mode=B.mode)
+        v_star = self.consts()[2]
+        return -B - h * B.derivative("h") + (V + self._const(v_star)) * self.t
+
+    # tau and xi vanish at the base point by definition; their constant
+    # terms are dropped, not left as float roundoff of t(0,0) - t* etc.
+
+    @cached_property
+    def tau(self) -> Series2:
+        return _drop_constant(self.t - self._const(self.consts()[0]))
+
+    @cached_property
+    def xi(self) -> Series2:
+        _, x_star, v_star = self.consts()
+        return _drop_constant(self.x - self._const(x_star) - self.tau.scale(v_star))
+
+    @cached_property
+    def jac(self) -> Series2:
+        """Definition form x_h t_v - t_h x_v of the map Jacobian."""
+        t, x = self.t, self.x
+        return x.derivative("h") * t.derivative("V") - t.derivative("h") * x.derivative("V")
+
+
+def _drop_constant(s: Series2) -> Series2:
+    c = {k: v for k, v in s._c.items() if k != (0, 0)}
+    return Series2._raw(s.names, s.cap, c, s.mode, s.eff)
+
 
 def hodograph_map(sol: PotentialSolution) -> HodographMap:
-    B = sol.series
-    if B.names != ("h", "V"):
-        raise UsageError(f"potential series must be in (h, V), got {B.names}")
-    names, cap, mode = B.names, B.cap, B.mode
-    p = sol.problem
-    h = variable2(names, cap, "h", mode=mode)
-    V = variable2(names, cap, "V", mode=mode)
-    t_star, x_star, v_star = (
-        (float(p.t_star), float(p.x_star), float(p.v_star))
-        if mode == FLOAT
-        else (p.t_star, p.x_star, p.v_star)
-    )
-    Bh = B.derivative("h")
-    Bv = B.derivative("V")
-    t = Bv
-    x = -B - h * Bh + (V + const2(names, cap, v_star, mode)) * Bv
-    tau = t - const2(names, cap, t_star, mode)
-    xi = x - const2(names, cap, x_star, mode) - tau.scale(v_star)
-    t_h = t.derivative("h")
-    t_v = t.derivative("V")
-    x_h = x.derivative("h")
-    x_v = x.derivative("V")
-    jac = x_h * t_v - t_h * x_v
-    return HodographMap(t=t, x=x, tau=tau, xi=xi, jac=jac, sol=sol)
+    if sol.series.names != ("h", "V"):
+        raise UsageError(f"potential series must be in (h, V), got {sol.series.names}")
+    return HodographMap(sol)
 
 
 def jacobian(sol: PotentialSolution) -> Series2:
@@ -98,11 +115,9 @@ def hodograph_system_residual(m: HodographMap) -> tuple[Series2, Series2]:
     """
     B = m.sol.series
     names, cap, mode = B.names, B.cap, B.mode
-    p = m.sol.problem
-    v_star = float(p.v_star) if mode == FLOAT else p.v_star
-    v = variable2(names, cap, "V", mode=mode) + const2(names, cap, v_star, mode)
+    v = variable2(names, cap, "V", mode=mode) + m._const(m.consts()[2])
     h = variable2(names, cap, "h", mode=mode)
-    al = alpha_series(p, names, cap, mode)
+    al = alpha_series(m.problem, names, cap, mode)
     t_h = m.t.derivative("h")
     t_v = m.t.derivative("V")
     r1 = m.x.derivative("h") - v * t_h + al * t_v

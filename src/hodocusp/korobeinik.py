@@ -500,9 +500,9 @@ def cauchy_bound_check(
     pass is expected for any f analytic in |z| < r; a small relative slack
     absorbs the sampling of the circle maximum.
     """
-    r = float(r)
-    r0 = float(r0)
-    eps = float(eps)
+    r = float(parse_exact(r, "r"))
+    r0 = float(parse_exact(r0, "r0"))
+    eps = float(parse_exact(eps, "eps"))
     if not 0.0 <= r0 < r:
         raise UsageError("need 0 <= r0 < r")
     if not 0.0 < eps < r - r0:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import DegeneracyError, DomainError, UsageError
+from .errors import DegeneracyError
 from .hodograph import HodographMap
 from .pde import ProblemData
 from .scalars import CubicRadical
@@ -135,35 +135,66 @@ def _cube_series(xi_tw: Series2) -> Series1:
 def _fit_miniversal(xi_tw: Series2):
     """Triangular fit of xi(tau, W) = U^3 + lambda1 U + lambda2.
 
-    At tau-order m the residual row R_m(W) determines lambda2_m (W^0),
-    lambda1_m (W^1) and U_{m, k-2} (W^k, k >= 2); the unknowns never feed
-    back into rows <= m, so one sweep in m suffices.
+    U and U^2 are kept as tau-rows of polynomials in W, row m truncated at
+    W-degree cap - m. With U_0 = W and lambda1_0 = lambda2_0 = 0, row m of
+    U^3 + lambda1 U + lambda2 is a sum of univariate products of rows < m
+    plus the unknowns 3 W^2 U_m + lambda1_m W + lambda2_m. So the residual
+    row R_m(W) determines lambda2_m (W^0), lambda1_m (W^1) and U_{m, k-2}
+    (W^k, k >= 2), and one sweep in m suffices.
     """
     cap, mode = xi_tw.cap, xi_tw.mode
-    names = xi_tw.names
     one = 1.0 if mode == "float" else Fraction(1)
     three = 3.0 if mode == "float" else Fraction(3)
+    xi_rows = [{} for _ in range(cap + 1)]
+    for (i, j), v in xi_tw._c.items():
+        xi_rows[i][j] = v
     lam1 = {}
     lam2 = {}
-    u = {(0, 1): one}
+    u = [{1: one}]  # rows of U
+    sq = [{2: one}]  # rows of U^2
     for m in range(1, cap + 1):
-        us = Series2(names, cap, u, mode=mode)
-        l1s = Series2(names, cap, {(j, 0): v for j, v in lam1.items()}, mode=mode)
-        l2s = Series2(names, cap, {(j, 0): v for j, v in lam2.items()}, mode=mode)
-        resid = xi_tw - (us * us * us + l1s * us + l2s)
-        row = {j: v for i, j, v in resid.terms() if i == m}
-        if 0 in row:
-            lam2[m] = row[0]
-        if 1 in row:
-            lam1[m] = row[1]
-        for j, v in row.items():
-            if j >= 2:
-                u[(m, j - 2)] = v / three
+        deg = cap - m
+        # row m of U^2 and of U^3 + lambda1 U, leaving out the unknowns
+        sq_m = {}
+        known = {}
+        for a in range(1, m):
+            _row_mul_add(sq_m, u[a], u[m - a], deg)
+            _row_mul_add(known, sq[a], u[m - a], deg)
+            if a in lam1:
+                _row_mul_add(known, {0: lam1[a]}, u[m - a], deg)
+        _row_mul_add(known, sq_m, u[0], deg)
+        resid = dict(xi_rows[m])
+        for j, v in known.items():
+            resid[j] = resid[j] - v if j in resid else -v
+        u_m = {}
+        for j, v in resid.items():
+            if v == 0:
+                continue
+            if j == 0:
+                lam2[m] = v
+            elif j == 1:
+                lam1[m] = v
+            else:
+                u_m[j - 2] = v / three
+        u.append(u_m)
+        _row_mul_add(sq_m, {1: 2 * one}, u_m, deg)
+        sq.append(sq_m)
     eff = xi_tw.eff
     lam1_s = Series1("tau", cap, lam1, mode=mode, eff=eff)
     lam2_s = Series1("tau", cap, lam2, mode=mode, eff=eff)
-    u_s = Series2(names, cap, u, mode=mode, eff=eff)
+    u_c = {(i, j): v for i, row in enumerate(u) for j, v in row.items()}
+    u_s = Series2(xi_tw.names, cap, u_c, mode=mode, eff=eff)
     return lam1_s, lam2_s, u_s
+
+
+def _row_mul_add(out: dict, a: dict, b: dict, deg: int):
+    """out += a * b for polynomials given as {degree: coeff}, up to degree deg."""
+    for i, x in a.items():
+        for j, y in b.items():
+            k = i + j
+            if k <= deg:
+                w = out.get(k)
+                out[k] = x * y if w is None else w + x * y
 
 
 def verify_miniversal(pack: NormalFormPack) -> Series2:

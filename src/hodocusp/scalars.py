@@ -87,29 +87,51 @@ class CubicRadical:
     """a0 + a1*c + a2*c**2 with c = real cube root of ``rad`` (a non-cube rational).
 
     Q(c) is a field (x**3 - rad is irreducible when rad is not a perfect
-    cube), so division is exact. Construct through :func:`make_radical` or
-    :func:`cbrt_exact`, which collapse perfect cubes to plain Fractions.
+    cube), so division is exact. An element is stored as integers
+    (n0 + n1*c + n2*c**2) / d over one denominator d > 0, reduced by a single
+    gcd, so equal elements have equal fields. Construct through
+    :func:`make_radical` or :func:`cbrt_exact`: they test the radicand for a
+    perfect cube once, and the arithmetic never tests it again; it only
+    collapses results with n1 = n2 = 0 to plain Fractions.
     """
 
-    __slots__ = ("a0", "a1", "a2", "rad")
+    __slots__ = ("n0", "n1", "n2", "d", "rad")
 
     def __init__(self, a0, a1, a2, rad):
-        self.a0 = Fraction(a0)
-        self.a1 = Fraction(a1)
-        self.a2 = Fraction(a2)
+        a0, a1, a2 = Fraction(a0), Fraction(a1), Fraction(a2)
+        d = math.lcm(a0.denominator, a1.denominator, a2.denominator)
+        self.n0 = a0.numerator * (d // a0.denominator)
+        self.n1 = a1.numerator * (d // a1.denominator)
+        self.n2 = a2.numerator * (d // a2.denominator)
+        self.d = d
         self.rad = Fraction(rad)
+
+    @property
+    def a0(self) -> Fraction:
+        return Fraction(self.n0, self.d)
+
+    @property
+    def a1(self) -> Fraction:
+        return Fraction(self.n1, self.d)
+
+    @property
+    def a2(self) -> Fraction:
+        return Fraction(self.n2, self.d)
 
     # -- coercion ---------------------------------------------------------
 
     def _parts(self, other):
+        """(n0, n1, n2, d) of an operand in the same field, or None."""
         if isinstance(other, CubicRadical):
-            if other.rad != self.rad:
+            if other.rad is not self.rad and other.rad != self.rad:
                 raise UsageError(
                     f"cannot mix cube roots of {self.rad} and {other.rad}"
                 )
-            return other.a0, other.a1, other.a2
-        if isinstance(other, (int, Fraction)):
-            return Fraction(other), Fraction(0), Fraction(0)
+            return other.n0, other.n1, other.n2, other.d
+        if isinstance(other, Fraction):
+            return other.numerator, 0, 0, other.denominator
+        if isinstance(other, int):
+            return other, 0, 0, 1
         return None
 
     # -- ring operations --------------------------------------------------
@@ -118,63 +140,90 @@ class CubicRadical:
         p = self._parts(other)
         if p is None:
             return NotImplemented
-        return make_radical(self.a0 + p[0], self.a1 + p[1], self.a2 + p[2], self.rad)
+        b0, b1, b2, e = p
+        d = self.d
+        if d == e:
+            return _reduced(self.n0 + b0, self.n1 + b1, self.n2 + b2, d, self.rad)
+        return _reduced(
+            self.n0 * e + b0 * d,
+            self.n1 * e + b1 * d,
+            self.n2 * e + b2 * d,
+            d * e,
+            self.rad,
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        p = self._parts(other)
-        if p is None:
+        if self._parts(other) is None:
             return NotImplemented
-        return make_radical(self.a0 - p[0], self.a1 - p[1], self.a2 - p[2], self.rad)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return CubicRadical(-self.a0, -self.a1, -self.a2, self.rad)
+        return _element(-self.n0, -self.n1, -self.n2, self.d, self.rad)
 
     def __mul__(self, other):
         p = self._parts(other)
         if p is None:
             return NotImplemented
-        a0, a1, a2, r = self.a0, self.a1, self.a2, self.rad
-        b0, b1, b2 = p
-        return make_radical(
-            a0 * b0 + r * (a1 * b2 + a2 * b1),
-            a0 * b1 + a1 * b0 + r * a2 * b2,
-            a0 * b2 + a1 * b1 + a2 * b0,
+        b0, b1, b2, e = p
+        a0, a1, a2, r = self.n0, self.n1, self.n2, self.rad
+        if not (b1 or b2):
+            return _reduced(a0 * b0, a1 * b0, a2 * b0, self.d * e, r)
+        # c**3 = rad = rp / rq
+        rp, rq = r.numerator, r.denominator
+        return _reduced(
+            rq * a0 * b0 + rp * (a1 * b2 + a2 * b1),
+            rq * (a0 * b1 + a1 * b0) + rp * a2 * b2,
+            rq * (a0 * b2 + a1 * b1 + a2 * b0),
+            self.d * e * rq,
             r,
         )
 
     __rmul__ = __mul__
 
     def inverse(self):
-        a, b, d, q = self.a0, self.a1, self.a2, self.rad
-        norm = a * a * a + b * b * b * q + d * d * d * q * q - 3 * a * b * d * q
+        a, b, c, r = self.n0, self.n1, self.n2, self.rad
+        rp, rq = r.numerator, r.denominator
+        # the field norm times d**3 rq**2
+        norm = (
+            rq * rq * a * a * a
+            + rp * rq * b * b * b
+            + rp * rp * c * c * c
+            - 3 * rp * rq * a * b * c
+        )
         if norm == 0:
             raise ZeroDivisionError("inverse of zero radical element")
-        return make_radical(
-            (a * a - b * d * q) / norm,
-            (d * d * q - a * b) / norm,
-            (b * b - a * d) / norm,
-            q,
+        k = self.d * rq
+        if norm < 0:
+            norm, k = -norm, -k
+        return _reduced(
+            (rq * a * a - rp * b * c) * k,
+            (rp * c * c - rq * a * b) * k,
+            rq * (b * b - a * c) * k,
+            norm,
+            r,
         )
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError
-            return make_radical(self.a0 / other, self.a1 / other, self.a2 / other, self.rad)
+            num, den = other.numerator, other.denominator
+            if num < 0:
+                num, den = -num, -den
+            return _reduced(self.n0 * den, self.n1 * den, self.n2 * den, self.d * num, self.rad)
         if isinstance(other, CubicRadical):
             return self * other.inverse()
         return NotImplemented
 
     def __rtruediv__(self, other):
-        inv = self.inverse()
-        if isinstance(inv, CubicRadical):
-            return inv * other
-        return inv * other  # collapsed to Fraction
+        if self._parts(other) is None:
+            return NotImplemented
+        return self.inverse() * other
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -193,10 +242,11 @@ class CubicRadical:
     def __eq__(self, other):
         if isinstance(other, CubicRadical):
             return (
-                self.rad == other.rad
-                and self.a0 == other.a0
-                and self.a1 == other.a1
-                and self.a2 == other.a2
+                self.n0 == other.n0
+                and self.n1 == other.n1
+                and self.n2 == other.n2
+                and self.d == other.d
+                and self.rad == other.rad
             )
         if isinstance(other, (int, Fraction)):
             # factory collapses rational-valued elements, so a live radical
@@ -205,17 +255,37 @@ class CubicRadical:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.a0, self.a1, self.a2, self.rad))
+        return hash((self.n0, self.n1, self.n2, self.d, self.rad))
 
     def __bool__(self):
-        return bool(self.a0 or self.a1 or self.a2)
+        return bool(self.n0 or self.n1 or self.n2)
 
     def __float__(self):
+        # n / d is correctly rounded, so each term equals float(Fraction(n, d))
         c = real_cbrt(float(self.rad))
-        return float(self.a0) + float(self.a1) * c + float(self.a2) * c * c
+        d = self.d
+        return self.n0 / d + self.n1 / d * c + self.n2 / d * c * c
 
     def __repr__(self):
         return f"CubicRadical({self.a0}, {self.a1}, {self.a2}; cbrt {self.rad})"
+
+
+def _element(n0, n1, n2, d, rad) -> CubicRadical:
+    """A CubicRadical from fields already in canonical form."""
+    x = object.__new__(CubicRadical)
+    x.n0, x.n1, x.n2, x.d, x.rad = n0, n1, n2, d, rad
+    return x
+
+
+def _reduced(n0, n1, n2, d, rad) -> Fraction | CubicRadical:
+    """Canonical element of (n0 + n1 c + n2 c**2) / d for d > 0; rational
+    when n1 = n2 = 0. The radicand is known not to be a perfect cube."""
+    if not (n1 or n2):
+        return Fraction(n0, d)
+    g = math.gcd(n0, n1, n2, d)
+    if g != 1:
+        n0, n1, n2, d = n0 // g, n1 // g, n2 // g, d // g
+    return _element(n0, n1, n2, d, rad)
 
 
 def make_radical(a0, a1, a2, rad) -> Fraction | CubicRadical:
@@ -235,9 +305,7 @@ def cbrt_exact(q: Fraction) -> Fraction | CubicRadical:
 
 
 def scalar_float(v) -> float:
-    """float() that also understands CubicRadical."""
-    if isinstance(v, CubicRadical):
-        return float(v)
+    """float() of any scalar kind, CubicRadical included."""
     return float(v)
 
 

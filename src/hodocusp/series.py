@@ -564,46 +564,69 @@ def lift1to2(s: Series1, names, axis) -> Series2:
 # -- composition --------------------------------------------------------------
 
 
+def _horner(rows, s: Series2) -> Series2:
+    """sum_i rows[i] * s**i by Horner's rule; s needs zero constant term.
+
+    The partial sum that is still to be multiplied i times by s only matters
+    up to total degree cap - i*val(s), so it is kept at that cap: one
+    truncated product per row, and rows past cap // val(s) are never read.
+    Truncation commutes with sums and products, so the result equals the
+    truncated full sum exactly.
+    """
+    cap = s.cap
+    val = s.valuation()
+    n = min(len(rows) - 1, cap // val)
+    acc = rows[n].recap(cap - n * val)
+    for i in range(n - 1, -1, -1):
+        c = cap - i * val
+        acc = rows[i].recap(c) + acc.recap(c) * s.recap(c)
+    return acc
+
+
+def _compose_eff(a: Series2, effs) -> int:
+    """Trusted order of a with its two variables replaced by series of the
+    given effective orders (cap for a variable left in place)."""
+    eff = a.eff
+    for axis, s_eff in enumerate(effs):
+        m = min((i + j - 1 for (i, j) in a._c if (i, j)[axis] >= 1), default=None)
+        if m is not None:
+            eff = min(eff, s_eff + m)
+    return eff
+
+
+def _check_substituted(a: Series2, s: Series2, which: str):
+    if a.cap != s.cap:
+        raise UsageError(f"cap mismatch: {a.cap} vs {s.cap}")
+    if a.mode != s.mode:
+        raise UsageError(f"scalar mode mismatch: {a.mode} vs {s.mode}")
+    if (0, 0) in s._c:
+        raise UsageError(
+            f"substituted series for {which!r} must have zero constant term"
+        )
+
+
 def compose2(a: Series2, s_first: Series2, s_second: Series2) -> Series2:
     """a(s_first, s_second); both substituted series need zero constant term.
 
     The result lives in the (shared) variable pair of the substituted series.
+    Each row a_i(y) of a is evaluated at s_second by Horner's rule, then the
+    rows are summed by Horner's rule in s_first: about cap truncated products
+    per row plus cap for the outer sum. :func:`substitute` is the cheaper
+    call when one of the two is the identity.
     """
     s_first._check_compat(s_second)
-    if a.cap != s_first.cap:
-        raise UsageError(f"cap mismatch: {a.cap} vs {s_first.cap}")
-    if a.mode != s_first.mode:
-        raise UsageError(f"scalar mode mismatch: {a.mode} vs {s_first.mode}")
-    for s, which in ((s_first, a.names[0]), (s_second, a.names[1])):
-        if (0, 0) in s._c:
-            raise UsageError(
-                f"substituted series for {which!r} must have zero constant term"
-            )
+    _check_substituted(a, s_first, a.names[0])
+    _check_substituted(a, s_second, a.names[1])
     names, cap, mode = s_first.names, a.cap, a.mode
-    out = zero2(names, cap, mode)
-    pow1 = {0: const2(names, cap, 1, mode)}
-    pow2 = {0: const2(names, cap, 1, mode)}
-
-    def power(table, base, n):
-        if n not in table:
-            table[n] = power(table, base, n - 1) * base
-        return table[n]
-
+    consts = [[{} for _ in range(cap + 1)] for _ in range(cap + 1)]
     for (i, j), v in a._c.items():
-        # min total degree of the substituted monomial is i + j, so higher
-        # a-terms cannot reach the cap
-        if i + j > cap:
-            continue
-        term = power(pow1, s_first, i) * power(pow2, s_second, j)
-        out = out + term.scale(v)
-
-    m1 = min((i + j - 1 for (i, j) in a._c if i >= 1), default=None)
-    m2 = min((i + j - 1 for (i, j) in a._c if j >= 1), default=None)
-    eff = a.eff
-    if m1 is not None:
-        eff = min(eff, s_first.eff + m1)
-    if m2 is not None:
-        eff = min(eff, s_second.eff + m2)
+        consts[i][j] = {(0, 0): v}
+    rows = [
+        _horner([Series2._raw(names, cap, c, mode, cap) for c in row], s_second)
+        for row in consts
+    ]
+    out = _horner(rows, s_first)
+    eff = _compose_eff(a, (s_first.eff, s_second.eff))
     return Series2._raw(names, cap, out._c, mode, eff)
 
 
@@ -611,19 +634,28 @@ def substitute(a: Series2, which: str, s: Series2) -> Series2:
     """Substitute one variable of ``a`` by the series ``s``.
 
     ``s`` is expressed in the target variable pair, which must contain the
-    untouched variable of ``a``.
+    untouched variable of ``a``. Horner's rule over the powers of ``which``
+    costs about one truncated product per power, each below the cap by the
+    degree the remaining powers of ``s`` will add.
     """
     if which not in a.names:
         raise UsageError(f"no variable {which!r} in {a.names}")
-    kept = a.names[1 - a.names.index(which)]
+    axis = a.names.index(which)
+    kept = a.names[1 - axis]
     if kept not in s.names:
         raise UsageError(
             f"target pair {s.names} must contain the untouched variable {kept!r}"
         )
-    kept_id = variable2(s.names, s.cap, kept, mode=s.mode)
-    if a.names.index(which) == 0:
-        return compose2(a, s, kept_id)
-    return compose2(a, kept_id, s)
+    _check_substituted(a, s, which)
+    names, cap, mode = s.names, a.cap, a.mode
+    kept_first = s.names.index(kept) == 0
+    rows = [{} for _ in range(cap + 1)]
+    for k, v in a._c.items():
+        e = k[1 - axis]
+        rows[k[axis]][(e, 0) if kept_first else (0, e)] = v
+    out = _horner([Series2._raw(names, cap, r, mode, cap) for r in rows], s)
+    eff = _compose_eff(a, (s.eff, cap) if axis == 0 else (cap, s.eff))
+    return Series2._raw(names, cap, out._c, mode, eff)
 
 
 def compose1(f: Series1, g: Series1) -> Series1:
@@ -683,6 +715,11 @@ def implicit_solve(f: Series2, solve_for: str, value_name: str) -> Series2:
     Needs f(0,0) = 0 and a nonzero first-order coefficient in the solved
     variable. The output pair keeps the solved variable's position, renamed
     to ``value_name``.
+
+    Pass n substitutes the solution known through degree n - 1 into f, all
+    at cap n, and fixes band n from the defect there, which is linear in
+    band n through the first-order coefficient: cap passes whose costs grow
+    with n, instead of cap full-cap recompositions.
     """
     if solve_for not in f.names:
         raise UsageError(f"no variable {solve_for!r} in {f.names}")
@@ -698,26 +735,24 @@ def implicit_solve(f: Series2, solve_for: str, value_name: str) -> Series2:
         raise DegeneracyError(
             f"implicit solve for {solve_for!r} needs a nonzero linear coefficient"
         )
-    other = f.names[1]
-    names = (value_name, other)
+    names = (value_name, f.names[1])
     cap, mode = f.cap, f.mode
-    value_id = variable2(names, cap, value_name, mode=mode)
-    other_id = variable2(names, cap, other, mode=mode)
-    sol = zero2(names, cap, mode)
     if mode == FLOAT:
         c10_inv = 1.0 / c10
     elif isinstance(c10, Fraction):
         c10_inv = Fraction(1) / c10
     else:
         c10_inv = c10.inverse()
-    # each pass raises the order of the defect by at least one
-    for _ in range(cap + 1):
-        fs = compose2(f, sol, other_id)
-        new = sol + (value_id - fs).scale(c10_inv)
-        if new == sol:
-            break
-        sol = new
-    out = Series2._raw(names, cap, sol._c, mode, min(f.eff, sol.eff))
+    sol = {}
+    for n in range(1, cap + 1):
+        fs = substitute(f.recap(n), solve_for, Series2._raw(names, n, dict(sol), mode, n))
+        # band n of value - f(sol); the value variable is the (1, 0) term
+        for i in range(n + 1):
+            k = (i, n - i)
+            r = (1 if k == (1, 0) else 0) - fs._c.get(k, 0)
+            if not _is_zero(r):
+                sol[k] = r * c10_inv
+    out = Series2._raw(names, cap, sol, mode, f.eff)
     return out.swap() if swapped else out
 
 

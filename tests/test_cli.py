@@ -207,6 +207,32 @@ def test_korobeinik_full_config(tmp_path, capsys):
     assert len(lines) == 2 + 3 + 1  # header line, 3 probes, 1 witness
 
 
+CAUCHY = """\
+korobeinik:
+  g1:
+    - pole: {{a: 1, c: 1}}
+  cauchy:
+    r: {r}
+    r0: 1/2
+    eps: {eps}
+    n_max: 20
+"""
+
+
+def test_korobeinik_cauchy_accepts_rational_strings(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, CAUCHY.format(r="9/10", eps='"1/20"'))
+    rc = cli.main(["korobeinik", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert "cauchy bound: " in capsys.readouterr().out
+
+
+def test_korobeinik_cauchy_rejects_malformed_value(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, CAUCHY.format(r="9/10", eps="0.1.5"))
+    rc = cli.main(["korobeinik", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "eps: cannot parse rational" in capsys.readouterr().err
+
+
 def test_korobeinik_needs_a_section(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "korobeinik:\n  g1:\n    - poly: [0, 1]\n")
     rc = cli.main(["korobeinik", "--config", str(cfg), "--out", str(tmp_path / "o")])

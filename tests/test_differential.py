@@ -1,0 +1,241 @@
+"""Differential and property tests of the exact scalar and series kernels.
+
+Each kernel is checked against a slow reference kept in this file:
+
+* Horner ``substitute`` and ``compose2`` against term-by-term composition
+  from power tables, one product per term of the outer series;
+* ``implicit_solve`` through the round trip f(solution) = identity, also
+  over Q(cbrt(rad));
+* the integer ``CubicRadical`` against the same field written with three
+  Fractions and the textbook formulas.
+"""
+
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hodocusp.scalars import CubicRadical, make_radical, real_cbrt
+from hodocusp.series import (
+    EXACT,
+    FLOAT,
+    Series2,
+    compose2,
+    const2,
+    implicit_solve,
+    substitute,
+    variable2,
+    zero2,
+)
+
+HV = ("h", "V")
+TV = ("tau", "V")
+CAP = 5
+RADS = [Fraction(2), Fraction(12, 5), Fraction(-4, 15), Fraction(7, 9)]
+
+fractions_st = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+keys_st = st.tuples(st.integers(0, CAP), st.integers(0, CAP)).filter(
+    lambda k: k[0] + k[1] <= CAP
+)
+
+
+# -- reference: Q(cbrt(rad)) with three Fractions ------------------------------------
+
+
+def ref_mul(a, b, r):
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (
+        a0 * b0 + r * (a1 * b2 + a2 * b1),
+        a0 * b1 + a1 * b0 + r * a2 * b2,
+        a0 * b2 + a1 * b1 + a2 * b0,
+    )
+
+
+def ref_inverse(a, r):
+    a0, a1, a2 = a
+    norm = a0**3 + a1**3 * r + a2**3 * r * r - 3 * a0 * a1 * a2 * r
+    return (
+        (a0 * a0 - a1 * a2 * r) / norm,
+        (a2 * a2 * r - a0 * a1) / norm,
+        (a1 * a1 - a0 * a2) / norm,
+    )
+
+
+def ref_float(a, r):
+    c = real_cbrt(float(r))
+    return float(a[0]) + float(a[1]) * c + float(a[2]) * c * c
+
+
+def as_parts(x):
+    """(a0, a1, a2) of a field element that may have collapsed to Fraction."""
+    if isinstance(x, CubicRadical):
+        return (x.a0, x.a1, x.a2)
+    assert isinstance(x, Fraction)
+    return (x, Fraction(0), Fraction(0))
+
+
+triples_st = st.tuples(fractions_st, fractions_st, fractions_st)
+
+
+@given(a=triples_st, b=triples_st, r=st.sampled_from(RADS), k=fractions_st)
+@settings(max_examples=200, deadline=None)
+def test_radical_matches_fraction_formulas(a, b, r, k):
+    x, y = make_radical(*a, r), make_radical(*b, r)
+    add = tuple(p + q for p, q in zip(a, b))
+    sub = tuple(p - q for p, q in zip(a, b))
+    assert as_parts(x + y) == add
+    assert as_parts(x - y) == sub
+    assert as_parts(x * y) == ref_mul(a, b, r)
+    assert as_parts(x + k) == (a[0] + k, a[1], a[2])
+    assert as_parts(k - x) == (k - a[0], -a[1], -a[2])
+    assert as_parts(x * k) == tuple(p * k for p in a)
+    assert as_parts(-x) == tuple(-p for p in a)
+    if k != 0:
+        assert as_parts(x / k) == tuple(p / k for p in a)
+    if any(b):
+        inv = ref_inverse(b, r)
+        assert as_parts(1 / y) == inv
+        assert as_parts(x / y) == ref_mul(a, inv, r)
+    # a canonical form: equal values have equal fields and hashes
+    z = (x * y + x) - x
+    assert as_parts(z) == ref_mul(a, b, r)
+    if isinstance(z, CubicRadical):
+        w = make_radical(*ref_mul(a, b, r), r)
+        assert z == w and hash(z) == hash(w)
+        assert (z.n0, z.n1, z.n2, z.d) == (w.n0, w.n1, w.n2, w.d)
+        assert math.gcd(z.n0, z.n1, z.n2, z.d) == 1 and z.d > 0
+
+
+@given(a=triples_st, r=st.sampled_from(RADS), n=st.integers(0, 7))
+@settings(max_examples=100, deadline=None)
+def test_radical_pow_and_float_match_reference(a, r, n):
+    x = make_radical(*a, r)
+    want = (Fraction(1), Fraction(0), Fraction(0))
+    for _ in range(n):
+        want = ref_mul(want, a, r)
+    assert as_parts(x**n) == want
+    # bit-equal conversion, the float evaluators read coefficients this way
+    assert float(x) == ref_float(a, r)
+    assert float(x**n) == ref_float(want, r)
+
+
+@given(a=triples_st, root=fractions_st.filter(lambda q: q != 0))
+@settings(max_examples=60, deadline=None)
+def test_make_radical_collapses_perfect_cubes(a, root):
+    v = make_radical(*a, root**3)
+    assert isinstance(v, Fraction)
+    assert v == a[0] + a[1] * root + a[2] * root * root
+
+
+# -- reference: term-by-term composition ---------------------------------------------
+
+
+def naive_compose(a, s1, s2):
+    """a(s1, s2) with one product per term of a, from tables of powers."""
+    names, cap, mode = s1.names, s1.cap, s1.mode
+    p1 = [const2(names, cap, 1, mode)]
+    p2 = [const2(names, cap, 1, mode)]
+    for _ in range(cap):
+        p1.append(p1[-1] * s1)
+        p2.append(p2[-1] * s2)
+    out = zero2(names, cap, mode)
+    for i, j, v in a.terms():
+        out = out + (p1[i] * p2[j]).scale(v)
+    return out
+
+
+def radical_st(r):
+    return triples_st.map(lambda t: make_radical(*t, r))
+
+
+def series_st(names, values, no_constant=False):
+    keys = keys_st.filter(lambda k: k != (0, 0)) if no_constant else keys_st
+    return st.dictionaries(keys, values, max_size=8)
+
+
+def build(coeffs, names, mode=EXACT):
+    return Series2(names, CAP, coeffs, mode=mode)
+
+
+def assert_close(got, want):
+    scale = max([abs(v) for v in want._c.values()] + [1.0])
+    for k in set(got._c) | set(want._c):
+        assert abs(got._c.get(k, 0.0) - want._c.get(k, 0.0)) <= 1e-12 * scale, k
+
+
+@given(
+    a=series_st(HV, fractions_st),
+    s=series_st(TV, fractions_st, no_constant=True),
+    second=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_substitute_matches_naive_exact(a, s, second):
+    a_s, s_s = build(a, HV), build(s, TV if not second else ("h", "W"))
+    which = "V" if second else "h"
+    kept = variable2(s_s.names, CAP, "h" if second else "V")
+    got = substitute(a_s, which, s_s)
+    want = naive_compose(a_s, kept, s_s) if second else naive_compose(a_s, s_s, kept)
+    assert got == want
+
+
+@given(
+    a=series_st(HV, fractions_st),
+    s1=series_st(TV, fractions_st, no_constant=True),
+    s2=series_st(TV, fractions_st, no_constant=True),
+)
+@settings(max_examples=60, deadline=None)
+def test_compose2_matches_naive_exact(a, s1, s2):
+    a_s, f, g = build(a, HV), build(s1, TV), build(s2, TV)
+    assert compose2(a_s, f, g) == naive_compose(a_s, f, g)
+
+
+@given(
+    r=st.sampled_from(RADS),
+    data=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_substitute_matches_naive_radical(r, data):
+    a = build(data.draw(series_st(HV, radical_st(r))), HV)
+    s = build(data.draw(series_st(TV, radical_st(r), no_constant=True)), TV)
+    assert substitute(a, "h", s) == naive_compose(a, s, variable2(TV, CAP, "V"))
+
+
+floats_st = st.floats(min_value=-4, max_value=4, allow_nan=False)
+
+
+@given(
+    a=series_st(HV, floats_st),
+    s1=series_st(TV, floats_st, no_constant=True),
+    s2=series_st(TV, floats_st, no_constant=True),
+)
+@settings(max_examples=60, deadline=None)
+def test_compositions_match_naive_float(a, s1, s2):
+    a_s = build(a, HV, FLOAT)
+    f, g = build(s1, TV, FLOAT), build(s2, TV, FLOAT)
+    assert_close(compose2(a_s, f, g), naive_compose(a_s, f, g))
+    v = variable2(TV, CAP, "V", mode=FLOAT)
+    assert_close(substitute(a_s, "h", f), naive_compose(a_s, f, v))
+
+
+# -- implicit_solve round trip ----------------------------------------------------
+
+
+@given(
+    r=st.sampled_from(RADS),
+    lead=triples_st.filter(any),
+    second=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_implicit_solve_roundtrip_radical(r, lead, second, data):
+    coeffs = data.draw(series_st(HV, radical_st(r), no_constant=True))
+    key = (0, 1) if second else (1, 0)
+    coeffs[key] = make_radical(*lead, r)
+    f = build(coeffs, HV)
+    x = "V" if second else "h"
+    sol = implicit_solve(f, x, "tau")
+    assert sol.eff == f.eff
+    back = substitute(f, x, sol)
+    assert back == variable2(sol.names, CAP, "tau")

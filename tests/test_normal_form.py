@@ -16,16 +16,39 @@ from hodocusp import (
     canonical_problem,
     cbrt_exact,
     expand_potential,
+    make_radical,
+    reconstruct,
     hodograph_map,
     roundtrip_w_u,
     save_pack,
     verify_miniversal,
 )
-from hodocusp.series import FLOAT, Series1, lift1to2, substitute
+from hodocusp.series import (
+    FLOAT,
+    Series1,
+    Series2,
+    lift1to2,
+    series1_text,
+    series2_text,
+    substitute,
+)
 
 from conftest import random_singular_problem
 
 GOLDEN = Path(__file__).parent / "golden" / "canonical_n6"
+# exact pack of random_singular_problem(random.Random(0)) at order 10: generic,
+# every series fills its top band, so nothing terminates early
+GOLDEN_GENERIC = Path(__file__).parent / "golden" / "generic_n10"
+PACK_SERIES = (
+    ("h_of_tau_v", "h_of_tau_V.txt"),
+    ("xi_of_tau_v", "xi_of_tau_V.txt"),
+    ("v_of_w", "V_of_W.txt"),
+    ("xi_of_tau_w", "xi_of_tau_W.txt"),
+    ("lambda1", "lambda1.txt"),
+    ("lambda2", "lambda2.txt"),
+    ("u_of_tau_w", "U_of_tau_W.txt"),
+    ("w_of_tau_u", "W_of_tau_U.txt"),
+)
 
 
 def low2(s):
@@ -214,6 +237,38 @@ def test_float_mode_build_matches_exact_slope():
     assert pack.multivalued_halfplane() == 1
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_float_build_generic_matches_exact(seed):
+    # tau and xi carry no constant term in float mode, so construction no
+    # longer refuses generic instances with UsageError over xi(0, 0) ~ 1e-16
+    sol = expand_potential(random_singular_problem(random.Random(seed)), order=10, mode=FLOAT)
+    try:
+        fpack = build_normal_form(hodograph_map(sol))
+    except DegeneracyError as exc:
+        # the absolute 1e-9 check on xi(0, W) - W^3 still refuses instances
+        # whose coefficients reach ~1e12, where roundoff alone exceeds it
+        assert "cube normalization failed" in str(exc)
+        return
+    epack = random_pack(seed, order=10)
+    p = epack.problem
+    t, x = float(p.t_star), float(p.x_star)
+    got, want = reconstruct(t, x, fpack), reconstruct(t, x, epack)
+    assert [b.multiplicity for b in got] == [b.multiplicity for b in want]
+    for g, w in zip(got, want):
+        assert abs(g.h - w.h) <= 1e-9
+        assert abs(g.v - w.v) <= 1e-9
+    # coefficient by coefficient up to eff, relative to the largest exact
+    # coefficient of the same total degree
+    for attr, _ in PACK_SERIES:
+        f, e = getattr(fpack, attr), getattr(epack, attr).to_float()
+        deg = sum if isinstance(f, Series2) else int
+        for k in set(f._c) | set(e._c):
+            if deg(k) > e.eff:
+                continue
+            band = max(abs(v) for kk, v in e._c.items() if deg(kk) == deg(k))
+            assert abs(f._c.get(k, 0.0) - e._c.get(k, 0.0)) <= 1e-8 * band, (attr, k)
+
+
 # -- serialization ------------------------------------------------------------
 
 
@@ -237,6 +292,49 @@ def test_save_pack_matches_golden(tmp_path):
         fresh = (tmp_path / fname).read_bytes()
         frozen = (GOLDEN / fname).read_bytes()
         assert fresh == frozen, f"{fname} drifted from the frozen copy"
+
+
+def read_series_text(text):
+    """Parse a series1/series2 table back into a series (exact mode only)."""
+    head = {}
+    rows = []
+    for line in text.splitlines():
+        if line.startswith("# ") and ": " in line:
+            key, _, val = line[2:].partition(": ")
+            head[key] = val
+        elif not line.startswith("#"):
+            rows.append([int(f) for f in line.split()])
+    assert head["mode"] == "exact"
+    rad = Fraction(head["radicand"]) if "radicand" in head else None
+
+    def scalar(f):
+        if rad is None:
+            return Fraction(f[0], f[1])
+        return make_radical(
+            Fraction(f[0], f[1]), Fraction(f[2], f[3]), Fraction(f[4], f[5]), rad
+        )
+
+    cap, eff = int(head["cap"]), int(head["eff"])
+    if "names" in head:
+        coeffs = {(r[0], r[1]): scalar(r[2:]) for r in rows}
+        return Series2(tuple(head["names"].split()), cap, coeffs, eff=eff)
+    return Series1(head["name"], cap, {r[0]: scalar(r[1:]) for r in rows}, eff=eff)
+
+
+def test_generic_pack_matches_golden(tmp_path):
+    pack = random_pack(0, order=10)
+    save_pack(pack, tmp_path)
+    for attr, fname in PACK_SERIES:
+        s = getattr(pack, attr)
+        frozen = (GOLDEN_GENERIC / fname).read_text()
+        want = read_series_text(frozen)
+        assert s == want, f"{attr} drifted from the frozen copy"
+        assert s.eff == want.eff, f"{attr}: eff {s.eff} != {want.eff}"
+        text = series1_text(s) if isinstance(s, Series1) else series2_text(s)
+        assert text == frozen
+        assert (tmp_path / fname).read_bytes() == (GOLDEN_GENERIC / fname).read_bytes()
+    manifest = (tmp_path / "manifest.json").read_bytes()
+    assert manifest == (GOLDEN_GENERIC / "manifest.json").read_bytes()
 
 
 def test_manifest_contents():

@@ -29,7 +29,6 @@ import argparse
 import hashlib
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import yaml
@@ -172,14 +171,6 @@ def _floats_pair(entry, where):
     if not isinstance(entry, (list, tuple)) or len(entry) != 2:
         raise UsageError(f"config: '{where}' must be a pair [a, b]")
     return tuple(float(parse_exact(v, f"{where}[{i}]")) for i, v in enumerate(entry))
-
-
-def _map_ordered(fn, items, threads):
-    """Apply fn preserving input order; threads > 1 opts into a pool."""
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, items))
-    return [fn(it) for it in items]
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -342,7 +333,6 @@ def _cmd_korobeinik(ns, cfg, digest) -> int:
     block = _section(cfg, "korobeinik")
     seed = SeedFunction.from_config(_require(block, "g1", "korobeinik"), "korobeinik.g1")
     u_star = block.get("u_star", 0)
-    threads = _int_in(cfg, "threads", "<top>", 1, 1, 64)
     reports = []
     summary = []
     ran = 0
@@ -354,7 +344,7 @@ def _cmd_korobeinik(ns, cfg, digest) -> int:
         if not isinstance(us, (list, tuple)) or not us:
             raise UsageError("config: 'korobeinik.probes.u' must be a non-empty list")
         terms = _int_in(probes, "terms", "korobeinik.probes", 40, 20, 5000)
-        got = _map_ordered(lambda u: radius_probe(seed, u, terms), list(us), threads)
+        got = [radius_probe(seed, u, terms) for u in us]
         reports.extend(got)
         for r in got:
             summary.append(

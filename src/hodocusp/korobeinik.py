@@ -31,6 +31,7 @@ from .pde import (
     KorobeinikSeries,
     ProblemData,
     SeedFunction,
+    _seed_b0,
     expand_potential,
     h_scaled,
     korobeinik_series,
@@ -290,11 +291,8 @@ def bidisc_check(
     exact = seed.exact and isinstance(u0, QComplex)
 
     analytic = True
-    nearest_d2 = None
-    for a in seed.poles():
-        d2 = _pole_d2(a, u0)
-        if nearest_d2 is None or float(d2) < float(nearest_d2):
-            nearest_d2 = d2
+    d2s = [d2 for _, d2 in seed._pole_distances2(u0)]
+    for d2 in d2s:
         if exact and isinstance(d2, Fraction):
             inside = lt_dist_vs_radius(d2, R, R1)
         else:
@@ -313,7 +311,7 @@ def bidisc_check(
     if not analytic:
         witness = _divergence_witness(seed, u0, R, R1)
 
-    pole_d = math.inf if nearest_d2 is None else math.sqrt(float(nearest_d2))
+    pole_d = math.sqrt(float(min(d2s))) if d2s else math.inf
     return BidiscReport(
         u_star=_as_float_point(u0),
         R=float(R),
@@ -323,14 +321,6 @@ def bidisc_check(
         samples=tuple(rows),
         witness=witness,
     )
-
-
-def _pole_d2(a, u0):
-    if isinstance(a, QComplex) and isinstance(u0, QComplex):
-        return (a - u0).abs2()
-    af = _as_float_point(a)
-    uf = _as_float_point(u0)
-    return abs(af - uf) ** 2
 
 
 def _sample_bidisc_point(rnd, u0, R, R1, complex_h=False):
@@ -402,12 +392,8 @@ def _divergence_witness(seed, u0, R, R1):
     that the pointwise radius d(u)**2/4 drops below R1; |h| is the midpoint
     of (d(u)**2/4, R1), so the point stays strictly inside the bidisc.
     """
-    best = None
-    for a in seed.poles():
-        d2 = _pole_d2(a, u0)
-        if best is None or float(d2) < float(best[1]):
-            best = (a, d2)
-    a, d2 = best
+    # min keeps the first of equally near poles (conjugate pairs tie)
+    a, d2 = min(seed._pole_distances2(u0), key=lambda pair: pair[1])
     if not (isinstance(d2, Fraction) and isinstance(u0, QComplex) and seed.exact):
         raise UsageError("divergence witness needs exact pole and center data")
     sq_d = math.sqrt(float(d2))
@@ -566,14 +552,9 @@ def variable_alpha_probe(
     if not seed.exact:
         raise UsageError("variable-alpha probe needs an exact seed")
     u_star_q = parse_exact(u_star, "u_star")
-    seed.assert_not_pole(QComplex(u_star_q), "u_star")
-    half = Fraction(1, 2)
-    b0 = []
-    for j in range(2 * order + 1):
-        d = seed.derivative_at(QComplex(u_star_q), j)
-        if not d.is_real():
-            raise UsageError("variable-alpha probe needs a seed real on the real axis")
-        b0.append(half**j * d.re / math.factorial(j))
+    b0 = _seed_b0(seed, u_star_q, order)
+    if b0 is None:
+        raise UsageError("variable-alpha probe needs a seed real on the real axis")
     problem = ProblemData(b0=b0, alpha=alpha, v_star=2 * u_star_q)
     sol = expand_potential(problem, order)
     c = h_scaled(sol.series)

@@ -436,16 +436,16 @@ class SeedFunction:
     def is_entire(self) -> bool:
         return not self.poles()
 
-    def min_pole_distance2(self, u):
-        """Squared distance from u to the nearest pole; None when entire.
+    def _pole_distances2(self, u):
+        """(pole, squared distance from u) for each pole, in seed order.
 
-        Exact (Fraction) when both the poles and u are exact.
+        Exact (Fraction) when both the pole and u are exact.
         """
         ps = self.poles()
         if not ps:
-            return None
+            return []
         u = self._coerce_point(u)
-        best = None
+        out = []
         for a in ps:
             if isinstance(a, QComplex) and isinstance(u, QComplex):
                 d2 = (a - u).abs2()
@@ -453,21 +453,15 @@ class SeedFunction:
                 ac = a.to_complex() if isinstance(a, QComplex) else complex(a)
                 uc = u.to_complex() if isinstance(u, QComplex) else complex(u)
                 d2 = abs(ac - uc) ** 2
-            if best is None or d2 < best:
-                best = d2
-        return best
+            out.append((a, d2))
+        return out
 
-    def nearest_pole(self, u):
-        ps = self.poles()
-        if not ps:
-            return None
-        u_f = u.to_complex() if isinstance(u, QComplex) else complex(u)
+    def min_pole_distance2(self, u):
+        """Squared distance from u to the nearest pole; None when entire.
 
-        def dist(a):
-            a_f = a.to_complex() if isinstance(a, QComplex) else complex(a)
-            return abs(a_f - u_f)
-
-        return min(ps, key=dist)
+        Exact (Fraction) when both the poles and u are exact.
+        """
+        return min((d2 for _, d2 in self._pole_distances2(u)), default=None)
 
     def assert_not_pole(self, u, field="u"):
         d2 = self.min_pole_distance2(u)
@@ -503,9 +497,6 @@ class KorobeinikSeries:
         d = self.seed.derivative_at(u, 2 * k)
         return d / (math.factorial(k) * math.factorial(k + 1))
 
-    def coefficient_fn(self, n: int):
-        return lambda u: self.coefficient(n, u)
-
     def partial_sum(self, h, u, terms: int | None = None):
         """sum_{n=1..terms} g_n(u) h^n (complex or exact, following inputs)."""
         n_terms = self.cap if terms is None else min(terms, self.cap)
@@ -516,18 +507,6 @@ class KorobeinikSeries:
             v = self.coefficient(n, u) * hp
             total = v if total is None else total + v
         return total
-
-    def partial_sums(self, h, u, terms: int | None = None):
-        n_terms = self.cap if terms is None else min(terms, self.cap)
-        out = []
-        total = None
-        hp = None
-        for n in range(1, n_terms + 1):
-            hp = h if hp is None else hp * h
-            v = self.coefficient(n, u) * hp
-            total = v if total is None else total + v
-            out.append(total)
-        return out
 
     def recurrence_residuals(self, u_points, kmax: int | None = None):
         """Exact residuals k(k+1) g_{k+1}(u) - g_k''(u) for k = 1..kmax.
@@ -573,6 +552,22 @@ class BridgeCheck:
     mismatches: tuple
 
 
+def _seed_b0(seed: SeedFunction, u_star: Fraction, order: int):
+    """Boundary row of B0(v) = g1(v/2) about v* = 2 u*, up to j = 2*order.
+
+    b0_j = (1/2)^j g1^(j)(u*) / j!; None when some derivative is not real.
+    """
+    u = QComplex(u_star)
+    seed.assert_not_pole(u, "u_star")
+    b0 = []
+    for j in range(2 * order + 1):
+        d = seed.derivative_at(u, j)
+        if not d.is_real():
+            return None
+        b0.append(Fraction(1, 2) ** j * d.re / math.factorial(j))
+    return b0
+
+
 def bridge_check(seed: SeedFunction, u_star, order: int, alpha=()) -> BridgeCheck:
     """Expand the potential from B0(v) = g1(v/2) and compare rows.
 
@@ -586,14 +581,10 @@ def bridge_check(seed: SeedFunction, u_star, order: int, alpha=()) -> BridgeChec
     if not seed.exact:
         raise UsageError("bridge check needs an exact seed function")
     u_star = parse_exact(u_star, "u_star")
-    seed.assert_not_pole(QComplex(u_star), "u_star")
+    b0 = _seed_b0(seed, u_star, order)
+    if b0 is None:
+        raise UsageError("bridge check needs a seed that is real on the real axis")
     half = Fraction(1, 2)
-    b0 = []
-    for j in range(2 * order + 1):
-        d = seed.derivative_at(QComplex(u_star), j)
-        if not d.is_real():
-            raise UsageError("bridge check needs a seed that is real on the real axis")
-        b0.append(half**j * d.re / math.factorial(j))
     problem = ProblemData(b0=b0, alpha=(), v_star=2 * u_star)
     sol = expand_potential(problem, order)
     mismatches = []

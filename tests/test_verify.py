@@ -15,6 +15,8 @@ from hodocusp import (
 from hodocusp.pde import SeedFunction, korobeinik_series
 from hodocusp.verify import (
     GridSpec,
+    ResidualReport,
+    alpha_values,
     branch_field,
     branch_swap_probe,
     constant_field_probe,
@@ -265,6 +267,130 @@ def test_grid_outside_predicted_region(catalan_ks):
 def test_grid_touching_pole(catalan_ks):
     with pytest.raises(UsageError, match="touches a pole of the seed"):
         pde_grid_residual_G(catalan_ks, GridSpec((0.01, 1.0), 0.005, 1e-3))
+
+
+# -- reference oracles: one 2-D stencil for the grid, per-point ones for order ---
+#
+# Both oracles take their convergence order from 3x3 patches run through the
+# full-grid residual code. These references compute it the direct way, with a
+# hand-written central stencil at each center, and must give equal reports.
+
+
+def _reference_centers(grid):
+    offs = np.array([-0.5, 0.0, 0.5]) * grid.half_width
+    c0, c1 = np.meshgrid(float(grid.center[0]) + offs, float(grid.center[1]) + offs)
+    return c0.ravel(), c1.ravel()
+
+
+def _reference_order(steps, rms):
+    return float(np.polyfit(np.log(steps), np.log(rms), 1)[0])
+
+
+def _rms(a):
+    return float(np.sqrt(np.mean(a * a)))
+
+
+def reference_system_residual(pack, grid, branch=None, halvings=3, check=True):
+    alpha = pack.problem.alpha
+    T, X = np.meshgrid(grid.axis(0), grid.axis(1), indexing="ij")
+    H, V = branch_field(pack, T, X, branch, check)[:2]
+    s2 = 2.0 * grid.step
+    HV = H * V
+    r1 = (H[2:, 1:-1] - H[:-2, 1:-1]) / s2 + (HV[1:-1, 2:] - HV[1:-1, :-2]) / s2
+    r2 = (
+        (V[2:, 1:-1] - V[:-2, 1:-1]) / s2
+        + V[1:-1, 1:-1] * (V[1:-1, 2:] - V[1:-1, :-2]) / s2
+        + alpha_values(alpha, H[1:-1, 1:-1]) * (H[1:-1, 2:] - H[1:-1, :-2]) / s2
+    )
+    Tc, Xc = _reference_centers(grid)
+    steps = [grid.step * 2.0 ** m for m in range(halvings + 1)]
+    rms1, rms2 = [], []
+    for s in steps:
+        def field(dt, dx):
+            return branch_field(pack, Tc + dt, Xc + dx, branch, check)[:2]
+
+        Hc, Vc = field(0.0, 0.0)
+        Hpt, Vpt = field(s, 0.0)
+        Hmt, Vmt = field(-s, 0.0)
+        Hpx, Vpx = field(0.0, s)
+        Hmx, Vmx = field(0.0, -s)
+        s2 = 2.0 * s
+        rms1.append(_rms((Hpt - Hmt) / s2 + (Hpx * Vpx - Hmx * Vmx) / s2))
+        rms2.append(_rms(
+            (Vpt - Vmt) / s2 + Vc * (Vpx - Vmx) / s2 + alpha_values(alpha, Hc) * (Hpx - Hmx) / s2
+        ))
+    return ResidualReport(
+        grid=grid,
+        r1_max=float(np.max(np.abs(r1))),
+        r1_rms=_rms(r1),
+        r2_max=float(np.max(np.abs(r2))),
+        r2_rms=_rms(r2),
+        order1=_reference_order(steps, rms1),
+        order2=_reference_order(steps, rms2),
+        halvings=halvings,
+    )
+
+
+def reference_grid_residual_G(ks, grid, terms, halvings=3):
+    def g(h, u):
+        return complex(ks.partial_sum(h, complex(u), terms)).real
+
+    h_ax, u_ax = grid.axis(0), grid.axis(1)
+    G = np.array([[g(h, u) for u in u_ax] for h in h_ax])
+    s = grid.step
+    Ghh = (G[2:, 1:-1] - 2.0 * G[1:-1, 1:-1] + G[:-2, 1:-1]) / (s * s)
+    Guu = (G[1:-1, 2:] - 2.0 * G[1:-1, 1:-1] + G[1:-1, :-2]) / (s * s)
+    r = h_ax[1:-1][:, None] * Ghh - Guu
+    hc, uc = _reference_centers(grid)
+    steps = [grid.step * 2.0 ** m for m in range(halvings + 1)]
+    rms = []
+    for st in steps:
+        vals = []
+        for h0, u0 in zip(hc, uc):
+            ghh = (g(h0 + st, u0) - 2.0 * g(h0, u0) + g(h0 - st, u0)) / (st * st)
+            guu = (g(h0, u0 + st) - 2.0 * g(h0, u0) + g(h0, u0 - st)) / (st * st)
+            vals.append(h0 * ghh - guu)
+        rms.append(_rms(np.asarray(vals)))
+    return ResidualReport(
+        grid=grid,
+        r1_max=float(np.max(np.abs(r))),
+        r1_rms=_rms(r),
+        r2_max=None,
+        r2_rms=None,
+        order1=_reference_order(steps, rms),
+        order2=None,
+        halvings=halvings,
+    )
+
+
+@pytest.mark.parametrize(
+    "grid, branch",
+    [
+        (GridSpec((-0.5, 0.0), 1e-3, 2e-5), None),
+        (GridSpec((0.5, 0.0), 1e-3, 2e-5), 0),
+        # next to the fold at (0.45, 0.18): the (t - s, x - s) corners of the
+        # doubled-step stencils lie on the other side, and no stencil reads them
+        (GridSpec((0.45, 0.19), 2e-3, 1e-3), None),
+        (GridSpec((0.45, 0.17), 2e-3, 1e-3), 0),
+    ],
+)
+def test_system_residual_matches_reference_stencils(canonical_pack, grid, branch):
+    rep = system_residual(canonical_pack, grid, branch)
+    assert rep == reference_system_residual(canonical_pack, grid, branch)
+
+
+def test_system_residual_matches_reference_with_alpha(geometric_tail_problem):
+    # nonzero alpha_1 exercises the alpha(h) factor of the momentum residual
+    pack = build_normal_form(hodograph_map(expand_potential(geometric_tail_problem, order=6)))
+    grid = GridSpec((-0.1, 0.0), 1e-4, 4e-6)
+    rep = system_residual(pack, grid, check=False)
+    assert rep == reference_system_residual(pack, grid, check=False)
+
+
+def test_grid_residual_G_matches_reference_stencils(catalan_ks):
+    grid = tile_grids(5e-3)[0]
+    rep = pde_grid_residual_G(catalan_ks, grid, terms=30)
+    assert rep == reference_grid_residual_G(catalan_ks, grid, terms=30)
 
 
 # -- hodograph roundtrip ---------------------------------------------------------

@@ -15,6 +15,13 @@ pole distances, bidisc classification, membership tests, and the
 divergence-witness confirmation (whose term ratios overflow float range
 long before the heuristic window is reached). Floats appear only in the
 final ratio-limit extrapolation and in reports.
+
+The exact term magnitudes |g_n(u)|**2, n = 1..K, are not built from the
+closed form g1^(2k)(u)/(k!(k+1)!) one n at a time: each pole term steps
+by an integer recurrence, all poles share one integer denominator, and
+the sequence costs O(K) big-integer products and one Fraction per term
+(see ``term_magnitudes2``). Inexact seeds and float points use the closed
+form ``KorobeinikSeries.coefficient``.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ from fractions import Fraction
 from .errors import DomainError, UsageError
 from .pde import (
     KorobeinikSeries,
+    PoleTerm,
+    PolyTerm,
     ProblemData,
     SeedFunction,
     _seed_b0,
@@ -77,23 +86,110 @@ def _exact_abs(h):
 
 
 def term_magnitudes2(ks: KorobeinikSeries, u, K: int):
-    """|g_n(u)|**2 for n = 1..K; Fractions on the exact path."""
+    """|g_n(u)|**2 for n = 1..K; Fractions on the exact path.
+
+    Exact path (exact seed, QComplex point): the whole sequence comes from
+    the per-pole recurrence of :func:`_exact_magnitudes2`, at a cost of
+    O(K) big-integer products and one Fraction (one gcd) per term.
+    Otherwise each term is the closed form ``ks.coefficient(n, u)``.
+    """
+    point = ks.seed._coerce_point(u)
+    if ks.seed.exact and isinstance(point, QComplex):
+        return _exact_magnitudes2(ks.seed, point, K)
     return [_mag2(ks.coefficient(n, u)) for n in range(1, K + 1)]
+
+
+def _exact_magnitudes2(seed: SeedFunction, u: QComplex, K: int):
+    """|g_{k+1}(u)|**2 for k = 0..K-1 in integer arithmetic.
+
+    A pole term c/(a - u)**m contributes t_k = c (m)_{2k}/(k!(k+1)!) w**(m+2k)
+    to g_{k+1}(u), with w = 1/(a - u), so
+    t_{k+1} = t_k w**2 (m+2k)(m+2k+1)/((k+1)(k+2)); the scalar factor
+    s_k = C(m+2k-1, 2k) Catalan_k is an integer. Each w is written as a
+    Gaussian integer over the common integer L of all poles, and every
+    term carries the denominator Cden L**(mmax+2k), so X + iY over that
+    denominator is g_{k+1}(u) and no gcd runs before the Fraction of
+    (X**2 + Y**2)/den**2. Polynomial components add P^(2k)(u)/(k!(k+1)!)
+    exactly for 2k <= degree.
+    """
+    poles = [t for t in seed.terms if isinstance(t, PoleTerm)]
+    prow = []  # polynomial part of g_{k+1}(u), k = 0, 1, ...
+    for t in seed.terms:
+        if isinstance(t, PolyTerm):
+            for k in range((len(t.coeffs) + 1) // 2):
+                v = t.derivative_at(u, 2 * k) / (math.factorial(k) * math.factorial(k + 1))
+                if k < len(prow):
+                    prow[k] = prow[k] + v
+                else:
+                    prow.append(v)
+    # a - u = (p + iq)/D over one denominator D; then w = omega/nu reduced
+    diffs = [t.a - u for t in poles]
+    D = math.lcm(*(x.denominator for z in diffs for x in (z.re, z.im)))
+    ws = []
+    for z in diffs:
+        p, q = (z.re * D).numerator, (z.im * D).numerator
+        g = math.gcd(D * p, D * q, p * p + q * q)
+        ws.append((D * p // g, -D * q // g, (p * p + q * q) // g))
+    L = math.lcm(*(nu for _, _, nu in ws))
+    residues = [t.c if isinstance(t.c, QComplex) else QComplex(t.c) for t in poles]
+    Cden = math.lcm(
+        *(x.denominator for z in residues + prow for x in (z.re, z.im))
+    )
+    mmax = max((t.n for t in poles), default=0)
+    states = []  # [m, s_k, Re E_k, Im E_k, Re W**2, Im W**2]
+    for t, c, (wr, wi, nu) in zip(poles, residues, ws):
+        f = L // nu
+        wr, wi = wr * f, wi * f  # w = (wr + i wi) / L
+        er, ei = (c.re * Cden).numerator, (c.im * Cden).numerator
+        for _ in range(t.n):
+            er, ei = er * wr - ei * wi, er * wi + ei * wr
+        scale = L ** (mmax - t.n)
+        states.append([t.n, 1, er * scale, ei * scale, wr * wr - wi * wi, 2 * wr * wi])
+    den = Cden * L**mmax
+    L2 = L * L
+    out = []
+    for k in range(K):
+        X = Y = 0
+        for st in states:
+            m, s, er, ei, w2r, w2i = st
+            X += s * er
+            Y += s * ei
+            j = m + 2 * k
+            st[1] = s * j * (j + 1) // ((k + 1) * (k + 2))
+            st[2], st[3] = er * w2r - ei * w2i, er * w2i + ei * w2r
+        if k < len(prow):
+            v = prow[k]
+            X += v.re.numerator * (den // v.re.denominator)
+            Y += v.im.numerator * (den // v.im.denominator)
+        out.append(Fraction(X * X + Y * Y, den * den))
+        den *= L2
+    return out
 
 
 def ratio_points(mags2, h_abs2=None):
     """Indexed term ratios (n, |t_{n+1}|/|t_n|), skipping zero terms.
 
     mags2[n-1] is |g_n|**2; with h_abs2 the ratios include the |h| factor.
+    For Fractions the quotient is one integer true division, which rounds
+    correctly like float(Fraction) and so gives the same bits.
     """
+    exact_h = h_abs2 is None or isinstance(h_abs2, Fraction)
     pts = []
     for n in range(1, len(mags2)):
         a, b = mags2[n - 1], mags2[n]
         if a == 0 or b == 0:
             continue
-        q = b / a
-        if h_abs2 is not None:
-            q = q * h_abs2
+        if exact_h and isinstance(a, Fraction) and isinstance(b, Fraction):
+            num = b.numerator * a.denominator
+            den = b.denominator * a.numerator
+            if h_abs2 is not None:
+                num *= h_abs2.numerator
+                den *= h_abs2.denominator
+            q = num / den
+        else:
+            q = b / a
+            if h_abs2 is not None:
+                q = q * h_abs2
         pts.append((n, math.sqrt(float(q))))
     return pts
 
@@ -196,12 +292,13 @@ def confirm_divergence(seed: SeedFunction, u, h_abs, K: int):
     """Exact heuristic run at |h| = h_abs; returns (confirmed, float ratios).
 
     Term ratios are compared in exact rational arithmetic (squared), since
-    the terms themselves overflow floats for the K this can need.
+    the terms themselves overflow floats for the K this can need. A float
+    h_abs is read as the exact rational it stores.
     """
     u = parse_point(u, "u")
     ks = korobeinik_series(seed, u, K)
     mags2 = term_magnitudes2(ks, u, K)
-    h2 = Fraction(h_abs) ** 2 if not isinstance(h_abs, float) else h_abs * h_abs
+    h2 = Fraction(h_abs) ** 2
     sq = []
     for n in range(1, len(mags2)):
         a, b = mags2[n - 1], mags2[n]
@@ -500,6 +597,9 @@ def cauchy_bound_check(
             raise UsageError(
                 "seed has a pole inside |z| < r; the bound requires analyticity there"
             )
+    # complex pole constants up front: PoleTerm._consts_for would convert
+    # them again on each of the thousands of calls below, to the same bits
+    seed = SeedFunction([_complex_pole(t) if isinstance(t, PoleTerm) else t for t in seed.terms])
     rho = r - eps
     c_eps = max(
         abs(seed.value_at(rho * cmath.exp(2j * math.pi * k / CIRCLE_SAMPLES)))
@@ -534,6 +634,12 @@ def cauchy_bound_check(
         worst_z=worst[1],
         passed=max_ratio <= 1.0 + 1e-6,
     )
+
+
+def _complex_pole(t: PoleTerm) -> PoleTerm:
+    """t with complex a and c, equal to what a complex point evaluates with."""
+    a = t.a.to_complex() if isinstance(t.a, QComplex) else t.a
+    return PoleTerm(a, _as_float_point(t.c), t.n)
 
 
 # -- variable-alpha probe ------------------------------------------------------

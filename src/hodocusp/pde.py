@@ -587,12 +587,14 @@ def bridge_check(seed: SeedFunction, u_star, order: int, alpha=()) -> BridgeChec
     half = Fraction(1, 2)
     problem = ProblemData(b0=b0, alpha=(), v_star=2 * u_star)
     sol = expand_potential(problem, order)
+    u = QComplex(u_star)
+    derivs = [seed.derivative_at(u, m) for m in range(2 * order + 1)]
     mismatches = []
     checked = 0
     for k in range(order + 1):
         for j in range(order - k + 1):
             got = sol.row_coefficient(k, j)
-            d = seed.derivative_at(QComplex(u_star), 2 * k + j)
+            d = derivs[2 * k + j]
             want = (
                 half**j
                 * d.re

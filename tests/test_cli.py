@@ -207,6 +207,22 @@ def test_korobeinik_full_config(tmp_path, capsys):
     assert len(lines) == 2 + 3 + 1  # header line, 3 probes, 1 witness
 
 
+@pytest.mark.parametrize("name", ["korobeinik_catalan", "korobeinik_3pole"])
+def test_korobeinik_matches_golden(name, tmp_path, monkeypatch, capsys):
+    # recorded with the closed-form term magnitudes (one
+    # KorobeinikSeries.coefficient per n); stdout names the output path,
+    # so the run uses a relative --out from a fixed cwd
+    golden = REPO / "tests" / "golden" / name
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["korobeinik", "--config", str(golden / "config.yaml"), "--out", "out"])
+    captured = capsys.readouterr()
+    assert (rc, captured.err) == (0, "")
+    assert captured.out.encode() == (golden / "stdout.txt").read_bytes()
+    assert (tmp_path / "out" / "convergence.csv").read_bytes() == (
+        golden / "convergence.csv"
+    ).read_bytes()
+
+
 CAUCHY = """\
 korobeinik:
   g1:

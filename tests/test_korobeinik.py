@@ -136,6 +136,16 @@ def test_confirm_divergence_at_exact_radius_stays_unconfirmed(catalan_seed):
     assert all(r < 1.0 for r in tail)  # ratio climbs like 1 - 3/(2n)
 
 
+def test_confirm_divergence_float_h_is_read_exactly(catalan_seed):
+    # the terms at K = 600 overflow floats; a float |h| must not pull the
+    # comparison out of exact arithmetic
+    got = confirm_divergence(catalan_seed, 0, 0.3, 600)
+    assert got == confirm_divergence(catalan_seed, 0, Fraction(0.3), 600)
+    confirmed, tail = got
+    assert confirmed
+    assert len(tail) == 10 and all(1.19 < r < 1.2 for r in tail)
+
+
 # -- bidisc check -------------------------------------------------------------
 
 

@@ -1,0 +1,247 @@
+"""Differential tests of the seed-series kernels in ``korobeinik``.
+
+Each kernel is checked against a slow reference kept in this file:
+
+* exact ``term_magnitudes2`` (the per-pole integer recurrence) against
+  |g_n(u)|**2 from the closed form ``KorobeinikSeries.coefficient``, one
+  QComplex derivative per n, on real poles, conjugate pairs, complex
+  residues, polynomial parts and the higher-order poles of
+  ``seed.differentiated()``;
+* the float path against the same closed form, bit for bit;
+* ``cauchy_bound_check`` against the per-call conversion of the pole
+  constants;
+* ``bridge_check`` against one derivative evaluation per (k, j) pair.
+"""
+
+import cmath
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from hodocusp import pde
+from hodocusp.korobeinik import (
+    CIRCLE_SAMPLES,
+    CauchyReport,
+    cauchy_bound_check,
+    ratio_points,
+    term_magnitudes2,
+)
+from hodocusp.pde import (
+    BridgeCheck,
+    PoleTerm,
+    PolyTerm,
+    ProblemData,
+    SeedFunction,
+    bridge_check,
+    expand_potential,
+    korobeinik_series,
+)
+from hodocusp.scalars import QComplex
+
+# -- references ---------------------------------------------------------------------
+
+
+def ref_magnitudes2(ks, u, K):
+    """|g_n(u)|**2 from the closed form, one coefficient per n."""
+    out = []
+    for n in range(1, K + 1):
+        v = ks.coefficient(n, u)
+        if isinstance(v, QComplex):
+            out.append(v.abs2())
+        else:
+            a = abs(complex(v))
+            out.append(a * a)
+    return out
+
+
+def ref_cauchy(seed, r, r0, eps, n_max):
+    """The Cauchy check with the pole constants converted on every call."""
+    r, r0, eps = float(r), float(r0), float(eps)
+    rho = r - eps
+    c_eps = max(
+        abs(seed.value_at(rho * cmath.exp(2j * math.pi * k / CIRCLE_SAMPLES)))
+        for k in range(CIRCLE_SAMPLES)
+    )
+    z_points = [0j]
+    for frac in (Fraction(1, 3), Fraction(2, 3), Fraction(1)):
+        for k in range(8):
+            z_points.append(r0 * float(frac) * cmath.exp(2j * math.pi * k / 8))
+    gap = r - r0 - eps
+    max_ratio, worst, fact, denom = 0.0, (0, 0j), 1.0, gap
+    for n in range(n_max + 1):
+        if n > 0:
+            fact *= n
+            denom *= gap
+        bound = c_eps * fact * rho / denom
+        for z in z_points:
+            val = abs(seed.derivative_at(z, n)) if n else abs(seed.value_at(z))
+            ratio = val / bound
+            if ratio > max_ratio:
+                max_ratio, worst = ratio, (n, z)
+    return CauchyReport(c_eps, n_max, max_ratio, worst[0], worst[1], max_ratio <= 1.0 + 1e-6)
+
+
+def ref_bridge(seed, u_star, order):
+    """Bridge comparison with one derivative evaluation per (k, j) pair."""
+    u_star = Fraction(u_star)
+    b0 = pde._seed_b0(seed, u_star, order)
+    sol = expand_potential(ProblemData(b0=b0, alpha=(), v_star=2 * u_star), order)
+    mismatches, checked = [], 0
+    for k in range(order + 1):
+        for j in range(order - k + 1):
+            got = sol.row_coefficient(k, j)
+            d = seed.derivative_at(QComplex(u_star), 2 * k + j)
+            want = Fraction(1, 2) ** j * d.re / (
+                math.factorial(j) * math.factorial(k) * math.factorial(k + 1)
+            )
+            checked += 1
+            if got != want:
+                mismatches.append((k, j, got, want))
+    return BridgeCheck(not mismatches, order, checked, tuple(mismatches))
+
+
+# -- strategies ---------------------------------------------------------------------
+
+small_q = st.fractions(min_value=-2, max_value=2, max_denominator=16)
+residue_q = small_q.filter(lambda c: c != 0)
+
+
+@st.composite
+def residues(draw):
+    if draw(st.booleans()):
+        return draw(residue_q)
+    return QComplex(draw(residue_q), draw(residue_q))
+
+
+@st.composite
+def seeds(draw):
+    """1-3 real poles or conjugate pairs, maybe a polynomial, maybe differentiated."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        c = draw(residues())
+        if draw(st.booleans()):
+            terms.append(PoleTerm(QComplex(draw(small_q)), c, 1))
+        else:
+            a = QComplex(draw(small_q), draw(residue_q))
+            c_bar = c.conj() if isinstance(c, QComplex) else c
+            terms += [PoleTerm(a, c, 1), PoleTerm(a.conj(), c_bar, 1)]
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(small_q, min_size=1, max_size=7))
+        terms.insert(draw(st.integers(0, len(terms))), PolyTerm(tuple(coeffs)))
+    seed = SeedFunction(terms)
+    for _ in range(draw(st.integers(0, 2))):
+        seed = seed.differentiated()
+    return seed
+
+
+# denominators up to 128 * 40, like bidisc samples about a rational center
+points = st.builds(
+    QComplex,
+    st.fractions(min_value=-1, max_value=1, max_denominator=128 * 40),
+    st.fractions(min_value=-1, max_value=1, max_denominator=128 * 40),
+)
+
+
+# -- exact path ---------------------------------------------------------------------
+
+
+@settings(max_examples=12, deadline=None)
+@given(seeds(), points, st.integers(20, 120))
+def test_exact_magnitudes_match_closed_form(seed, u, K):
+    assume(seed.min_pole_distance2(u) != 0)
+    ks = korobeinik_series(seed, u, K)
+    got = term_magnitudes2(ks, u, K)
+    assert all(type(m) is Fraction for m in got)
+    assert got == ref_magnitudes2(ks, u, K)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        [{"pole": {"a": 1, "c": 1}}],
+        [{"poly": [0, 1, 0, Fraction(1, 3)]}],
+        [{"poly": [1, 2]}, {"pole": {"a": [Fraction(-209, 272), Fraction(45, 34)], "c": [1, 2]}},
+         {"pole": {"a": [Fraction(-209, 272), Fraction(-45, 34)], "c": [1, -2]}}],
+    ],
+)
+@pytest.mark.parametrize("u", [0, Fraction(3, 7), QComplex(Fraction(1, 5), Fraction(-2, 9))])
+def test_exact_magnitudes_fixed_cases(cfg, u):
+    seed = SeedFunction.from_config(cfg)
+    for s in (seed, seed.differentiated().differentiated().differentiated()):
+        ks = korobeinik_series(s, u, 60)
+        assert term_magnitudes2(ks, u, 60) == ref_magnitudes2(ks, u, 60)
+
+
+def test_ratio_points_match_fraction_quotient():
+    seed = SeedFunction.from_config([{"pole": {"a": [1, 1], "c": Fraction(2, 3)}}])
+    u = QComplex(Fraction(1, 7), Fraction(-1, 11))
+    mags2 = term_magnitudes2(korobeinik_series(seed, u, 80), u, 80)
+    h2 = Fraction(3, 17) ** 2
+    for got, (n, r) in zip(ratio_points(mags2, h2), enumerate(mags2[1:], 1)):
+        assert got == (n, math.sqrt(float(r / mags2[n - 1] * h2)))
+    for got, (n, r) in zip(ratio_points(mags2), enumerate(mags2[1:], 1)):
+        assert got == (n, math.sqrt(float(r / mags2[n - 1])))
+
+
+# -- float path ---------------------------------------------------------------------
+
+
+def test_float_path_keeps_closed_form_bits():
+    exact = SeedFunction.from_config(
+        [{"poly": [1, Fraction(1, 3)]}, {"pole": {"a": [2, 1], "c": [1, -1]}}]
+    )
+    inexact = SeedFunction((PoleTerm(complex(1.5, 0.25), 0.75, 1), PolyTerm((1.0, 2.0))))
+    cases = [
+        (exact, complex(0.1, -0.2)),            # exact seed, float point
+        (inexact, QComplex(Fraction(1, 8))),    # float seed, exact point
+        (inexact, 0.3 + 0.1j),
+    ]
+    for seed, u in cases:
+        ks = korobeinik_series(seed, u, 40)
+        got = term_magnitudes2(ks, u, 40)
+        assert all(type(m) is float for m in got)
+        assert got == ref_magnitudes2(ks, u, 40)
+
+
+# -- cauchy and bridge --------------------------------------------------------------
+
+
+def test_cauchy_report_unchanged_for_poly_and_complex_poles():
+    seed = SeedFunction.from_config(
+        [
+            {"poly": [1, Fraction(-1, 2), Fraction(1, 3)]},
+            {"pole": {"a": [Fraction(3, 2), 2], "c": [1, Fraction(1, 4)]}},
+            {"pole": {"a": [Fraction(3, 2), -2], "c": [1, Fraction(-1, 4)]}},
+            {"pole": {"a": Fraction(-5, 2), "c": Fraction(7, 8)}},
+        ]
+    )
+    got = cauchy_bound_check(seed, 2, 1, Fraction(1, 4), 20)
+    assert got == ref_cauchy(seed, 2, 1, Fraction(1, 4), 20)
+    assert got.passed
+
+
+@pytest.mark.parametrize(
+    "cfg, u_star, order",
+    [
+        ([{"pole": {"a": 1, "c": 1}}], 0, 6),
+        ([{"poly": [1, 2, 0, 5]}, {"pole": {"a": [2, 1], "c": [1, 2]}},
+          {"pole": {"a": [2, -1], "c": [1, -2]}}], Fraction(1, 3), 5),
+    ],
+)
+def test_bridge_evaluates_each_derivative_once(cfg, u_star, order, monkeypatch):
+    seed = SeedFunction.from_config(cfg)
+    want = ref_bridge(seed, u_star, order)
+    calls = []
+    inner = SeedFunction.derivative_at
+
+    def counted(self, u, m):
+        calls.append(m)
+        return inner(self, u, m)
+
+    monkeypatch.setattr(SeedFunction, "derivative_at", counted)
+    assert bridge_check(seed, u_star, order) == want
+    # the boundary row and the check each take orders 0..2*order once
+    assert sorted(calls) == sorted(2 * list(range(2 * order + 1)))

@@ -240,6 +240,13 @@ def predicted_radius(seed: SeedFunction, u) -> float:
     return float(d2) / 4.0
 
 
+def _radius_verdict(limit, spread):
+    """(estimated_radius, verdict) from a ratio limit and its relative spread."""
+    if not math.isfinite(limit) or spread > SPREAD_TOL:
+        return math.nan, "inconclusive"
+    return (math.inf if limit <= 1e-12 else 1.0 / limit), "converges"
+
+
 def radius_probe(seed: SeedFunction, u, K: int = 40) -> ConvergenceReport:
     """Estimate the h-radius at fixed u from K coefficient ratios."""
     if K < 20:
@@ -254,11 +261,8 @@ def radius_probe(seed: SeedFunction, u, K: int = 40) -> ConvergenceReport:
     ratios = tuple(r for _, r in pts)
     if seed.is_entire():
         return ConvergenceReport(uf, ratios, math.inf, math.inf, "converges")
-    limit, spread = richardson_limit(pts)
-    if not math.isfinite(limit) or spread > SPREAD_TOL:
-        return ConvergenceReport(uf, ratios, math.nan, pred, "inconclusive")
-    est = math.inf if limit <= 1e-12 else 1.0 / limit
-    return ConvergenceReport(uf, ratios, est, pred, "converges")
+    est, verdict = _radius_verdict(*richardson_limit(pts))
+    return ConvergenceReport(uf, ratios, est, pred, verdict)
 
 
 def divergence_heuristic(ratios2) -> bool:
@@ -681,12 +685,7 @@ def variable_alpha_probe(
         pts = ratio_points(mags2)
         limit, spread = richardson_limit(pts, tail=min(RATIO_TAIL, len(pts)))
         pred = predicted_radius(seed, uq)
-        if not math.isfinite(limit) or spread > SPREAD_TOL:
-            verdict = "inconclusive"
-            est = math.nan
-        else:
-            verdict = "converges"
-            est = math.inf if limit <= 1e-12 else 1.0 / limit
+        est, verdict = _radius_verdict(limit, spread)
         reports.append(
             ConvergenceReport(_as_float_point(uq), tuple(r for _, r in pts), est, pred, verdict)
         )

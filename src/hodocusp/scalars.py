@@ -363,6 +363,8 @@ class QComplex:
 
     def __rtruediv__(self, other):
         other = _as_qcomplex(other)
+        if other is None:
+            return NotImplemented
         return other.__truediv__(self)
 
     def __pow__(self, n):

@@ -45,42 +45,46 @@ def _is_zero(v):
     return v == 0
 
 
-class Series2:
-    """Truncated power series in an ordered pair of variables."""
+class _Series:
+    """What Series1 and Series2 share: termwise ring code, the float cache and
+    the validity-disc gate.
 
-    __slots__ = ("names", "cap", "mode", "eff", "_c", "_fcache")
+    Terms live in ``_c``, keyed by exponent: an int for one variable, an
+    (i, j) pair for two. ``_vars`` holds the variable name or name pair,
+    which the subclasses expose as ``name`` and ``names``. A subclass
+    supplies ``_degree`` (total degree of a key, refusing negative
+    exponents), ``_layout`` (its evaluation order of the float terms) and
+    its own product kernel ``_product``.
+    """
 
-    def __init__(self, names, cap=DEFAULT_CAP, coeffs=None, *, mode=EXACT, eff=None):
-        names = tuple(names)
-        if len(names) != 2 or names[0] == names[1]:
-            raise UsageError(f"need two distinct variable names, got {names!r}")
+    __slots__ = ("_vars", "cap", "mode", "eff", "_c", "_fcache")
+
+    def __init__(self, var, cap, coeffs, mode, eff):
         if cap < 0:
             raise UsageError("cap must be nonnegative")
         if mode not in (EXACT, FLOAT):
             raise UsageError(f"unknown scalar mode {mode!r}")
-        self.names = names
-        self.cap = cap
-        self.mode = mode
-        self.eff = cap if eff is None else min(eff, cap)
         c = {}
         if coeffs:
-            for (i, j), v in coeffs.items():
-                if i < 0 or j < 0:
-                    raise UsageError(f"negative exponent ({i},{j})")
-                if i + j > cap:
+            for k, v in coeffs.items():
+                if self._degree(k) > cap:
                     continue
                 v = _norm_scalar(v, mode)
                 if not _is_zero(v):
-                    c[(i, j)] = v
+                    c[k] = v
+        self._vars = var
+        self.cap = cap
+        self.mode = mode
+        self.eff = cap if eff is None else min(eff, cap)
         self._c = c
         self._fcache = None
 
     # -- trusted fast constructor for internal use -------------------------
 
     @classmethod
-    def _raw(cls, names, cap, coeffs, mode, eff):
+    def _raw(cls, var, cap, coeffs, mode, eff):
         s = object.__new__(cls)
-        s.names = names
+        s._vars = var
         s.cap = cap
         s.mode = mode
         s.eff = min(eff, cap)
@@ -90,32 +94,17 @@ class Series2:
 
     # -- inspection ---------------------------------------------------------
 
-    def coefficient(self, i, j):
-        zero = 0.0 if self.mode == FLOAT else Fraction(0)
-        return self._c.get((i, j), zero)
-
-    def __getitem__(self, key):
-        return self.coefficient(*key)
-
-    def terms(self):
-        """Deterministically ordered (i, j, coeff) triples."""
-        for (i, j) in sorted(self._c, key=lambda k: (k[0] + k[1], k[0])):
-            yield i, j, self._c[(i, j)]
+    def _get(self, key):
+        return self._c.get(key, 0.0 if self.mode == FLOAT else Fraction(0))
 
     def is_zero(self):
         return not self._c
 
-    def valuation(self):
-        """Lowest total degree of a stored term; cap+1 for the zero series."""
-        if not self._c:
-            return self.cap + 1
-        return min(i + j for (i, j) in self._c)
-
     def __eq__(self, other):
-        if not isinstance(other, Series2):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return (
-            self.names == other.names
+            self._vars == other._vars
             and self.cap == other.cap
             and self.mode == other.mode
             and self._c == other._c
@@ -123,24 +112,18 @@ class Series2:
 
     __hash__ = None
 
-    def __repr__(self):
-        return (
-            f"Series2({self.names[0]},{self.names[1]}; cap={self.cap}, "
-            f"{self.mode}, eff={self.eff}, {len(self._c)} terms)"
-        )
-
     # -- ring operations ----------------------------------------------------
 
     def _check_compat(self, other):
-        if self.names != other.names:
-            raise UsageError(f"variable mismatch: {self.names} vs {other.names}")
+        if self._vars != other._vars:
+            raise UsageError(f"variable mismatch: {self._vars} vs {other._vars}")
         if self.cap != other.cap:
             raise UsageError(f"cap mismatch: {self.cap} vs {other.cap}")
         if self.mode != other.mode:
             raise UsageError(f"scalar mode mismatch: {self.mode} vs {other.mode}")
 
     def __add__(self, other):
-        if not isinstance(other, Series2):
+        if not isinstance(other, type(self)):
             return NotImplemented
         self._check_compat(other)
         c = dict(self._c)
@@ -154,24 +137,24 @@ class Series2:
                     del c[k]
                 else:
                     c[k] = w
-        return Series2._raw(self.names, self.cap, c, self.mode, min(self.eff, other.eff))
+        return self._raw(self._vars, self.cap, c, self.mode, min(self.eff, other.eff))
 
     def __sub__(self, other):
-        if not isinstance(other, Series2):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self + (-other)
 
     def __neg__(self):
-        return Series2._raw(
-            self.names, self.cap, {k: -v for k, v in self._c.items()}, self.mode, self.eff
+        return self._raw(
+            self._vars, self.cap, {k: -v for k, v in self._c.items()}, self.mode, self.eff
         )
 
     def scale(self, scalar):
         scalar = _norm_scalar(scalar, self.mode)
         if _is_zero(scalar):
-            return Series2._raw(self.names, self.cap, {}, self.mode, self.eff)
-        return Series2._raw(
-            self.names,
+            return self._raw(self._vars, self.cap, {}, self.mode, self.eff)
+        return self._raw(
+            self._vars,
             self.cap,
             {k: scalar * v for k, v in self._c.items()},
             self.mode,
@@ -179,31 +162,144 @@ class Series2:
         )
 
     def __mul__(self, other):
-        if isinstance(other, Series2):
-            self._check_compat(other)
-            cap = self.cap
-            c = {}
-            for (i1, j1), v1 in self._c.items():
-                d1 = i1 + j1
-                for (i2, j2), v2 in other._c.items():
-                    if d1 + i2 + j2 > cap:
-                        continue
-                    k = (i1 + i2, j1 + j2)
-                    w = c.get(k)
-                    c[k] = v1 * v2 if w is None else w + v1 * v2
-            c = {k: v for k, v in c.items() if not _is_zero(v)}
-            eff = min(
-                self.cap,
-                self.eff + other.valuation(),
-                other.eff + self.valuation(),
-            )
-            return Series2._raw(self.names, cap, c, self.mode, eff)
-        try:
-            return self.scale(other)
-        except UsageError:
-            return NotImplemented
+        if not isinstance(other, type(self)):
+            try:
+                return self.scale(other)
+            except UsageError:
+                return NotImplemented
+        self._check_compat(other)
+        c = {k: v for k, v in self._product(other).items() if not _is_zero(v)}
+        eff = min(self.cap, self.eff + other.valuation(), other.eff + self.valuation())
+        return self._raw(self._vars, self.cap, c, self.mode, eff)
 
-    __rmul__ = __mul__
+    def to_float(self):
+        if self.mode == FLOAT:
+            return self
+        return self._raw(
+            self._vars,
+            self.cap,
+            {k: scalar_float(v) for k, v in self._c.items()},
+            FLOAT,
+            self.eff,
+        )
+
+    # -- numerics -----------------------------------------------------------
+
+    def _floats(self):
+        """(float terms in the subclass's evaluation layout, validity radius).
+
+        Built once per series from the float coefficients grouped by total
+        degree, in term order within each degree.
+        """
+        if self._fcache is None:
+            bands = {}
+            for k, v in self._c.items():
+                bands.setdefault(self._degree(k), []).append((k, scalar_float(v)))
+            self._fcache = (self._layout(bands, self.cap), _band_radius(bands, self.cap))
+        return self._fcache
+
+    def validity_radius(self) -> float:
+        """Largest radius at which the top-degree band stays negligible.
+
+        Truncated series lie about their domain; the band of total degree
+        equal to the cap is used as a proxy for the dropped tail. Returns
+        inf when that band is empty (the series is a lower-degree
+        polynomial, trusted everywhere).
+        """
+        return self._floats()[1]
+
+    def _gate(self, r, where, shown=None):
+        """Raise DomainError when radius r lies outside the validity disc.
+
+        ``where`` is a format string for the point, filled with ``shown``
+        (default r).
+        """
+        vr = self.validity_radius()
+        if r > vr:
+            point = where.format(r if shown is None else shown)
+            raise DomainError(f"{point} exceeds validity radius {vr:.6g} of {self!r}")
+
+
+def _band_radius(bands, cap) -> float:
+    """Radius r with |top band| r**cap = tol |lowest band| r**lead.
+
+    ``bands`` maps total degree to (key, float coefficient) pairs; a band's
+    size is the sum of its coefficients' magnitudes.
+    """
+    top = bands.get(cap)
+    if top is None:
+        return math.inf
+    lead_deg = min(bands)
+    if lead_deg == cap:
+        return 0.0
+    top_mag = sum(abs(c) for _, c in top)
+    lead_mag = sum(abs(c) for _, c in bands[lead_deg])
+    return (VALIDITY_REL_TOL * lead_mag / top_mag) ** (1.0 / (cap - lead_deg))
+
+
+class Series2(_Series):
+    """Truncated power series in an ordered pair of variables."""
+
+    __slots__ = ()
+
+    def __init__(self, names, cap=DEFAULT_CAP, coeffs=None, *, mode=EXACT, eff=None):
+        names = tuple(names)
+        if len(names) != 2 or names[0] == names[1]:
+            raise UsageError(f"need two distinct variable names, got {names!r}")
+        super().__init__(names, cap, coeffs, mode, eff)
+
+    @property
+    def names(self):
+        return self._vars
+
+    @staticmethod
+    def _degree(key):
+        i, j = key
+        if i < 0 or j < 0:
+            raise UsageError(f"negative exponent ({i},{j})")
+        return i + j
+
+    # -- inspection ---------------------------------------------------------
+
+    def coefficient(self, i, j):
+        return self._get((i, j))
+
+    def __getitem__(self, key):
+        return self.coefficient(*key)
+
+    def terms(self):
+        """Deterministically ordered (i, j, coeff) triples."""
+        for (i, j) in sorted(self._c, key=lambda k: (k[0] + k[1], k[0])):
+            yield i, j, self._c[(i, j)]
+
+    def valuation(self):
+        """Lowest total degree of a stored term; cap+1 for the zero series."""
+        if not self._c:
+            return self.cap + 1
+        return min(i + j for (i, j) in self._c)
+
+    def __repr__(self):
+        return (
+            f"Series2({self.names[0]},{self.names[1]}; cap={self.cap}, "
+            f"{self.mode}, eff={self.eff}, {len(self._c)} terms)"
+        )
+
+    # -- ring operations ----------------------------------------------------
+
+    def _product(self, other):
+        cap = self.cap
+        c = {}
+        for (i1, j1), v1 in self._c.items():
+            d1 = i1 + j1
+            for (i2, j2), v2 in other._c.items():
+                if d1 + i2 + j2 > cap:
+                    continue
+                k = (i1 + i2, j1 + j2)
+                w = c.get(k)
+                c[k] = v1 * v2 if w is None else w + v1 * v2
+        return c
+
+    __mul__ = __rmul__ = _Series.__mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -258,118 +354,54 @@ class Series2:
         c = {k[axis]: v for k, v in self._c.items() if k[other] == 0}
         return Series1._raw(self.names[axis], self.cap, c, self.mode, self.eff)
 
-    def to_float(self):
-        if self.mode == FLOAT:
-            return self
-        return Series2._raw(
-            self.names,
-            self.cap,
-            {k: scalar_float(v) for k, v in self._c.items()},
-            FLOAT,
-            self.eff,
-        )
-
     # -- numerics -----------------------------------------------------------
 
-    def _float_terms(self):
-        if self._fcache is None:
-            bands = {}
-            for (i, j), v in self._c.items():
-                bands.setdefault(i + j, []).append((i, j, scalar_float(v)))
-            self._fcache = [bands[d] for d in sorted(bands)]
-        return self._fcache
+    @staticmethod
+    def _layout(bands, cap):
+        """Ascending total-degree bands of (i, j, coeff)."""
+        return [[(i, j, c) for (i, j), c in bands[d]] for d in sorted(bands)]
 
-    def validity_radius(self) -> float:
-        """Largest radius at which the top-degree band stays negligible.
-
-        Truncated series lie about their domain; the band of total degree
-        equal to the cap is used as a proxy for the dropped tail. Returns
-        inf when that band is empty (the series is a lower-degree
-        polynomial, trusted everywhere).
-        """
-        bands = self._float_terms()
-        if not bands:
-            return math.inf
-        top = [t for t in self._c if t[0] + t[1] == self.cap]
-        if not top:
-            return math.inf
-        lead_deg = self.valuation()
-        top_mag = sum(abs(scalar_float(self._c[t])) for t in top)
-        lead_mag = sum(
-            abs(scalar_float(v)) for (i, j), v in self._c.items() if i + j == lead_deg
-        )
-        if lead_deg == self.cap:
-            return 0.0
-        # top_mag * r**cap < tol * lead_mag * r**lead_deg
-        r = (VALIDITY_REL_TOL * lead_mag / top_mag) ** (1.0 / (self.cap - lead_deg))
-        return r
+    validity_radius = _Series.validity_radius
 
     def evaluate(self, x, y, check=True) -> float:
         """Evaluate at float arguments, summing total-degree bands upward."""
         x = float(x)
         y = float(y)
         if check:
-            r = max(abs(x), abs(y))
-            vr = self.validity_radius()
-            if r > vr:
-                raise DomainError(
-                    f"evaluation point radius {r:.6g} exceeds validity radius "
-                    f"{vr:.6g} of {self!r}"
-                )
+            self._gate(max(abs(x), abs(y)), "evaluation point radius {:.6g}")
         xp = [1.0]
         yp = [1.0]
         for _ in range(self.cap):
             xp.append(xp[-1] * x)
             yp.append(yp[-1] * y)
         total = 0.0
-        for band in self._float_terms():
+        for band in self._floats()[0]:
             total += math.fsum(c * xp[i] * yp[j] for i, j, c in band)
         return total
 
 
-class Series1:
+class Series1(_Series):
     """Truncated power series in one variable."""
 
-    __slots__ = ("name", "cap", "mode", "eff", "_c", "_fcache")
+    __slots__ = ()
 
     def __init__(self, name, cap=DEFAULT_CAP, coeffs=None, *, mode=EXACT, eff=None):
         if not isinstance(name, str) or not name:
             raise UsageError("need a variable name")
-        if cap < 0:
-            raise UsageError("cap must be nonnegative")
-        if mode not in (EXACT, FLOAT):
-            raise UsageError(f"unknown scalar mode {mode!r}")
-        self.name = name
-        self.cap = cap
-        self.mode = mode
-        self.eff = cap if eff is None else min(eff, cap)
-        c = {}
-        if coeffs:
-            for j, v in coeffs.items():
-                if j < 0:
-                    raise UsageError("negative exponent")
-                if j > cap:
-                    continue
-                v = _norm_scalar(v, mode)
-                if not _is_zero(v):
-                    c[j] = v
-        self._c = c
-        self._fcache = None
+        super().__init__(name, cap, coeffs, mode, eff)
 
-    @classmethod
-    def _raw(cls, name, cap, coeffs, mode, eff):
-        s = object.__new__(cls)
-        s.name = name
-        s.cap = cap
-        s.mode = mode
-        s.eff = min(eff, cap)
-        s._c = coeffs
-        s._fcache = None
-        return s
+    @property
+    def name(self):
+        return self._vars
+
+    @staticmethod
+    def _degree(j):
+        if j < 0:
+            raise UsageError("negative exponent")
+        return j
 
     def coefficient(self, j):
-        zero = 0.0 if self.mode == FLOAT else Fraction(0)
-        return self._c.get(j, zero)
+        return self._get(j)
 
     def __getitem__(self, j):
         return self.coefficient(j)
@@ -378,23 +410,8 @@ class Series1:
         for j in sorted(self._c):
             yield j, self._c[j]
 
-    def is_zero(self):
-        return not self._c
-
     def valuation(self):
         return min(self._c) if self._c else self.cap + 1
-
-    def __eq__(self, other):
-        if not isinstance(other, Series1):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.cap == other.cap
-            and self.mode == other.mode
-            and self._c == other._c
-        )
-
-    __hash__ = None
 
     def __repr__(self):
         return (
@@ -402,73 +419,19 @@ class Series1:
             f"eff={self.eff}, {len(self._c)} terms)"
         )
 
-    def _check_compat(self, other):
-        if self.name != other.name:
-            raise UsageError(f"variable mismatch: {self.name} vs {other.name}")
-        if self.cap != other.cap:
-            raise UsageError(f"cap mismatch: {self.cap} vs {other.cap}")
-        if self.mode != other.mode:
-            raise UsageError(f"scalar mode mismatch: {self.mode} vs {other.mode}")
+    def _product(self, other):
+        cap = self.cap
+        c = {}
+        for j1, v1 in self._c.items():
+            for j2, v2 in other._c.items():
+                k = j1 + j2
+                if k > cap:
+                    continue
+                w = c.get(k)
+                c[k] = v1 * v2 if w is None else w + v1 * v2
+        return c
 
-    def __add__(self, other):
-        if not isinstance(other, Series1):
-            return NotImplemented
-        self._check_compat(other)
-        c = dict(self._c)
-        for k, v in other._c.items():
-            w = c.get(k)
-            if w is None:
-                c[k] = v
-            else:
-                w = w + v
-                if _is_zero(w):
-                    del c[k]
-                else:
-                    c[k] = w
-        return Series1._raw(self.name, self.cap, c, self.mode, min(self.eff, other.eff))
-
-    def __sub__(self, other):
-        if not isinstance(other, Series1):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return Series1._raw(
-            self.name, self.cap, {k: -v for k, v in self._c.items()}, self.mode, self.eff
-        )
-
-    def scale(self, scalar):
-        scalar = _norm_scalar(scalar, self.mode)
-        if _is_zero(scalar):
-            return Series1._raw(self.name, self.cap, {}, self.mode, self.eff)
-        return Series1._raw(
-            self.name,
-            self.cap,
-            {k: scalar * v for k, v in self._c.items()},
-            self.mode,
-            self.eff,
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, Series1):
-            self._check_compat(other)
-            c = {}
-            for j1, v1 in self._c.items():
-                for j2, v2 in other._c.items():
-                    if j1 + j2 > self.cap:
-                        continue
-                    k = j1 + j2
-                    w = c.get(k)
-                    c[k] = v1 * v2 if w is None else w + v1 * v2
-            c = {k: v for k, v in c.items() if not _is_zero(v)}
-            eff = min(self.cap, self.eff + other.valuation(), other.eff + self.valuation())
-            return Series1._raw(self.name, self.cap, c, self.mode, eff)
-        try:
-            return self.scale(other)
-        except UsageError:
-            return NotImplemented
-
-    __rmul__ = __mul__
+    __mul__ = __rmul__ = _Series.__mul__
 
     def derivative(self):
         c = {}
@@ -480,47 +443,19 @@ class Series1:
     def rename(self, name):
         return Series1._raw(name, self.cap, dict(self._c), self.mode, self.eff)
 
-    def to_float(self):
-        if self.mode == FLOAT:
-            return self
-        return Series1._raw(
-            self.name,
-            self.cap,
-            {k: scalar_float(v) for k, v in self._c.items()},
-            FLOAT,
-            self.eff,
-        )
+    @staticmethod
+    def _layout(bands, cap):
+        """Dense coefficients by degree 0..cap, for Horner's rule."""
+        return [bands[j][0][1] if j in bands else 0.0 for j in range(cap + 1)]
 
-    def _float_coeffs(self):
-        if self._fcache is None:
-            self._fcache = [scalar_float(self._c.get(j, 0)) for j in range(self.cap + 1)]
-        return self._fcache
-
-    def validity_radius(self) -> float:
-        if not self._c:
-            return math.inf
-        top = self._c.get(self.cap)
-        if top is None:
-            return math.inf
-        lead_deg = self.valuation()
-        if lead_deg == self.cap:
-            return 0.0
-        lead = abs(scalar_float(self._c[lead_deg]))
-        return (VALIDITY_REL_TOL * lead / abs(scalar_float(top))) ** (
-            1.0 / (self.cap - lead_deg)
-        )
+    validity_radius = _Series.validity_radius
 
     def evaluate(self, x, check=True) -> float:
         x = float(x)
         if check:
-            vr = self.validity_radius()
-            if abs(x) > vr:
-                raise DomainError(
-                    f"evaluation point |{x:.6g}| exceeds validity radius "
-                    f"{vr:.6g} of {self!r}"
-                )
+            self._gate(abs(x), "evaluation point |{:.6g}|", x)
         acc = 0.0
-        for c in reversed(self._float_coeffs()):
+        for c in reversed(self._floats()[0]):
             acc = acc * x + c
         return acc
 
@@ -820,50 +755,30 @@ def _term_fields(v, rad):
     )
 
 
-def series2_text(s: Series2) -> str:
-    """Plain-text table: one term per line, deterministic order."""
-    lines = [
-        "# series2 v1",
-        f"# names: {s.names[0]} {s.names[1]}",
-        f"# cap: {s.cap}",
-        f"# eff: {s.eff}",
-        f"# mode: {s.mode}",
-    ]
+def _series_text(s, head, cols, rows) -> str:
+    """Header lines, then one ``key value`` line per term of ``rows``."""
+    lines = [*head, f"# cap: {s.cap}", f"# eff: {s.eff}", f"# mode: {s.mode}"]
     if s.mode == FLOAT:
-        lines.append("# term: i j value")
-        for i, j, v in s.terms():
-            lines.append(f"{i} {j} {v!r}")
+        lines.append(f"# term: {cols} value")
+        lines.extend(f"{k} {v!r}" for k, v in rows)
     else:
         rad = _radical_info(s._c.values())
         if rad is None:
-            lines.append("# term: i j num den")
+            lines.append(f"# term: {cols} num den")
         else:
             lines.append(f"# radicand: {rad}")
-            lines.append("# term: i j n0 d0 n1 d1 n2 d2   (a0 + a1 c + a2 c^2, c = cbrt(radicand))")
-        for i, j, v in s.terms():
-            lines.append(f"{i} {j} {_term_fields(v, rad)}")
+            lines.append(
+                f"# term: {cols} n0 d0 n1 d1 n2 d2   (a0 + a1 c + a2 c^2, c = cbrt(radicand))"
+            )
+        lines.extend(f"{k} {_term_fields(v, rad)}" for k, v in rows)
     return "\n".join(lines) + "\n"
+
+
+def series2_text(s: Series2) -> str:
+    """Plain-text table: one term per line, deterministic order."""
+    rows = ((f"{i} {j}", v) for i, j, v in s.terms())
+    return _series_text(s, ["# series2 v1", f"# names: {s.names[0]} {s.names[1]}"], "i j", rows)
 
 
 def series1_text(s: Series1) -> str:
-    lines = [
-        "# series1 v1",
-        f"# name: {s.name}",
-        f"# cap: {s.cap}",
-        f"# eff: {s.eff}",
-        f"# mode: {s.mode}",
-    ]
-    if s.mode == FLOAT:
-        lines.append("# term: j value")
-        for j, v in s.terms():
-            lines.append(f"{j} {v!r}")
-    else:
-        rad = _radical_info(s._c.values())
-        if rad is None:
-            lines.append("# term: j num den")
-        else:
-            lines.append(f"# radicand: {rad}")
-            lines.append("# term: j n0 d0 n1 d1 n2 d2   (a0 + a1 c + a2 c^2, c = cbrt(radicand))")
-        for j, v in s.terms():
-            lines.append(f"{j} {_term_fields(v, rad)}")
-    return "\n".join(lines) + "\n"
+    return _series_text(s, ["# series1 v1", f"# name: {s.name}"], "j", s.terms())

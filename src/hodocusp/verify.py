@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cusp import BOUNDARY_TOL, reconstruct
-from .errors import DomainError, UsageError
+from .errors import UsageError
 from .hodograph import HodographMap
 from .normal_form import NormalFormPack
 from .pde import KorobeinikSeries
@@ -91,15 +91,14 @@ class ResidualReport:
 # -- vectorized series evaluation ----------------------------------------------
 
 
+def _grid_radius(X: np.ndarray) -> float:
+    return float(np.max(np.abs(X))) if X.size else 0.0
+
+
 def _eval1_grid(s, X: np.ndarray, check: bool = True) -> np.ndarray:
-    sf = s.to_float()
     if check:
-        vr = sf.validity_radius()
-        top = float(np.max(np.abs(X))) if X.size else 0.0
-        if top > vr:
-            raise DomainError(
-                f"grid radius {top:.6g} exceeds validity radius {vr:.6g} of {s!r}"
-            )
+        s._gate(_grid_radius(X), "grid radius {:.6g}")
+    sf = s.to_float()
     acc = np.zeros_like(X, dtype=float)
     for j in range(sf.cap, -1, -1):
         acc = acc * X + sf.coefficient(j)
@@ -107,17 +106,9 @@ def _eval1_grid(s, X: np.ndarray, check: bool = True) -> np.ndarray:
 
 
 def _eval2_grid(s, X: np.ndarray, Y: np.ndarray, check: bool = True) -> np.ndarray:
-    sf = s.to_float()
     if check:
-        vr = sf.validity_radius()
-        top = max(
-            float(np.max(np.abs(X))) if X.size else 0.0,
-            float(np.max(np.abs(Y))) if Y.size else 0.0,
-        )
-        if top > vr:
-            raise DomainError(
-                f"grid radius {top:.6g} exceeds validity radius {vr:.6g} of {s!r}"
-            )
+        s._gate(max(_grid_radius(X), _grid_radius(Y)), "grid radius {:.6g}")
+    sf = s.to_float()
     terms = list(sf.terms())
     if not terms:
         return np.zeros_like(X, dtype=float)

@@ -5,9 +5,11 @@ the origin) terminates at low degree, which makes every pipeline identity
 exact and cheap; random singular instances exercise the generic paths.
 """
 
+import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from hodocusp import (
     ProblemData,
@@ -16,6 +18,12 @@ from hodocusp import (
     expand_potential,
     hodograph_map,
 )
+
+
+# CI runs draw the same hypothesis examples every time (GitHub Actions sets CI)
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def rand_fraction(rng, lo=-3, hi=3, den=12, nonzero=False):

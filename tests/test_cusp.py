@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hodocusp import (
     DomainError,
@@ -23,6 +25,7 @@ from hodocusp.cusp import (
     wedge_halfwidth,
     zero_curves,
 )
+from hodocusp.verify import _cardano_grid, _trig_grid
 
 C_CANON = (12.0 / 5.0) ** (1.0 / 3.0)
 
@@ -115,6 +118,49 @@ def test_seeded_multiple_root_classified():
     assert [m for _, m in roots] == [1, 2]
     assert abs(roots[0][0] + 2.0 * a) < 1e-12
     assert abs(roots[1][0] - a) < 1e-12
+
+
+# Coefficients from 1e-3 to 1e3 in size, either sign, or zero.
+_coeff_st = st.one_of(
+    st.just(0.0),
+    st.tuples(
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(min_value=1.0, max_value=10.0),
+        st.integers(-3, 2),
+    ).map(lambda t: t[0] * t[1] * 10.0 ** t[2]),
+)
+
+# Relative size of |discriminant| below which a pair counts as near the fold.
+# cusp_roots calls a pair a double root when |disc| <= 1e-12 max(1, p^2, q^2)^1.5;
+# where |p| and |q| are small that band is far wider than the fold and holds
+# the known spurious double roots. Pairs here keep |disc| above 1e-6 of that
+# scale, a factor 1e6 outside the band, so every root is simple.
+_FOLD_MARGIN = 1e-6
+# Roots must agree within this fraction of the root scale max(|p|^(1/2), |q|^(1/3)).
+_ROOT_RTOL = 1e-9
+
+
+@given(st.lists(st.tuples(_coeff_st, _coeff_st), min_size=1, max_size=16))
+@settings(max_examples=150, deadline=None)
+def test_cusp_roots_agree_with_grid_solvers_away_from_fold(pairs):
+    pairs = [
+        (p, q) for p, q in pairs
+        if abs(cubic_discriminant(p, q)) > _FOLD_MARGIN * max(1.0, p * p, q * q) ** 1.5
+    ]
+    assume(pairs)
+    P = np.array([p for p, _ in pairs])
+    Q = np.array([q for _, q in pairs])
+    three = -4.0 * P ** 3 - 27.0 * Q * Q > 0.0
+    one = np.where(three, np.nan, _cardano_grid(np.where(three, 1.0, P), Q))
+    trig = [_trig_grid(np.where(three, P, -3.0), Q, b) for b in range(3)]
+    for n, (p, q) in enumerate(pairs):
+        roots = cusp_roots(p, q)
+        assert all(m == 1 for _, m in roots)
+        want = [t[n] for t in trig] if three[n] else [one[n]]
+        assert len(roots) == len(want), (p, q)
+        tol = _ROOT_RTOL * max(abs(p) ** 0.5, abs(q) ** (1.0 / 3.0))
+        for (got, _), w in zip(roots, want):
+            assert abs(got - w) <= tol, (p, q, got, w)
 
 
 # -- wedge half-width ---------------------------------------------------------

@@ -211,6 +211,14 @@ def test_qcomplex_pow_and_real():
     assert QComplex(Fraction(5, 3)).is_real()
 
 
+def test_qcomplex_reflected_division():
+    assert 1 / QComplex(0, 2) == QComplex(0, Fraction(-1, 2))
+    assert Fraction(3, 2) / QComplex(1, 1) == QComplex(Fraction(3, 4), Fraction(-3, 4))
+    assert QComplex(1).__rtruediv__(1.5) is NotImplemented
+    with pytest.raises(TypeError):
+        1.5 / QComplex(1)
+
+
 # -- exact nested-radical comparators ---------------------------------------------
 
 

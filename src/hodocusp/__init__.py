@@ -7,7 +7,9 @@ then reconstruct multivalued (h, v)(t, x) branches, the fold and h = 0
 curve families, and convergence diagnostics for the underlying series.
 
 Everything constructive is exact (Fraction coefficients, an explicit cube
-root adjoined where needed); floats enter only at evaluation time.
+root adjoined where needed); floats enter only at evaluation time. Only
+the finite-difference oracles of `hodocusp.verify` use numpy; the package
+re-exports their names lazily, so `import hodocusp` does not load it.
 """
 
 from .cusp import (
@@ -83,16 +85,6 @@ from .scalars import (
     scalar_float,
 )
 from .series import EXACT, FLOAT, Series1, Series2, series1_text, series2_text
-from .verify import (
-    GridSpec,
-    ResidualReport,
-    branch_swap_probe,
-    constant_field_probe,
-    grid_residuals,
-    hodograph_roundtrip,
-    pde_grid_residual_G,
-    system_residual,
-)
 
 __version__ = "0.1.0"
 
@@ -175,3 +167,28 @@ __all__ = [
     "witness_report",
     "zero_curves",
 ]
+
+_VERIFY_NAMES = frozenset(
+    {
+        "GridSpec",
+        "ResidualReport",
+        "branch_swap_probe",
+        "constant_field_probe",
+        "grid_residuals",
+        "hodograph_roundtrip",
+        "pde_grid_residual_G",
+        "system_residual",
+    }
+)
+
+
+def __getattr__(name):
+    if name in _VERIFY_NAMES:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _VERIFY_NAMES)

@@ -53,7 +53,6 @@ from .pde import (
 )
 from .scalars import parse_exact, scalar_float
 from .series import EXACT, FLOAT, series2_text
-from .verify import GridSpec, hodograph_roundtrip, system_residual
 
 MIN_ORDER = 3
 MAX_ORDER = 16
@@ -266,7 +265,20 @@ def _cmd_curves(ns, cfg, digest) -> int:
     return 0
 
 
+def system_residual(*args, **kwargs):
+    """The CLI's lazy entry to `hodocusp.verify.system_residual`.
+
+    The grid oracles need numpy; importing them on first use keeps every
+    other command free of it.
+    """
+    from . import verify
+
+    return verify.system_residual(*args, **kwargs)
+
+
 def _cmd_verify(ns, cfg, digest) -> int:
+    from .verify import GridSpec, hodograph_roundtrip
+
     _, _, m = _pipeline(ns, cfg)
     pack = build_normal_form(m)
     block = _section(cfg, "verify")

@@ -160,6 +160,8 @@ class CubicRadical:
         return self + (-other)
 
     def __rsub__(self, other):
+        if self._parts(other) is None:
+            return NotImplemented
         return (-self) + other
 
     def __neg__(self):
@@ -333,7 +335,10 @@ class QComplex:
         return QComplex(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = _as_qcomplex(other)
+        if other is None:
+            return NotImplemented
+        return other.__sub__(self)
 
     def __neg__(self):
         return QComplex(-self.re, -self.im)

@@ -358,8 +358,8 @@ class Series2(_Series):
 
     @staticmethod
     def _layout(bands, cap):
-        """Ascending total-degree bands of (i, j, coeff)."""
-        return [[(i, j, c) for (i, j), c in bands[d]] for d in sorted(bands)]
+        """Ascending total-degree bands of (i, j, coeff), in `terms()` order."""
+        return [[(i, j, c) for (i, j), c in sorted(bands[d])] for d in sorted(bands)]
 
     validity_radius = _Series.validity_radius
 

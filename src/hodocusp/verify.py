@@ -98,18 +98,16 @@ def _grid_radius(X: np.ndarray) -> float:
 def _eval1_grid(s, X: np.ndarray, check: bool = True) -> np.ndarray:
     if check:
         s._gate(_grid_radius(X), "grid radius {:.6g}")
-    sf = s.to_float()
     acc = np.zeros_like(X, dtype=float)
-    for j in range(sf.cap, -1, -1):
-        acc = acc * X + sf.coefficient(j)
+    for c in reversed(s._floats()[0]):
+        acc = acc * X + c
     return acc
 
 
 def _eval2_grid(s, X: np.ndarray, Y: np.ndarray, check: bool = True) -> np.ndarray:
     if check:
         s._gate(max(_grid_radius(X), _grid_radius(Y)), "grid radius {:.6g}")
-    sf = s.to_float()
-    terms = list(sf.terms())
+    terms = [t for band in s._floats()[0] for t in band]
     if not terms:
         return np.zeros_like(X, dtype=float)
     deg_x = max(i for i, _, _ in terms)

@@ -219,6 +219,18 @@ def test_qcomplex_reflected_division():
         1.5 / QComplex(1)
 
 
+def test_reflected_subtraction():
+    c = CubicRadical(1, 1, 0, 2)
+    assert 3 - c == CubicRadical(2, -1, 0, 2)
+    assert Fraction(1, 3) - c == CubicRadical(Fraction(-2, 3), -1, 0, 2)
+    assert 3 - QComplex(1, 2) == QComplex(2, -2)
+    assert Fraction(1, 3) - QComplex(1, 2) == QComplex(Fraction(-2, 3), -2)
+    for z in (c, QComplex(1)):
+        assert z.__rsub__(1.5) is NotImplemented
+        with pytest.raises(TypeError, match="for -:"):
+            1.5 - z
+
+
 # -- exact nested-radical comparators ---------------------------------------------
 
 

@@ -34,6 +34,7 @@ from .series import (
     EXACT,
     Series1,
     Series2,
+    _product,
     cube_root_normalize,
     implicit_solve,
     lift1to2,
@@ -189,12 +190,7 @@ def _fit_miniversal(xi_tw: Series2):
 
 def _row_mul_add(out: dict, a: dict, b: dict, deg: int):
     """out += a * b for polynomials given as {degree: coeff}, up to degree deg."""
-    for i, x in a.items():
-        for j, y in b.items():
-            k = i + j
-            if k <= deg:
-                w = out.get(k)
-                out[k] = x * y if w is None else w + x * y
+    _product(a, b, deg, out)
 
 
 def verify_miniversal(pack: NormalFormPack) -> Series2:

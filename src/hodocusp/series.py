@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 
 from .errors import DegeneracyError, DomainError, UsageError
-from .scalars import CubicRadical, cbrt_exact, real_cbrt, scalar_float
+from .scalars import CubicRadical, _reduced, cbrt_exact, real_cbrt, scalar_float
 
 EXACT = "exact"
 FLOAT = "float"
@@ -45,6 +45,141 @@ def _is_zero(v):
     return v == 0
 
 
+def _product(a, b, limit, out=None, pairs=False):
+    """Add a * b, truncated at total degree ``limit``, into ``out`` (a new
+    dict by default) and return it.
+
+    ``a`` and ``b`` map exponents to coefficients: ints, or (i, j) pairs when
+    ``pairs`` is set. Product terms that cancel stay in ``out`` as zeros.
+    Output keys appear in the order of their first term pair, outer loop
+    over ``a`` and inner over ``b``: the validity radius sums a band's
+    magnitudes in dict order, so that order is part of the result. Each term
+    of ``a`` runs, in ``b``'s order, only over the terms of ``b`` that keep
+    the product under the limit.
+
+    Float coefficients are multiplied and added pair by pair, in that order,
+    straight into ``out``. Exact operands are first put over one common
+    denominator each (the lcm of its ``Fraction`` denominators and
+    ``CubicRadical.d``), so a term pair costs plain int multiply-adds: one
+    when both operands are rational, nine into five sums once either holds a
+    ``CubicRadical``, with ``c**3 = rad`` folded in once per output key. Each
+    output coefficient is then built and reduced by one gcd, once, where
+    ``Fraction`` and ``CubicRadical`` arithmetic would take several per term
+    pair. With ``pairs``, ``out`` must start empty.
+    """
+    if out is None:
+        out = {}
+    # an (i, j) key travels as i * base + j, which adds like the pair as long
+    # as the total degree stays under the limit
+    base = limit + 1
+    if pairs:
+        ta = [(i * base + j, i + j, v) for (i, j), v in a.items() if i + j <= limit]
+        tb = [(i * base + j, i + j, v) for (i, j), v in b.items() if i + j <= limit]
+    else:
+        ta = [(j, j, v) for j, v in a.items() if j <= limit]
+        tb = [(j, j, v) for j, v in b.items() if j <= limit]
+    if not (ta and tb):
+        return out
+    if isinstance(ta[0][2], float):
+        acc = {} if pairs else out
+        for ka, x, row in _pairings(ta, tb, limit):
+            for kb, y in row:
+                k = ka + kb
+                w = acc.get(k)
+                acc[k] = x * y if w is None else w + x * y
+        if pairs:
+            out.update((divmod(k, base), v) for k, v in acc.items())
+        return out
+    rad = _radicand(ta, tb)
+    den_a, ta = _over_one_denominator(ta, rad)
+    den_b, tb = _over_one_denominator(tb, rad)
+    acc = {}
+    if rad is None:
+        for ka, x, row in _pairings(ta, tb, limit):
+            for kb, y in row:
+                k = ka + kb
+                acc[k] = acc.get(k, 0) + x * y
+        den = den_a * den_b
+        terms = ((k, Fraction(n, den)) for k, n in acc.items())
+    else:
+        for ka, (a0, a1, a2), row in _pairings(ta, tb, limit):
+            for kb, (b0, b1, b2) in row:
+                k = ka + kb
+                s = acc.get(k)
+                if s is None:
+                    acc[k] = [
+                        a0 * b0,
+                        a1 * b2 + a2 * b1,
+                        a0 * b1 + a1 * b0,
+                        a2 * b2,
+                        a0 * b2 + a1 * b1 + a2 * b0,
+                    ]
+                else:
+                    s[0] += a0 * b0
+                    s[1] += a1 * b2 + a2 * b1
+                    s[2] += a0 * b1 + a1 * b0
+                    s[3] += a2 * b2
+                    s[4] += a0 * b2 + a1 * b1 + a2 * b0
+        # c**3 = rad = rp / rq
+        rp, rq = rad.numerator, rad.denominator
+        den = den_a * den_b * rq
+        terms = (
+            (k, _reduced(rq * s0 + rp * s1, rq * s2 + rp * s3, rq * s4, den, rad))
+            for k, (s0, s1, s2, s3, s4) in acc.items()
+        )
+    for k, v in terms:
+        if pairs:
+            k = divmod(k, base)
+        w = out.get(k)
+        out[k] = v if w is None else w + v
+    return out
+
+
+def _pairings(ta, tb, limit):
+    """(key, coefficient, the (key, coefficient) terms of tb it pairs with
+    under the limit) for each term of ta, all in their dicts' order."""
+    rows = {}
+    out = []
+    for ka, da, x in ta:
+        row = rows.get(da)
+        if row is None:
+            row = rows[da] = [(kb, y) for kb, db, y in tb if da + db <= limit]
+        out.append((ka, x, row))
+    return out
+
+
+def _radicand(*term_lists):
+    """The one radicand of the CubicRadical coefficients, or None."""
+    rad = None
+    for terms in term_lists:
+        for _, _, v in terms:
+            if isinstance(v, CubicRadical):
+                if rad is None:
+                    rad = v.rad
+                elif v.rad is not rad and v.rad != rad:
+                    raise UsageError(f"cannot mix cube roots of {rad} and {v.rad}")
+    return rad
+
+
+def _over_one_denominator(terms, rad):
+    """(D, terms with each coefficient as numerators over D).
+
+    A numerator is an int, or an (n0, n1, n2) triple when ``rad`` is set.
+    """
+    dens = [v.d if isinstance(v, CubicRadical) else v.denominator for _, _, v in terms]
+    den = math.lcm(*dens)
+    if rad is None:
+        return den, [(k, d, v.numerator * (den // e)) for (k, d, v), e in zip(terms, dens)]
+    out = []
+    for (k, d, v), e in zip(terms, dens):
+        m = den // e
+        if isinstance(v, CubicRadical):
+            out.append((k, d, (v.n0 * m, v.n1 * m, v.n2 * m)))
+        else:
+            out.append((k, d, (v.numerator * m, 0, 0)))
+    return den, out
+
+
 class _Series:
     """What Series1 and Series2 share: termwise ring code, the float cache and
     the validity-disc gate.
@@ -54,10 +189,11 @@ class _Series:
     which the subclasses expose as ``name`` and ``names``. A subclass
     supplies ``_degree`` (total degree of a key, refusing negative
     exponents), ``_layout`` (its evaluation order of the float terms) and
-    its own product kernel ``_product``.
+    whether its keys are (i, j) pairs, ``_pairs``.
     """
 
     __slots__ = ("_vars", "cap", "mode", "eff", "_c", "_fcache")
+    _pairs = False
 
     def __init__(self, var, cap, coeffs, mode, eff):
         if cap < 0:
@@ -168,7 +304,8 @@ class _Series:
             except UsageError:
                 return NotImplemented
         self._check_compat(other)
-        c = {k: v for k, v in self._product(other).items() if not _is_zero(v)}
+        c = _product(self._c, other._c, self.cap, pairs=self._pairs)
+        c = {k: v for k, v in c.items() if not _is_zero(v)}
         eff = min(self.cap, self.eff + other.valuation(), other.eff + self.valuation())
         return self._raw(self._vars, self.cap, c, self.mode, eff)
 
@@ -241,6 +378,7 @@ class Series2(_Series):
     """Truncated power series in an ordered pair of variables."""
 
     __slots__ = ()
+    _pairs = True
 
     def __init__(self, names, cap=DEFAULT_CAP, coeffs=None, *, mode=EXACT, eff=None):
         names = tuple(names)
@@ -285,19 +423,6 @@ class Series2(_Series):
         )
 
     # -- ring operations ----------------------------------------------------
-
-    def _product(self, other):
-        cap = self.cap
-        c = {}
-        for (i1, j1), v1 in self._c.items():
-            d1 = i1 + j1
-            for (i2, j2), v2 in other._c.items():
-                if d1 + i2 + j2 > cap:
-                    continue
-                k = (i1 + i2, j1 + j2)
-                w = c.get(k)
-                c[k] = v1 * v2 if w is None else w + v1 * v2
-        return c
 
     __mul__ = __rmul__ = _Series.__mul__
 
@@ -418,18 +543,6 @@ class Series1(_Series):
             f"Series1({self.name}; cap={self.cap}, {self.mode}, "
             f"eff={self.eff}, {len(self._c)} terms)"
         )
-
-    def _product(self, other):
-        cap = self.cap
-        c = {}
-        for j1, v1 in self._c.items():
-            for j2, v2 in other._c.items():
-                k = j1 + j2
-                if k > cap:
-                    continue
-                w = c.get(k)
-                c[k] = v1 * v2 if w is None else w + v1 * v2
-        return c
 
     __mul__ = __rmul__ = _Series.__mul__
 

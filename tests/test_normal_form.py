@@ -1,6 +1,7 @@
 """Normal-form pack construction, miniversal fit, and pack serialization."""
 
 import dataclasses
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -39,6 +40,9 @@ GOLDEN = Path(__file__).parent / "golden" / "canonical_n6"
 # exact pack of random_singular_problem(random.Random(0)) at order 10: generic,
 # every series fills its top band, so nothing terminates early
 GOLDEN_GENERIC = Path(__file__).parent / "golden" / "generic_n10"
+# sha256 of the nine files save_pack writes for the same instance at order 16,
+# the top order: its series carry cube-root coefficients through every stage
+GOLDEN_GENERIC_16 = Path(__file__).parent / "golden" / "generic_n16.json"
 PACK_SERIES = (
     ("h_of_tau_v", "h_of_tau_V.txt"),
     ("xi_of_tau_v", "xi_of_tau_V.txt"),
@@ -335,6 +339,15 @@ def test_generic_pack_matches_golden(tmp_path):
         assert (tmp_path / fname).read_bytes() == (GOLDEN_GENERIC / fname).read_bytes()
     manifest = (tmp_path / "manifest.json").read_bytes()
     assert manifest == (GOLDEN_GENERIC / "manifest.json").read_bytes()
+
+
+def test_generic_order16_pack_matches_golden_digests(tmp_path):
+    frozen = json.loads(GOLDEN_GENERIC_16.read_text())
+    assert frozen["order"] == 16
+    pack = random_pack(0, order=16)
+    written = save_pack(pack, tmp_path)
+    digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in written}
+    assert digests == frozen["sha256"]
 
 
 def test_manifest_contents():

@@ -1,0 +1,336 @@
+"""The truncated-product kernel against the schoolbook loops it replaced.
+
+``Series1``, ``Series2`` and the miniversal fit's ``_row_mul_add`` share one
+product kernel, which works on integer numerators over one denominator per
+operand. Kept in this file as references: the three loops that multiplied
+``Fraction``/``CubicRadical``/float coefficients one term pair at a time.
+The kernel must give the same coefficients, in the same key order (the
+validity radius sums a band's magnitudes in dict order), drop exact zeros
+from series products as before, keep float results bit for bit, and refuse
+to mix two cube-root fields with the same message.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+from conftest import random_singular_problem
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hodocusp import build_normal_form, expand_potential, hodograph_map
+from hodocusp.errors import UsageError
+from hodocusp.normal_form import _row_mul_add
+from hodocusp.scalars import CubicRadical, make_radical
+from hodocusp.series import EXACT, FLOAT, Series1, Series2
+
+RADS = [Fraction(2), Fraction(12, 5), Fraction(-4, 15)]
+PAIR = ("x", "y")
+
+
+# -- references ---------------------------------------------------------------
+
+
+def ref_product2(s, t):
+    cap = s.cap
+    c = {}
+    for (i1, j1), v1 in s._c.items():
+        d1 = i1 + j1
+        for (i2, j2), v2 in t._c.items():
+            if d1 + i2 + j2 > cap:
+                continue
+            k = (i1 + i2, j1 + j2)
+            w = c.get(k)
+            c[k] = v1 * v2 if w is None else w + v1 * v2
+    return c
+
+
+def ref_product1(s, t):
+    cap = s.cap
+    c = {}
+    for j1, v1 in s._c.items():
+        for j2, v2 in t._c.items():
+            k = j1 + j2
+            if k > cap:
+                continue
+            w = c.get(k)
+            c[k] = v1 * v2 if w is None else w + v1 * v2
+    return c
+
+
+def ref_row_mul_add(out, a, b, deg):
+    for i, x in a.items():
+        for j, y in b.items():
+            k = i + j
+            if k <= deg:
+                w = out.get(k)
+                out[k] = x * y if w is None else w + x * y
+
+
+def ref_mul(s, t):
+    """What ``s * t`` stored before the kernel: the nonzero reference terms."""
+    ref = ref_product2 if isinstance(s, Series2) else ref_product1
+    c = {k: v for k, v in ref(s, t).items() if v != 0}
+    return type(s)._raw(s._vars, s.cap, c, s.mode, s.cap)
+
+
+def bits(items):
+    """Terms with floats spelled out bit for bit (-0.0 differs from 0.0)."""
+    return [(k, v.hex() if isinstance(v, float) else v) for k, v in items]
+
+
+def same_terms(got, want):
+    """Equal coefficients in equal key order; exact results hold no ints."""
+    assert bits(got.items()) == bits(want.items())
+    for v in got.values():
+        assert isinstance(v, (float, Fraction, CubicRadical))
+
+
+# -- strategies -----------------------------------------------------------------
+
+# small numerators and denominators, so that sums cancel to zero often
+small_q = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+small_int = st.integers(-2, 2)
+floats_st = st.floats(min_value=-4, max_value=4, allow_subnormal=False)
+
+
+def exact_coeffs(rad, kinds):
+    """Coefficients drawn from the given kinds: int, Fraction, radical."""
+    options = []
+    if "int" in kinds:
+        options.append(small_int)
+    if "q" in kinds:
+        options.append(small_q)
+    if "rad" in kinds:
+        options.append(st.builds(make_radical, small_q, small_q, small_q, st.just(rad)))
+    return st.one_of(*options)
+
+
+KINDS = [("q",), ("int",), ("q", "int"), ("rad",), ("q", "rad"), ("int", "rad")]
+
+
+@st.composite
+def operands(draw, pairs, cap, mode=EXACT, max_terms=10, keep_zeros=False, count=2):
+    """``count`` coefficient dicts in one cube-root field, keys in drawn order."""
+    if pairs:
+        key = st.tuples(st.integers(0, cap), st.integers(0, cap)).filter(
+            lambda k: k[0] + k[1] <= cap
+        )
+    else:
+        key = st.integers(0, cap)
+    rad = draw(st.sampled_from(RADS))
+    out = []
+    for _ in range(count):
+        if mode == FLOAT:
+            coeff = floats_st
+        else:
+            coeff = exact_coeffs(rad, draw(st.sampled_from(KINDS)))
+        d = draw(st.dictionaries(key, coeff, max_size=max_terms))
+        if not keep_zeros:
+            d = {k: v for k, v in d.items() if v != 0}
+        out.append(d)
+    return out
+
+
+def series(cls, c, cap, mode):
+    name = PAIR if cls is Series2 else "x"
+    return cls._raw(name, cap, dict(c), mode, cap)
+
+
+def check_series_product(cls, a, b, cap, mode):
+    s, t = series(cls, a, cap, mode), series(cls, b, cap, mode)
+    got = s * t
+    want = ref_mul(s, t)
+    same_terms(got._c, want._c)
+    assert got == want
+    assert repr(got.validity_radius()) == repr(want.validity_radius())
+
+
+# -- series products ------------------------------------------------------------
+
+
+@given(st.integers(0, 6).flatmap(lambda cap: st.tuples(st.just(cap), operands(True, cap))))
+@settings(max_examples=150, deadline=None)
+def test_series2_product_matches_reference(case):
+    cap, (a, b) = case
+    check_series_product(Series2, a, b, cap, EXACT)
+
+
+@given(st.integers(0, 8).flatmap(lambda cap: st.tuples(st.just(cap), operands(False, cap))))
+@settings(max_examples=150, deadline=None)
+def test_series1_product_matches_reference(case):
+    cap, (a, b) = case
+    check_series_product(Series1, a, b, cap, EXACT)
+
+
+@given(
+    st.integers(0, 6).flatmap(
+        lambda cap: st.tuples(st.just(cap), st.booleans(), operands(True, cap, FLOAT, 14))
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_float_products_bit_identical(case):
+    cap, pairs, (a, b) = case
+    if pairs:
+        check_series_product(Series2, a, b, cap, FLOAT)
+    else:
+        a = {i + j: v for (i, j), v in a.items()}
+        b = {i + j: v for (i, j), v in b.items()}
+        check_series_product(Series1, a, b, cap, FLOAT)
+
+
+@pytest.fixture(scope="module")
+def generic_pack_10():
+    p = random_singular_problem(random.Random(0))
+    return build_normal_form(hodograph_map(expand_potential(p, order=10)))
+
+
+def test_products_of_generic_pack_series(generic_pack_10):
+    """Products of real pack series: large denominators, radical and rational."""
+    p = generic_pack_10
+    cases = [
+        (p.h_of_tau_v, p.xi_of_tau_v),
+        (p.u_of_tau_w, p.u_of_tau_w),
+        (p.xi_of_tau_w, p.u_of_tau_w),
+        (p.v_of_w, p.v_of_w),
+        (p.lambda1, p.lambda2),
+    ]
+    for s, t in cases:
+        for x, y in ((s, t), (t, s)):
+            check_series_product(type(x), x._c, y._c, x.cap, EXACT)
+            fx, fy = x.to_float(), y.to_float()
+            check_series_product(type(x), fx._c, fy._c, x.cap, FLOAT)
+
+
+def test_cancelled_sums_are_dropped():
+    c = make_radical(0, 1, 0, Fraction(2))
+    # rational: (1 + x)(1 - x) = 1 - x**2, the x term cancels
+    for cls, k1, k2 in ((Series1, 1, 2), (Series2, (1, 0), (2, 0))):
+        zero = 0 if cls is Series1 else (0, 0)
+        a = {zero: Fraction(1), k1: Fraction(1)}
+        b = {zero: Fraction(1), k1: Fraction(-1)}
+        got = series(cls, a, 4, EXACT) * series(cls, b, 4, EXACT)
+        assert k1 not in got._c and got._c[k2] == -1
+        check_series_product(cls, a, b, 4, EXACT)
+        # radical: c (1 + x) times c (1 - x); the x term cancels in all three parts
+        a = {zero: c, k1: c}
+        b = {zero: c, k1: -c}
+        got = series(cls, a, 4, EXACT) * series(cls, b, 4, EXACT)
+        assert k1 not in got._c
+        assert got._c[zero] == make_radical(0, 0, 1, 2)
+        check_series_product(cls, a, b, 4, EXACT)
+        # only the radical part cancels: c * c**2 = 2 is rational
+        a = {zero: c}
+        b = {zero: c * c}
+        got = series(cls, a, 4, EXACT) * series(cls, b, 4, EXACT)
+        assert got._c == {zero: Fraction(2)} and type(got._c[zero]) is Fraction
+        check_series_product(cls, a, b, 4, EXACT)
+
+
+def test_empty_operands_and_truncation():
+    a = {0: Fraction(1, 3), 2: make_radical(1, 1, 0, 2), 3: Fraction(5)}
+    for b in ({}, {1: Fraction(2)}, {3: make_radical(0, 0, 1, 2)}):
+        for cap in (0, 2, 3, 4, 6):
+            aa = {k: v for k, v in a.items() if k <= cap}
+            bb = {k: v for k, v in b.items() if k <= cap}
+            check_series_product(Series1, aa, bb, cap, EXACT)
+            check_series_product(Series1, bb, aa, cap, EXACT)
+    assert (series(Series1, {}, 3, EXACT) * series(Series1, a, 3, EXACT))._c == {}
+    # nothing survives the cap
+    got = series(Series1, {2: Fraction(1)}, 3, EXACT) * series(Series1, {2: Fraction(1)}, 3, EXACT)
+    assert got.is_zero()
+
+
+# -- the miniversal fit's row products ------------------------------------------
+
+
+@given(
+    st.tuples(st.integers(0, 6), st.sampled_from([EXACT, FLOAT])).flatmap(
+        lambda t: st.tuples(
+            st.just(t[0]), operands(False, t[0] + 2, t[1], keep_zeros=True, count=3)
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_row_mul_add_matches_reference(case):
+    """Accumulates into ``out``, keeps zero sums, ignores terms past ``deg``."""
+    deg, (a, b, out) = case
+    want = dict(out)
+    ref_row_mul_add(want, a, b, deg)
+    got = dict(out)
+    assert _row_mul_add(got, a, b, deg) is None
+    assert bits(got.items()) == bits(want.items())
+
+
+def test_row_mul_add_keeps_zero_sums():
+    a = {0: Fraction(1), 1: Fraction(1), 5: Fraction(3)}
+    b = {0: Fraction(1), 1: Fraction(-1)}
+    for out in ({}, {2: Fraction(7)}, {1: Fraction(1, 2), 0: Fraction(-1)}):
+        want = dict(out)
+        ref_row_mul_add(want, a, b, 3)
+        got = dict(out)
+        _row_mul_add(got, a, b, 3)
+        assert bits(got.items()) == bits(want.items())
+    got = {}
+    _row_mul_add(got, a, b, 3)
+    assert got == {0: 1, 1: 0, 2: -1}
+
+
+# -- mixed cube-root fields -----------------------------------------------------
+
+
+def ref_error(fn):
+    with pytest.raises(UsageError) as exc:
+        fn()
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("cls", [Series1, Series2])
+def test_mixed_radicands_raise_parent_message(cls):
+    c2 = make_radical(0, 1, 0, 2)
+    c3 = make_radical(1, 1, 0, 3)
+
+    def key(j):
+        return j if cls is Series1 else (j, 0)
+
+    # the two radicands in two series
+    s = series(cls, {key(0): Fraction(1), key(1): c2}, 4, EXACT)
+    t = series(cls, {key(1): c3}, 4, EXACT)
+    want = ref_error(lambda: ref_mul(s, t))
+    assert want == "cannot mix cube roots of 2 and 3"
+    assert ref_error(lambda: s * t) == want
+    # the two radicands in one series, meeting at one key
+    s = series(cls, {key(0): c2, key(1): c3}, 4, EXACT)
+    t = series(cls, {key(0): Fraction(1), key(1): Fraction(1)}, 4, EXACT)
+    want = ref_error(lambda: ref_mul(s, t))
+    assert want == "cannot mix cube roots of 2 and 3"
+    assert ref_error(lambda: s * t) == want
+
+
+def test_row_mul_add_mixed_radicands():
+    c2 = make_radical(0, 1, 0, 2)
+    c3 = make_radical(1, 1, 0, 3)
+    a = {0: c2, 1: c3}
+    b = {0: Fraction(1), 1: Fraction(1)}
+    want = ref_error(lambda: ref_row_mul_add({}, a, b, 3))
+    assert ref_error(lambda: _row_mul_add({}, a, b, 3)) == want
+
+
+def test_radical_product_matches_scalar_arithmetic():
+    """Large denominators on both sides and a radicand with rq != 1."""
+    rad = Fraction(-4, 15)
+    a = {
+        0: make_radical(Fraction(3, 7), Fraction(-5, 11), Fraction(2, 13), rad),
+        1: Fraction(9, 17),
+    }
+    b = {
+        0: make_radical(Fraction(1, 19), 0, Fraction(-4, 23), rad),
+        2: make_radical(1, Fraction(1, 29), 0, rad),
+    }
+    got = series(Series1, a, 3, EXACT) * series(Series1, b, 3, EXACT)
+    assert got._c[0] == a[0] * b[0]
+    assert got._c[1] == a[1] * b[0]
+    assert got._c[2] == a[0] * b[2]
+    assert got._c[3] == a[1] * b[2]
+    assert math.isfinite(got.validity_radius())

@@ -19,9 +19,12 @@ final ratio-limit extrapolation and in reports.
 The exact term magnitudes |g_n(u)|**2, n = 1..K, are not built from the
 closed form g1^(2k)(u)/(k!(k+1)!) one n at a time: each pole term steps
 by an integer recurrence, all poles share one integer denominator, and
-the sequence costs O(K) big-integer products and one Fraction per term
-(see ``term_magnitudes2``). Inexact seeds and float points use the closed
-form ``KorobeinikSeries.coefficient``.
+the sequence costs O(K) big-integer products and no gcd. The run is kept
+as integers M_k over the denominator den0**2 step**k, so each term ratio
+is one integer true division of consecutive M_k (see ``ratio_points``);
+reduced Fractions are built only where they are asked for
+(``term_magnitudes2``, the tail of ``confirm_divergence``). Inexact seeds
+and float points use the closed form ``KorobeinikSeries.coefficient``.
 """
 
 from __future__ import annotations
@@ -86,31 +89,47 @@ def _exact_abs(h):
 
 
 def term_magnitudes2(ks: KorobeinikSeries, u, K: int):
-    """|g_n(u)|**2 for n = 1..K; Fractions on the exact path.
+    """|g_n(u)|**2 for n = 1..K; reduced Fractions on the exact path.
 
-    Exact path (exact seed, QComplex point): the whole sequence comes from
-    the per-pole recurrence of :func:`_exact_magnitudes2`, at a cost of
-    O(K) big-integer products and one Fraction (one gcd) per term.
+    Exact path (exact seed, QComplex point): the integer run of
+    :func:`_exact_magnitudes2`, each term put over its denominator here.
     Otherwise each term is the closed form ``ks.coefficient(n, u)``.
+    """
+    mags, den2, step = _magnitudes(ks, u, K)
+    if den2 is None:
+        return mags
+    out = []
+    for m in mags:
+        out.append(Fraction(m, den2))
+        den2 *= step
+    return out
+
+
+def _magnitudes(ks: KorobeinikSeries, u, K: int):
+    """(mags, den2, step) with |g_{k+1}(u)|**2 = mags[k] / (den2 step**k).
+
+    Integers from the exact recurrence when the seed and the point are
+    exact; otherwise the closed-form squared magnitudes with den2 None and
+    step 1.
     """
     point = ks.seed._coerce_point(u)
     if ks.seed.exact and isinstance(point, QComplex):
         return _exact_magnitudes2(ks.seed, point, K)
-    return [_mag2(ks.coefficient(n, u)) for n in range(1, K + 1)]
+    return [_mag2(ks.coefficient(n, u)) for n in range(1, K + 1)], None, 1
 
 
 def _exact_magnitudes2(seed: SeedFunction, u: QComplex, K: int):
-    """|g_{k+1}(u)|**2 for k = 0..K-1 in integer arithmetic.
+    """(M, den0**2, L**4) with |g_{k+1}(u)|**2 = M[k] / (den0**2 L**(4k)).
 
     A pole term c/(a - u)**m contributes t_k = c (m)_{2k}/(k!(k+1)!) w**(m+2k)
     to g_{k+1}(u), with w = 1/(a - u), so
     t_{k+1} = t_k w**2 (m+2k)(m+2k+1)/((k+1)(k+2)); the scalar factor
     s_k = C(m+2k-1, 2k) Catalan_k is an integer. Each w is written as a
     Gaussian integer over the common integer L of all poles, and every
-    term carries the denominator Cden L**(mmax+2k), so X + iY over that
-    denominator is g_{k+1}(u) and no gcd runs before the Fraction of
-    (X**2 + Y**2)/den**2. Polynomial components add P^(2k)(u)/(k!(k+1)!)
-    exactly for 2k <= degree.
+    term carries the denominator den0 L**(2k), den0 = Cden L**mmax, so
+    X + iY over that denominator is g_{k+1}(u) and M[k] = X**2 + Y**2; no
+    gcd runs. Polynomial components add P^(2k)(u)/(k!(k+1)!) exactly for
+    2k <= degree.
     """
     poles = [t for t in seed.terms if isinstance(t, PoleTerm)]
     prow = []  # polynomial part of g_{k+1}(u), k = 0, 1, ...
@@ -145,7 +164,7 @@ def _exact_magnitudes2(seed: SeedFunction, u: QComplex, K: int):
             er, ei = er * wr - ei * wi, er * wi + ei * wr
         scale = L ** (mmax - t.n)
         states.append([t.n, 1, er * scale, ei * scale, wr * wr - wi * wi, 2 * wr * wi])
-    den = Cden * L**mmax
+    den0 = den = Cden * L**mmax
     L2 = L * L
     out = []
     for k in range(K):
@@ -161,35 +180,37 @@ def _exact_magnitudes2(seed: SeedFunction, u: QComplex, K: int):
             v = prow[k]
             X += v.re.numerator * (den // v.re.denominator)
             Y += v.im.numerator * (den // v.im.denominator)
-        out.append(Fraction(X * X + Y * Y, den * den))
+        out.append(X * X + Y * Y)
         den *= L2
-    return out
+    return out, den0 * den0, L2 * L2
 
 
-def ratio_points(mags2, h_abs2=None):
+def ratio_points(mags2, h_abs2=None, step=1):
     """Indexed term ratios (n, |t_{n+1}|/|t_n|), skipping zero terms.
 
-    mags2[n-1] is |g_n|**2; with h_abs2 the ratios include the |h| factor.
-    For Fractions the quotient is one integer true division, which rounds
-    correctly like float(Fraction) and so gives the same bits.
+    |t_{n+1}/t_n|**2 = mags2[n] / (mags2[n-1] step): mags2[n-1] is
+    |g_n|**2 (step 1) or the integer run of ``_magnitudes``. With h_abs2
+    the ratios include the |h| factor. For exact terms and h the quotient
+    is one integer true division, which rounds correctly like
+    float(Fraction), so it gives the same bits whether or not the fraction
+    is reduced.
     """
-    exact_h = h_abs2 is None or isinstance(h_abs2, Fraction)
+    h2 = 1 if h_abs2 is None else h_abs2
+    exact_h = isinstance(h2, (int, Fraction))
     pts = []
     for n in range(1, len(mags2)):
         a, b = mags2[n - 1], mags2[n]
         if a == 0 or b == 0:
             continue
-        if exact_h and isinstance(a, Fraction) and isinstance(b, Fraction):
+        if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
             num = b.numerator * a.denominator
-            den = b.denominator * a.numerator
-            if h_abs2 is not None:
-                num *= h_abs2.numerator
-                den *= h_abs2.denominator
-            q = num / den
+            den = b.denominator * a.numerator * step
+            if exact_h:
+                q = (num * h2.numerator) / (den * h2.denominator)
+            else:
+                q = num / den * h2
         else:
-            q = b / a
-            if h_abs2 is not None:
-                q = q * h_abs2
+            q = b / a * h2
         pts.append((n, math.sqrt(float(q))))
     return pts
 
@@ -253,9 +274,8 @@ def radius_probe(seed: SeedFunction, u, K: int = 40) -> ConvergenceReport:
         raise UsageError("radius probe needs K >= 20 terms")
     u = parse_point(u, "u")
     seed.assert_not_pole(u, "u")
-    ks = korobeinik_series(seed, u, K)
-    mags2 = term_magnitudes2(ks, u, K)
-    pts = ratio_points(mags2)
+    mags, _, step = _magnitudes(korobeinik_series(seed, u, K), u, K)
+    pts = ratio_points(mags, step=step)
     pred = predicted_radius(seed, u)
     uf = _as_float_point(u)
     ratios = tuple(r for _, r in pts)
@@ -295,23 +315,20 @@ def witness_terms(pred_ratio: float) -> int:
 def confirm_divergence(seed: SeedFunction, u, h_abs, K: int):
     """Exact heuristic run at |h| = h_abs; returns (confirmed, float ratios).
 
-    Term ratios are compared in exact rational arithmetic (squared), since
-    the terms themselves overflow floats for the K this can need. A float
-    h_abs is read as the exact rational it stores.
+    Squared term ratios are compared in exact rational arithmetic, since
+    the terms themselves overflow floats for the K this can need; only the
+    last RATIO_TAIL of them, which the heuristic reads, become Fractions.
+    A float h_abs is read as the exact rational it stores.
     """
     u = parse_point(u, "u")
-    ks = korobeinik_series(seed, u, K)
-    mags2 = term_magnitudes2(ks, u, K)
+    mags, _, step = _magnitudes(korobeinik_series(seed, u, K), u, K)
     h2 = Fraction(h_abs) ** 2
-    sq = []
-    for n in range(1, len(mags2)):
-        a, b = mags2[n - 1], mags2[n]
-        if a == 0 or b == 0:
-            continue
-        sq.append(b * h2 / a)
-    confirmed = divergence_heuristic(sq)
-    tail = tuple(math.sqrt(float(s)) for s in sq[-RATIO_TAIL:])
-    return confirmed, tail
+    pts = ratio_points(mags, h2, step)[-RATIO_TAIL:]
+    sq = [
+        Fraction(mags[n] * h2.numerator, mags[n - 1] * step * h2.denominator)
+        for n, _ in pts
+    ]
+    return divergence_heuristic(sq), tuple(r for _, r in pts)
 
 
 @dataclass(frozen=True)
@@ -472,9 +489,9 @@ def _classify_sample(seed, ks, u, h, h_abs, K):
 
 def _observe_point(ks, u, h_abs, K) -> str:
     """Ratio-tail verdict for the series at a concrete (u, h)."""
-    mags2 = term_magnitudes2(ks, u, K)
+    mags, _, step = _magnitudes(ks, u, K)
     h2 = h_abs * h_abs if isinstance(h_abs, Fraction) else float(h_abs) ** 2
-    pts = ratio_points(mags2, h2)
+    pts = ratio_points(mags, h2, step)
     if len(pts) < RATIO_TAIL:
         return "converges"  # terminating terms: polynomial seed
     tail = [r for _, r in pts[-5:]]
@@ -601,12 +618,10 @@ def cauchy_bound_check(
             raise UsageError(
                 "seed has a pole inside |z| < r; the bound requires analyticity there"
             )
-    # complex pole constants up front: PoleTerm._consts_for would convert
-    # them again on each of the thousands of calls below, to the same bits
-    seed = SeedFunction([_complex_pole(t) if isinstance(t, PoleTerm) else t for t in seed.terms])
+    value = _complex_evaluator(seed, 0)
     rho = r - eps
     c_eps = max(
-        abs(seed.value_at(rho * cmath.exp(2j * math.pi * k / CIRCLE_SAMPLES)))
+        abs(value(rho * cmath.exp(2j * math.pi * k / CIRCLE_SAMPLES)))
         for k in range(CIRCLE_SAMPLES)
     )
     if z_points is None:
@@ -624,9 +639,9 @@ def cauchy_bound_check(
             fact *= n
             denom *= gap
         bound = c_eps * fact * rho / denom
+        f = _complex_evaluator(seed, n) if n else value
         for z in z_points:
-            val = abs(seed.derivative_at(z, n)) if n else abs(seed.value_at(z))
-            ratio = val / bound
+            ratio = abs(f(z)) / bound
             if ratio > max_ratio:
                 max_ratio = ratio
                 worst = (n, z)
@@ -640,10 +655,43 @@ def cauchy_bound_check(
     )
 
 
-def _complex_pole(t: PoleTerm) -> PoleTerm:
-    """t with complex a and c, equal to what a complex point evaluates with."""
-    a = t.a.to_complex() if isinstance(t.a, QComplex) else t.a
-    return PoleTerm(a, _as_float_point(t.c), t.n)
+def _complex_evaluator(seed: SeedFunction, m: int):
+    """z -> seed.derivative_at(z, m) at complex z (seed.value_at for m = 0).
+
+    The per-term constants are hoisted out of the per-point call and the
+    same operations run in the same order, so every result has the same
+    bits: a pole keeps c * rising as the complex number the component
+    formula computes, and a polynomial coefficient is the exact
+    c_j * perm(j, m), converted once the way complex arithmetic converts a
+    Fraction.
+    """
+    parts = []  # (a, c, power) for poles, (None, coefficients high to low, 0)
+    for t in seed.terms:
+        if isinstance(t, PolyTerm):
+            if m:
+                cs = [t.coeffs[j] * math.perm(j, m) for j in range(len(t.coeffs) - 1, m - 1, -1)]
+            else:
+                cs = t.coeffs[::-1]
+            parts.append((None, tuple(complex(c) if isinstance(c, Fraction) else c for c in cs), 0))
+        else:
+            a, c = t._consts_for(0j)
+            if m:
+                c = c * math.prod(range(t.n, t.n + m))
+            parts.append((a, c, t.n + m))
+
+    def evaluate(z):
+        total = None
+        for a, c, power in parts:
+            if a is None:
+                v = 0j
+                for cj in c:
+                    v = v * z + cj
+            else:
+                v = c / (a - z) ** power
+            total = v if total is None else total + v
+        return total
+
+    return evaluate
 
 
 # -- variable-alpha probe ------------------------------------------------------

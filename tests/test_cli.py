@@ -207,11 +207,12 @@ def test_korobeinik_full_config(tmp_path, capsys):
     assert len(lines) == 2 + 3 + 1  # header line, 3 probes, 1 witness
 
 
-@pytest.mark.parametrize("name", ["korobeinik_catalan", "korobeinik_3pole"])
+@pytest.mark.parametrize("name", ["korobeinik_catalan", "korobeinik_3pole", "korobeinik_poly"])
 def test_korobeinik_matches_golden(name, tmp_path, monkeypatch, capsys):
-    # recorded with the closed-form term magnitudes (one
-    # KorobeinikSeries.coefficient per n); stdout names the output path,
-    # so the run uses a relative --out from a fixed cwd
+    # the pole-only goldens were recorded with the closed-form term
+    # magnitudes (one KorobeinikSeries.coefficient per n), the polynomial
+    # one with one reduced Fraction per term; stdout names the output
+    # path, so the run uses a relative --out from a fixed cwd
     golden = REPO / "tests" / "golden" / name
     monkeypatch.chdir(tmp_path)
     rc = cli.main(["korobeinik", "--config", str(golden / "config.yaml"), "--out", "out"])

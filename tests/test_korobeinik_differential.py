@@ -8,8 +8,12 @@ Each kernel is checked against a slow reference kept in this file:
   residues, polynomial parts and the higher-order poles of
   ``seed.differentiated()``;
 * the float path against the same closed form, bit for bit;
+* the ratios read straight from the integer run (``_magnitudes``) against
+  ``ratio_points`` of the reduced Fractions, and ``confirm_divergence``
+  against its one-Fraction-per-ratio loop, bit for bit;
 * ``cauchy_bound_check`` against the per-call conversion of the pole
-  constants;
+  constants, and its hoisted evaluator against ``SeedFunction.value_at``
+  and ``derivative_at``, repr for repr;
 * ``bridge_check`` against one derivative evaluation per (k, j) pair.
 """
 
@@ -24,8 +28,13 @@ from hypothesis import strategies as st
 from hodocusp import pde
 from hodocusp.korobeinik import (
     CIRCLE_SAMPLES,
+    RATIO_TAIL,
     CauchyReport,
+    _complex_evaluator,
+    _magnitudes,
     cauchy_bound_check,
+    confirm_divergence,
+    divergence_heuristic,
     ratio_points,
     term_magnitudes2,
 )
@@ -55,6 +64,19 @@ def ref_magnitudes2(ks, u, K):
             a = abs(complex(v))
             out.append(a * a)
     return out
+
+
+def ref_confirm_divergence(seed, u, h_abs, K):
+    """The divergence run with one reduced Fraction per squared ratio."""
+    mags2 = term_magnitudes2(korobeinik_series(seed, u, K), u, K)
+    h2 = Fraction(h_abs) ** 2
+    sq = []
+    for n in range(1, len(mags2)):
+        a, b = mags2[n - 1], mags2[n]
+        if a == 0 or b == 0:
+            continue
+        sq.append(b * h2 / a)
+    return divergence_heuristic(sq), tuple(math.sqrt(float(s)) for s in sq[-RATIO_TAIL:])
 
 
 def ref_cauchy(seed, r, r0, eps, n_max):
@@ -186,6 +208,64 @@ def test_ratio_points_match_fraction_quotient():
         assert got == (n, math.sqrt(float(r / mags2[n - 1])))
 
 
+# -- ratios from the integer run ----------------------------------------------------
+
+# a polynomial-only seed: g_n(u) vanishes for n > 4, and g_3 also at u = 0
+POLY_ONLY = SeedFunction.from_config([{"poly": [1, 2, 0, 3, 0, 0, 5]}])
+
+
+def check_integer_run_ratios(seed, u, K, h2_values):
+    ks = korobeinik_series(seed, u, K)
+    mags, den2, step = _magnitudes(ks, u, K)
+    assert all(type(m) is int for m in mags) and type(den2) is int and type(step) is int
+    fractions = term_magnitudes2(ks, u, K)
+    for h2 in h2_values:
+        assert ratio_points(mags, h2, step) == ratio_points(fractions, h2)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seeds(), points, st.integers(20, 120), small_q.filter(lambda h: h != 0))
+def test_integer_run_ratios_match_fraction_ratios(seed, u, K, h):
+    assume(seed.min_pole_distance2(u) != 0)
+    check_integer_run_ratios(seed, u, K, [None, h * h, float(h) ** 2])
+
+
+@pytest.mark.parametrize("u", [0, Fraction(3, 7), QComplex(Fraction(1, 5), Fraction(-2, 9))])
+def test_integer_run_ratios_skip_vanishing_terms(u):
+    mags, _, _ = _magnitudes(korobeinik_series(POLY_ONLY, u, 30), u, 30)
+    assert mags[4:] == [0] * 26 and (mags[2] == 0) == (u == 0)
+    check_integer_run_ratios(POLY_ONLY, u, 30, [None, Fraction(9, 16), 0.5625])
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seeds(),
+    points,
+    st.integers(20, 80),
+    st.fractions(min_value=Fraction(1, 2), max_value=2, max_denominator=16),
+)
+def test_confirm_divergence_matches_fraction_loop(seed, u, K, factor):
+    d2 = seed.min_pole_distance2(u)
+    assume(d2 != 0)
+    h_abs = d2 / 4 * factor  # around the pointwise radius d(u)**2 / 4
+    for h in (h_abs, float(h_abs)):
+        assert confirm_divergence(seed, u, h, K) == ref_confirm_divergence(seed, u, h, K)
+
+
+@pytest.mark.parametrize(
+    "seed, u, h_abs, K, confirmed",
+    [
+        (SeedFunction.from_config([{"pole": {"a": 1, "c": 1}}]), 0, Fraction(3, 10), 120, True),
+        (SeedFunction.from_config([{"pole": {"a": 1, "c": 1}}]), 0, Fraction(1, 5), 60, False),
+        (POLY_ONLY, QComplex(Fraction(1, 3)), 2, 40, False),
+    ],
+)
+def test_confirm_divergence_fixed_cases(seed, u, h_abs, K, confirmed):
+    got = confirm_divergence(seed, u, h_abs, K)
+    assert got == ref_confirm_divergence(seed, u, h_abs, K)
+    assert got[0] is confirmed
+
+
 # -- float path ---------------------------------------------------------------------
 
 
@@ -221,6 +301,39 @@ def test_cauchy_report_unchanged_for_poly_and_complex_poles():
     got = cauchy_bound_check(seed, 2, 1, Fraction(1, 4), 20)
     assert got == ref_cauchy(seed, 2, 1, Fraction(1, 4), 20)
     assert got.passed
+
+
+complex_points = st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False)
+
+
+def check_evaluator(seed, z):
+    for m in range(21):
+        want = seed.derivative_at(z, m) if m else seed.value_at(z)
+        assert repr(_complex_evaluator(seed, m)(z)) == repr(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds(), complex_points)
+def test_hoisted_evaluator_matches_seed_calls(seed, z):
+    assume(all(a.to_complex() != z for a in seed.poles()))
+    check_evaluator(seed, z)
+
+
+@pytest.mark.parametrize(
+    "z", [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0.5 - 0.25j]
+)
+def test_hoisted_evaluator_signed_zeros(z):
+    pair = SeedFunction.from_config(
+        [
+            {"poly": [0, Fraction(-1, 2), 0, 3]},
+            {"pole": {"a": [Fraction(3, 2), 2], "c": [1, Fraction(1, 4)]}},
+            {"pole": {"a": [Fraction(3, 2), -2], "c": [1, Fraction(-1, 4)]}},
+            {"pole": {"a": Fraction(-5, 2), "c": Fraction(-7, 8)}},
+        ]
+    )
+    inexact = SeedFunction((PolyTerm((1.0, -0.0, 2.0)), PoleTerm(complex(1.5, -0.25), -0.75, 2)))
+    for seed in (pair, pair.differentiated().differentiated(), inexact, POLY_ONLY):
+        check_evaluator(seed, z)
 
 
 @pytest.mark.parametrize(

@@ -65,6 +65,9 @@ CONVERGENCE_HEADER = "u_re,u_im,estimated_radius,predicted_radius,verdict"
 
 # -- config plumbing -----------------------------------------------------------
 
+# libyaml's parser builds the same documents about six times faster
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
 
 def _load_config(path):
     p = Path(path)
@@ -74,10 +77,15 @@ def _load_config(path):
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     digest = hashlib.sha256(raw).hexdigest()
     try:
-        cfg = yaml.safe_load(raw)
-    except yaml.YAMLError as exc:
-        # PyYAML error text carries the line/column of the offending entry
-        raise UsageError(f"config {path} is not valid YAML: {exc}") from exc
+        cfg = yaml.load(raw, Loader=_YAML_LOADER)
+    except yaml.YAMLError:
+        # the pure-Python parser's error text (line, column and a caret
+        # snippet of the offending entry) is the one users see; libyaml
+        # reports other positions
+        try:
+            cfg = yaml.safe_load(raw)
+        except yaml.YAMLError as exc:
+            raise UsageError(f"config {path} is not valid YAML: {exc}") from exc
     if cfg is None:
         cfg = {}
     if not isinstance(cfg, dict):

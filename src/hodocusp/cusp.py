@@ -30,8 +30,15 @@ NEWTON_TOL = 1e-13
 NEWTON_MAX_ITER = 60
 
 
-def cubic_discriminant(p, q) -> float:
-    return -4.0 * float(p) ** 3 - 27.0 * float(q) ** 2
+def cubic_discriminant(p, q):
+    """-4 p**3 - 27 q**2 of U**3 + p U + q, for floats or numpy arrays.
+
+    Written as products, not powers, so that the per-point classifier
+    (``cusp_roots``) and the grid one (``verify.branch_field``) get the
+    same bits at the same (p, q): numpy's ``power`` and the scalar ``**``
+    round differently.
+    """
+    return -4.0 * p * p * p - 27.0 * q * q
 
 
 def cusp_roots(p, q, boundary_tol=BOUNDARY_TOL):
@@ -111,7 +118,7 @@ def reconstruct_tau_xi(tau, xi, pack: NormalFormPack, check=True):
     lam2 = pack.lambda2.evaluate(tau, check=check)
     roots = cusp_roots(lam1, lam2 - xi)
     inside = len(roots) == 3
-    v_star = scalar_float(pack.problem.v_star)
+    v_star = pack._float_base[2]
     branches = []
     for u_val, mult in roots:
         w_val = pack.w_of_tau_u.evaluate(tau, u_val, check=check)
@@ -133,10 +140,7 @@ def reconstruct_tau_xi(tau, xi, pack: NormalFormPack, check=True):
 
 def reconstruct(t, x, pack: NormalFormPack, check=True):
     """Branches at physical (t, x); strips the base point and drift."""
-    p = pack.problem
-    t_star = scalar_float(p.t_star)
-    x_star = scalar_float(p.x_star)
-    v_star = scalar_float(p.v_star)
+    t_star, x_star, v_star = pack._float_base
     tau = float(t) - t_star
     xi = float(x) - x_star - v_star * tau
     return reconstruct_tau_xi(tau, xi, pack, check=check)

@@ -24,12 +24,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 from .errors import DegeneracyError
 from .hodograph import HodographMap
 from .pde import ProblemData
-from .scalars import CubicRadical
+from .scalars import CubicRadical, scalar_float
 from .series import (
     EXACT,
     Series1,
@@ -82,7 +83,13 @@ class NormalFormPack:
 
     def h_at(self, tau, V) -> float:
         """Numeric h(tau, V) inside the validity disc."""
-        return self.h_of_tau_v.to_float().evaluate(tau, V)
+        return self.h_of_tau_v.evaluate(tau, V)
+
+    @cached_property
+    def _float_base(self):
+        """(t*, x*, v*) as floats, for the pointwise and grid evaluators."""
+        p = self.problem
+        return scalar_float(p.t_star), scalar_float(p.x_star), scalar_float(p.v_star)
 
 
 def build_normal_form(m: HodographMap, order: int | None = None) -> NormalFormPack:

@@ -188,8 +188,8 @@ class _Series:
     (i, j) pair for two. ``_vars`` holds the variable name or name pair,
     which the subclasses expose as ``name`` and ``names``. A subclass
     supplies ``_degree`` (total degree of a key, refusing negative
-    exponents), ``_layout`` (its evaluation order of the float terms) and
-    whether its keys are (i, j) pairs, ``_pairs``.
+    exponents), ``_plan`` (the evaluation plan built from its float terms)
+    and whether its keys are (i, j) pairs, ``_pairs``.
     """
 
     __slots__ = ("_vars", "cap", "mode", "eff", "_c", "_fcache")
@@ -323,16 +323,17 @@ class _Series:
     # -- numerics -----------------------------------------------------------
 
     def _floats(self):
-        """(float terms in the subclass's evaluation layout, validity radius).
+        """(evaluation plan, validity radius).
 
         Built once per series from the float coefficients grouped by total
-        degree, in term order within each degree.
+        degree, in term order within each degree. The scalar and the numpy
+        evaluators both read the plan.
         """
         if self._fcache is None:
             bands = {}
             for k, v in self._c.items():
                 bands.setdefault(self._degree(k), []).append((k, scalar_float(v)))
-            self._fcache = (self._layout(bands, self.cap), _band_radius(bands, self.cap))
+            self._fcache = (self._plan(bands), _band_radius(bands, self.cap))
         return self._fcache
 
     def validity_radius(self) -> float:
@@ -482,26 +483,43 @@ class Series2(_Series):
     # -- numerics -----------------------------------------------------------
 
     @staticmethod
-    def _layout(bands, cap):
-        """Ascending total-degree bands of (i, j, coeff), in `terms()` order."""
-        return [[(i, j, c) for (i, j), c in sorted(bands[d])] for d in sorted(bands)]
+    def _plan(bands):
+        """(largest i, largest j, (i, j, coeff) terms in `terms()` order,
+        (start, stop) of each total-degree band in that list, ascending)."""
+        terms = []
+        cuts = []
+        for d in sorted(bands):
+            start = len(terms)
+            terms.extend((i, j, c) for (i, j), c in sorted(bands[d]))
+            cuts.append((start, len(terms)))
+        deg_x = max((i for i, _, _ in terms), default=0)
+        deg_y = max((j for _, j, _ in terms), default=0)
+        return deg_x, deg_y, terms, cuts
 
     validity_radius = _Series.validity_radius
 
     def evaluate(self, x, y, check=True) -> float:
-        """Evaluate at float arguments, summing total-degree bands upward."""
+        """Evaluate at float arguments, summing total-degree bands upward.
+
+        Each band is summed exactly by ``math.fsum``; a one-term band is its
+        term. The running total starts at +0.0, so the sign of a zero band
+        sum never reaches it.
+        """
         x = float(x)
         y = float(y)
         if check:
             self._gate(max(abs(x), abs(y)), "evaluation point radius {:.6g}")
+        deg_x, deg_y, terms, cuts = self._floats()[0]
         xp = [1.0]
-        yp = [1.0]
-        for _ in range(self.cap):
+        for _ in range(deg_x):
             xp.append(xp[-1] * x)
+        yp = [1.0]
+        for _ in range(deg_y):
             yp.append(yp[-1] * y)
+        vals = [c * xp[i] * yp[j] for i, j, c in terms]
         total = 0.0
-        for band in self._floats()[0]:
-            total += math.fsum(c * xp[i] * yp[j] for i, j, c in band)
+        for start, stop in cuts:
+            total += vals[start] if stop - start == 1 else math.fsum(vals[start:stop])
         return total
 
 
@@ -557,9 +575,16 @@ class Series1(_Series):
         return Series1._raw(name, self.cap, dict(self._c), self.mode, self.eff)
 
     @staticmethod
-    def _layout(bands, cap):
-        """Dense coefficients by degree 0..cap, for Horner's rule."""
-        return [bands[j][0][1] if j in bands else 0.0 for j in range(cap + 1)]
+    def _plan(bands):
+        """Horner row: the coefficients from the top term's degree down to 0.
+
+        Zeros above the top term are left out: from acc = 0.0 they would
+        only add 0.0 * x + 0.0, which is +0.0 for finite x. For inf or nan x
+        the first step of any row, even the bare [0.0] of the zero series,
+        makes acc nan, as the zeros would have done.
+        """
+        top = max(bands, default=0)
+        return [bands[j][0][1] if j in bands else 0.0 for j in range(top, -1, -1)]
 
     validity_radius = _Series.validity_radius
 
@@ -568,7 +593,7 @@ class Series1(_Series):
         if check:
             self._gate(abs(x), "evaluation point |{:.6g}|", x)
         acc = 0.0
-        for c in reversed(self._floats()[0]):
+        for c in self._floats()[0]:
             acc = acc * x + c
         return acc
 

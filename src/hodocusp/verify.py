@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cusp import BOUNDARY_TOL, reconstruct
+from .cusp import BOUNDARY_TOL, cubic_discriminant, reconstruct
 from .errors import UsageError
 from .hodograph import HodographMap
 from .normal_form import NormalFormPack
@@ -99,7 +99,7 @@ def _eval1_grid(s, X: np.ndarray, check: bool = True) -> np.ndarray:
     if check:
         s._gate(_grid_radius(X), "grid radius {:.6g}")
     acc = np.zeros_like(X, dtype=float)
-    for c in reversed(s._floats()[0]):
+    for c in s._floats()[0]:
         acc = acc * X + c
     return acc
 
@@ -107,11 +107,9 @@ def _eval1_grid(s, X: np.ndarray, check: bool = True) -> np.ndarray:
 def _eval2_grid(s, X: np.ndarray, Y: np.ndarray, check: bool = True) -> np.ndarray:
     if check:
         s._gate(max(_grid_radius(X), _grid_radius(Y)), "grid radius {:.6g}")
-    terms = [t for band in s._floats()[0] for t in band]
+    deg_x, deg_y, terms, _ = s._floats()[0]
     if not terms:
         return np.zeros_like(X, dtype=float)
-    deg_x = max(i for i, _, _ in terms)
-    deg_y = max(j for _, j, _ in terms)
     xp = [np.ones_like(X, dtype=float)]
     for _ in range(deg_x):
         xp.append(xp[-1] * X)
@@ -153,10 +151,7 @@ def branch_field(pack: NormalFormPack, T: np.ndarray, X: np.ndarray, branch=None
     check=False skips the per-series validity-disc gate (the gate is
     deliberately conservative; truncation studies need points beyond it).
     """
-    p = pack.problem
-    t_star = scalar_float(p.t_star)
-    x_star = scalar_float(p.x_star)
-    v_star = scalar_float(p.v_star)
+    t_star, x_star, v_star = pack._float_base
     T = np.asarray(T, dtype=float)
     X = np.asarray(X, dtype=float)
     tau = T - t_star
@@ -164,7 +159,7 @@ def branch_field(pack: NormalFormPack, T: np.ndarray, X: np.ndarray, branch=None
     lam1 = _eval1_grid(pack.lambda1, tau, check)
     lam2 = _eval1_grid(pack.lambda2, tau, check)
     q = lam2 - xi
-    disc = -4.0 * lam1 ** 3 - 27.0 * q * q
+    disc = cubic_discriminant(lam1, q)
     scale = np.maximum(1.0, np.maximum(lam1 * lam1, q * q)) ** 1.5
     near = np.abs(disc) <= BOUNDARY_TOL * scale
     if near.any():

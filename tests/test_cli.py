@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from hodocusp import cli
+from hodocusp.errors import UsageError
 
 REPO = Path(__file__).resolve().parent.parent
 CANONICAL = REPO / "configs" / "canonical.yaml"
@@ -305,6 +306,39 @@ def test_malformed_yaml(tmp_path, capsys):
     rc = cli.main(["expand", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "not valid YAML" in capsys.readouterr().err
+
+
+SHIPPED_CONFIGS = sorted((REPO / "configs").glob("*.yaml")) + sorted(
+    (REPO / "tests" / "golden").glob("*/config.yaml")
+)
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.parent.name + "/" + p.name)
+def test_config_loaders_agree(path):
+    """libyaml, when installed, parses every shipped config as PyYAML does."""
+    import yaml
+
+    raw = path.read_bytes()
+    want = yaml.safe_load(raw)
+    assert cli._load_config(path) == (want, hashlib.sha256(raw).hexdigest())
+    if yaml.__with_libyaml__:
+        assert yaml.load(raw, Loader=yaml.CSafeLoader) == want
+
+
+@pytest.mark.parametrize(
+    "body", ["problem: [unclosed\n  - ", "a: b: c\n", "a:\n\t- 1\n", "{a: 1", "a: *x\n"]
+)
+def test_malformed_yaml_message_is_pure_python_text(tmp_path, body):
+    """The refusal quotes PyYAML's pure-Python error (line, column and caret
+    snippet); libyaml words the same errors differently."""
+    import yaml
+
+    cfg = write_cfg(tmp_path, body)
+    with pytest.raises(yaml.YAMLError) as want:
+        yaml.safe_load(cfg.read_bytes())
+    with pytest.raises(UsageError) as got:
+        cli._load_config(cfg)
+    assert str(got.value) == f"config {cfg} is not valid YAML: {want.value}"
 
 
 def test_missing_section(tmp_path, capsys):

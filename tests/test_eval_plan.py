@@ -1,0 +1,438 @@
+"""The cached evaluation plan keeps the evaluators' float bits.
+
+Each series builds one evaluation plan next to its validity radius: for
+``Series1`` the Horner row without the zeros above the top term, for
+``Series2`` the largest exponents, the flat (i, j, coeff) terms and the
+total-degree band cuts. The scalar and the numpy evaluators both read it.
+
+Kept here as references: the evaluators as they were before the plan
+(powers up to the cap, the dense Horner row over degrees 0..cap, one
+generator-fed ``math.fsum`` per band, and the grid versions of both), and
+the per-call float base point of ``reconstruct``. Results must agree bit for
+bit, signed zeros and nan payloads included, and refusals must carry the
+same text.
+
+The discriminant of the cusp cubic is one product-form expression that
+``cusp_roots`` and ``verify.branch_field`` both call; a fixed set of (p, q)
+pairs checks that the two classifiers see the same bits and draw the same
+class.
+"""
+
+import math
+import random
+import struct
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from conftest import random_singular_problem
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hodocusp import (
+    DomainError,
+    build_normal_form,
+    canonical_problem,
+    expand_potential,
+    hodograph_map,
+)
+from hodocusp import cusp, verify
+from hodocusp.cusp import BOUNDARY_TOL, cusp_roots, reconstruct
+from hodocusp.errors import UsageError
+from hodocusp.normal_form import NormalFormPack
+from hodocusp.scalars import make_radical, scalar_float
+from hodocusp.series import EXACT, FLOAT, Series1, Series2
+from hodocusp.verify import GridSpec, _eval1_grid, _eval2_grid, _grid_radius, branch_field
+
+PAIR = ("x", "y")
+RAD = Fraction(12, 5)
+
+
+# -- references: the evaluators before the plan ----------------------------------
+
+
+def ref_bands(s):
+    bands = {}
+    for k, v in s._c.items():
+        bands.setdefault(s._degree(k), []).append((k, scalar_float(v)))
+    return bands
+
+
+def ref_dense1(s):
+    bands = ref_bands(s)
+    return [bands[j][0][1] if j in bands else 0.0 for j in range(s.cap + 1)]
+
+
+def ref_layout2(s):
+    bands = ref_bands(s)
+    return [[(i, j, c) for (i, j), c in sorted(bands[d])] for d in sorted(bands)]
+
+
+def ref_evaluate1(s, x, check=True):
+    x = float(x)
+    if check:
+        s._gate(abs(x), "evaluation point |{:.6g}|", x)
+    acc = 0.0
+    for c in reversed(ref_dense1(s)):
+        acc = acc * x + c
+    return acc
+
+
+def ref_evaluate2(s, x, y, check=True):
+    x = float(x)
+    y = float(y)
+    if check:
+        s._gate(max(abs(x), abs(y)), "evaluation point radius {:.6g}")
+    xp = [1.0]
+    yp = [1.0]
+    for _ in range(s.cap):
+        xp.append(xp[-1] * x)
+        yp.append(yp[-1] * y)
+    total = 0.0
+    for band in ref_layout2(s):
+        total += math.fsum(c * xp[i] * yp[j] for i, j, c in band)
+    return total
+
+
+def ref_eval1_grid(s, X, check=True):
+    if check:
+        s._gate(_grid_radius(X), "grid radius {:.6g}")
+    acc = np.zeros_like(X, dtype=float)
+    for c in reversed(ref_dense1(s)):
+        acc = acc * X + c
+    return acc
+
+
+def ref_eval2_grid(s, X, Y, check=True):
+    if check:
+        s._gate(max(_grid_radius(X), _grid_radius(Y)), "grid radius {:.6g}")
+    terms = [t for band in ref_layout2(s) for t in band]
+    if not terms:
+        return np.zeros_like(X, dtype=float)
+    deg_x = max(i for i, _, _ in terms)
+    deg_y = max(j for _, j, _ in terms)
+    xp = [np.ones_like(X, dtype=float)]
+    for _ in range(deg_x):
+        xp.append(xp[-1] * X)
+    yp = [np.ones_like(Y, dtype=float)]
+    for _ in range(deg_y):
+        yp.append(yp[-1] * Y)
+    out = np.zeros_like(X, dtype=float)
+    for i, j, c in terms:
+        out += c * xp[i] * yp[j]
+    return out
+
+
+def ref_reconstruct(t, x, pack, check=True):
+    """reconstruct with the base point converted per call and the old evaluators."""
+    p = pack.problem
+    t_star = scalar_float(p.t_star)
+    x_star = scalar_float(p.x_star)
+    v_star = scalar_float(p.v_star)
+    tau = float(t) - t_star
+    xi = float(x) - x_star - v_star * tau
+    lam1 = ref_evaluate1(pack.lambda1, tau, check)
+    lam2 = ref_evaluate1(pack.lambda2, tau, check)
+    roots = cusp_roots(lam1, lam2 - xi)
+    out = []
+    for u_val, mult in roots:
+        w_val = ref_evaluate2(pack.w_of_tau_u, tau, u_val, check)
+        v_val = ref_evaluate1(pack.v_of_w, w_val, check)
+        h_val = ref_evaluate2(pack.h_of_tau_v, tau, v_val, check)
+        out.append((u_val, w_val, v_val, h_val, v_star + v_val, mult, len(roots) == 3))
+    return out
+
+
+# -- comparison -------------------------------------------------------------------
+
+
+def bits(v):
+    if isinstance(v, np.ndarray):
+        return v.dtype.str, v.shape, v.tobytes()
+    if isinstance(v, (list, tuple)):
+        return [bits(w) for w in v]
+    if isinstance(v, float):
+        return struct.pack("<d", v)
+    return v
+
+
+def outcome(f, *args):
+    """Bits of the result, or the type and text of the error raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return bits(f(*args))
+    except (DomainError, OverflowError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def branch_tuples(branches):
+    return [(b.U, b.W, b.V, b.h, b.v, b.multiplicity, b.inside_wedge) for b in branches]
+
+
+# -- strategies -------------------------------------------------------------------
+
+INF = math.inf
+SPECIALS = [0.0, -0.0, INF, -INF, math.nan, 5e-324, -1e300]
+
+# any float, nan and inf included, with the awkward ones drawn often
+args_st = st.one_of(st.sampled_from(SPECIALS), st.floats(-2, 2), st.floats())
+coeffs = {
+    "q": st.fractions(min_value=-3, max_value=3, max_denominator=7),
+    "rad": st.builds(
+        make_radical,
+        st.fractions(-2, 2, max_denominator=3),
+        st.fractions(-2, 2, max_denominator=3),
+        st.fractions(-2, 2, max_denominator=3),
+        st.just(RAD),
+    ),
+    # huge coefficients make band sums overflow inside fsum
+    "float": st.one_of(st.floats(-4, 4), st.sampled_from([1e300, -1e300, 1e-300])),
+}
+
+
+@st.composite
+def series_st(draw, cls):
+    """A series whose top term may sit below the cap (zeros above it)."""
+    cap = draw(st.integers(0, 8))
+    top = draw(st.integers(0, cap))
+    kind = draw(st.sampled_from(sorted(coeffs)))
+    if cls is Series2:
+        key = st.tuples(st.integers(0, top), st.integers(0, top)).filter(
+            lambda k: k[0] + k[1] <= top
+        )
+        name = PAIR
+    else:
+        key = st.integers(0, top)
+        name = "x"
+    c = draw(st.dictionaries(key, coeffs[kind], max_size=10))
+    return cls(name, cap, c, mode=FLOAT if kind == "float" else EXACT)
+
+
+# -- evaluators against the references ----------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_st(Series1), args_st, st.booleans())
+def test_series1_evaluate_bits(s, x, check):
+    assert outcome(s.evaluate, x, check) == outcome(ref_evaluate1, s, x, check)
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_st(Series2), args_st, args_st, st.booleans())
+def test_series2_evaluate_bits(s, x, y, check):
+    assert outcome(s.evaluate, x, y, check) == outcome(ref_evaluate2, s, x, y, check)
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_st(Series1), st.lists(args_st, min_size=1, max_size=8), st.booleans())
+def test_eval1_grid_bits(s, xs, check):
+    X = np.array(xs)
+    assert outcome(_eval1_grid, s, X, check) == outcome(ref_eval1_grid, s, X, check)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    series_st(Series2),
+    st.lists(st.tuples(args_st, args_st), min_size=1, max_size=8),
+    st.booleans(),
+)
+def test_eval2_grid_bits(s, xys, check):
+    X = np.array([x for x, _ in xys])
+    Y = np.array([y for _, y in xys])
+    assert outcome(_eval2_grid, s, X, Y, check) == outcome(ref_eval2_grid, s, X, Y, check)
+
+
+HANDMADE = [
+    # empty: the plan's row is the bare constant 0.0, which still turns
+    # inf and nan arguments into nan as the dense row did
+    Series1("x", 5, {}, mode=FLOAT),
+    Series2(PAIR, 5, {}, mode=FLOAT),
+    # zeros above the top term, an interior zero and a zero constant
+    Series1("x", 8, {1: Fraction(3, 7), 3: make_radical(1, 2, 0, RAD)}),
+    Series1("x", 6, {0: -2.5, 2: 1e300}, mode=FLOAT),
+    # one-term bands next to bands fsum must add, and bands that cancel
+    Series2(PAIR, 7, {(1, 0): Fraction(1, 3), (0, 2): Fraction(-1, 4), (2, 1): 1, (1, 2): -1}),
+    Series2(PAIR, 6, {(0, 0): 1e-300, (3, 0): 1e300, (0, 3): 1e300}, mode=FLOAT),
+]
+
+
+@pytest.mark.parametrize("s", HANDMADE, ids=repr)
+def test_handmade_series_on_special_arguments(s):
+    points = SPECIALS + [1.5, -3.0]
+    X = np.array(points)
+    if isinstance(s, Series1):
+        for x in points:
+            for check in (True, False):
+                assert outcome(s.evaluate, x, check) == outcome(ref_evaluate1, s, x, check)
+        assert outcome(_eval1_grid, s, X, False) == outcome(ref_eval1_grid, s, X, False)
+        return
+    for x in points:
+        for y in points:
+            for check in (True, False):
+                assert outcome(s.evaluate, x, y, check) == outcome(ref_evaluate2, s, x, y, check)
+        Y = np.full_like(X, x)
+        assert outcome(_eval2_grid, s, X, Y, False) == outcome(ref_eval2_grid, s, X, Y, False)
+
+
+def test_plan_shapes():
+    row = Series1("x", 8, {0: 1.0, 2: 2.0, 4: 3.0}, mode=FLOAT)._floats()[0]
+    assert row == [3.0, 0.0, 2.0, 0.0, 1.0]
+    assert Series1("x", 8, {}, mode=FLOAT)._floats()[0] == [0.0]
+    s = Series2(PAIR, 6, {(0, 2): 2.0, (1, 0): 1.0, (2, 0): 3.0, (0, 1): 4.0}, mode=FLOAT)
+    deg_x, deg_y, terms, cuts = s._floats()[0]
+    assert (deg_x, deg_y) == (2, 2)
+    assert terms == [(i, j, c) for i, j, c in s.terms()]
+    assert cuts == [(0, 2), (2, 4)]
+
+
+# -- reconstruct and branch_field on real packs --------------------------------------
+
+
+@pytest.fixture(scope="module")
+def packs():
+    out = {}
+    for mode in (EXACT, FLOAT):
+        for name, problem in (
+            ("canonical", canonical_problem()),
+            ("generic_n10", random_singular_problem(random.Random(0))),
+        ):
+            sol = expand_potential(problem, order=10, mode=mode)
+            out[name, mode] = build_normal_form(hodograph_map(sol))
+    return out
+
+
+def test_float_base_point(packs):
+    for pack in packs.values():
+        p = pack.problem
+        assert bits(pack._float_base) == bits(
+            (scalar_float(p.t_star), scalar_float(p.x_star), scalar_float(p.v_star))
+        )
+
+
+def test_reconstruct_matches_reference(packs):
+    rng = random.Random(11)
+    for (name, _), pack in packs.items():
+        p = pack.problem
+        t0, x0 = float(p.t_star), float(p.x_star)
+        # the generic series refuse beyond ~1e-3; some probes lie outside
+        reach = 2e-3 if name == "canonical" else 4e-4
+        for _ in range(150):
+            t = t0 + rng.uniform(-reach, reach)
+            x = x0 + rng.uniform(-1.0, 1.0) * reach ** 1.5
+            for check in (True, False):
+                got = outcome(lambda: branch_tuples(reconstruct(t, x, pack, check=check)))
+                assert got == outcome(ref_reconstruct, t, x, pack, check)
+
+
+def test_branch_field_matches_reference(packs, monkeypatch):
+    cases = []
+    for (name, _), pack in packs.items():
+        side = pack.multivalued_halfplane()
+        t0, x0 = float(pack.problem.t_star), float(pack.problem.x_star)
+        if name == "canonical":
+            # the field-eval sheets: one per side of the cusp
+            grids = [(GridSpec((-side * 0.5, 0.0), 1e-3, 2e-5), None),
+                     (GridSpec((side * 0.5, 0.0), 1e-3, 2e-5), 0)]
+        else:
+            grids = [(GridSpec((t0 - side * 2e-4, x0), 2e-5, 1e-6), None)]
+        for grid, branch in grids:
+            T, X = np.meshgrid(grid.axis(0), grid.axis(1), indexing="ij")
+            cases.append((pack, T, X, branch))
+    got = [outcome(branch_field, *case, False) for case in cases]
+    monkeypatch.setattr(verify, "_eval1_grid", ref_eval1_grid)
+    monkeypatch.setattr(verify, "_eval2_grid", ref_eval2_grid)
+    want = [outcome(branch_field, *case, False) for case in cases]
+    assert got == want
+    assert all(isinstance(g, list) for g in got), "every sheet must evaluate"
+
+
+# -- one discriminant for both classifiers ---------------------------------------------
+
+
+def unit_cubic_pack():
+    """A float pack with lambda1(tau) = tau, lambda2 = 0 and its base point at
+    the origin: branch_field at (t, x) = (p, -q) classifies U**3 + p U + q."""
+    cap = 3
+    zero2 = Series2(("tau", "U"), cap, {}, mode=FLOAT)
+    zero1 = Series1("W", cap, {}, mode=FLOAT)
+    return NormalFormPack(
+        h_of_tau_v=zero2,
+        xi_of_tau_v=zero2,
+        v_of_w=zero1,
+        xi_of_tau_w=zero2,
+        lambda1=Series1("tau", cap, {1: 1.0}, mode=FLOAT),
+        lambda2=Series1("tau", cap, {}, mode=FLOAT),
+        u_of_tau_w=zero2,
+        w_of_tau_u=zero2,
+        b11=1.0,
+        problem=canonical_problem(),
+    )
+
+
+def fold_pairs():
+    """15,050 fixed (p, q) pairs, none zero.
+
+    4,000 are spread over |p| in [1e-8, 10] and |q| in [1e-12, 30]. The
+    other 11,050 step q by one ulp at a time, 17 steps, across the fold
+    tolerance |disc| = 1e-12, where one ulp of the discriminant changes the
+    class: 500 boundary points with p < 0, at disc = +-1e-12 (the wedge
+    side and the single-root side), and 150 with p > 0, where disc = -1e-12
+    marks the edge of the tiny double-root region. These lie inside
+    |p|, |q| < 1, where both classifiers scale the tolerance by exactly 1.
+    """
+    rng = np.random.default_rng(20261018)
+    n = 4000
+    p = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8, 1, n)
+    q = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12, 1.5, n)
+    ps, qs = [p], [q]
+    for sign, count, lo, hi in ((-1.0, 500, -4, -0.5), (1.0, 150, -6, -4.4)):
+        pe = sign * 10.0 ** rng.uniform(lo, hi, count)
+        # 27 q**2 = -4 p**3 - disc at disc = -+tol
+        disc = BOUNDARY_TOL * (rng.choice([-1.0, 1.0], count) if sign < 0 else -1.0)
+        qe = np.sqrt((-4.0 * pe ** 3 - disc) / 27.0) * rng.choice([-1.0, 1.0], count)
+        for k in range(-8, 9):
+            ps.append(pe)
+            qs.append(qe + np.sign(qe) * k * np.spacing(np.abs(qe)))
+    return np.concatenate(ps), np.concatenate(qs)
+
+
+def scalar_class(p, q):
+    roots = cusp_roots(p, q)
+    if any(m > 1 for _, m in roots):
+        return "fold"
+    return "wedge" if len(roots) == 3 else "single"
+
+
+def grid_class(pack, p, q):
+    try:
+        branch_field(pack, np.array([p]), np.array([-q]), None, check=False)
+    except UsageError as exc:
+        return "fold" if "fold curve" in str(exc) else "wedge"
+    return "single"
+
+
+def test_cusp_roots_and_branch_field_share_the_discriminant(monkeypatch):
+    P, Q = fold_pairs()
+    assert P.size == Q.size == 15_050 and np.all(P != 0.0) and np.all(Q != 0.0)
+    pack = unit_cubic_pack()
+    seen = []
+
+    def recorded(p, q, _disc=cusp.cubic_discriminant):
+        d = _disc(p, q)
+        seen.append(d)
+        return d
+
+    monkeypatch.setattr(cusp, "cubic_discriminant", recorded)
+    monkeypatch.setattr(verify, "cubic_discriminant", recorded)
+    with pytest.raises(UsageError):
+        branch_field(pack, P, -Q, None, check=False)
+    (grid_disc,) = seen
+    seen.clear()
+    scalar = [scalar_class(p, q) for p, q in zip(P.tolist(), Q.tolist())]
+    scalar_disc = np.array(seen)
+    assert scalar_disc.tobytes() == grid_disc.tobytes()
+    grid = [grid_class(pack, p, q) for p, q in zip(P.tolist(), Q.tolist())]
+    mismatched = [(p, q, a, b) for p, q, a, b in zip(P, Q, scalar, grid) if a != b]
+    assert not mismatched, mismatched[:5]
+    # the edge pairs do straddle the tolerance: every class occurs
+    assert {"fold", "wedge", "single"} <= set(grid)

@@ -306,10 +306,19 @@ def test_cauchy_report_unchanged_for_poly_and_complex_poles():
 complex_points = st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False)
 
 
+def _outcome(f):
+    """repr of the value, or the text of the ZeroDivisionError raised when a
+    power of (a - z) underflows to zero next to a pole."""
+    try:
+        return repr(f())
+    except ZeroDivisionError as exc:
+        return f"ZeroDivisionError: {exc}"
+
+
 def check_evaluator(seed, z):
     for m in range(21):
-        want = seed.derivative_at(z, m) if m else seed.value_at(z)
-        assert repr(_complex_evaluator(seed, m)(z)) == repr(want)
+        want = _outcome(lambda: seed.derivative_at(z, m) if m else seed.value_at(z))
+        assert _outcome(lambda: _complex_evaluator(seed, m)(z)) == want
 
 
 @settings(max_examples=40, deadline=None)

@@ -41,6 +41,23 @@ def cubic_discriminant(p, q):
     return -4.0 * p * p * p - 27.0 * q * q
 
 
+def fold_scale(p, q):
+    """max(1, p**2, q**2)**1.5, the scale of the fold tolerance, for floats
+    or numpy arrays.
+
+    Computed as m * sqrt(m): sqrt rounds correctly in libm and numpy
+    alike, so ``cusp_roots`` and ``verify.branch_field`` get the same bits,
+    where the scalar and the numpy ``** 1.5`` round apart.
+    """
+    if isinstance(p, float) and isinstance(q, float):
+        m = max(1.0, p * p, q * q)
+        return m * math.sqrt(m)
+    import numpy as np  # only grid callers pass arrays, and they hold numpy
+
+    m = np.maximum(1.0, np.maximum(p * p, q * q))
+    return m * np.sqrt(m)
+
+
 def cusp_roots(p, q, boundary_tol=BOUNDARY_TOL):
     """Real roots of U**3 + p U + q = 0, ascending, as (root, multiplicity).
 
@@ -52,8 +69,7 @@ def cusp_roots(p, q, boundary_tol=BOUNDARY_TOL):
     p = float(p)
     q = float(q)
     disc = cubic_discriminant(p, q)
-    scale = max(1.0, p * p, q * q) ** 1.5
-    if abs(disc) <= boundary_tol * scale:
+    if abs(disc) <= boundary_tol * fold_scale(p, q):
         if max(abs(p), abs(q)) <= boundary_tol:
             return [(0.0, 3)]
         a = -1.5 * q / p

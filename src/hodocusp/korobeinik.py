@@ -43,7 +43,9 @@ from .pde import (
     PolyTerm,
     ProblemData,
     SeedFunction,
+    _pole_run_start,
     _seed_b0,
+    _zero_power,
     expand_potential,
     h_scaled,
     korobeinik_series,
@@ -125,7 +127,8 @@ def _exact_magnitudes2(seed: SeedFunction, u: QComplex, K: int):
     to g_{k+1}(u), with w = 1/(a - u), so
     t_{k+1} = t_k w**2 (m+2k)(m+2k+1)/((k+1)(k+2)); the scalar factor
     s_k = C(m+2k-1, 2k) Catalan_k is an integer. Each w is written as a
-    Gaussian integer over the common integer L of all poles, and every
+    Gaussian integer over the common integer L of all poles
+    (``pde._pole_run_start``, shared with the seed derivatives), and every
     term carries the denominator den0 L**(2k), den0 = Cden L**mmax, so
     X + iY over that denominator is g_{k+1}(u) and M[k] = X**2 + Y**2; no
     gcd runs. Polynomial components add P^(2k)(u)/(k!(k+1)!) exactly for
@@ -141,30 +144,11 @@ def _exact_magnitudes2(seed: SeedFunction, u: QComplex, K: int):
                     prow[k] = prow[k] + v
                 else:
                     prow.append(v)
-    # a - u = (p + iq)/D over one denominator D; then w = omega/nu reduced
-    diffs = [t.a - u for t in poles]
-    D = math.lcm(*(x.denominator for z in diffs for x in (z.re, z.im)))
-    ws = []
-    for z in diffs:
-        p, q = (z.re * D).numerator, (z.im * D).numerator
-        g = math.gcd(D * p, D * q, p * p + q * q)
-        ws.append((D * p // g, -D * q // g, (p * p + q * q) // g))
-    L = math.lcm(*(nu for _, _, nu in ws))
-    residues = [t.c if isinstance(t.c, QComplex) else QComplex(t.c) for t in poles]
-    Cden = math.lcm(
-        *(x.denominator for z in residues + prow for x in (z.re, z.im))
-    )
-    mmax = max((t.n for t in poles), default=0)
-    states = []  # [m, s_k, Re E_k, Im E_k, Re W**2, Im W**2]
-    for t, c, (wr, wi, nu) in zip(poles, residues, ws):
-        f = L // nu
-        wr, wi = wr * f, wi * f  # w = (wr + i wi) / L
-        er, ei = (c.re * Cden).numerator, (c.im * Cden).numerator
-        for _ in range(t.n):
-            er, ei = er * wr - ei * wi, er * wi + ei * wr
-        scale = L ** (mmax - t.n)
-        states.append([t.n, 1, er * scale, ei * scale, wr * wr - wi * wi, 2 * wr * wi])
-    den0 = den = Cden * L**mmax
+    den0, L, starts = _pole_run_start(poles, u, prow)
+    states = [  # [m, s_k, Re E_k, Im E_k, Re W**2, Im W**2]
+        [m, 1, er, ei, wr * wr - wi * wi, 2 * wr * wi] for m, er, ei, wr, wi in starts
+    ]
+    den = den0
     L2 = L * L
     out = []
     for k in range(K):
@@ -687,7 +671,10 @@ def _complex_evaluator(seed: SeedFunction, m: int):
                 for cj in c:
                     v = v * z + cj
             else:
-                v = c / (a - z) ** power
+                try:
+                    v = c / (a - z) ** power
+                except ZeroDivisionError:
+                    raise _zero_power(a, z, power, m) from None
             total = v if total is None else total + v
         return total
 
@@ -719,17 +706,19 @@ def variable_alpha_probe(
     rows = {}
     for i, j, v in c.terms():
         rows.setdefault(i, {})[j] = v
+    rows = [rows.get(k, {}) for k in range(1, c.cap + 1)]
+    int_rows = [_integer_row(row) for row in rows]
     reports = []
     for u in u_list:
         uq = parse_point(u, "u")
         if isinstance(uq, QComplex):
             v_val = (uq - QComplex(u_star_q)) * 2
+            mags2 = [_row_mag2(row, v_val) for row in int_rows]
         else:
             v_val = 2.0 * (complex(uq) - float(u_star_q))
-        mags2 = []
-        for k in range(1, c.cap + 1):
-            acc = _row_value(rows.get(k, {}), v_val)
-            mags2.append(_mag2(acc) if acc is not None else Fraction(0))
+            mags2 = [
+                Fraction(0) if not row else _mag2(_row_value(row, v_val)) for row in rows
+            ]
         pts = ratio_points(mags2)
         limit, spread = richardson_limit(pts, tail=min(RATIO_TAIL, len(pts)))
         pred = predicted_radius(seed, uq)
@@ -740,10 +729,40 @@ def variable_alpha_probe(
     return reports
 
 
-def _row_value(row: dict, v_val):
-    """sum_j row[j] * v_val**j, exact when inputs are exact."""
+def _integer_row(row: dict):
+    """(d, [n_J, ..., n_0]) with row[j] = n_j / d over the row's common denominator."""
     if not row:
-        return None
+        return 1, []
+    d = math.lcm(*(x.denominator for x in row.values()))
+    xs = [row.get(j, 0) for j in range(max(row), -1, -1)]
+    return d, [x.numerator * (d // x.denominator) for x in xs]
+
+
+def _row_mag2(int_row, v: QComplex) -> Fraction:
+    """|sum_j row[j] v**j|**2 as one Fraction, by integer Horner.
+
+    With v = (vr + i vi)/vd, the homogeneous Horner sum
+    S = sum_j n_j (vr + i vi)**j vd**(J-j) gives row(v) = S/(d vd**J), so
+    the value equals ``_mag2(_row_value(row, v))`` with no Fraction in the
+    loop.
+    """
+    d, nums = int_row
+    if not nums:
+        return Fraction(0)
+    vd = math.lcm(v.re.denominator, v.im.denominator)
+    vr = v.re.numerator * (vd // v.re.denominator)
+    vi = v.im.numerator * (vd // v.im.denominator)
+    X, Y = nums[0], 0
+    scale = 1
+    for n in nums[1:]:
+        scale *= vd
+        X, Y = X * vr - Y * vi + n * scale, X * vi + Y * vr
+    den = d * scale
+    return Fraction(X * X + Y * Y, den * den)
+
+
+def _row_value(row: dict, v_val):
+    """sum_j row[j] * v_val**j at a float point."""
     total = None
     power = 1
     for j in range(max(row) + 1):

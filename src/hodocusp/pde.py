@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegeneracyError, UsageError
+from .errors import DegeneracyError, DomainError, UsageError
 from .scalars import QComplex, parse_exact, parse_point
 from .series import (
     EXACT,
@@ -324,7 +324,10 @@ class PoleTerm:
 
     def value_at(self, u):
         a, c = self._consts_for(u)
-        return c / (a - u) ** self.n
+        try:
+            return c / (a - u) ** self.n
+        except ZeroDivisionError:
+            raise _zero_power(a, u, self.n, 0) from None
 
     def derivative_at(self, u, m):
         # d^m/du^m (a-u)^(-n) = (n)(n+1)...(n+m-1) (a-u)^(-n-m)
@@ -332,7 +335,19 @@ class PoleTerm:
         for i in range(m):
             rising *= self.n + i
         a, c = self._consts_for(u)
-        return c * rising / (a - u) ** (self.n + m)
+        try:
+            return c * rising / (a - u) ** (self.n + m)
+        except ZeroDivisionError:
+            raise _zero_power(a, u, self.n + m, m) from None
+
+
+def _zero_power(a, u, power, m) -> DomainError:
+    """The refusal for (a - u)**power == 0: u on the pole a, or so near it
+    that the float power underflows."""
+    return DomainError(
+        f"seed pole at a = {a!r}: (a - u)**{power} is zero at u = {u!r} "
+        f"(derivative order {m})"
+    )
 
 
 class SeedFunction:
@@ -466,8 +481,6 @@ class SeedFunction:
     def assert_not_pole(self, u, field="u"):
         d2 = self.min_pole_distance2(u)
         if d2 is not None and d2 == 0:
-            from .errors import DomainError
-
             raise DomainError(f"{field} sits exactly on a pole of the seed function")
 
 
@@ -552,20 +565,106 @@ class BridgeCheck:
     mismatches: tuple
 
 
+def _pole_run_start(poles, u: QComplex, extra: list):
+    """(den0, L, starts): the integer start of an exact run over the poles at u.
+
+    Each w = 1/(a - u) is written as a Gaussian integer (wr + i wi)/L over
+    the common integer L of all poles, and each c w**n as (er + i ei)/den0
+    with den0 = Cden L**mmax, where Cden clears the residues and the
+    QComplex values in ``extra``. ``starts`` holds (n, er, ei, wr, wi) per pole;
+    stepping (er, ei) by (wr, wi) puts the next power over den0 L. No gcd
+    runs after the first one per pole.
+    """
+    # a - u = (p + iq)/D over one denominator D; then w = omega/nu reduced
+    diffs = [t.a - u for t in poles]
+    D = math.lcm(*(x.denominator for z in diffs for x in (z.re, z.im)))
+    ws = []
+    for z in diffs:
+        p, q = (z.re * D).numerator, (z.im * D).numerator
+        g = math.gcd(D * p, D * q, p * p + q * q)
+        ws.append((D * p // g, -D * q // g, (p * p + q * q) // g))
+    L = math.lcm(*(nu for _, _, nu in ws))
+    residues = [t.c if isinstance(t.c, QComplex) else QComplex(t.c) for t in poles]
+    Cden = math.lcm(
+        *(x.denominator for z in residues + extra for x in (z.re, z.im))
+    )
+    mmax = max((t.n for t in poles), default=0)
+    starts = []
+    for t, c, (wr, wi, nu) in zip(poles, residues, ws):
+        f = L // nu
+        wr, wi = wr * f, wi * f  # w = (wr + i wi) / L
+        er, ei = (c.re * Cden).numerator, (c.im * Cden).numerator
+        for _ in range(t.n):
+            er, ei = er * wr - ei * wi, er * wi + ei * wr
+        scale = L ** (mmax - t.n)
+        starts.append((t.n, er * scale, ei * scale, wr, wi))
+    return Cden * L**mmax, L, starts
+
+
+def _derivative_run(seed: SeedFunction, u: QComplex, count: int):
+    """[(X_j, Y_j, d_j)] with g1^(j)(u) = (X_j + i Y_j)/d_j for j < count.
+
+    One exact pass: a pole c/(a - u)**n contributes c (n)_j w**(n+j),
+    w = 1/(a - u), and each order steps the power by one Gaussian-integer
+    multiply and the rising factor by n + j (see ``_pole_run_start``).
+    The polynomial rows P^(j)(u) join over the common denominator
+    d_j = den0 L**j. Equal to ``SeedFunction.derivative_at(u, j)``.
+    """
+    poles = [t for t in seed.terms if isinstance(t, PoleTerm)]
+    prow = []  # polynomial part of g1^(j)(u), j = 0, 1, ...
+    for t in seed.terms:
+        if isinstance(t, PolyTerm):
+            for j in range(min(len(t.coeffs), count)):
+                v = t.derivative_at(u, j)
+                if j < len(prow):
+                    prow[j] = prow[j] + v
+                else:
+                    prow.append(v)
+    den0, L, starts = _pole_run_start(poles, u, prow)
+    X = [0] * count
+    Y = [0] * count
+    for n, er, ei, wr, wi in starts:
+        rising = 1
+        for j in range(count):
+            X[j] += rising * er
+            Y[j] += rising * ei
+            rising *= n + j
+            er, ei = er * wr - ei * wi, er * wi + ei * wr
+    out = []
+    den = den0
+    for j in range(count):
+        if j < len(prow):
+            v = prow[j]
+            X[j] += v.re.numerator * (den // v.re.denominator)
+            Y[j] += v.im.numerator * (den // v.im.denominator)
+        out.append((X[j], Y[j], den))
+        den *= L
+    return out
+
+
+def _seed_derivatives(seed: SeedFunction, u_star: Fraction, count: int):
+    """[(x_j, d_j)] with g1^(j)(u*) = x_j / d_j for j < count, from one
+    ``_derivative_run``; None when some of them is not real (Y_j != 0)."""
+    u = QComplex(u_star)
+    seed.assert_not_pole(u, "u_star")
+    run = _derivative_run(seed, u, count)
+    if any(y for _, y, _ in run):
+        return None
+    return [(x, d) for x, _, d in run]
+
+
+def _b0_row(derivs):
+    """b0_j = (1/2)^j g1^(j)(u*) / j! from the ``_seed_derivatives`` run."""
+    return [Fraction(x, (d << j) * math.factorial(j)) for j, (x, d) in enumerate(derivs)]
+
+
 def _seed_b0(seed: SeedFunction, u_star: Fraction, order: int):
     """Boundary row of B0(v) = g1(v/2) about v* = 2 u*, up to j = 2*order.
 
     b0_j = (1/2)^j g1^(j)(u*) / j!; None when some derivative is not real.
     """
-    u = QComplex(u_star)
-    seed.assert_not_pole(u, "u_star")
-    b0 = []
-    for j in range(2 * order + 1):
-        d = seed.derivative_at(u, j)
-        if not d.is_real():
-            return None
-        b0.append(Fraction(1, 2) ** j * d.re / math.factorial(j))
-    return b0
+    derivs = _seed_derivatives(seed, u_star, 2 * order + 1)
+    return None if derivs is None else _b0_row(derivs)
 
 
 def bridge_check(seed: SeedFunction, u_star, order: int, alpha=()) -> BridgeCheck:
@@ -581,24 +680,20 @@ def bridge_check(seed: SeedFunction, u_star, order: int, alpha=()) -> BridgeChec
     if not seed.exact:
         raise UsageError("bridge check needs an exact seed function")
     u_star = parse_exact(u_star, "u_star")
-    b0 = _seed_b0(seed, u_star, order)
-    if b0 is None:
+    derivs = _seed_derivatives(seed, u_star, 2 * order + 1)
+    if derivs is None:
         raise UsageError("bridge check needs a seed that is real on the real axis")
-    half = Fraction(1, 2)
-    problem = ProblemData(b0=b0, alpha=(), v_star=2 * u_star)
+    problem = ProblemData(b0=_b0_row(derivs), alpha=(), v_star=2 * u_star)
     sol = expand_potential(problem, order)
-    u = QComplex(u_star)
-    derivs = [seed.derivative_at(u, m) for m in range(2 * order + 1)]
     mismatches = []
     checked = 0
     for k in range(order + 1):
         for j in range(order - k + 1):
             got = sol.row_coefficient(k, j)
-            d = derivs[2 * k + j]
-            want = (
-                half**j
-                * d.re
-                / (math.factorial(j) * math.factorial(k) * math.factorial(k + 1))
+            x, d = derivs[2 * k + j]
+            want = Fraction(
+                x,
+                (d << j) * math.factorial(j) * math.factorial(k) * math.factorial(k + 1),
             )
             checked += 1
             if got != want:

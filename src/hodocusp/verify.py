@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cusp import BOUNDARY_TOL, cubic_discriminant, reconstruct
+from .cusp import BOUNDARY_TOL, cubic_discriminant, fold_scale, reconstruct
 from .errors import UsageError
 from .hodograph import HodographMap
 from .normal_form import NormalFormPack
@@ -160,8 +160,7 @@ def branch_field(pack: NormalFormPack, T: np.ndarray, X: np.ndarray, branch=None
     lam2 = _eval1_grid(pack.lambda2, tau, check)
     q = lam2 - xi
     disc = cubic_discriminant(lam1, q)
-    scale = np.maximum(1.0, np.maximum(lam1 * lam1, q * q)) ** 1.5
-    near = np.abs(disc) <= BOUNDARY_TOL * scale
+    near = np.abs(disc) <= BOUNDARY_TOL * fold_scale(lam1, q)
     if near.any():
         raise UsageError(
             f"grid touches a fold curve: |discriminant| ~ 0 at {int(near.sum())} nodes"

@@ -12,10 +12,10 @@ the per-call float base point of ``reconstruct``. Results must agree bit for
 bit, signed zeros and nan payloads included, and refusals must carry the
 same text.
 
-The discriminant of the cusp cubic is one product-form expression that
-``cusp_roots`` and ``verify.branch_field`` both call; a fixed set of (p, q)
-pairs checks that the two classifiers see the same bits and draw the same
-class.
+The discriminant of the cusp cubic is one product-form expression, and
+the scale of the fold tolerance one ``m * sqrt(m)``, that ``cusp_roots``
+and ``verify.branch_field`` both call; a fixed set of (p, q) pairs checks
+that the two classifiers see the same bits and draw the same class.
 """
 
 import math
@@ -370,29 +370,74 @@ def unit_cubic_pack():
 
 
 def fold_pairs():
-    """15,050 fixed (p, q) pairs, none zero.
+    """21,698 fixed (p, q) pairs, none zero.
 
-    4,000 are spread over |p| in [1e-8, 10] and |q| in [1e-12, 30]. The
-    other 11,050 step q by one ulp at a time, 17 steps, across the fold
-    tolerance |disc| = 1e-12, where one ulp of the discriminant changes the
-    class: 500 boundary points with p < 0, at disc = +-1e-12 (the wedge
-    side and the single-root side), and 150 with p > 0, where disc = -1e-12
-    marks the edge of the tiny double-root region. These lie inside
-    |p|, |q| < 1, where both classifiers scale the tolerance by exactly 1.
+    4,000 are spread over |p| in [1e-8, 10] and |q| in [1e-12, 30]. Then
+    14,450 step q by one ulp at a time, 17 steps, across the fold
+    tolerance, where one ulp of the discriminant changes the class:
+    500 boundary points with p < 0 at disc = +-1e-12 (the wedge side and
+    the single-root side), and 150 with p > 0, where disc = -1e-12 marks
+    the edge of the tiny double-root region, all inside |p|, |q| < 1, where
+    the tolerance scale is exactly 1; and 200 boundary points with p in
+    [-5, -1], at disc = +-1e-12 |p|**3. Last come the 3,248 pairs of
+    ``tolerance_ties``.
     """
     rng = np.random.default_rng(20261018)
     n = 4000
     p = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8, 1, n)
     q = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12, 1.5, n)
     ps, qs = [p], [q]
-    for sign, count, lo, hi in ((-1.0, 500, -4, -0.5), (1.0, 150, -6, -4.4)):
+    edges = [(-1.0, 500, -4, -0.5), (1.0, 150, -6, -4.4), (-1.0, 200, 0.0, math.log10(5.0))]
+    for sign, count, lo, hi in edges:
         pe = sign * 10.0 ** rng.uniform(lo, hi, count)
         # 27 q**2 = -4 p**3 - disc at disc = -+tol
         disc = BOUNDARY_TOL * (rng.choice([-1.0, 1.0], count) if sign < 0 else -1.0)
+        disc *= np.maximum(1.0, np.abs(pe)) ** 3
         qe = np.sqrt((-4.0 * pe ** 3 - disc) / 27.0) * rng.choice([-1.0, 1.0], count)
         for k in range(-8, 9):
             ps.append(pe)
             qs.append(qe + np.sign(qe) * k * np.spacing(np.abs(qe)))
+    P, Q = tolerance_ties()
+    return np.concatenate(ps + [P]), np.concatenate(qs + [Q])
+
+
+def tolerance_ties():
+    """3,248 pairs with p in [-5, -1] whose discriminant equals +-1e-12 s.
+
+    s is max(1, p**2, q**2)**1.5 = |p|**3, rounded as scalar ``** 1.5``,
+    numpy's ``** 1.5`` or ``m * sqrt(m)`` round it. Where those roundings
+    differ, a classifier that scales by one of them and a classifier that
+    scales by another draw different classes at such a pair. While
+    -4 p**3 lies in [2**e, 2**(e+1)), the discriminant is a multiple of
+    2**(e-52), so each tolerance t is chosen as such a multiple; p and q
+    are then found by stepping ulps around |p| = (t/1e-12)**(1/3) and
+    27 q**2 = -4 p**3 -+ t.
+    """
+    ps, qs = [], []
+    for e in range(2, 9):
+        unit = 2.0 ** (e - 52)
+        lo = max(1.0, 2.0 ** ((e - 2) / 3))
+        hi = min(5.0, 2.0 ** ((e - 1) / 3))
+        k = np.arange(
+            math.ceil(BOUNDARY_TOL * lo**3 / unit), math.floor(BOUNDARY_TOL * hi**3 / unit) + 1
+        )
+        t = k * unit
+        p0 = -np.cbrt(t / BOUNDARY_TOL)
+        for dp in range(-4, 5):
+            p = p0 + dp * np.spacing(p0)
+            m = p * p
+            scales = (np.array([x**1.5 for x in m.tolist()]), m**1.5, m * np.sqrt(m))
+            on = np.zeros(p.size, bool)
+            for scale in scales:
+                on |= BOUNDARY_TOL * scale == t
+            p, tp = p[on], t[on]
+            for sign in (1.0, -1.0):
+                q0 = np.sqrt((-4.0 * p * p * p - sign * tp) / 27.0)
+                for dq in range(-6, 7):
+                    q = q0 + dq * np.spacing(q0)
+                    hit = cusp.cubic_discriminant(p, q) == sign * tp
+                    ps.append(p[hit])
+                    qs.append(q[hit])
     return np.concatenate(ps), np.concatenate(qs)
 
 
@@ -413,24 +458,30 @@ def grid_class(pack, p, q):
 
 def test_cusp_roots_and_branch_field_share_the_discriminant(monkeypatch):
     P, Q = fold_pairs()
-    assert P.size == Q.size == 15_050 and np.all(P != 0.0) and np.all(Q != 0.0)
+    assert P.size == Q.size == 21_698 and np.all(P != 0.0) and np.all(Q != 0.0)
     pack = unit_cubic_pack()
-    seen = []
+    seen = {"disc": [], "scale": []}
 
-    def recorded(p, q, _disc=cusp.cubic_discriminant):
-        d = _disc(p, q)
-        seen.append(d)
-        return d
+    def recording(kind, f):
+        def recorded(p, q):
+            out = f(p, q)
+            seen[kind].append(out)
+            return out
 
-    monkeypatch.setattr(cusp, "cubic_discriminant", recorded)
-    monkeypatch.setattr(verify, "cubic_discriminant", recorded)
+        return recorded
+
+    disc = recording("disc", cusp.cubic_discriminant)
+    scale = recording("scale", cusp.fold_scale)
+    for module in (cusp, verify):
+        monkeypatch.setattr(module, "cubic_discriminant", disc)
+        monkeypatch.setattr(module, "fold_scale", scale)
     with pytest.raises(UsageError):
         branch_field(pack, P, -Q, None, check=False)
-    (grid_disc,) = seen
-    seen.clear()
+    ((grid_disc,), (grid_scale,)) = seen.values()
+    seen = {"disc": [], "scale": []}
     scalar = [scalar_class(p, q) for p, q in zip(P.tolist(), Q.tolist())]
-    scalar_disc = np.array(seen)
-    assert scalar_disc.tobytes() == grid_disc.tobytes()
+    assert np.array(seen["disc"]).tobytes() == grid_disc.tobytes()
+    assert np.array(seen["scale"]).tobytes() == grid_scale.tobytes()
     grid = [grid_class(pack, p, q) for p, q in zip(P.tolist(), Q.tolist())]
     mismatched = [(p, q, a, b) for p, q, a, b in zip(P, Q, scalar, grid) if a != b]
     assert not mismatched, mismatched[:5]

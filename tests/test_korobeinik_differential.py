@@ -13,8 +13,13 @@ Each kernel is checked against a slow reference kept in this file:
   against its one-Fraction-per-ratio loop, bit for bit;
 * ``cauchy_bound_check`` against the per-call conversion of the pole
   constants, and its hoisted evaluator against ``SeedFunction.value_at``
-  and ``derivative_at``, repr for repr;
-* ``bridge_check`` against one derivative evaluation per (k, j) pair.
+  and ``derivative_at``, repr for repr, refusals included;
+* the exact derivative run at u* (``pde._derivative_run``) against
+  ``SeedFunction.derivative_at`` and the ``differentiated()`` chain, the
+  boundary row ``_seed_b0`` against one ``derivative_at`` per order, and
+  ``bridge_check`` against one derivative evaluation per (k, j) pair;
+* ``variable_alpha_probe`` against its per-row ``Fraction``/``QComplex``
+  evaluation, bit for bit.
 """
 
 import cmath
@@ -26,17 +31,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hodocusp import pde
+from hodocusp.errors import DomainError
 from hodocusp.korobeinik import (
     CIRCLE_SAMPLES,
     RATIO_TAIL,
     CauchyReport,
+    ConvergenceReport,
     _complex_evaluator,
     _magnitudes,
+    _radius_verdict,
     cauchy_bound_check,
     confirm_divergence,
     divergence_heuristic,
+    predicted_radius,
     ratio_points,
+    richardson_limit,
     term_magnitudes2,
+    variable_alpha_probe,
 )
 from hodocusp.pde import (
     BridgeCheck,
@@ -46,9 +57,10 @@ from hodocusp.pde import (
     SeedFunction,
     bridge_check,
     expand_potential,
+    h_scaled,
     korobeinik_series,
 )
-from hodocusp.scalars import QComplex
+from hodocusp.scalars import QComplex, parse_exact, parse_point
 
 # -- references ---------------------------------------------------------------------
 
@@ -106,10 +118,23 @@ def ref_cauchy(seed, r, r0, eps, n_max):
     return CauchyReport(c_eps, n_max, max_ratio, worst[0], worst[1], max_ratio <= 1.0 + 1e-6)
 
 
+def ref_seed_b0(seed, u_star, order):
+    """The boundary row from one ``derivative_at`` call per order."""
+    u = QComplex(u_star)
+    seed.assert_not_pole(u, "u_star")
+    b0 = []
+    for j in range(2 * order + 1):
+        d = seed.derivative_at(u, j)
+        if not d.is_real():
+            return None
+        b0.append(Fraction(1, 2) ** j * d.re / math.factorial(j))
+    return b0
+
+
 def ref_bridge(seed, u_star, order):
     """Bridge comparison with one derivative evaluation per (k, j) pair."""
     u_star = Fraction(u_star)
-    b0 = pde._seed_b0(seed, u_star, order)
+    b0 = ref_seed_b0(seed, u_star, order)
     sol = expand_potential(ProblemData(b0=b0, alpha=(), v_star=2 * u_star), order)
     mismatches, checked = [], 0
     for k in range(order + 1):
@@ -123,6 +148,64 @@ def ref_bridge(seed, u_star, order):
             if got != want:
                 mismatches.append((k, j, got, want))
     return BridgeCheck(not mismatches, order, checked, tuple(mismatches))
+
+
+def ref_row_value(row, v_val):
+    """sum_j row[j] * v_val**j by QComplex (or complex) powers."""
+    if not row:
+        return None
+    total = None
+    power = 1
+    for j in range(max(row) + 1):
+        if j:
+            power = power * v_val
+        if j in row:
+            term = row[j] * power
+            total = term if total is None else total + term
+    return total
+
+
+def ref_mag2(v):
+    if isinstance(v, QComplex):
+        return v.abs2()
+    if isinstance(v, (int, Fraction)):
+        return Fraction(v) ** 2
+    a = abs(complex(v))
+    return a * a
+
+
+def ref_variable_alpha_probe(seed, alpha, u_star, order, u_list):
+    """The alpha probe with each row evaluated and squared in Fractions."""
+    u_star_q = parse_exact(u_star, "u_star")
+    b0 = ref_seed_b0(seed, u_star_q, order)
+    sol = expand_potential(ProblemData(b0=b0, alpha=alpha, v_star=2 * u_star_q), order)
+    c = h_scaled(sol.series)
+    rows = {}
+    for i, j, v in c.terms():
+        rows.setdefault(i, {})[j] = v
+    reports = []
+    for u in u_list:
+        uq = parse_point(u, "u")
+        if isinstance(uq, QComplex):
+            v_val = (uq - QComplex(u_star_q)) * 2
+        else:
+            v_val = 2.0 * (complex(uq) - float(u_star_q))
+        mags2 = []
+        for k in range(1, c.cap + 1):
+            acc = ref_row_value(rows.get(k, {}), v_val)
+            mags2.append(ref_mag2(acc) if acc is not None else Fraction(0))
+        pts = ratio_points(mags2)
+        est, verdict = _radius_verdict(*richardson_limit(pts, tail=min(RATIO_TAIL, len(pts))))
+        reports.append(
+            ConvergenceReport(
+                uq.to_complex() if isinstance(uq, QComplex) else uq,
+                tuple(r for _, r in pts),
+                est,
+                predicted_radius(seed, uq),
+                verdict,
+            )
+        )
+    return reports
 
 
 # -- strategies ---------------------------------------------------------------------
@@ -158,6 +241,31 @@ def seeds(draw):
         seed = seed.differentiated()
     return seed
 
+
+@st.composite
+def real_seeds(draw):
+    """Seeds real on the real axis: real poles with real residues, conjugate
+    pairs with conjugate residues, maybe a polynomial, maybe differentiated."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            terms.append(PoleTerm(QComplex(draw(small_q)), draw(residue_q), 1))
+        else:
+            a = QComplex(draw(small_q), draw(residue_q))
+            c = draw(residues())
+            c_bar = c.conj() if isinstance(c, QComplex) else c
+            terms += [PoleTerm(a, c, 1), PoleTerm(a.conj(), c_bar, 1)]
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(small_q, min_size=1, max_size=9))
+        terms.insert(draw(st.integers(0, len(terms))), PolyTerm(tuple(coeffs)))
+    seed = SeedFunction(terms)
+    for _ in range(draw(st.integers(0, 2))):
+        seed = seed.differentiated()
+    return seed
+
+
+# rational base points with large denominators
+big_den_q = st.fractions(min_value=-1, max_value=1, max_denominator=10**9)
 
 # denominators up to 128 * 40, like bidisc samples about a rational center
 points = st.builds(
@@ -307,12 +415,12 @@ complex_points = st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infi
 
 
 def _outcome(f):
-    """repr of the value, or the text of the ZeroDivisionError raised when a
+    """repr of the value, or the text of the DomainError raised when a
     power of (a - z) underflows to zero next to a pole."""
     try:
         return repr(f())
-    except ZeroDivisionError as exc:
-        return f"ZeroDivisionError: {exc}"
+    except DomainError as exc:
+        return f"DomainError: {exc}"
 
 
 def check_evaluator(seed, z):
@@ -345,6 +453,17 @@ def test_hoisted_evaluator_signed_zeros(z):
         check_evaluator(seed, z)
 
 
+@pytest.mark.parametrize("m", [4, 5, 9])
+def test_underflowing_pole_power_is_a_domain_error(m):
+    # (0 - 2.3e-66)**(1 + m) underflows to zero for m >= 4
+    seed = SeedFunction.from_config([{"poly": [1, 2]}, {"pole": {"a": 0, "c": 1}}])
+    z = complex(2.3e-66, 0.0)
+    with pytest.raises(DomainError, match=rf"pole at a = 0j.*\*\*{1 + m} is zero.*order {m}\)"):
+        seed.derivative_at(z, m)
+    check_evaluator(seed, z)
+    assert _outcome(lambda: _complex_evaluator(seed, m)(z)).startswith("DomainError")
+
+
 @pytest.mark.parametrize(
     "cfg, u_star, order",
     [
@@ -365,5 +484,113 @@ def test_bridge_evaluates_each_derivative_once(cfg, u_star, order, monkeypatch):
 
     monkeypatch.setattr(SeedFunction, "derivative_at", counted)
     assert bridge_check(seed, u_star, order) == want
-    # the boundary row and the check each take orders 0..2*order once
-    assert sorted(calls) == sorted(2 * list(range(2 * order + 1)))
+    # the boundary row and the targets both read one exact derivative run
+    assert calls == []
+
+
+# -- derivative run, boundary row and alpha probe ------------------------------------
+
+
+def run_values(run):
+    return [QComplex(Fraction(x, d), Fraction(y, d)) for x, y, d in run]
+
+
+def check_derivative_run(seed, u, count):
+    got = run_values(pde._derivative_run(seed, u, count))
+    assert got == [seed.derivative_at(u, j) for j in range(count)]
+    g = seed
+    for j in range(count):
+        assert got[j] == g.value_at(u)
+        g = g.differentiated()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seeds(), st.one_of(big_den_q.map(QComplex), points), st.integers(0, 16))
+def test_derivative_run_matches_derivative_at_and_chain(seed, u, order):
+    assume(seed.min_pole_distance2(u) != 0)
+    check_derivative_run(seed, u, 2 * order + 1)
+
+
+@pytest.mark.parametrize(
+    "cfg, u",
+    [
+        ([{"pole": {"a": 1, "c": 1}}], 0),
+        ([{"poly": [0, 1, 0, Fraction(1, 3)]}], Fraction(3, 7)),
+        ([{"poly": [1, 2]}, {"pole": {"a": [Fraction(-209, 272), Fraction(45, 34)], "c": [1, 2]}},
+          {"pole": {"a": [Fraction(-209, 272), Fraction(-45, 34)], "c": [1, -2]}}],
+         Fraction(-1, 16)),
+    ],
+)
+def test_derivative_run_fixed_cases(cfg, u):
+    seed = SeedFunction.from_config(cfg)
+    for s in (seed, seed.differentiated().differentiated().differentiated()):
+        check_derivative_run(s, QComplex(u), 33)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(seeds(), real_seeds()), big_den_q, st.integers(1, 10))
+def test_seed_b0_matches_one_derivative_per_order(seed, u_star, order):
+    assume(seed.min_pole_distance2(QComplex(u_star)) != 0)
+    got = pde._seed_b0(seed, u_star, order)
+    want = ref_seed_b0(seed, u_star, order)
+    assert (got is None) == (want is None)
+    assert got == want
+
+
+def test_seed_b0_refuses_a_pole_at_u_star():
+    seed = SeedFunction.from_config([{"pole": {"a": Fraction(1, 3), "c": 1}}])
+    with pytest.raises(DomainError, match="u_star sits exactly on a pole"):
+        pde._seed_b0(seed, Fraction(1, 3), 4)
+
+
+alphas = st.lists(
+    st.fractions(min_value=-1, max_value=1, max_denominator=8), min_size=1, max_size=3
+).filter(any)
+probe_points = st.one_of(
+    st.fractions(min_value=Fraction(-3, 4), max_value=Fraction(3, 4), max_denominator=64),
+    st.builds(
+        lambda re, im: [re, im],
+        st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2), max_denominator=64),
+        st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2), max_denominator=64),
+    ),
+    st.complex_numbers(max_magnitude=0.75, allow_nan=False, allow_infinity=False),
+)
+
+
+def check_alpha_probe(seed, alpha, u_star, order, us):
+    got = variable_alpha_probe(seed, alpha, u_star, order, us)
+    want = ref_variable_alpha_probe(seed, alpha, u_star, order, us)
+    assert [r.ratios for r in got] == [r.ratios for r in want]
+    assert repr(got) == repr(want)  # ratios, estimates and verdicts, nan included
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    real_seeds(),
+    alphas,
+    st.fractions(min_value=Fraction(-1, 4), max_value=Fraction(1, 4), max_denominator=10**6),
+    st.integers(4, 10),
+    st.lists(probe_points, min_size=1, max_size=3),
+)
+def test_alpha_probe_matches_fraction_rows(seed, alpha, u_star, order, us):
+    assume(seed.min_pole_distance2(QComplex(u_star)) != 0)
+    assume(all(seed.min_pole_distance2(parse_point(u)) != 0 for u in us))
+    check_alpha_probe(seed, alpha, u_star, order, us)
+
+
+def test_alpha_probe_fixed_cases():
+    three_pole = SeedFunction.from_config(
+        [
+            {"pole": {"a": [Fraction(-209, 272), Fraction(45, 34)], "c": Fraction(15, 8)}},
+            {"pole": {"a": [Fraction(-209, 272), Fraction(-45, 34)], "c": Fraction(15, 8)}},
+            {"pole": {"a": Fraction(31, 16), "c": Fraction(-1, 8)}},
+        ]
+    )
+    catalan = SeedFunction.from_config([{"pole": {"a": 1, "c": 1}}])
+    # odd about u* = 0: every potential row skips the even powers of V
+    odd = SeedFunction.from_config([{"pole": {"a": 1, "c": 1}}, {"pole": {"a": -1, "c": 1}}])
+    us = [Fraction(-7, 16), Fraction(1, 16), 0, [Fraction(1, 8), Fraction(-1, 5)], 0.3 - 0.1j]
+    check_alpha_probe(three_pole, [Fraction(5, 8), Fraction(-3, 4)], Fraction(-1, 16), 8, us)
+    check_alpha_probe(catalan, [Fraction(1, 2)], 0, 16, us)
+    check_alpha_probe(odd, [Fraction(1, 3), Fraction(-1, 5)], 0, 10, us)
+    check_alpha_probe(POLY_ONLY, [Fraction(-1, 3), 0, Fraction(1, 7)], Fraction(1, 9), 6, us)

@@ -26,6 +26,7 @@ mode every output is byte-for-byte deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import random
 import sys
@@ -479,7 +480,10 @@ _COMMANDS = (
 )
 
 
-def _parse_args(argv):
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser with its six subparsers, built on the first
+    ``main`` call and reused by later ones in the same process."""
     ap = argparse.ArgumentParser(
         prog="hodocusp",
         description="cusp singularities of the shallow-water system "
@@ -496,7 +500,11 @@ def _parse_args(argv):
             help="arithmetic mode (overrides config 'mode')",
         )
         sp.set_defaults(handler=handler)
-    return ap.parse_args(argv)
+    return ap
+
+
+def _parse_args(argv):
+    return _parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

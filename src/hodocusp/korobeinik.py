@@ -23,8 +23,11 @@ the sequence costs O(K) big-integer products and no gcd. The run is kept
 as integers M_k over the denominator den0**2 step**k, so each term ratio
 is one integer true division of consecutive M_k (see ``ratio_points``);
 reduced Fractions are built only where they are asked for
-(``term_magnitudes2``, the tail of ``confirm_divergence``). Inexact seeds
-and float points use the closed form ``KorobeinikSeries.coefficient``.
+(``term_magnitudes2``, the tail of ``confirm_divergence``).
+
+Seeds and points are read exactly where they enter: a float or complex
+input counts as its decimal (``parse_exact``, ``parse_point``), so every
+diagnostic has one exact path.
 """
 
 from __future__ import annotations
@@ -65,41 +68,17 @@ HEURISTIC_MARGIN = 1e-3
 WITNESS_K_CAP = 600
 
 
-def _as_float_point(u) -> complex:
-    return u.to_complex() if isinstance(u, QComplex) else complex(u)
-
-
-def _mag2(v):
-    """|v|**2, exact for QComplex/Fraction inputs."""
-    if isinstance(v, QComplex):
-        return v.abs2()
-    if isinstance(v, (int, Fraction)):
-        return Fraction(v) ** 2
-    a = abs(complex(v))
-    return a * a
-
-
-def _exact_abs(h):
+def _exact_abs(h: QComplex):
     """|h| as a Fraction when that is exact, else None."""
-    if isinstance(h, (int, Fraction)):
-        return abs(Fraction(h))
-    if isinstance(h, QComplex):
-        if h.is_real():
-            return abs(h.re)
-        return rational_sqrt(h.abs2())
-    return None
+    if h.is_real():
+        return abs(h.re)
+    return rational_sqrt(h.abs2())
 
 
 def term_magnitudes2(ks: KorobeinikSeries, u, K: int):
-    """|g_n(u)|**2 for n = 1..K; reduced Fractions on the exact path.
-
-    Exact path (exact seed, QComplex point): the integer run of
-    :func:`_exact_magnitudes2`, each term put over its denominator here.
-    Otherwise each term is the closed form ``ks.coefficient(n, u)``.
-    """
+    """|g_n(u)|**2 for n = 1..K as reduced Fractions: the integer run of
+    :func:`_exact_magnitudes2`, each term put over its denominator here."""
     mags, den2, step = _magnitudes(ks, u, K)
-    if den2 is None:
-        return mags
     out = []
     for m in mags:
         out.append(Fraction(m, den2))
@@ -108,16 +87,9 @@ def term_magnitudes2(ks: KorobeinikSeries, u, K: int):
 
 
 def _magnitudes(ks: KorobeinikSeries, u, K: int):
-    """(mags, den2, step) with |g_{k+1}(u)|**2 = mags[k] / (den2 step**k).
-
-    Integers from the exact recurrence when the seed and the point are
-    exact; otherwise the closed-form squared magnitudes with den2 None and
-    step 1.
-    """
-    point = ks.seed._coerce_point(u)
-    if ks.seed.exact and isinstance(point, QComplex):
-        return _exact_magnitudes2(ks.seed, point, K)
-    return [_mag2(ks.coefficient(n, u)) for n in range(1, K + 1)], None, 1
+    """(mags, den2, step) with |g_{k+1}(u)|**2 = mags[k] / (den2 step**k),
+    integers from the exact recurrence at the exact point u."""
+    return _exact_magnitudes2(ks.seed, parse_point(u, "u"), K)
 
 
 def _exact_magnitudes2(seed: SeedFunction, u: QComplex, K: int):
@@ -172,30 +144,22 @@ def _exact_magnitudes2(seed: SeedFunction, u: QComplex, K: int):
 def ratio_points(mags2, h_abs2=None, step=1):
     """Indexed term ratios (n, |t_{n+1}|/|t_n|), skipping zero terms.
 
-    |t_{n+1}/t_n|**2 = mags2[n] / (mags2[n-1] step): mags2[n-1] is
-    |g_n|**2 (step 1) or the integer run of ``_magnitudes``. With h_abs2
-    the ratios include the |h| factor. For exact terms and h the quotient
-    is one integer true division, which rounds correctly like
-    float(Fraction), so it gives the same bits whether or not the fraction
-    is reduced.
+    |t_{n+1}/t_n|**2 = mags2[n] / (mags2[n-1] step): mags2[n-1] is the
+    Fraction |g_n|**2 (step 1) or the integer run of ``_magnitudes``. With
+    h_abs2 the ratios include the |h| factor; a float h_abs2 is read as the
+    exact rational it stores. The quotient is one integer true division,
+    which rounds correctly like float(Fraction), so it gives the same bits
+    whether or not the fraction is reduced.
     """
-    h2 = 1 if h_abs2 is None else h_abs2
-    exact_h = isinstance(h2, (int, Fraction))
+    h2 = Fraction(1 if h_abs2 is None else h_abs2)
     pts = []
     for n in range(1, len(mags2)):
         a, b = mags2[n - 1], mags2[n]
         if a == 0 or b == 0:
             continue
-        if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-            num = b.numerator * a.denominator
-            den = b.denominator * a.numerator * step
-            if exact_h:
-                q = (num * h2.numerator) / (den * h2.denominator)
-            else:
-                q = num / den * h2
-        else:
-            q = b / a * h2
-        pts.append((n, math.sqrt(float(q))))
+        num = b.numerator * a.denominator * h2.numerator
+        den = b.denominator * a.numerator * step * h2.denominator
+        pts.append((n, math.sqrt(num / den)))
     return pts
 
 
@@ -261,7 +225,7 @@ def radius_probe(seed: SeedFunction, u, K: int = 40) -> ConvergenceReport:
     mags, _, step = _magnitudes(korobeinik_series(seed, u, K), u, K)
     pts = ratio_points(mags, step=step)
     pred = predicted_radius(seed, u)
-    uf = _as_float_point(u)
+    uf = u.to_complex()
     ratios = tuple(r for _, r in pts)
     if seed.is_entire():
         return ConvergenceReport(uf, ratios, math.inf, math.inf, "converges")
@@ -390,17 +354,9 @@ def bidisc_check(
     Bidisc(u_star, R1, R)  # validates positivity
     u0 = parse_point(u_star, "u_star")
     seed.assert_not_pole(u0, "u_star")
-    exact = seed.exact and isinstance(u0, QComplex)
 
-    analytic = True
     d2s = [d2 for _, d2 in seed._pole_distances2(u0)]
-    for d2 in d2s:
-        if exact and isinstance(d2, Fraction):
-            inside = lt_dist_vs_radius(d2, R, R1)
-        else:
-            inside = math.sqrt(float(d2)) < float(R) + 2.0 * math.sqrt(float(R1))
-        if inside:
-            analytic = False
+    analytic = not any(lt_dist_vs_radius(d2, R, R1) for d2 in d2s)
 
     ks = korobeinik_series(seed, u0, probe_terms)
     rnd = random.Random(rng_seed)
@@ -415,7 +371,7 @@ def bidisc_check(
 
     pole_d = math.sqrt(float(min(d2s))) if d2s else math.inf
     return BidiscReport(
-        u_star=_as_float_point(u0),
+        u_star=u0.to_complex(),
         R=float(R),
         R1=float(R1),
         analytic=analytic,
@@ -433,10 +389,7 @@ def _sample_bidisc_point(rnd, u0, R, R1, complex_h=False):
         yr = Fraction(rnd.uniform(-1.0, 1.0)).limit_denominator(den)
         if 0 < xr * xr + yr * yr < 1:
             break
-    if isinstance(u0, QComplex):
-        u = QComplex(u0.re + R * xr, u0.im + R * yr)
-    else:
-        u = complex(u0) + complex(float(R * xr), float(R * yr))
+    u = QComplex(u0.re + R * xr, u0.im + R * yr)
     while True:
         m = Fraction(rnd.uniform(0.0, 1.0)).limit_denominator(den) * R1
         if m != 0:
@@ -450,22 +403,16 @@ def _sample_bidisc_point(rnd, u0, R, R1, complex_h=False):
 
 def _classify_sample(seed, ks, u, h, h_abs, K):
     d2 = seed.min_pole_distance2(u)
-    if d2 is None:
+    if d2 is None or 4 * h_abs < d2:
         predicted = "converges"
-    elif isinstance(d2, Fraction) and isinstance(h_abs, Fraction):
-        four_h = 4 * h_abs
-        if four_h < d2:
-            predicted = "converges"
-        elif four_h > d2:
-            predicted = "diverges"
-        else:
-            predicted = "boundary"
+    elif 4 * h_abs > d2:
+        predicted = "diverges"
     else:
-        predicted = "converges" if 4.0 * float(h_abs) < float(d2) else "diverges"
+        predicted = "boundary"
     observed = _observe_point(ks, u, h_abs, K)
     return BidiscSample(
-        u=_as_float_point(u),
-        h=_as_float_point(h),
+        u=u.to_complex(),
+        h=h.to_complex(),
         predicted=predicted,
         observed=observed,
     )
@@ -474,8 +421,7 @@ def _classify_sample(seed, ks, u, h, h_abs, K):
 def _observe_point(ks, u, h_abs, K) -> str:
     """Ratio-tail verdict for the series at a concrete (u, h)."""
     mags, _, step = _magnitudes(ks, u, K)
-    h2 = h_abs * h_abs if isinstance(h_abs, Fraction) else float(h_abs) ** 2
-    pts = ratio_points(mags, h2, step)
+    pts = ratio_points(mags, h_abs * h_abs, step)
     if len(pts) < RATIO_TAIL:
         return "converges"  # terminating terms: polynomial seed
     tail = [r for _, r in pts[-5:]]
@@ -496,18 +442,12 @@ def _divergence_witness(seed, u0, R, R1):
     """
     # min keeps the first of equally near poles (conjugate pairs tie)
     a, d2 = min(seed._pole_distances2(u0), key=lambda pair: pair[1])
-    if not (isinstance(d2, Fraction) and isinstance(u0, QComplex) and seed.exact):
-        raise UsageError("divergence witness needs exact pole and center data")
     sq_d = math.sqrt(float(d2))
     t_lo = max(0.0, 1.0 - 2.0 * math.sqrt(float(R1)) / sq_d)
     t_hi = min(1.0, float(R) / sq_d)
-    a_q = a if isinstance(a, QComplex) else QComplex(a)
     for mid in (0.5, 0.45, 0.55, 0.4, 0.6, 0.35, 0.65):
         t = Fraction(t_lo + (t_hi - t_lo) * mid).limit_denominator(1000)
-        u = QComplex(
-            u0.re + t * (a_q.re - u0.re),
-            u0.im + t * (a_q.im - u0.im),
-        )
+        u = QComplex(u0.re + t * (a.re - u0.re), u0.im + t * (a.im - u0.im))
         d2u = seed.min_pole_distance2(u)
         if t * t * d2 < R * R and d2u < 4 * R1 and d2u > 0:
             break
@@ -518,7 +458,7 @@ def _divergence_witness(seed, u0, R, R1):
     K = witness_terms(pred_ratio)
     confirmed, tail = confirm_divergence(seed, u, h_abs, K)
     return DivergenceWitness(
-        u=_as_float_point(u),
+        u=u.to_complex(),
         h=float(h_abs),
         predicted_ratio=pred_ratio,
         terms=K,
@@ -542,24 +482,20 @@ def witness_report(w: DivergenceWitness) -> ConvergenceReport:
 def in_union_domain(h, u, u_star, R0) -> bool:
     """Strict membership |u - u*| + 2 sqrt(|h|) < R0.
 
-    Exact (nested-radical comparison by repeated squaring) whenever u and
-    u* are exact, |h| is rational and R0 is rational; float otherwise.
+    Inputs are read exactly (floats as decimals). The test is exact
+    (nested-radical comparison by repeated squaring) whenever |h| is
+    rational, and in floats for a complex h of irrational modulus.
     """
     u = parse_point(u, "u")
     u_star = parse_point(u_star, "u_star")
     h = parse_point(h, "h")
+    R0 = parse_exact(R0, "R0")
     h_abs = _exact_abs(h)
-    if (
-        isinstance(u, QComplex)
-        and isinstance(u_star, QComplex)
-        and h_abs is not None
-        and not isinstance(R0, float)
-    ):
-        R0 = parse_exact(R0, "R0")
+    if h_abs is not None:
         return lt_sum_of_roots((u - u_star).abs2(), h_abs, R0)
-    uf = _as_float_point(u)
-    sf = _as_float_point(u_star)
-    hf = abs(_as_float_point(h))
+    uf = u.to_complex()
+    sf = u_star.to_complex()
+    hf = abs(h.to_complex())
     return abs(uf - sf) + 2.0 * math.sqrt(hf) < float(R0)
 
 
@@ -588,7 +524,8 @@ def cauchy_bound_check(
     pass is expected for any f analytic in |z| < r; a small relative slack
     absorbs the sampling of the circle maximum.
     """
-    r = float(parse_exact(r, "r"))
+    r_q = parse_exact(r, "r")
+    r = float(r_q)
     r0 = float(parse_exact(r0, "r0"))
     eps = float(parse_exact(eps, "eps"))
     if not 0.0 <= r0 < r:
@@ -597,11 +534,11 @@ def cauchy_bound_check(
         raise UsageError("need 0 < eps < r - r0")
     if n_max < 0:
         raise UsageError("n_max must be nonnegative")
-    for a in seed.poles():
-        if abs(_as_float_point(a)) < r:
-            raise UsageError(
-                "seed has a pole inside |z| < r; the bound requires analyticity there"
-            )
+    # exact, so that a pole on the circle |z| = r stays outside the open disc
+    if any(a.abs2() < r_q * r_q for a in seed.poles()):
+        raise UsageError(
+            "seed has a pole inside |z| < r; the bound requires analyticity there"
+        )
     value = _complex_evaluator(seed, 0)
     rho = r - eps
     c_eps = max(
@@ -656,7 +593,7 @@ def _complex_evaluator(seed: SeedFunction, m: int):
                 cs = [t.coeffs[j] * math.perm(j, m) for j in range(len(t.coeffs) - 1, m - 1, -1)]
             else:
                 cs = t.coeffs[::-1]
-            parts.append((None, tuple(complex(c) if isinstance(c, Fraction) else c for c in cs), 0))
+            parts.append((None, tuple(complex(c) for c in cs), 0))
         else:
             a, c = t._consts_for(0j)
             if m:
@@ -694,8 +631,6 @@ def variable_alpha_probe(
     predicted radius column carries the alpha == 4 pole law for comparison;
     no agreement is asserted (for alpha == 4 this reduces to radius_probe).
     """
-    if not seed.exact:
-        raise UsageError("variable-alpha probe needs an exact seed")
     u_star_q = parse_exact(u_star, "u_star")
     b0 = _seed_b0(seed, u_star_q, order)
     if b0 is None:
@@ -706,25 +641,17 @@ def variable_alpha_probe(
     rows = {}
     for i, j, v in c.terms():
         rows.setdefault(i, {})[j] = v
-    rows = [rows.get(k, {}) for k in range(1, c.cap + 1)]
-    int_rows = [_integer_row(row) for row in rows]
+    int_rows = [_integer_row(rows.get(k, {})) for k in range(1, c.cap + 1)]
     reports = []
     for u in u_list:
         uq = parse_point(u, "u")
-        if isinstance(uq, QComplex):
-            v_val = (uq - QComplex(u_star_q)) * 2
-            mags2 = [_row_mag2(row, v_val) for row in int_rows]
-        else:
-            v_val = 2.0 * (complex(uq) - float(u_star_q))
-            mags2 = [
-                Fraction(0) if not row else _mag2(_row_value(row, v_val)) for row in rows
-            ]
-        pts = ratio_points(mags2)
+        v_val = (uq - QComplex(u_star_q)) * 2
+        pts = ratio_points([_row_mag2(row, v_val) for row in int_rows])
         limit, spread = richardson_limit(pts, tail=min(RATIO_TAIL, len(pts)))
         pred = predicted_radius(seed, uq)
         est, verdict = _radius_verdict(limit, spread)
         reports.append(
-            ConvergenceReport(_as_float_point(uq), tuple(r for _, r in pts), est, pred, verdict)
+            ConvergenceReport(uq.to_complex(), tuple(r for _, r in pts), est, pred, verdict)
         )
     return reports
 
@@ -743,8 +670,7 @@ def _row_mag2(int_row, v: QComplex) -> Fraction:
 
     With v = (vr + i vi)/vd, the homogeneous Horner sum
     S = sum_j n_j (vr + i vi)**j vd**(J-j) gives row(v) = S/(d vd**J), so
-    the value equals ``_mag2(_row_value(row, v))`` with no Fraction in the
-    loop.
+    no Fraction is built in the loop.
     """
     d, nums = int_row
     if not nums:
@@ -760,15 +686,3 @@ def _row_mag2(int_row, v: QComplex) -> Fraction:
     den = d * scale
     return Fraction(X * X + Y * Y, den * den)
 
-
-def _row_value(row: dict, v_val):
-    """sum_j row[j] * v_val**j at a float point."""
-    total = None
-    power = 1
-    for j in range(max(row) + 1):
-        if j:
-            power = power * v_val
-        if j in row:
-            term = row[j] * power
-            total = term if total is None else total + term
-    return total

@@ -314,12 +314,8 @@ class PoleTerm:
     def _consts_for(self, u):
         a, c = self.a, self.c
         if not isinstance(u, QComplex):
-            if isinstance(a, QComplex):
-                a = a.to_complex()
-            if isinstance(c, QComplex):
-                c = c.to_complex()
-            else:
-                c = complex(c)
+            a = a.to_complex()
+            c = c.to_complex() if isinstance(c, QComplex) else complex(c)
         return a, c
 
     def value_at(self, u):
@@ -350,27 +346,32 @@ def _zero_power(a, u, power, m) -> DomainError:
     )
 
 
-class SeedFunction:
-    """g1(u) as a finite sum of polynomial and simple-pole components."""
+def _exact_term(t):
+    """The component with exact constants: polynomial coefficients as
+    Fractions, a pole's position as a QComplex and its residue as a
+    Fraction when real, else a QComplex; floats read as exact decimals."""
+    if isinstance(t, PolyTerm):
+        return PolyTerm(tuple(parse_exact(c, f"poly[{j}]") for j, c in enumerate(t.coeffs)))
+    if isinstance(t, PoleTerm):
+        c = parse_point(t.c, "pole.c")
+        return PoleTerm(parse_point(t.a, "pole.a"), c.re if c.is_real() else c, t.n)
+    raise UsageError(f"unknown seed component {type(t).__name__}")
 
-    __slots__ = ("terms", "exact")
+
+class SeedFunction:
+    """g1(u) as a finite sum of polynomial and simple-pole components.
+
+    Every component is held exactly (see ``_exact_term``), so the seed is
+    evaluated exactly at exact points and in floats at complex points.
+    """
+
+    __slots__ = ("terms",)
 
     def __init__(self, terms):
-        terms = tuple(terms)
+        terms = tuple(_exact_term(t) for t in terms)
         if not terms:
             raise UsageError("seed function needs at least one component")
-        exact = True
-        for t in terms:
-            if isinstance(t, PolyTerm):
-                exact &= all(isinstance(c, (int, Fraction)) for c in t.coeffs)
-            elif isinstance(t, PoleTerm):
-                exact &= isinstance(t.a, QComplex) and isinstance(
-                    t.c, (int, Fraction, QComplex)
-                )
-            else:
-                raise UsageError(f"unknown seed component {type(t).__name__}")
         self.terms = terms
-        self.exact = exact
 
     @classmethod
     def from_config(cls, obj, field="g1"):
@@ -396,8 +397,6 @@ class SeedFunction:
                     raise UsageError(f"{where}: pole needs keys a and c")
                 a = parse_point(body["a"], f"{where}.pole.a")
                 c = parse_point(body["c"], f"{where}.pole.c")
-                if isinstance(c, QComplex) and c.is_real():
-                    c = c.re
                 terms.append(PoleTerm(a, c, 1))
             else:
                 raise UsageError(f"{where}: unknown component kind {kind!r}")
@@ -433,14 +432,11 @@ class SeedFunction:
         return total
 
     def _coerce_point(self, u):
+        """Exact points as QComplex; any other point as a complex float."""
         if isinstance(u, QComplex):
-            if not self.exact:
-                return u.to_complex()
             return u
         if isinstance(u, (int, Fraction)):
-            if self.exact:
-                return QComplex(u)
-            return complex(u)
+            return QComplex(u)
         if isinstance(u, complex):
             return u
         return complex(float(u))
@@ -452,30 +448,19 @@ class SeedFunction:
         return not self.poles()
 
     def _pole_distances2(self, u):
-        """(pole, squared distance from u) for each pole, in seed order.
+        """(pole, exact squared distance from u) for each pole, in seed order.
 
-        Exact (Fraction) when both the pole and u are exact.
+        u is read by ``parse_point``, so a float point counts as its decimal.
         """
         ps = self.poles()
         if not ps:
             return []
-        u = self._coerce_point(u)
-        out = []
-        for a in ps:
-            if isinstance(a, QComplex) and isinstance(u, QComplex):
-                d2 = (a - u).abs2()
-            else:
-                ac = a.to_complex() if isinstance(a, QComplex) else complex(a)
-                uc = u.to_complex() if isinstance(u, QComplex) else complex(u)
-                d2 = abs(ac - uc) ** 2
-            out.append((a, d2))
-        return out
+        u = parse_point(u, "u")
+        return [(a, (a - u).abs2()) for a in ps]
 
     def min_pole_distance2(self, u):
-        """Squared distance from u to the nearest pole; None when entire.
-
-        Exact (Fraction) when both the poles and u are exact.
-        """
+        """Exact squared distance (a Fraction) from u to the nearest pole;
+        None when entire."""
         return min((d2 for _, d2 in self._pole_distances2(u)), default=None)
 
     def assert_not_pole(self, u, field="u"):
@@ -677,8 +662,6 @@ def bridge_check(seed: SeedFunction, u_star, order: int, alpha=()) -> BridgeChec
     """
     if any(parse_exact(a, "alpha") != 0 for a in alpha):
         raise UsageError("the series bridge holds only for alpha == 4 (all alpha_j = 0)")
-    if not seed.exact:
-        raise UsageError("bridge check needs an exact seed function")
     u_star = parse_exact(u_star, "u_star")
     derivs = _seed_derivatives(seed, u_star, 2 * order + 1)
     if derivs is None:

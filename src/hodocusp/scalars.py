@@ -30,14 +30,14 @@ def parse_exact(value, field: str = "value") -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, float):
-        value = repr(value)
+        value = repr(float(value))  # the shortest decimal, also for numpy floats
     if isinstance(value, str):
         s = value.strip()
         try:
             if "/" in s:
                 return Fraction(s)
             return Fraction(Decimal(s))
-        except (ValueError, ZeroDivisionError, InvalidOperation) as exc:
+        except (ValueError, OverflowError, ZeroDivisionError, InvalidOperation) as exc:
             raise UsageError(f"{field}: cannot parse rational from {value!r}") from exc
     raise UsageError(f"{field}: cannot parse rational from {type(value).__name__}")
 
@@ -417,11 +417,12 @@ def _as_qcomplex(v):
     return None
 
 
-def parse_point(value, field: str = "value"):
-    """Parse a scalar-or-pair config value into QComplex (exact) or complex.
+def parse_point(value, field: str = "value") -> QComplex:
+    """Parse a scalar-or-pair value into an exact QComplex.
 
-    Accepts int / Fraction / 'p/q' / decimal strings / floats (read as exact
-    decimals), or a two-element list ``[re, im]``.
+    Accepts int / Fraction / 'p/q' / decimal strings / floats, a two-element
+    list ``[re, im]``, or a Python complex; float parts are read as exact
+    decimals, like ``parse_exact``.
     """
     if isinstance(value, QComplex):
         return value
@@ -430,7 +431,7 @@ def parse_point(value, field: str = "value"):
             raise UsageError(f"{field}: a complex pair needs exactly 2 entries")
         return QComplex(parse_exact(value[0], field), parse_exact(value[1], field))
     if isinstance(value, complex):
-        return value
+        return QComplex(parse_exact(value.real, field), parse_exact(value.imag, field))
     return QComplex(parse_exact(value, field))
 
 

@@ -423,3 +423,59 @@ def test_module_invocation(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (out / "curves.csv").exists()
     assert "4 rows" in proc.stdout
+
+
+# -- argument parser ----------------------------------------------------------------
+
+
+def test_parser_is_built_once_and_keeps_help_and_usage_errors(tmp_path, capsys, monkeypatch):
+    import argparse
+
+    def run(argv):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        out = capsys.readouterr()
+        return rc, out.out, out.err
+
+    cli._parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    monkeypatch.setenv("COLUMNS", "80")
+    first = [run(["--help"]), run(["korobeinik", "--help"]), run(["solve"]), run(["nope"])]
+    assert len(built) == 1 + len(cli._COMMANDS)  # the parser and its subparsers
+    rc = cli.main(["korobeinik", "--config", str(CATALAN), "--out", str(tmp_path / "k")])
+    assert rc == 0
+    rc = cli.main(["curves", "--config", str(CANONICAL), "--out", str(tmp_path / "c")])
+    assert rc == 0
+    capsys.readouterr()
+    again = [run(["--help"]), run(["korobeinik", "--help"]), run(["solve"]), run(["nope"])]
+    assert len(built) == 1 + len(cli._COMMANDS)
+    assert again == first
+    (rc_help, help_out, _), (rc_sub, sub_out, _) = first[:2]
+    assert rc_help == rc_sub == 0
+    assert help_out.startswith("usage: hodocusp [-h] command ...")
+    assert sub_out.startswith("usage: hodocusp korobeinik [-h] --config CONFIG")
+    for rc, out, err in first[2:]:
+        assert rc == 2 and out == "" and err.startswith("usage: hodocusp")
+    assert "the following arguments are required: --config" in first[2][2]
+    assert "invalid choice: 'nope'" in first[3][2]
+
+
+def test_korobeinik_cauchy_pole_on_the_circle_runs(tmp_path, capsys):
+    # |27/35 + 36/35 i| = 9/7 = r: the pole is on the circle, outside |z| < r
+    cfg = write_cfg(
+        tmp_path,
+        "korobeinik:\n  g1:\n    - pole: {a: [27/35, 36/35], c: 1}\n"
+        "  cauchy:\n    r: 9/7\n    r0: 1/2\n    eps: 1/7\n    n_max: 12\n",
+    )
+    rc = cli.main(["korobeinik", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert "PASS" in capsys.readouterr().out

@@ -25,7 +25,7 @@ from hodocusp.korobeinik import (
     predicted_radius,
     witness_terms,
 )
-from hodocusp.pde import PolyTerm, SeedFunction
+from hodocusp.pde import PoleTerm, PolyTerm, SeedFunction
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +267,21 @@ def test_cauchy_bound_parameter_guards(catalan_seed):
         cauchy_bound_check(catalan_seed, 2, Fraction(1, 2), Fraction(1, 10), 5)
 
 
+def test_cauchy_bound_pole_on_the_circle_is_outside():
+    # |a| = 9/7 exactly, but abs() of the float pole rounds below float(9/7)
+    a = QComplex(Fraction(27, 35), Fraction(36, 35))
+    assert a.abs2() == Fraction(9, 7) ** 2
+    assert abs(a.to_complex()) < float(Fraction(9, 7))
+    seed = SeedFunction.from_config(
+        [{"pole": {"a": [a.re, a.im], "c": 1}}, {"pole": {"a": [a.re, -a.im], "c": 1}}]
+    )
+    rep = cauchy_bound_check(seed, Fraction(9, 7), Fraction(1, 2), Fraction(1, 7), 12)
+    assert rep.passed
+    # a hair further in, the pole is inside the open disc and is refused
+    with pytest.raises(UsageError, match="pole inside"):
+        cauchy_bound_check(seed, Fraction(9, 7) + Fraction(1, 10**12), Fraction(1, 2), Fraction(1, 7), 12)
+
+
 # -- variable-alpha probe -------------------------------------------------------
 
 
@@ -291,9 +306,18 @@ def test_variable_alpha_corrections_stay_finite(catalan_seed):
 
 
 def test_variable_alpha_probe_needs_exact_seed():
-    seed = SeedFunction((PolyTerm((0.0, 1.0)),))
-    with pytest.raises(UsageError, match="exact seed"):
-        variable_alpha_probe(seed, (), 0, 6, [0])
+    # every seed is exact: a float-built one holds its decimal twin, so the
+    # probe runs on it and reports what the twin reports
+    seed = SeedFunction((PolyTerm((0.0, 1.0)), PoleTerm(1.5, 0.75, 1)))
+    twin = SeedFunction(
+        (PolyTerm((0, 1)), PoleTerm(QComplex(Fraction(3, 2)), Fraction(3, 4), 1))
+    )
+    assert seed.terms == twin.terms
+    got = variable_alpha_probe(seed, (0.5,), 0.125, 6, [0, 0.25, 0.125 - 0.25j])
+    want = variable_alpha_probe(
+        twin, (Fraction(1, 2),), Fraction(1, 8), 6, [0, Fraction(1, 4), [Fraction(1, 8), Fraction(-1, 4)]]
+    )
+    assert repr(got) == repr(want)
 
 
 def test_predicted_radius_law(catalan_seed):

@@ -7,7 +7,9 @@ Each kernel is checked against a slow reference kept in this file:
   QComplex derivative per n, on real poles, conjugate pairs, complex
   residues, polynomial parts and the higher-order poles of
   ``seed.differentiated()``;
-* the float path against the same closed form, bit for bit;
+* float-built seeds and float or complex points against their exact
+  decimal twins, report for report, and the float evaluation at complex
+  points against a kept copy of the closed forms, bit for bit;
 * the ratios read straight from the integer run (``_magnitudes``) against
   ``ratio_points`` of the reduced Fractions, and ``confirm_divergence``
   against its one-Fraction-per-ratio loop, bit for bit;
@@ -40,10 +42,13 @@ from hodocusp.korobeinik import (
     _complex_evaluator,
     _magnitudes,
     _radius_verdict,
+    bidisc_check,
     cauchy_bound_check,
     confirm_divergence,
     divergence_heuristic,
+    in_union_domain,
     predicted_radius,
+    radius_probe,
     ratio_points,
     richardson_limit,
     term_magnitudes2,
@@ -51,6 +56,7 @@ from hodocusp.korobeinik import (
 )
 from hodocusp.pde import (
     BridgeCheck,
+    KorobeinikSeries,
     PoleTerm,
     PolyTerm,
     ProblemData,
@@ -67,15 +73,7 @@ from hodocusp.scalars import QComplex, parse_exact, parse_point
 
 def ref_magnitudes2(ks, u, K):
     """|g_n(u)|**2 from the closed form, one coefficient per n."""
-    out = []
-    for n in range(1, K + 1):
-        v = ks.coefficient(n, u)
-        if isinstance(v, QComplex):
-            out.append(v.abs2())
-        else:
-            a = abs(complex(v))
-            out.append(a * a)
-    return out
+    return [ks.coefficient(n, u).abs2() for n in range(1, K + 1)]
 
 
 def ref_confirm_divergence(seed, u, h_abs, K):
@@ -91,12 +89,19 @@ def ref_confirm_divergence(seed, u, h_abs, K):
     return divergence_heuristic(sq), tuple(math.sqrt(float(s)) for s in sq[-RATIO_TAIL:])
 
 
-def ref_cauchy(seed, r, r0, eps, n_max):
-    """The Cauchy check with the pole constants converted on every call."""
+def ref_cauchy(seed, r, r0, eps, n_max, closed_form=None):
+    """The Cauchy check with the pole constants converted on every call.
+
+    ``closed_form(z, m)`` evaluates the seed's m-th derivative at z; the
+    default is ``seed.derivative_at`` (``seed.value_at`` for m = 0).
+    """
+    if closed_form is None:
+        def closed_form(z, m):
+            return seed.derivative_at(z, m) if m else seed.value_at(z)
     r, r0, eps = float(r), float(r0), float(eps)
     rho = r - eps
     c_eps = max(
-        abs(seed.value_at(rho * cmath.exp(2j * math.pi * k / CIRCLE_SAMPLES)))
+        abs(closed_form(rho * cmath.exp(2j * math.pi * k / CIRCLE_SAMPLES), 0))
         for k in range(CIRCLE_SAMPLES)
     )
     z_points = [0j]
@@ -111,8 +116,7 @@ def ref_cauchy(seed, r, r0, eps, n_max):
             denom *= gap
         bound = c_eps * fact * rho / denom
         for z in z_points:
-            val = abs(seed.derivative_at(z, n)) if n else abs(seed.value_at(z))
-            ratio = val / bound
+            ratio = abs(closed_form(z, n)) / bound
             if ratio > max_ratio:
                 max_ratio, worst = ratio, (n, z)
     return CauchyReport(c_eps, n_max, max_ratio, worst[0], worst[1], max_ratio <= 1.0 + 1e-6)
@@ -150,8 +154,8 @@ def ref_bridge(seed, u_star, order):
     return BridgeCheck(not mismatches, order, checked, tuple(mismatches))
 
 
-def ref_row_value(row, v_val):
-    """sum_j row[j] * v_val**j by QComplex (or complex) powers."""
+def ref_row_at(row, v_val):
+    """sum_j row[j] * v_val**j by QComplex powers."""
     if not row:
         return None
     total = None
@@ -165,13 +169,8 @@ def ref_row_value(row, v_val):
     return total
 
 
-def ref_mag2(v):
-    if isinstance(v, QComplex):
-        return v.abs2()
-    if isinstance(v, (int, Fraction)):
-        return Fraction(v) ** 2
-    a = abs(complex(v))
-    return a * a
+def ref_abs2(v):
+    return v.abs2() if isinstance(v, QComplex) else Fraction(v) ** 2
 
 
 def ref_variable_alpha_probe(seed, alpha, u_star, order, u_list):
@@ -186,19 +185,16 @@ def ref_variable_alpha_probe(seed, alpha, u_star, order, u_list):
     reports = []
     for u in u_list:
         uq = parse_point(u, "u")
-        if isinstance(uq, QComplex):
-            v_val = (uq - QComplex(u_star_q)) * 2
-        else:
-            v_val = 2.0 * (complex(uq) - float(u_star_q))
+        v_val = (uq - QComplex(u_star_q)) * 2
         mags2 = []
         for k in range(1, c.cap + 1):
-            acc = ref_row_value(rows.get(k, {}), v_val)
-            mags2.append(ref_mag2(acc) if acc is not None else Fraction(0))
+            acc = ref_row_at(rows.get(k, {}), v_val)
+            mags2.append(ref_abs2(acc) if acc is not None else Fraction(0))
         pts = ratio_points(mags2)
         est, verdict = _radius_verdict(*richardson_limit(pts, tail=min(RATIO_TAIL, len(pts))))
         reports.append(
             ConvergenceReport(
-                uq.to_complex() if isinstance(uq, QComplex) else uq,
+                uq.to_complex(),
                 tuple(r for _, r in pts),
                 est,
                 predicted_radius(seed, uq),
@@ -206,6 +202,51 @@ def ref_variable_alpha_probe(seed, alpha, u_star, order, u_list):
             )
         )
     return reports
+
+
+def ref_closed_form(terms, z, m, value_form=False):
+    """The component formulas at a complex z on the components as built,
+    a float staying a float: the m-th derivative as
+    ``SeedFunction.derivative_at`` computed it before seeds were read
+    exactly, or its ``value_at`` (m = 0) with ``value_form``."""
+    total = None
+    for t in terms:
+        if isinstance(t, PolyTerm):
+            v = 0j
+            if value_form:
+                for c in reversed(t.coeffs):
+                    v = v * z + c
+            else:
+                for j in range(len(t.coeffs) - 1, m - 1, -1):
+                    v = v * z + t.coeffs[j] * math.perm(j, m)
+        else:
+            a = t.a.to_complex() if isinstance(t.a, QComplex) else t.a
+            c = t.c.to_complex() if isinstance(t.c, QComplex) else complex(t.c)
+            if value_form:
+                v = c / (a - z) ** t.n
+            else:
+                v = c * math.prod(range(t.n, t.n + m)) / (a - z) ** (t.n + m)
+        total = v if total is None else total + v
+    return total
+
+
+def decimal_twin(terms):
+    """The components with every float replaced by its decimal Fraction."""
+
+    def q(x):
+        return Fraction(repr(x)) if isinstance(x, float) else x
+
+    def qc(x):
+        return QComplex(q(x.real), q(x.imag)) if isinstance(x, complex) else QComplex(q(x))
+
+    out = []
+    for t in terms:
+        if isinstance(t, PolyTerm):
+            out.append(PolyTerm(tuple(q(c) for c in t.coeffs)))
+        else:
+            c = qc(t.c)
+            out.append(PoleTerm(qc(t.a), c.re if c.is_real() else c, t.n))
+    return out
 
 
 # -- strategies ---------------------------------------------------------------------
@@ -374,24 +415,182 @@ def test_confirm_divergence_fixed_cases(seed, u, h_abs, K, confirmed):
     assert got[0] is confirmed
 
 
-# -- float path ---------------------------------------------------------------------
+# -- float inputs -------------------------------------------------------------------
 
 
 def test_float_path_keeps_closed_form_bits():
+    """The magnitudes read a float point or a float-built seed as its exact
+    decimal twin; at a complex point the series coefficients stay the float
+    closed forms."""
     exact = SeedFunction.from_config(
         [{"poly": [1, Fraction(1, 3)]}, {"pole": {"a": [2, 1], "c": [1, -1]}}]
     )
-    inexact = SeedFunction((PoleTerm(complex(1.5, 0.25), 0.75, 1), PolyTerm((1.0, 2.0))))
+    floats = SeedFunction((PoleTerm(complex(1.5, 0.25), 0.75, 1), PolyTerm((1.0, 2.0))))
+    twin = SeedFunction(
+        (PoleTerm(QComplex(Fraction(3, 2), Fraction(1, 4)), Fraction(3, 4), 1), PolyTerm((1, 2)))
+    )
     cases = [
-        (exact, complex(0.1, -0.2)),            # exact seed, float point
-        (inexact, QComplex(Fraction(1, 8))),    # float seed, exact point
-        (inexact, 0.3 + 0.1j),
+        (exact, complex(0.1, -0.2), exact, QComplex(Fraction(1, 10), Fraction(-1, 5))),
+        (floats, QComplex(Fraction(1, 8)), twin, QComplex(Fraction(1, 8))),
+        (floats, 0.3 + 0.1j, twin, QComplex(Fraction(3, 10), Fraction(1, 10))),
     ]
-    for seed, u in cases:
+    for seed, u, seed_q, u_q in cases:
         ks = korobeinik_series(seed, u, 40)
         got = term_magnitudes2(ks, u, 40)
-        assert all(type(m) is float for m in got)
-        assert got == ref_magnitudes2(ks, u, 40)
+        assert all(type(m) is Fraction for m in got)
+        assert got == ref_magnitudes2(korobeinik_series(seed_q, u_q, 40), u_q, 40)
+        z = u_q.to_complex()
+        assert repr(ks.coefficient(1, z)) == repr(ref_closed_form(seed_q.terms, z, 0, True))
+        for k in (1, 2, 19):
+            want = ref_closed_form(seed_q.terms, z, 2 * k) / (
+                math.factorial(k) * math.factorial(k + 1)
+            )
+            assert repr(ks.coefficient(k + 1, z)) == repr(want)
+
+
+# the golden three-pole seed: a conjugate pair and a real pole
+THREE_POLE = SeedFunction.from_config(
+    [
+        {"pole": {"a": [Fraction(-209, 272), Fraction(45, 34)], "c": Fraction(15, 8)}},
+        {"pole": {"a": [Fraction(-209, 272), Fraction(-45, 34)], "c": Fraction(15, 8)}},
+        {"pole": {"a": Fraction(31, 16), "c": Fraction(-1, 8)}},
+    ]
+)
+
+
+@pytest.mark.parametrize("u", [0.125 + 0j, complex(-0.4375, 0.0625), complex(0.3, -0.2)])
+def test_radius_probe_at_a_complex_point_is_its_decimal_twin(u):
+    # the float closed form overflowed here before K = 200
+    twin = QComplex(Fraction(repr(u.real)), Fraction(repr(u.imag)))
+    got = radius_probe(THREE_POLE, u, 200)
+    assert len(got.ratios) == 199
+    assert repr(got) == repr(radius_probe(THREE_POLE, twin, 200))
+
+
+# a float-built seed real on the real axis, and its decimal twin
+FLOAT_TERMS = (
+    PoleTerm(complex(-0.75, 1.25), 1.875, 1),
+    PoleTerm(complex(-0.75, -1.25), 1.875, 1),
+    PoleTerm(1.9375, -0.125, 1),
+    PolyTerm((0.5, -0.1)),
+)
+
+
+def test_float_built_seed_reports_are_its_decimal_twins():
+    seed = SeedFunction(FLOAT_TERMS)
+    twin = SeedFunction(decimal_twin(FLOAT_TERMS))
+    assert twin.terms[3] == PolyTerm((Fraction(1, 2), Fraction(-1, 10)))
+    assert seed.terms == twin.terms
+    u_star, u_star_q = -0.0625, Fraction(-1, 16)
+    pairs = [
+        (
+            radius_probe(seed, complex(0.0625, 0.125), 60),
+            radius_probe(twin, [Fraction(1, 16), Fraction(1, 8)], 60),
+        ),
+        (
+            bidisc_check(seed, u_star, 0.85, 0.180625, samples=8),
+            bidisc_check(twin, u_star_q, Fraction(17, 20), Fraction(289, 1600), samples=8),
+        ),
+        (
+            confirm_divergence(seed, complex(0.0625, 0.125), Fraction(1, 2), 60),
+            confirm_divergence(twin, QComplex(Fraction(1, 16), Fraction(1, 8)), Fraction(1, 2), 60),
+        ),
+        (
+            variable_alpha_probe(seed, (0.625, -0.75), u_star, 8, [-0.4375, 0.0625 + 0.125j]),
+            variable_alpha_probe(
+                twin,
+                (Fraction(5, 8), Fraction(-3, 4)),
+                u_star_q,
+                8,
+                [Fraction(-7, 16), [Fraction(1, 16), Fraction(1, 8)]],
+            ),
+        ),
+        (bridge_check(seed, u_star, 6), bridge_check(twin, u_star_q, 6)),
+    ]
+    for got, want in pairs:
+        assert repr(got) == repr(want)
+    bidisc = pairs[1][0]
+    assert not bidisc.analytic and bidisc.witness.confirmed
+    assert pairs[4][0].ok
+    # |u - u*| + 2 sqrt(|h|) = R0 exactly: on the boundary, so not inside,
+    # though the float sum 0.7 + 0.1 falls below 0.8
+    assert abs(0.7) + 2.0 * math.sqrt(0.0025) < 0.8
+    assert in_union_domain(0.0025, 0.7, 0, 0.8) is False
+    assert in_union_domain(Fraction(1, 400), Fraction(7, 10), 0, Fraction(4, 5)) is False
+    assert in_union_domain(0.0025, 0.7, 0, 0.8000001) is True
+
+
+def test_diagnostics_at_complex_points_never_take_the_closed_form(monkeypatch):
+    def closed_form(self, n, u):
+        raise AssertionError("closed-form coefficient called")
+
+    monkeypatch.setattr(KorobeinikSeries, "coefficient", closed_form)
+    seed = SeedFunction(FLOAT_TERMS)
+    u = complex(0.0625, 0.125)
+    assert radius_probe(seed, u, 40).verdict in ("converges", "inconclusive")
+    assert radius_probe(THREE_POLE, 0.125 + 0j, 200).ratios
+    rep = bidisc_check(seed, complex(-0.0625, 0.0), 0.85, 0.180625, samples=8)
+    assert rep.witness is not None and len(rep.samples) == 8
+    assert bidisc_check(THREE_POLE, 0.0625j, 0.5, 0.0625, samples=4).analytic
+    confirm_divergence(seed, u, Fraction(1, 2), 60)
+    term_magnitudes2(korobeinik_series(seed, u, 40), u, 40)
+    assert len(variable_alpha_probe(seed, (0.625,), -0.0625, 6, [u, 0.25 - 0.125j])) == 2
+    assert in_union_domain(0.01 + 0.01j, u, 0j, 1.0)
+
+
+finite = st.floats(min_value=-3, max_value=3, allow_nan=False, allow_infinity=False).filter(
+    lambda x: math.copysign(1.0, x) > 0 or x != 0  # -0.0 reads as +0
+)
+residue_f = finite.filter(lambda x: abs(x) > 1e-3)
+
+
+@st.composite
+def float_components(draw):
+    """1-3 poles with |a| >= 1 (floats or complex), maybe a float polynomial."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = complex(draw(finite), draw(finite)) if draw(st.booleans()) else draw(finite)
+        assume(abs(a) >= 1)
+        c = complex(draw(residue_f), draw(finite)) if draw(st.booleans()) else draw(residue_f)
+        terms.append(PoleTerm(a, c, draw(st.integers(1, 2))))
+    if draw(st.booleans()):
+        terms.append(PolyTerm(tuple(draw(st.lists(finite, min_size=1, max_size=6)))))
+    return tuple(terms)
+
+
+@settings(max_examples=30, deadline=None)
+@given(float_components(), st.complex_numbers(max_magnitude=0.5, allow_nan=False, allow_infinity=False))
+def test_float_built_seed_keeps_the_closed_form_bits(terms, z):
+    """Bits at complex points, against the closed forms on the components as
+    built. A float-built seed holds its decimal twin, and every result has
+    the bits the twin had. Where the raw floats took another rounding, the
+    closed form on the floats still agrees: in the value, and in every pole
+    derivative. A polynomial derivative is the one place it may not: its
+    coefficient c_j perm(j, m) is now the exact product rounded once, where
+    the float product was rounded from the binary c_j."""
+    seed = SeedFunction(terms)
+    twin = decimal_twin(terms)
+    has_poly = any(isinstance(t, PolyTerm) for t in terms)
+    for m in range(9):
+        got = repr(seed.derivative_at(z, m))
+        assert got == repr(ref_closed_form(twin, z, m))
+        assert repr(_complex_evaluator(seed, m)(z)) == repr(
+            ref_closed_form(twin, z, m, value_form=m == 0)
+        )
+        if not has_poly:
+            assert got == repr(ref_closed_form(terms, z, m))
+    value = repr(seed.value_at(z))
+    assert value == repr(ref_closed_form(terms, z, 0, value_form=True))
+    assert value == repr(ref_closed_form(twin, z, 0, value_form=True))
+    r, r0, eps = Fraction(7, 8), Fraction(1, 4), Fraction(1, 8)
+    got = cauchy_bound_check(seed, r, r0, eps, 6)
+    assert got == ref_cauchy(
+        seed, r, r0, eps, 6, lambda w, m: ref_closed_form(twin, w, m, value_form=m == 0)
+    )
+    if not has_poly:
+        assert got == ref_cauchy(
+            seed, r, r0, eps, 6, lambda w, m: ref_closed_form(terms, w, m, value_form=m == 0)
+        )
 
 
 # -- cauchy and bridge --------------------------------------------------------------

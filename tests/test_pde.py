@@ -249,8 +249,10 @@ def test_differentiated_chain_matches_derivative_at():
 
 def test_seed_config_grammar():
     seed = SeedFunction.from_config([{"poly": [1, 2]}, {"pole": {"a": 1, "c": 1}}])
-    assert len(seed.terms) == 2
-    assert seed.exact
+    assert seed.terms == (
+        PolyTerm((Fraction(1), Fraction(2))),
+        PoleTerm(QComplex(1), Fraction(1), 1),
+    )
     single = SeedFunction.from_config({"pole": {"a": [0, 1], "c": "1/2"}})
     assert single.terms[0].a == QComplex(0, 1)
     with pytest.raises(UsageError, match="poly:/pole:"):
@@ -366,8 +368,32 @@ def test_bridge_rejects_nonzero_alpha():
         bridge_check(seed, 0, order=4, alpha=(Fraction(1),))
 
 
-def test_bridge_rejects_float_seed():
-    seed = SeedFunction([PolyTerm((0.5,))])
-    assert not seed.exact
-    with pytest.raises(UsageError, match="exact"):
-        bridge_check(seed, 0, order=4)
+def test_bridge_reads_float_seed_as_decimals():
+    # a float-built seed holds its decimal twin, so the bridge runs on it
+    seed = SeedFunction([PolyTerm((0.5, 0.1, -0.25)), PoleTerm(1.5, 0.75, 1)])
+    twin = SeedFunction(
+        [
+            PolyTerm((Fraction(1, 2), Fraction(1, 10), Fraction(-1, 4))),
+            PoleTerm(QComplex(Fraction(3, 2)), Fraction(3, 4), 1),
+        ]
+    )
+    assert seed.terms == twin.terms
+    rep = bridge_check(seed, 0.1, order=4)
+    assert rep == bridge_check(twin, Fraction(1, 10), order=4)
+    assert rep.ok and rep.checked == 15
+
+
+def test_seed_components_are_read_exactly():
+    seed = SeedFunction([PoleTerm(complex(0.5, -1.25), complex(2.0, 0.0), 2)])
+    assert seed.terms == (PoleTerm(QComplex(Fraction(1, 2), Fraction(-5, 4)), Fraction(2), 2),)
+    assert type(seed.terms[0].c) is Fraction  # a real residue is a Fraction
+    pair = SeedFunction([PoleTerm(1, QComplex(1, 2), 1)])
+    assert pair.terms[0].a == QComplex(1) and pair.terms[0].c == QComplex(1, 2)
+    # the config grammar has no complex polynomial coefficient, and neither
+    # has the seed
+    with pytest.raises(UsageError, match=r"poly\[1\]: cannot parse rational from complex"):
+        SeedFunction([PolyTerm((1, 0.5j))])
+    with pytest.raises(UsageError, match=r"poly\[0\]"):
+        SeedFunction([PolyTerm((QComplex(0, 1),))])
+    with pytest.raises(UsageError, match="pole.a: cannot parse rational"):
+        SeedFunction([PoleTerm(math.nan, 1, 1)])

@@ -76,9 +76,30 @@ def test_parse_point_idempotent():
     assert parse_point(z) is z
 
 
-def test_parse_point_python_complex_passthrough():
+def test_parse_point_python_complex_as_decimals():
+    # each part is read like parse_exact reads a float: as its decimal
     z = 0.1 + 0.2j
-    assert parse_point(z) == z
+    assert parse_point(z) == QComplex(Fraction(1, 10), Fraction(1, 5))
+    assert parse_point(z) == parse_point(["0.1", "0.2"])
+    assert parse_point(z).to_complex() == z
+    assert parse_point(complex(-0.0, 0.5)) == QComplex(0, Fraction(1, 2))
+    for bad in (complex(math.nan, 0), complex(0, math.inf), complex(-math.inf, 1)):
+        with pytest.raises(UsageError, match="u: cannot parse rational"):
+            parse_point(bad, "u")
+
+
+def test_parse_exact_reads_numpy_floats_as_decimals():
+    np = pytest.importorskip("numpy")
+    assert parse_exact(np.float64(0.1)) == Fraction(1, 10)
+    assert parse_point(complex(np.float64(0.3), np.float64(-0.2))) == QComplex(
+        Fraction(3, 10), Fraction(-1, 5)
+    )
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "inf", "-Infinity"])
+def test_parse_exact_refuses_non_finite_values(bad):
+    with pytest.raises(UsageError, match="R0: cannot parse rational"):
+        parse_exact(bad, "R0")
 
 
 def test_parse_point_bad_pair():

@@ -56,23 +56,14 @@ from .pde import (
 from .scalars import (
     QComplex,
     lt_dist_vs_radius,
-    lt_sum_of_roots,
     parse_exact,
     parse_point,
-    rational_sqrt,
 )
 
 RATIO_TAIL = 10
 SPREAD_TOL = 0.05
 HEURISTIC_MARGIN = 1e-3
 WITNESS_K_CAP = 600
-
-
-def _exact_abs(h: QComplex):
-    """|h| as a Fraction when that is exact, else None."""
-    if h.is_real():
-        return abs(h.re)
-    return rational_sqrt(h.abs2())
 
 
 def term_magnitudes2(ks: KorobeinikSeries, u, K: int):
@@ -146,12 +137,12 @@ def ratio_points(mags2, h_abs2=None, step=1):
 
     |t_{n+1}/t_n|**2 = mags2[n] / (mags2[n-1] step): mags2[n-1] is the
     Fraction |g_n|**2 (step 1) or the integer run of ``_magnitudes``. With
-    h_abs2 the ratios include the |h| factor; a float h_abs2 is read as the
-    exact rational it stores. The quotient is one integer true division,
+    h_abs2 the ratios include the |h| factor; a float h_abs2 is read as its
+    decimal (``parse_exact``). The quotient is one integer true division,
     which rounds correctly like float(Fraction), so it gives the same bits
     whether or not the fraction is reduced.
     """
-    h2 = Fraction(1 if h_abs2 is None else h_abs2)
+    h2 = Fraction(1) if h_abs2 is None else parse_exact(h_abs2, "h_abs2")
     pts = []
     for n in range(1, len(mags2)):
         a, b = mags2[n - 1], mags2[n]
@@ -266,11 +257,11 @@ def confirm_divergence(seed: SeedFunction, u, h_abs, K: int):
     Squared term ratios are compared in exact rational arithmetic, since
     the terms themselves overflow floats for the K this can need; only the
     last RATIO_TAIL of them, which the heuristic reads, become Fractions.
-    A float h_abs is read as the exact rational it stores.
+    A float h_abs is read as its decimal (``parse_exact``).
     """
     u = parse_point(u, "u")
     mags, _, step = _magnitudes(korobeinik_series(seed, u, K), u, K)
-    h2 = Fraction(h_abs) ** 2
+    h2 = parse_exact(h_abs, "h_abs") ** 2
     pts = ratio_points(mags, h2, step)[-RATIO_TAIL:]
     sq = [
         Fraction(mags[n] * h2.numerator, mags[n - 1] * step * h2.denominator)
@@ -480,23 +471,22 @@ def witness_report(w: DivergenceWitness) -> ConvergenceReport:
 
 
 def in_union_domain(h, u, u_star, R0) -> bool:
-    """Strict membership |u - u*| + 2 sqrt(|h|) < R0.
+    """Strict membership |u - u*| + 2 sqrt(|h|) < R0, decided exactly.
 
-    Inputs are read exactly (floats as decimals). The test is exact
-    (nested-radical comparison by repeated squaring) whenever |h| is
-    rational, and in floats for a complex h of irrational modulus.
+    Inputs are read exactly (floats as decimals). With A = |u - u*|**2 and
+    B = |h|**2 the test reads sqrt(A) + 2 B**(1/4) < R0. It needs R0 > 0
+    and R0**2 > A, and then 16 B < (R0 - sqrt(A))**4, which expands to
+    P > 4 R0 (R0**2 + A) sqrt(A) with P = R0**4 + 6 R0**2 A + A**2 - 16 B:
+    P must be positive, and then squaring both sides decides it.
     """
-    u = parse_point(u, "u")
-    u_star = parse_point(u_star, "u_star")
-    h = parse_point(h, "h")
+    A = (parse_point(u, "u") - parse_point(u_star, "u_star")).abs2()
+    B = parse_point(h, "h").abs2()
     R0 = parse_exact(R0, "R0")
-    h_abs = _exact_abs(h)
-    if h_abs is not None:
-        return lt_sum_of_roots((u - u_star).abs2(), h_abs, R0)
-    uf = u.to_complex()
-    sf = u_star.to_complex()
-    hf = abs(h.to_complex())
-    return abs(uf - sf) + 2.0 * math.sqrt(hf) < float(R0)
+    r2 = R0 * R0
+    if R0 <= 0 or r2 <= A:
+        return False
+    P = r2 * r2 + 6 * r2 * A + A * A - 16 * B
+    return P > 0 and 16 * r2 * (r2 + A) ** 2 * A < P * P
 
 
 # -- Cauchy derivative bound ---------------------------------------------------

@@ -574,6 +574,11 @@ class Series1(_Series):
     def rename(self, name):
         return Series1._raw(name, self.cap, dict(self._c), self.mode, self.eff)
 
+    def recap(self, cap):
+        """Change the cap, dropping terms if lowered."""
+        c = {j: v for j, v in self._c.items() if j <= cap}
+        return Series1._raw(self.name, cap, c, self.mode, self.eff)
+
     @staticmethod
     def _plan(bands):
         """Horner row: the coefficients from the top term's degree down to 0.
@@ -732,35 +737,34 @@ def substitute(a: Series2, which: str, s: Series2) -> Series2:
 
 
 def compose1(f: Series1, g: Series1) -> Series1:
-    """f(g) for a one-variable series g with zero constant term."""
+    """f(g) for a one-variable series g with zero constant term.
+
+    Both series are lifted onto the axis of g's variable in a pair with a
+    spare variable, and f is composed with g there by :func:`substitute`, so
+    every composition runs through the one Horner kernel.
+    """
     if f.cap != g.cap:
         raise UsageError(f"cap mismatch: {f.cap} vs {g.cap}")
     if f.mode != g.mode:
         raise UsageError(f"scalar mode mismatch: {f.mode} vs {g.mode}")
     if 0 in g._c:
         raise UsageError("substituted series must have zero constant term")
-    out = Series1(g.name, g.cap, {}, mode=g.mode)
-    p = Series1(g.name, g.cap, {0: 1}, mode=g.mode)
-    deg = 0
-    for j in range(0, f.cap + 1):
-        while deg < j:
-            p = p * g
-            deg += 1
-        v = f._c.get(j)
-        if v is not None:
-            out = out + p.scale(v)
-    eff = f.eff
-    m = min((j - 1 for j in f._c if j >= 1), default=None)
-    if m is not None:
-        eff = min(eff, g.eff + m)
-    return Series1._raw(g.name, g.cap, out._c, g.mode, eff)
+    # no term carries the spare variable, so its name may even equal g's
+    names = (g.name, "_")
+    a = lift1to2(f.rename(g.name), names, 0)
+    return substitute(a, g.name, lift1to2(g, names, 0)).at_zero(0)
 
 
 # -- inversion ---------------------------------------------------------------
 
 
 def reversion(f: Series1, new_name: str = "W") -> Series1:
-    """Compositional inverse of f (f(0) = 0, f'(0) != 0): f(g(W)) = W."""
+    """Compositional inverse of f (f(0) = 0, f'(0) != 0): f(g(W)) = W.
+
+    Pass k composes f with the inverse known through order k - 1, both at
+    cap k, and fixes g_k from the order-k defect, which is linear in g_k:
+    each pass reads only the orders it solves for.
+    """
     if not f.is_zero() and 0 in f._c:
         raise UsageError("reversion needs a series with zero constant term")
     f1 = f._c.get(1)
@@ -769,10 +773,9 @@ def reversion(f: Series1, new_name: str = "W") -> Series1:
     cap, mode = f.cap, f.mode
     one = Fraction(1) if mode == EXACT else 1.0
     g = {1: one / f1}
-    fw = Series1._raw(new_name, cap, {j: v for j, v in f._c.items()}, mode, f.eff)
+    fw = f.rename(new_name)
     for k in range(2, cap + 1):
-        partial = Series1._raw(new_name, cap, dict(g), mode, cap)
-        comp = compose1(fw, partial)
+        comp = compose1(fw.recap(k), Series1._raw(new_name, k, dict(g), mode, k))
         # with g correct below order k, the first defect of f(g) - W is at
         # order k and is linear in the missing g_k
         r = comp._c.get(k, 0 if mode == EXACT else 0.0)
@@ -835,6 +838,10 @@ def cube_root_normalize(x0: Series1, new_name: str = "W") -> Series1:
     ``x0`` must vanish to second order with a nonzero cubic coefficient c3.
     In exact mode the leading slope (1/c3)**(1/3) is kept as an element of
     Q(cbrt(1/c3)); in float mode it is the real cube root.
+
+    Pass m composes x0 with V known through order m - 1, both at cap m + 2,
+    and fixes a_m from the defect at order m + 2, which is linear in a_m:
+    each pass reads only the orders it solves for.
     """
     for j in (0, 1, 2):
         if j in x0._c:
@@ -853,11 +860,10 @@ def cube_root_normalize(x0: Series1, new_name: str = "W") -> Series1:
     else:
         a1 = real_cbrt(1.0 / c3)
     a = {1: a1}
-    xw = Series1._raw(new_name, cap, dict(x0._c), mode, x0.eff)
+    xw = x0.rename(new_name)
     # 3*c3*a1**2 = 3/a1, so each order divides by that unit
     for m in range(2, cap - 1):
-        partial = Series1._raw(new_name, cap, dict(a), mode, cap)
-        comp = compose1(xw, partial)
+        comp = compose1(xw.recap(m + 2), Series1._raw(new_name, m + 2, dict(a), mode, m + 2))
         r = comp._c.get(m + 2)
         if r is None or _is_zero(r):
             continue

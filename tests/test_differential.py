@@ -4,6 +4,9 @@ Each kernel is checked against a slow reference kept in this file:
 
 * Horner ``substitute`` and ``compose2`` against term-by-term composition
   from power tables, one product per term of the outer series;
+* ``compose1`` against the sum of full-cap powers it used to form, and
+  ``reversion`` and ``cube_root_normalize`` against the same solvers with a
+  full-cap recomposition per order, coefficient and insertion order alike;
 * ``implicit_solve`` through the round trip f(solution) = identity, also
   over Q(cbrt(rad));
 * the integer ``CubicRadical`` against the same field written with three
@@ -11,19 +14,24 @@ Each kernel is checked against a slow reference kept in this file:
 """
 
 import math
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodocusp.scalars import CubicRadical, make_radical, real_cbrt
+from hodocusp.scalars import CubicRadical, cbrt_exact, make_radical, real_cbrt
 from hodocusp.series import (
     EXACT,
     FLOAT,
+    Series1,
     Series2,
+    compose1,
     compose2,
     const2,
+    cube_root_normalize,
     implicit_solve,
+    reversion,
     substitute,
     variable2,
     zero2,
@@ -239,3 +247,113 @@ def test_implicit_solve_roundtrip_radical(r, lead, second, data):
     assert sol.eff == f.eff
     back = substitute(f, x, sol)
     assert back == variable2(sol.names, CAP, "tau")
+
+
+# -- reference: one-variable composition from full-cap powers -----------------------
+
+
+def ref_compose1(f, g):
+    """f(g) as the sum of f_j g**j over full-cap powers of g."""
+    out = Series1(g.name, g.cap, {}, mode=g.mode)
+    p = Series1(g.name, g.cap, {0: 1}, mode=g.mode)
+    for j in range(f.cap + 1):
+        if j:
+            p = p * g
+        v = f._c.get(j)
+        if v is not None:
+            out = out + p.scale(v)
+    eff = f.eff
+    m = min((j - 1 for j in f._c if j >= 1), default=None)
+    if m is not None:
+        eff = min(eff, g.eff + m)
+    return Series1._raw(g.name, g.cap, out._c, g.mode, eff)
+
+
+def ref_reversion(f, new_name="W"):
+    """The inverse series, each order from a full-cap recomposition."""
+    cap, mode = f.cap, f.mode
+    f1 = f._c[1]
+    g = {1: 1 / f1}
+    fw = f.rename(new_name)
+    for k in range(2, cap + 1):
+        comp = ref_compose1(fw, Series1._raw(new_name, cap, dict(g), mode, cap))
+        gk = -comp._c.get(k, 0) / f1
+        if gk != 0:
+            g[k] = gk
+    return Series1._raw(new_name, cap, g, mode, f.eff)
+
+
+def ref_cube_root_normalize(x0, new_name="W"):
+    """V(W) with x0(V) = W**3, each order from a full-cap recomposition."""
+    cap, mode = x0.cap, x0.mode
+    a1 = cbrt_exact(1 / x0._c[3])
+    a = {1: a1}
+    xw = x0.rename(new_name)
+    for m in range(2, cap - 1):
+        comp = ref_compose1(xw, Series1._raw(new_name, cap, dict(a), mode, cap))
+        r = comp._c.get(m + 2)
+        if r is not None and r != 0:
+            a[m] = -r * a1 / 3
+    return Series1._raw(new_name, cap, a, mode, min(x0.eff, cap - 2))
+
+
+def series1_st(values, cap=CAP):
+    return st.dictionaries(st.integers(0, cap), values, max_size=cap + 1)
+
+
+def assert_same_series1(got, want):
+    assert (got.name, got.cap, got.mode, got.eff) == (want.name, want.cap, want.mode, want.eff)
+    assert got == want
+
+
+@given(f=series1_st(fractions_st), g=series1_st(fractions_st), eff=st.integers(0, CAP))
+@settings(max_examples=80, deadline=None)
+def test_compose1_matches_power_sum_exact(f, g, eff):
+    g.pop(0, None)
+    fs = Series1("V", CAP, f, eff=eff)
+    gs = Series1("W", CAP, g, eff=CAP - eff)
+    assert_same_series1(compose1(fs, gs), ref_compose1(fs, gs))
+
+
+@given(r=st.sampled_from(RADS), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_compose1_matches_power_sum_radical(r, data):
+    f = Series1("V", CAP, data.draw(series1_st(radical_st(r))))
+    g = data.draw(series1_st(radical_st(r)))
+    g.pop(0, None)
+    gs = Series1("_", CAP, g)  # compose1's spare variable has the same name
+    assert_same_series1(compose1(f, gs), ref_compose1(f, gs))
+
+
+@given(f=series1_st(floats_st), g=series1_st(floats_st))
+@settings(max_examples=60, deadline=None)
+def test_compose1_matches_power_sum_float(f, g):
+    g.pop(0, None)
+    fs, gs = Series1("V", CAP, f, mode=FLOAT), Series1("V", CAP, g, mode=FLOAT)
+    got, want = compose1(fs, gs), ref_compose1(fs, gs)
+    assert (got.name, got.cap, got.eff) == (want.name, want.cap, want.eff)
+    assert_close(got, want)
+
+
+def random_series1(rng, cap, lead):
+    """Exact series with a nonzero coefficient at ``lead``, sparse above it."""
+    c = {lead: Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 7))}
+    for j in range(lead + 1, cap + 1):
+        if rng.random() < 0.7:
+            c[j] = Fraction(rng.randint(-7, 7), rng.randint(1, 7))
+    return Series1("V", cap, c, eff=cap - rng.randint(0, 1))
+
+
+def test_solvers_match_full_cap_recomposition():
+    for cap in range(3, 17):
+        rng = random.Random(cap)
+        x0 = random_series1(rng, cap, 3)
+        v = cube_root_normalize(x0, "W")
+        want = ref_cube_root_normalize(x0, "W")
+        assert_same_series1(v, want)
+        assert list(v._c.items()) == list(want._c.items())
+        # Fraction coefficients, then the cube-root ones of V(W)
+        for f in (random_series1(rng, cap, 1), v.rename("V")):
+            g, want = reversion(f, "U"), ref_reversion(f, "U")
+            assert_same_series1(g, want)
+            assert list(g._c.items()) == list(want._c.items())

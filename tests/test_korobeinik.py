@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -138,9 +139,9 @@ def test_confirm_divergence_at_exact_radius_stays_unconfirmed(catalan_seed):
 
 def test_confirm_divergence_float_h_is_read_exactly(catalan_seed):
     # the terms at K = 600 overflow floats; a float |h| must not pull the
-    # comparison out of exact arithmetic
+    # comparison out of exact arithmetic, and it counts as its decimal
     got = confirm_divergence(catalan_seed, 0, 0.3, 600)
-    assert got == confirm_divergence(catalan_seed, 0, Fraction(0.3), 600)
+    assert got == confirm_divergence(catalan_seed, 0, Fraction(3, 10), 600)
     confirmed, tail = got
     assert confirmed
     assert len(tail) == 10 and all(1.19 < r < 1.2 for r in tail)
@@ -230,6 +231,41 @@ def test_union_domain_matches_float_formula():
         assert in_union_domain(h, u, 0, R0) == (f < float(R0))
         checked += 1
     assert checked > 90
+
+
+def test_union_domain_exact_for_irrational_modulus():
+    # |h| = 2 sqrt(2), so 2 sqrt(|h|) = 128**(1/4) is irrational, and the
+    # float sum rounds 2.8e-16 above it; R0 sits between the two
+    h = 2 + 2j
+    R0 = Fraction("3.3635856610148583")
+    assert R0**4 > 128 and float(R0) == 2.0 * math.sqrt(abs(h))
+    assert in_union_domain(h, 0, 0, R0)
+    below = Fraction("3.3635856610148581")
+    assert below**4 < 128 and not in_union_domain(h, 0, 0, below)
+    assert not in_union_domain(h, 0, 0, 0) and not in_union_domain(h, 4, 0, 4)
+
+
+def test_union_domain_matches_high_precision_sum():
+    def dec(q):
+        return Decimal(q.numerator) / Decimal(q.denominator)
+
+    def rand(den, lo, hi):
+        return Fraction(rng.randint(lo * den, hi * den), den)
+
+    rng = random.Random(7)
+    checked = 0
+    with localcontext(Context(prec=80)):
+        for _ in range(400):
+            den = rng.choice((16, 100, 997))
+            u = QComplex(rand(den, -2, 2), rand(den, -1, 1))
+            h = QComplex(rand(den, -1, 1), rand(den, -1, 1))
+            R0 = rand(den, -1, 4)
+            gap = dec(R0) - dec(u.abs2()).sqrt() - 2 * dec(h.abs2()).sqrt().sqrt()
+            if abs(gap) < Decimal("1e-60"):
+                continue
+            assert in_union_domain(h, u, 0, R0) == (gap > 0)
+            checked += 1
+    assert checked > 390
 
 
 # -- Cauchy derivative bound ---------------------------------------------------

@@ -79,7 +79,7 @@ def ref_magnitudes2(ks, u, K):
 def ref_confirm_divergence(seed, u, h_abs, K):
     """The divergence run with one reduced Fraction per squared ratio."""
     mags2 = term_magnitudes2(korobeinik_series(seed, u, K), u, K)
-    h2 = Fraction(h_abs) ** 2
+    h2 = parse_exact(h_abs) ** 2
     sq = []
     for n in range(1, len(mags2)):
         a, b = mags2[n - 1], mags2[n]
@@ -399,6 +399,15 @@ def test_confirm_divergence_matches_fraction_loop(seed, u, K, factor):
     h_abs = d2 / 4 * factor  # around the pointwise radius d(u)**2 / 4
     for h in (h_abs, float(h_abs)):
         assert confirm_divergence(seed, u, h, K) == ref_confirm_divergence(seed, u, h, K)
+
+
+def test_float_h_reads_as_its_decimal():
+    seed = SeedFunction.from_config([{"pole": {"a": 1, "c": 1}}])
+    got = confirm_divergence(seed, 0, 0.3, 120)
+    assert got == confirm_divergence(seed, 0, Fraction(3, 10), 120)
+    assert got[1][-1] == 1.185
+    mags2 = term_magnitudes2(korobeinik_series(seed, 0, 20), 0, 20)
+    assert ratio_points(mags2, 0.09) == ratio_points(mags2, Fraction(9, 100))
 
 
 @pytest.mark.parametrize(

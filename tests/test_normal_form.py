@@ -253,7 +253,18 @@ def test_float_build_generic_matches_exact(seed):
         # whose coefficients reach ~1e12, where roundoff alone exceeds it
         assert "cube normalization failed" in str(exc)
         return
-    epack = random_pack(seed, order=10)
+    assert_float_pack_matches_exact(fpack, random_pack(seed, order=10))
+
+
+def test_float_build_generic_order16_matches_exact():
+    # at order 16 the float build of instance 11 used to fail the 1e-9 cube
+    # check; cube_root_normalize now solves each order at the cap it reads
+    sol = expand_potential(random_singular_problem(random.Random(11)), order=16, mode=FLOAT)
+    fpack = build_normal_form(hodograph_map(sol))
+    assert_float_pack_matches_exact(fpack, random_pack(11, order=16))
+
+
+def assert_float_pack_matches_exact(fpack, epack):
     p = epack.problem
     t, x = float(p.t_star), float(p.x_star)
     got, want = reconstruct(t, x, fpack), reconstruct(t, x, epack)

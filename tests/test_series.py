@@ -238,6 +238,22 @@ def test_substitute_rejects_missing_kept_variable():
         substitute(monomial2(HV, 8, 1, 0), "h", s)
 
 
+# -- recap ----------------------------------------------------------------------------
+
+
+def test_series1_recap_mirrors_series2():
+    s = Series1("V", 8, {0: 1, 2: Fraction(1, 3), 5: 2, 8: -1}, eff=6)
+    for cap in (0, 2, 5, 8, 12):
+        r = s.recap(cap)
+        assert (r.name, r.cap, r.mode, r.eff) == ("V", cap, EXACT, min(6, cap))
+        assert r._c == {j: v for j, v in s._c.items() if j <= cap}
+        lifted = lift1to2(s, HV, 1).recap(cap)
+        assert lift1to2(r, HV, 1) == lifted and lifted.eff == r.eff
+    assert s.cap == 8 and len(s._c) == 4
+    f = s.to_float().recap(3)
+    assert f.mode == FLOAT and f._c == {0: 1.0, 2: 1 / 3}
+
+
 # -- 1d reversion -----------------------------------------------------------------
 
 

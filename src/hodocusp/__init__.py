@@ -6,9 +6,10 @@ singular part to the cusp miniversal form U**3 + lambda1*U + lambda2,
 then reconstruct multivalued (h, v)(t, x) branches, the fold and h = 0
 curve families, and convergence diagnostics for the underlying series.
 
-Everything constructive is exact (Fraction coefficients, an explicit cube
-root adjoined where needed); floats enter only at evaluation time. Only
-the finite-difference oracles of `hodocusp.verify` use numpy; the package
+In exact mode, the default, everything constructive is exact (Fraction
+coefficients, an explicit cube root adjoined where needed) and floats enter
+only at evaluation time; float mode builds the series in float64. Only the
+finite-difference oracles of `hodocusp.verify` use numpy; the package
 re-exports their names lazily, so `import hodocusp` does not load it.
 """
 
@@ -75,7 +76,6 @@ from .scalars import (
     QComplex,
     cbrt_exact,
     lt_dist_vs_radius,
-    lt_sum_of_roots,
     make_radical,
     parse_exact,
     parse_point,
@@ -139,7 +139,6 @@ __all__ = [
     "jacobian_forms_agree",
     "korobeinik_series",
     "lt_dist_vs_radius",
-    "lt_sum_of_roots",
     "make_radical",
     "parse_exact",
     "parse_point",

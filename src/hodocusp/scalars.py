@@ -435,18 +435,6 @@ def parse_point(value, field: str = "value") -> QComplex:
     return QComplex(parse_exact(value, field))
 
 
-def lt_sum_of_roots(A: Fraction, B: Fraction, bound: Fraction) -> bool:
-    """Exact test of sqrt(A) + 2*sqrt(B) < bound for rationals A, B >= 0."""
-    if A < 0 or B < 0:
-        raise UsageError("lt_sum_of_roots needs nonnegative radicands")
-    if bound <= 0:
-        return False
-    t = bound * bound - A - 4 * B
-    if t <= 0:
-        return False
-    return 16 * A * B < t * t
-
-
 def lt_dist_vs_radius(D2: Fraction, R: Fraction, R1: Fraction) -> bool:
     """Exact test of sqrt(D2) < R + 2*sqrt(R1) for rationals, R >= 0, R1 >= 0."""
     if D2 < 0 or R < 0 or R1 < 0:

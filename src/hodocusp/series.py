@@ -327,7 +327,7 @@ class _Series:
 
         Built once per series from the float coefficients grouped by total
         degree, in term order within each degree. The scalar and the numpy
-        evaluators both read the plan.
+        evaluators both read the plan, through one kernel per series kind.
         """
         if self._fcache is None:
             bands = {}
@@ -373,6 +373,37 @@ def _band_radius(bands, cap) -> float:
     top_mag = sum(abs(c) for _, c in top)
     lead_mag = sum(abs(c) for _, c in bands[lead_deg])
     return (VALIDITY_REL_TOL * lead_mag / top_mag) ** (1.0 / (cap - lead_deg))
+
+
+def _eval1(row, x, acc):
+    """Horner's rule over a ``Series1`` plan row at x, starting from acc.
+
+    x and acc are both floats or both numpy arrays: points and grids share
+    this one rule, so a grid node gets the bits of the point.
+    """
+    for c in row:
+        acc = acc * x + c
+    return acc
+
+
+def _eval2(plan, x, y, acc):
+    """Add the ``Series2`` plan terms c * x**i * y**j to acc one at a time,
+    in plan order.
+
+    x, y and acc are floats or numpy arrays; an array acc is added into in
+    place. The powers start from the float 1.0, and multiplying by it is
+    exact, so a grid node gets the bits of the point.
+    """
+    deg_x, deg_y, terms = plan
+    xp = [1.0]
+    for _ in range(deg_x):
+        xp.append(xp[-1] * x)
+    yp = [1.0]
+    for _ in range(deg_y):
+        yp.append(yp[-1] * y)
+    for i, j, c in terms:
+        acc += c * xp[i] * yp[j]
+    return acc
 
 
 class Series2(_Series):
@@ -484,43 +515,23 @@ class Series2(_Series):
 
     @staticmethod
     def _plan(bands):
-        """(largest i, largest j, (i, j, coeff) terms in `terms()` order,
-        (start, stop) of each total-degree band in that list, ascending)."""
-        terms = []
-        cuts = []
-        for d in sorted(bands):
-            start = len(terms)
-            terms.extend((i, j, c) for (i, j), c in sorted(bands[d]))
-            cuts.append((start, len(terms)))
+        """(largest i, largest j, (i, j, coeff) terms in `terms()` order:
+        ascending total degree, then ascending i)."""
+        terms = [(i, j, c) for d in sorted(bands) for (i, j), c in sorted(bands[d])]
         deg_x = max((i for i, _, _ in terms), default=0)
         deg_y = max((j for _, j, _ in terms), default=0)
-        return deg_x, deg_y, terms, cuts
+        return deg_x, deg_y, terms
 
     validity_radius = _Series.validity_radius
 
     def evaluate(self, x, y, check=True) -> float:
-        """Evaluate at float arguments, summing total-degree bands upward.
-
-        Each band is summed exactly by ``math.fsum``; a one-term band is its
-        term. The running total starts at +0.0, so the sign of a zero band
-        sum never reaches it.
-        """
+        """Evaluate at float arguments, adding the terms in `terms()` order
+        to a running total that starts at +0.0."""
         x = float(x)
         y = float(y)
         if check:
             self._gate(max(abs(x), abs(y)), "evaluation point radius {:.6g}")
-        deg_x, deg_y, terms, cuts = self._floats()[0]
-        xp = [1.0]
-        for _ in range(deg_x):
-            xp.append(xp[-1] * x)
-        yp = [1.0]
-        for _ in range(deg_y):
-            yp.append(yp[-1] * y)
-        vals = [c * xp[i] * yp[j] for i, j, c in terms]
-        total = 0.0
-        for start, stop in cuts:
-            total += vals[start] if stop - start == 1 else math.fsum(vals[start:stop])
-        return total
+        return _eval2(self._floats()[0], x, y, 0.0)
 
 
 class Series1(_Series):
@@ -597,10 +608,7 @@ class Series1(_Series):
         x = float(x)
         if check:
             self._gate(abs(x), "evaluation point |{:.6g}|", x)
-        acc = 0.0
-        for c in self._floats()[0]:
-            acc = acc * x + c
-        return acc
+        return _eval1(self._floats()[0], x, 0.0)
 
 
 # -- constructors ------------------------------------------------------------
@@ -761,28 +769,20 @@ def compose1(f: Series1, g: Series1) -> Series1:
 def reversion(f: Series1, new_name: str = "W") -> Series1:
     """Compositional inverse of f (f(0) = 0, f'(0) != 0): f(g(W)) = W.
 
-    Pass k composes f with the inverse known through order k - 1, both at
-    cap k, and fixes g_k from the order-k defect, which is linear in g_k:
-    each pass reads only the orders it solves for.
+    f is lifted onto a variable pair with a spare variable it does not
+    depend on, and W = f is solved for f's variable by
+    :func:`implicit_solve`; the solution restricted to spare = 0 is g.
     """
     if not f.is_zero() and 0 in f._c:
         raise UsageError("reversion needs a series with zero constant term")
     f1 = f._c.get(1)
     if f1 is None or _is_zero(f1):
         raise DegeneracyError("reversion needs a nonzero linear coefficient")
-    cap, mode = f.cap, f.mode
-    one = Fraction(1) if mode == EXACT else 1.0
-    g = {1: one / f1}
-    fw = f.rename(new_name)
-    for k in range(2, cap + 1):
-        comp = compose1(fw.recap(k), Series1._raw(new_name, k, dict(g), mode, k))
-        # with g correct below order k, the first defect of f(g) - W is at
-        # order k and is linear in the missing g_k
-        r = comp._c.get(k, 0 if mode == EXACT else 0.0)
-        gk = -r / f1
-        if not _is_zero(gk):
-            g[k] = gk
-    return Series1._raw(new_name, cap, g, mode, f.eff)
+    # the solved variable, the spare and the value need three distinct names
+    name = f.name if f.name != new_name else new_name + "_"
+    names = (name, name + "_" + new_name)
+    lifted = lift1to2(f.rename(name), names, 0)
+    return implicit_solve(lifted, name, new_name).at_zero(0)
 
 
 def implicit_solve(f: Series2, solve_for: str, value_name: str) -> Series2:
@@ -813,12 +813,7 @@ def implicit_solve(f: Series2, solve_for: str, value_name: str) -> Series2:
         )
     names = (value_name, f.names[1])
     cap, mode = f.cap, f.mode
-    if mode == FLOAT:
-        c10_inv = 1.0 / c10
-    elif isinstance(c10, Fraction):
-        c10_inv = Fraction(1) / c10
-    else:
-        c10_inv = c10.inverse()
+    c10_inv = 1 / c10
     sol = {}
     for n in range(1, cap + 1):
         fs = substitute(f.recap(n), solve_for, Series2._raw(names, n, dict(sol), mode, n))

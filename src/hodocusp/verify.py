@@ -30,6 +30,7 @@ from .hodograph import HodographMap
 from .normal_form import NormalFormPack
 from .pde import KorobeinikSeries
 from .scalars import scalar_float
+from .series import _eval1, _eval2
 
 MAX_NODES = 8_000_000
 MIN_HALVINGS = 3
@@ -98,28 +99,13 @@ def _grid_radius(X: np.ndarray) -> float:
 def _eval1_grid(s, X: np.ndarray, check: bool = True) -> np.ndarray:
     if check:
         s._gate(_grid_radius(X), "grid radius {:.6g}")
-    acc = np.zeros_like(X, dtype=float)
-    for c in s._floats()[0]:
-        acc = acc * X + c
-    return acc
+    return _eval1(s._floats()[0], X, np.zeros_like(X, dtype=float))
 
 
 def _eval2_grid(s, X: np.ndarray, Y: np.ndarray, check: bool = True) -> np.ndarray:
     if check:
         s._gate(max(_grid_radius(X), _grid_radius(Y)), "grid radius {:.6g}")
-    deg_x, deg_y, terms, _ = s._floats()[0]
-    if not terms:
-        return np.zeros_like(X, dtype=float)
-    xp = [np.ones_like(X, dtype=float)]
-    for _ in range(deg_x):
-        xp.append(xp[-1] * X)
-    yp = [np.ones_like(Y, dtype=float)]
-    for _ in range(deg_y):
-        yp.append(yp[-1] * Y)
-    out = np.zeros_like(X, dtype=float)
-    for i, j, c in terms:
-        out += c * xp[i] * yp[j]
-    return out
+    return _eval2(s._floats()[0], X, Y, np.zeros_like(X, dtype=float))
 
 
 # -- branch field ----------------------------------------------------------------

@@ -375,6 +375,20 @@ def test_curves_byte_identical(tmp_path):
     assert (a / "curves.csv").read_bytes() == (b / "curves.csv").read_bytes()
 
 
+def test_float_mode_outputs_equal_exact_on_canonical(tmp_path):
+    # the float-built canonical pack has the bits of the rounded exact pack,
+    # so both modes write the same bytes
+    outputs = {"solve": "branches.csv", "curves": "curves.csv", "verify": "residuals.csv"}
+    for command, name in outputs.items():
+        files = []
+        for mode in ("exact", "float"):
+            out = tmp_path / f"{command}-{mode}"
+            argv = [command, "--config", str(CANONICAL), "--mode", mode, "--out", str(out)]
+            assert cli.main(argv) == 0
+            files.append((out / name).read_bytes())
+        assert files[0] == files[1], command
+
+
 def test_digest_tracks_config_bytes(tmp_path):
     body = PROBLEM + "curves:\n  tau: [0.01]\n"
     cfg1 = write_cfg(tmp_path, body, "one.yaml")

@@ -2,15 +2,19 @@
 
 Each series builds one evaluation plan next to its validity radius: for
 ``Series1`` the Horner row without the zeros above the top term, for
-``Series2`` the largest exponents, the flat (i, j, coeff) terms and the
-total-degree band cuts. The scalar and the numpy evaluators both read it.
+``Series2`` the largest exponents and the flat (i, j, coeff) terms in
+``terms()`` order. The scalar and the numpy evaluators both read it, through
+one kernel per series kind: Horner's rule for one variable, and for two the
+terms added one at a time, in ``terms()`` order, to a total that starts at
++0.0.
 
-Kept here as references: the evaluators as they were before the plan
-(powers up to the cap, the dense Horner row over degrees 0..cap, one
-generator-fed ``math.fsum`` per band, and the grid versions of both), and
-the per-call float base point of ``reconstruct``. Results must agree bit for
-bit, signed zeros and nan payloads included, and refusals must carry the
-same text.
+Kept here as references: the evaluators written without the plan (powers
+up to the cap, the dense Horner row over degrees 0..cap, the terms read
+from ``terms()``, and the grid versions of both), and the per-call float
+base point of ``reconstruct``. Results must agree bit for bit, signed zeros
+and nan payloads included, and refusals must carry the same text. A point
+and a grid node at the same arguments must get the same bits, on every
+series of real packs as on hand-made ones.
 
 The discriminant of the cusp cubic is one product-form expression, and
 the scale of the fold tolerance one ``m * sqrt(m)``, that ``cusp_roots``
@@ -48,7 +52,7 @@ PAIR = ("x", "y")
 RAD = Fraction(12, 5)
 
 
-# -- references: the evaluators before the plan ----------------------------------
+# -- references: the evaluators without the plan ---------------------------------
 
 
 def ref_bands(s):
@@ -63,9 +67,8 @@ def ref_dense1(s):
     return [bands[j][0][1] if j in bands else 0.0 for j in range(s.cap + 1)]
 
 
-def ref_layout2(s):
-    bands = ref_bands(s)
-    return [[(i, j, c) for (i, j), c in sorted(bands[d])] for d in sorted(bands)]
+def ref_terms2(s):
+    return [(i, j, scalar_float(c)) for i, j, c in s.terms()]
 
 
 def ref_evaluate1(s, x, check=True):
@@ -89,8 +92,8 @@ def ref_evaluate2(s, x, y, check=True):
         xp.append(xp[-1] * x)
         yp.append(yp[-1] * y)
     total = 0.0
-    for band in ref_layout2(s):
-        total += math.fsum(c * xp[i] * yp[j] for i, j, c in band)
+    for i, j, c in ref_terms2(s):
+        total += c * xp[i] * yp[j]
     return total
 
 
@@ -106,7 +109,7 @@ def ref_eval1_grid(s, X, check=True):
 def ref_eval2_grid(s, X, Y, check=True):
     if check:
         s._gate(max(_grid_radius(X), _grid_radius(Y)), "grid radius {:.6g}")
-    terms = [t for band in ref_layout2(s) for t in band]
+    terms = ref_terms2(s)
     if not terms:
         return np.zeros_like(X, dtype=float)
     deg_x = max(i for i, _, _ in terms)
@@ -124,7 +127,8 @@ def ref_eval2_grid(s, X, Y, check=True):
 
 
 def ref_reconstruct(t, x, pack, check=True):
-    """reconstruct with the base point converted per call and the old evaluators."""
+    """reconstruct with the base point converted per call and the reference
+    evaluators."""
     p = pack.problem
     t_star = scalar_float(p.t_star)
     x_star = scalar_float(p.x_star)
@@ -185,7 +189,7 @@ coeffs = {
         st.fractions(-2, 2, max_denominator=3),
         st.just(RAD),
     ),
-    # huge coefficients make band sums overflow inside fsum
+    # huge coefficients make the running total overflow
     "float": st.one_of(st.floats(-4, 4), st.sampled_from([1e300, -1e300, 1e-300])),
 }
 
@@ -250,7 +254,7 @@ HANDMADE = [
     # zeros above the top term, an interior zero and a zero constant
     Series1("x", 8, {1: Fraction(3, 7), 3: make_radical(1, 2, 0, RAD)}),
     Series1("x", 6, {0: -2.5, 2: 1e300}, mode=FLOAT),
-    # one-term bands next to bands fsum must add, and bands that cancel
+    # one-term bands next to bands of several terms, and bands that cancel
     Series2(PAIR, 7, {(1, 0): Fraction(1, 3), (0, 2): Fraction(-1, 4), (2, 1): 1, (1, 2): -1}),
     Series2(PAIR, 6, {(0, 0): 1e-300, (3, 0): 1e300, (0, 3): 1e300}, mode=FLOAT),
 ]
@@ -279,10 +283,8 @@ def test_plan_shapes():
     assert row == [3.0, 0.0, 2.0, 0.0, 1.0]
     assert Series1("x", 8, {}, mode=FLOAT)._floats()[0] == [0.0]
     s = Series2(PAIR, 6, {(0, 2): 2.0, (1, 0): 1.0, (2, 0): 3.0, (0, 1): 4.0}, mode=FLOAT)
-    deg_x, deg_y, terms, cuts = s._floats()[0]
-    assert (deg_x, deg_y) == (2, 2)
-    assert terms == [(i, j, c) for i, j, c in s.terms()]
-    assert cuts == [(0, 2), (2, 4)]
+    assert s._floats()[0] == (2, 2, [(0, 1, 4.0), (1, 0, 1.0), (0, 2, 2.0), (2, 0, 3.0)])
+    assert Series2(PAIR, 6, {}, mode=FLOAT)._floats()[0] == (0, 0, [])
 
 
 # -- reconstruct and branch_field on real packs --------------------------------------
@@ -344,6 +346,86 @@ def test_branch_field_matches_reference(packs, monkeypatch):
     want = [outcome(branch_field, *case, False) for case in cases]
     assert got == want
     assert all(isinstance(g, list) for g in got), "every sheet must evaluate"
+
+
+# -- points against grids: one rule per series kind -------------------------------------
+
+PACK_SERIES = (
+    "h_of_tau_v", "xi_of_tau_v", "v_of_w", "xi_of_tau_w",
+    "lambda1", "lambda2", "u_of_tau_w", "w_of_tau_u",
+)
+EDGES = [0.0, -0.0, INF, -INF, math.nan, 1e200, -1e200]
+
+
+def point_and_grid_bits(s, X, Y, check):
+    """(evaluate at each node, the grid evaluator over all nodes), as bytes;
+    Y is ignored for a Series1."""
+    with np.errstate(all="ignore"):
+        if isinstance(s, Series1):
+            point = [s.evaluate(x, check) for x in X.tolist()]
+            grid = _eval1_grid(s, X, check)
+        else:
+            point = [s.evaluate(x, y, check) for x, y in zip(X.tolist(), Y.tolist())]
+            grid = _eval2_grid(s, X, Y, check)
+    return np.array(point, dtype=float).tobytes(), grid.tobytes()
+
+
+def assert_points_match_grid(s, rng, count):
+    """Random nodes inside the validity disc (inside 1e-3 where it is
+    unbounded) with the gate on, then every pair of edge arguments with it
+    off."""
+    r = s.validity_radius()
+    # random.uniform(-reach, reach) overflows once 2 * reach does
+    reach = 1e-3 if math.isinf(r) else min(r, 1e300)
+    X = np.array([rng.uniform(-reach, reach) for _ in range(count)])
+    Y = np.array([rng.uniform(-reach, reach) for _ in range(count)])
+    point, grid = point_and_grid_bits(s, X, Y, True)
+    assert point == grid, f"{s!r} inside radius {r:.6g}"
+    X = np.array([x for x in EDGES for _ in EDGES])
+    Y = np.array(EDGES * len(EDGES))
+    point, grid = point_and_grid_bits(s, X, Y, False)
+    assert point == grid, f"{s!r} at edge arguments"
+
+
+@pytest.fixture(scope="module")
+def pool_packs():
+    out = {}
+    for seed in (0, 1, 2):
+        for order in (10, 16):
+            sol = expand_potential(random_singular_problem(random.Random(seed)), order=order)
+            out[seed, order] = build_normal_form(hodograph_map(sol))
+    return out
+
+
+def test_point_and_grid_evaluators_agree_on_packs(packs, pool_packs):
+    rng = random.Random(14)
+    canonical = [packs["canonical", mode] for mode in (EXACT, FLOAT)]
+    for pack in [*canonical, *pool_packs.values()]:
+        for name in PACK_SERIES:
+            assert_points_match_grid(getattr(pack, name), rng, 300)
+    # the pool series do hold bands of several terms, where the order of
+    # the additions shows in the last bits
+    assert any(
+        len(list(s.terms())) > s.cap + 1
+        for pack in pool_packs.values()
+        for s in (pack.h_of_tau_v, pack.w_of_tau_u)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(series_st(Series1), series_st(Series2)), st.randoms(use_true_random=False))
+def test_point_and_grid_evaluators_agree_on_random_series(s, rng):
+    assert_points_match_grid(s, rng, 20)
+
+
+def test_point_and_grid_evaluators_agree_on_edge_series():
+    cancel = Series2(PAIR, 2, {(2, 0): 1, (1, 1): -1}, mode=FLOAT)
+    # x**2 - x*y at x = y = 1e200: the terms overflow to +inf and -inf, and
+    # their sum is nan from the point as from the grid
+    assert math.isnan(cancel.evaluate(1e200, 1e200, check=False))
+    rng = random.Random(0)
+    for s in (cancel, Series2(PAIR, 5, {}, mode=FLOAT), Series1("x", 5, {}, mode=FLOAT)):
+        assert_points_match_grid(s, rng, 50)
 
 
 # -- one discriminant for both classifiers ---------------------------------------------

@@ -1,5 +1,5 @@
 """Exact scalar layer: rational parsing, the adjoined cube root, complex
-rationals, and the nested-radical comparators."""
+rationals, and the nested-radical comparator."""
 
 import math
 import random
@@ -15,7 +15,6 @@ from hodocusp import (
     UsageError,
     cbrt_exact,
     lt_dist_vs_radius,
-    lt_sum_of_roots,
     make_radical,
     parse_exact,
     parse_point,
@@ -252,26 +251,7 @@ def test_reflected_subtraction():
             1.5 - z
 
 
-# -- exact nested-radical comparators ---------------------------------------------
-
-
-@given(a=fractions_st, b=fractions_st, bound=fractions_st)
-@settings(max_examples=80, deadline=None)
-def test_lt_sum_of_roots_vs_float(a, b, bound):
-    # sqrt(A) + 2 sqrt(B) < bound, checked against floats away from ties
-    A, B = a * a, b * b
-    lhs = math.sqrt(float(A)) + 2.0 * math.sqrt(float(B))
-    if abs(lhs - float(bound)) < 1e-9:
-        return
-    assert lt_sum_of_roots(A, B, bound) == (lhs < float(bound))
-
-
-def test_lt_sum_of_roots_exact_tie():
-    # sqrt(1/4) + 2 sqrt(1/16) = 1: equality is not "less than"
-    assert not lt_sum_of_roots(Fraction(1, 4), Fraction(1, 16), Fraction(1))
-    assert lt_sum_of_roots(Fraction(1, 4), Fraction(1, 16), Fraction(101, 100))
-    with pytest.raises(UsageError):
-        lt_sum_of_roots(Fraction(-1), Fraction(0), Fraction(1))
+# -- exact nested-radical comparator ----------------------------------------------
 
 
 @given(d=fractions_st, r=fractions_st, r1=fractions_st)

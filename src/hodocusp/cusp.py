@@ -58,7 +58,7 @@ def fold_scale(p, q):
     return m * np.sqrt(m)
 
 
-def cusp_roots(p, q, boundary_tol=BOUNDARY_TOL):
+def cusp_roots(p, q):
     """Real roots of U**3 + p U + q = 0, ascending, as (root, multiplicity).
 
     Three regimes, split by the discriminant against a scale-aware
@@ -69,8 +69,8 @@ def cusp_roots(p, q, boundary_tol=BOUNDARY_TOL):
     p = float(p)
     q = float(q)
     disc = cubic_discriminant(p, q)
-    if abs(disc) <= boundary_tol * fold_scale(p, q):
-        if max(abs(p), abs(q)) <= boundary_tol:
+    if abs(disc) <= BOUNDARY_TOL * fold_scale(p, q):
+        if max(abs(p), abs(q)) <= BOUNDARY_TOL:
             return [(0.0, 3)]
         a = -1.5 * q / p
         pair = [(a, 2), (-2.0 * a, 1)]
@@ -186,7 +186,7 @@ def fold_curves(pack: NormalFormPack, taus, check=True):
     return out
 
 
-def zero_curves(pack: NormalFormPack, taus, check=True, tol=NEWTON_TOL):
+def zero_curves(pack: NormalFormPack, taus, check=True):
     """Images of the nontrivial h = 0 roots, xi(tau, V(tau)) with h = 0.
 
     h(tau, V) = tau/b11 - V**2/4 + ... vanishes at V ~ +-2 sqrt(tau/b11);
@@ -206,13 +206,13 @@ def zero_curves(pack: NormalFormPack, taus, check=True, tol=NEWTON_TOL):
             )
         seed = 2.0 * math.sqrt(s)
         for sign, kind in ((1.0, "zero-plus"), (-1.0, "zero-minus")):
-            v = _newton_h_zero(hs, dv, tau, sign * seed, tol, check)
+            v = _newton_h_zero(hs, dv, tau, sign * seed, check)
             xi_val = pack.xi_of_tau_v.evaluate(tau, v, check=check)
             out.append(CurveSample(tau, xi_val, kind))
     return out
 
 
-def _newton_h_zero(hs, dv, tau, v0, tol, check):
+def _newton_h_zero(hs, dv, tau, v0, check):
     v = v0
     for _ in range(NEWTON_MAX_ITER):
         f = hs.evaluate(tau, v, check=check)
@@ -225,7 +225,7 @@ def _newton_h_zero(hs, dv, tau, v0, tol, check):
             break
     f = hs.evaluate(tau, v, check=check)
     scale = max(1.0, abs(tau), v * v)
-    if abs(f) > tol * scale:
+    if abs(f) > NEWTON_TOL * scale:
         raise DomainError(
             f"h = 0 refinement stalled at tau = {tau:.6g}: residual {f:.3g}"
         )

@@ -46,9 +46,9 @@ from .pde import (
     PolyTerm,
     ProblemData,
     SeedFunction,
+    _complex_evaluator,
     _pole_run_start,
     _seed_b0,
-    _zero_power,
     expand_potential,
     h_scaled,
     korobeinik_series,
@@ -154,14 +154,14 @@ def ratio_points(mags2, h_abs2=None, step=1):
     return pts
 
 
-def richardson_limit(pts, tail=RATIO_TAIL):
+def richardson_limit(pts):
     """Extrapolated limit of an indexed ratio sequence.
 
     Fits the model ratio_n = L (1 + a/n), for which
     L = n ratio_n - (n-1) ratio_{n-1} is exact; returns the median of the
     trailing extrapolants and their relative spread.
     """
-    pts = pts[-tail:]
+    pts = pts[-RATIO_TAIL:]
     ls = []
     for (pn, pr), (n, r) in zip(pts, pts[1:]):
         if n == pn + 1:
@@ -504,9 +504,7 @@ class CauchyReport:
     passed: bool
 
 
-def cauchy_bound_check(
-    seed: SeedFunction, r, r0, eps, n_max: int, z_points=None
-) -> CauchyReport:
+def cauchy_bound_check(seed: SeedFunction, r, r0, eps, n_max: int) -> CauchyReport:
     """Check |f^(n)(z)| <= C(eps) n! (r-eps) / (r-r0-eps)^(n+1) for |z| <= r0.
 
     C(eps) is the sampled maximum of |f| on the circle |t| = r - eps
@@ -535,11 +533,10 @@ def cauchy_bound_check(
         abs(value(rho * cmath.exp(2j * math.pi * k / CIRCLE_SAMPLES)))
         for k in range(CIRCLE_SAMPLES)
     )
-    if z_points is None:
-        z_points = [0j]
-        for frac in (Fraction(1, 3), Fraction(2, 3), Fraction(1)):
-            for k in range(8):
-                z_points.append(r0 * float(frac) * cmath.exp(2j * math.pi * k / 8))
+    z_points = [0j]
+    for frac in (Fraction(1, 3), Fraction(2, 3), Fraction(1)):
+        for k in range(8):
+            z_points.append(r0 * float(frac) * cmath.exp(2j * math.pi * k / 8))
     gap = r - r0 - eps
     max_ratio = 0.0
     worst = (0, 0j)
@@ -564,48 +561,6 @@ def cauchy_bound_check(
         worst_z=worst[1],
         passed=max_ratio <= 1.0 + 1e-6,
     )
-
-
-def _complex_evaluator(seed: SeedFunction, m: int):
-    """z -> seed.derivative_at(z, m) at complex z (seed.value_at for m = 0).
-
-    The per-term constants are hoisted out of the per-point call and the
-    same operations run in the same order, so every result has the same
-    bits: a pole keeps c * rising as the complex number the component
-    formula computes, and a polynomial coefficient is the exact
-    c_j * perm(j, m), converted once the way complex arithmetic converts a
-    Fraction.
-    """
-    parts = []  # (a, c, power) for poles, (None, coefficients high to low, 0)
-    for t in seed.terms:
-        if isinstance(t, PolyTerm):
-            if m:
-                cs = [t.coeffs[j] * math.perm(j, m) for j in range(len(t.coeffs) - 1, m - 1, -1)]
-            else:
-                cs = t.coeffs[::-1]
-            parts.append((None, tuple(complex(c) for c in cs), 0))
-        else:
-            a, c = t._consts_for(0j)
-            if m:
-                c = c * math.prod(range(t.n, t.n + m))
-            parts.append((a, c, t.n + m))
-
-    def evaluate(z):
-        total = None
-        for a, c, power in parts:
-            if a is None:
-                v = 0j
-                for cj in c:
-                    v = v * z + cj
-            else:
-                try:
-                    v = c / (a - z) ** power
-                except ZeroDivisionError:
-                    raise _zero_power(a, z, power, m) from None
-            total = v if total is None else total + v
-        return total
-
-    return evaluate
 
 
 # -- variable-alpha probe ------------------------------------------------------
@@ -637,7 +592,7 @@ def variable_alpha_probe(
         uq = parse_point(u, "u")
         v_val = (uq - QComplex(u_star_q)) * 2
         pts = ratio_points([_row_mag2(row, v_val) for row in int_rows])
-        limit, spread = richardson_limit(pts, tail=min(RATIO_TAIL, len(pts)))
+        limit, spread = richardson_limit(pts)
         pred = predicted_radius(seed, uq)
         est, verdict = _radius_verdict(limit, spread)
         reports.append(

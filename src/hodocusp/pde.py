@@ -286,15 +286,8 @@ class PolyTerm:
     def differentiated(self):
         return PolyTerm(tuple((j + 1) * c for j, c in enumerate(self.coeffs[1:])))
 
-    def value_at(self, u):
-        # start from the zero of u's kind so constant rows stay QComplex
-        acc = QComplex(0) if isinstance(u, QComplex) else 0j
-        for c in reversed(self.coeffs):
-            acc = acc * u + c
-        return acc
-
-    def derivative_at(self, u, m):
-        acc = QComplex(0) if isinstance(u, QComplex) else 0j
+    def derivative_at(self, u: QComplex, m):
+        acc = QComplex(0)
         for j in range(len(self.coeffs) - 1, m - 1, -1):
             acc = acc * u + self.coeffs[j] * math.perm(j, m)
         return acc
@@ -311,30 +304,12 @@ class PoleTerm:
     def differentiated(self):
         return PoleTerm(self.a, self.n * self.c, self.n + 1)
 
-    def _consts_for(self, u):
-        a, c = self.a, self.c
-        if not isinstance(u, QComplex):
-            a = a.to_complex()
-            c = c.to_complex() if isinstance(c, QComplex) else complex(c)
-        return a, c
-
-    def value_at(self, u):
-        a, c = self._consts_for(u)
-        try:
-            return c / (a - u) ** self.n
-        except ZeroDivisionError:
-            raise _zero_power(a, u, self.n, 0) from None
-
-    def derivative_at(self, u, m):
+    def derivative_at(self, u: QComplex, m):
         # d^m/du^m (a-u)^(-n) = (n)(n+1)...(n+m-1) (a-u)^(-n-m)
-        rising = 1
-        for i in range(m):
-            rising *= self.n + i
-        a, c = self._consts_for(u)
         try:
-            return c * rising / (a - u) ** (self.n + m)
+            return self.c * math.prod(range(self.n, self.n + m)) / (self.a - u) ** (self.n + m)
         except ZeroDivisionError:
-            raise _zero_power(a, u, self.n + m, m) from None
+            raise _zero_power(self.a, u, self.n + m, m) from None
 
 
 def _zero_power(a, u, power, m) -> DomainError:
@@ -362,7 +337,8 @@ class SeedFunction:
     """g1(u) as a finite sum of polynomial and simple-pole components.
 
     Every component is held exactly (see ``_exact_term``), so the seed is
-    evaluated exactly at exact points and in floats at complex points.
+    evaluated exactly at exact points, and at any other point by the one
+    float evaluator ``_complex_evaluator``.
     """
 
     __slots__ = ("terms",)
@@ -415,31 +391,21 @@ class SeedFunction:
         return SeedFunction(out)
 
     def value_at(self, u):
-        u = self._coerce_point(u)
-        total = None
-        for t in self.terms:
-            v = t.value_at(u)
-            total = v if total is None else total + v
-        return total
+        return self.derivative_at(u, 0)
 
     def derivative_at(self, u, m: int):
-        """m-th derivative at u by the closed component formulas."""
-        u = self._coerce_point(u)
+        """m-th derivative at u by the closed component formulas: exact at a
+        QComplex, int or Fraction point, in complex floats
+        (``_complex_evaluator``) at any other point."""
+        if isinstance(u, (int, Fraction)):
+            u = QComplex(u)
+        elif not isinstance(u, QComplex):
+            return _complex_evaluator(self, m)(complex(u))
         total = None
         for t in self.terms:
             v = t.derivative_at(u, m)
             total = v if total is None else total + v
         return total
-
-    def _coerce_point(self, u):
-        """Exact points as QComplex; any other point as a complex float."""
-        if isinstance(u, QComplex):
-            return u
-        if isinstance(u, (int, Fraction)):
-            return QComplex(u)
-        if isinstance(u, complex):
-            return u
-        return complex(float(u))
 
     def poles(self):
         return tuple(t.a for t in self.terms if isinstance(t, PoleTerm))
@@ -467,6 +433,46 @@ class SeedFunction:
         d2 = self.min_pole_distance2(u)
         if d2 is not None and d2 == 0:
             raise DomainError(f"{field} sits exactly on a pole of the seed function")
+
+
+def _complex_evaluator(seed: SeedFunction, m: int):
+    """z -> the m-th derivative of the seed at a complex z, in floats.
+
+    The one float evaluation of a seed. The per-term constants are
+    converted once, outside the per-point call: a pole's position and
+    residue as complex numbers, the residue then times the rising factor
+    (n)(n+1)...(n+m-1) when m > 0, and a polynomial coefficient as the exact
+    c_j * perm(j, m), rounded once the way complex arithmetic converts a
+    Fraction. A power (a - z)**k that is zero (z on the pole, or so near it
+    that the power underflows) is a DomainError.
+    """
+    parts = []  # (a, c, power) for poles, (None, coefficients high to low, 0)
+    for t in seed.terms:
+        if isinstance(t, PolyTerm):
+            cs = [t.coeffs[j] * math.perm(j, m) for j in range(len(t.coeffs) - 1, m - 1, -1)]
+            parts.append((None, tuple(complex(c) for c in cs), 0))
+        else:
+            c = t.c.to_complex() if isinstance(t.c, QComplex) else complex(t.c)
+            if m:
+                c = c * math.prod(range(t.n, t.n + m))
+            parts.append((t.a.to_complex(), c, t.n + m))
+
+    def evaluate(z):
+        total = None
+        for a, c, power in parts:
+            if a is None:
+                v = 0j
+                for cj in c:
+                    v = v * z + cj
+            else:
+                try:
+                    v = c / (a - z) ** power
+                except ZeroDivisionError:
+                    raise _zero_power(a, z, power, m) from None
+            total = v if total is None else total + v
+        return total
+
+    return evaluate
 
 
 class KorobeinikSeries:

@@ -12,6 +12,11 @@ independently of how the series were produced. Grids must sit on a single
 sheet: crossing a fold curve would difference across a branch jump and the
 oracle refuses rather than report noise.
 
+A second oracle checks Korobeinik's series G(h, u) against h G_hh = G_uu.
+Both run through ``_fd_report``: each supplies only its field and its
+stencil, and ``_fd_report`` owns the grid checks, the patch layout, and
+the max, rms and order statistics of the report.
+
 Convergence orders are estimated on a small fixed set of stencil centers
 with the stencil step doubled a few times (shrinking it instead would sink
 the truncation error below float roundoff at the sizes used here).
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -230,35 +236,33 @@ def _order_estimate(steps, rms_values):
     return float(np.polyfit(np.log(steps), np.log(rms_values), 1)[0])
 
 
-def _center_set(grid: GridSpec):
-    offs = np.array([-0.5, 0.0, 0.5]) * grid.half_width
-    Tc, Xc = np.meshgrid(float(grid.center[0]) + offs, float(grid.center[1]) + offs)
-    return Tc.ravel(), Xc.ravel()
-
-
 def _patches(grid: GridSpec, steps):
-    """3x3 central-stencil patch around each center, per step.
+    """3x3 central-stencil patch around each of 9 centers, per step.
 
-    (T, X) of shape (len(steps), 9, 3, 3), t along axis -2, x along -1: the
+    The centers sit at the grid center and half-way to its edges. (T, X)
+    have shape (len(steps), 9, 3, 3), t along axis -2, x along -1: the
     middle column of T and middle row of X are c - s, c + 0.0, c + s. The
     corners repeat the center, so no node lies off the five-point stencil.
     """
-    c0, c1 = _center_set(grid)
+    offs = np.array([-0.5, 0.0, 0.5]) * grid.half_width
+    c0, c1 = np.meshgrid(float(grid.center[0]) + offs, float(grid.center[1]) + offs)
+    c0, c1 = c0.ravel(), c1.ravel()
     s = np.asarray(steps, dtype=float)[:, None, None, None]
     e = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     return c0[:, None, None] + s * e, c1[:, None, None] + s * e.T
 
 
-def system_residual(
-    pack: NormalFormPack, grid: GridSpec, branch=None, halvings: int = MIN_HALVINGS,
-    check: bool = True
-) -> ResidualReport:
-    """FD residuals of the quasilinear system on one reconstructed sheet.
+def _fd_report(grid: GridSpec, halvings: int, residuals, admit=None) -> ResidualReport:
+    """Run one FD oracle and build its report; both oracles go through here.
 
-    Max/rms come from the full grid at the base step; the convergence
-    order comes from 3x3 patches around fixed stencil centers with the
-    step doubled `halvings` times (>= 3), all evaluated in one
-    branch_field call.
+    ``residuals(T, X, step)`` returns the residual arrays of the oracle's
+    equations on the interior nodes of (T, X) arrays whose last two axes
+    are the grid axes; step broadcasts against the interior. Max and rms
+    come from the full grid at the base step; the convergence order of
+    each equation comes from 3x3 patches around fixed stencil centers with
+    the step doubled `halvings` times (>= 3), all evaluated in one call.
+    ``admit(t_ax, x_ax, reach)`` may refuse the grid, reach being the
+    largest stencil step, before anything is evaluated.
     """
     if halvings < MIN_HALVINGS:
         raise UsageError(f"order estimate needs >= {MIN_HALVINGS} step halvings")
@@ -266,26 +270,31 @@ def system_residual(
     x_ax = grid.axis(1)
     if t_ax.size * x_ax.size > MAX_NODES:
         raise UsageError("grid too fine: node count exceeds the safety cap")
-    T, X = np.meshgrid(t_ax, x_ax, indexing="ij")
-    alpha_coeffs = pack.problem.alpha
-    H, V = branch_field(pack, T, X, branch, check)[:2]
-    r1, r2 = grid_residuals(H, V, grid.step, alpha_coeffs)
-
     steps = [grid.step * 2.0 ** m for m in range(halvings + 1)]
-    Hp, Vp = branch_field(pack, *_patches(grid, steps), branch, check)[:2]
-    pr1, pr2 = grid_residuals(Hp, Vp, np.reshape(steps, (-1, 1, 1, 1)), alpha_coeffs)
-    rms1 = [_rms(r) for r in pr1]
-    rms2 = [_rms(r) for r in pr2]
-    return ResidualReport(
-        grid=grid,
-        r1_max=float(np.max(np.abs(r1))),
-        r1_rms=_rms(r1),
-        r2_max=float(np.max(np.abs(r2))),
-        r2_rms=_rms(r2),
-        order1=_order_estimate(steps, rms1),
-        order2=_order_estimate(steps, rms2),
-        halvings=halvings,
-    )
+    if admit is not None:
+        admit(t_ax, x_ax, steps[-1])
+    full = residuals(*np.meshgrid(t_ax, x_ax, indexing="ij"), grid.step)
+    patch = residuals(*_patches(grid, steps), np.reshape(steps, (-1, 1, 1, 1)))
+    stats = [
+        (float(np.max(np.abs(r))), _rms(r), _order_estimate(steps, [_rms(p) for p in pr]))
+        for r, pr in zip(full, patch)
+    ] + [(None, None, None)]  # an oracle of one equation reports no second
+    (r1_max, r1_rms, order1), (r2_max, r2_rms, order2) = stats[:2]
+    return ResidualReport(grid, r1_max, r1_rms, r2_max, r2_rms, order1, order2, halvings)
+
+
+def system_residual(
+    pack: NormalFormPack, grid: GridSpec, branch=None, halvings: int = MIN_HALVINGS,
+    check: bool = True
+) -> ResidualReport:
+    """FD residuals of the quasilinear system on one reconstructed sheet,
+    from ``branch_field`` on the grid and on the patches (``_fd_report``)."""
+
+    def residuals(T, X, step):
+        H, V = branch_field(pack, T, X, branch, check)[:2]
+        return grid_residuals(H, V, step, pack.problem.alpha)
+
+    return _fd_report(grid, halvings, residuals)
 
 
 def branch_swap_probe(pack: NormalFormPack, grid: GridSpec, branches=(0, 2)):
@@ -321,24 +330,30 @@ def constant_field_probe(h0=2.0, v0=0.5, nodes=21, step=1e-3, alpha_coeffs=()):
 # -- G-series PDE oracle ---------------------------------------------------------
 
 
-def _partial_sum_grid(ks: KorobeinikSeries, h_ax, u_ax, terms):
-    rows = []
+def _g_field(ks: KorobeinikSeries, H: np.ndarray, U: np.ndarray, terms: int) -> np.ndarray:
+    """Real part of sum_{n=1..terms} g_n(u) h^n on (h, u) arrays.
+
+    g_n is evaluated once per distinct u, and the h powers are multiplied
+    up from ones and added in n order, so a node's value does not depend
+    on the grid around it.
+    """
+    u_vals, where = np.unique(U.ravel(), return_inverse=True)
+    G = np.zeros(H.shape)
+    hp = np.ones(H.shape)
     for n in range(1, terms + 1):
-        rows.append([complex(ks.coefficient(n, complex(u))).real for u in u_ax])
-    C = np.asarray(rows, dtype=float)  # shape (terms, n_u)
-    G = np.zeros((len(h_ax), len(u_ax)))
-    hp = np.ones(len(h_ax))
-    for n in range(terms):
-        hp = hp * h_ax
-        G += hp[:, None] * C[n][None, :]
+        g = np.array([ks.coefficient(n, complex(u)).real for u in u_vals])
+        hp = hp * H
+        G += hp * g[where].reshape(H.shape)
     return G
 
 
-def _korobeinik_residual(G: np.ndarray, h_ax, step: float) -> np.ndarray:
-    """h G_hh - G_uu by central second differences on interior nodes."""
-    Ghh = (G[2:, 1:-1] - 2.0 * G[1:-1, 1:-1] + G[:-2, 1:-1]) / (step * step)
-    Guu = (G[1:-1, 2:] - 2.0 * G[1:-1, 1:-1] + G[1:-1, :-2]) / (step * step)
-    return h_ax[1:-1][:, None] * Ghh - Guu
+def _korobeinik_residual(G: np.ndarray, H: np.ndarray, step) -> np.ndarray:
+    """h G_hh - G_uu by central second differences on interior nodes; the
+    last two axes are h and u, as in ``grid_residuals``."""
+    Gc = G[..., 1:-1, 1:-1]
+    Ghh = (G[..., 2:, 1:-1] - 2.0 * Gc + G[..., :-2, 1:-1]) / (step * step)
+    Guu = (G[..., 1:-1, 2:] - 2.0 * Gc + G[..., 1:-1, :-2]) / (step * step)
+    return H[..., 1:-1, 1:-1] * Ghh - Guu
 
 
 def pde_grid_residual_G(
@@ -347,36 +362,17 @@ def pde_grid_residual_G(
     terms: int | None = None,
     halvings: int = MIN_HALVINGS,
 ) -> ResidualReport:
-    """FD residual of h G_hh - G_uu on partial sums over a real (h, u) grid."""
-    if halvings < MIN_HALVINGS:
-        raise UsageError(f"order estimate needs >= {MIN_HALVINGS} step halvings")
+    """FD residual of h G_hh - G_uu on partial sums over a real (h, u) grid,
+    reported by ``_fd_report``, as ``system_residual`` is."""
     terms = ks.cap if terms is None else min(terms, ks.cap)
-    h_ax = grid.axis(0)
-    u_ax = grid.axis(1)
-    _require_inside_predicted(ks, h_ax, u_ax, extra=grid.step * 2.0 ** halvings)
-    r = _korobeinik_residual(_partial_sum_grid(ks, h_ax, u_ax, terms), h_ax, grid.step)
 
-    steps = [grid.step * 2.0 ** m for m in range(halvings + 1)]
-    rms = []
-    for st, T, X in zip(steps, *_patches(grid, steps)):
-        vals = [
-            _korobeinik_residual(_partial_sum_grid(ks, h, u, terms), h, st)[0, 0]
-            for h, u in zip(T[:, :, 1], X[:, 1, :])
-        ]
-        rms.append(_rms(np.array(vals)))
-    return ResidualReport(
-        grid=grid,
-        r1_max=float(np.max(np.abs(r))),
-        r1_rms=_rms(r),
-        r2_max=None,
-        r2_rms=None,
-        order1=_order_estimate(steps, rms),
-        order2=None,
-        halvings=halvings,
-    )
+    def residuals(H, U, step):
+        return (_korobeinik_residual(_g_field(ks, H, U, terms), H, step),)
+
+    return _fd_report(grid, halvings, residuals, partial(_require_inside_predicted, ks))
 
 
-def _require_inside_predicted(ks: KorobeinikSeries, h_ax, u_ax, extra=0.0):
+def _require_inside_predicted(ks: KorobeinikSeries, h_ax, u_ax, extra):
     """All stencil points must obey |h| < d(u)**2 / 4 with room to spare."""
     seed = ks.seed
     if seed.is_entire():

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: every subcommand, exit codes, and deterministic output."""
 
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from hodocusp.errors import UsageError
 REPO = Path(__file__).resolve().parent.parent
 CANONICAL = REPO / "configs" / "canonical.yaml"
 CATALAN = REPO / "configs" / "catalan.yaml"
+DIGESTS = REPO / "tests" / "golden" / "cli" / "digests.py"
 
 PROBLEM = """\
 problem:
@@ -387,6 +389,26 @@ def test_float_mode_outputs_equal_exact_on_canonical(tmp_path):
             assert cli.main(argv) == 0
             files.append((out / name).read_bytes())
         assert files[0] == files[1], command
+
+
+def _digest_table():
+    spec = importlib.util.spec_from_file_location("cli_digests", DIGESTS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_cli_digest_table_is_unchanged(tmp_path):
+    """Every command in both modes on the five shipped configs exits with
+    the code, and writes the stdout, stderr and file bytes, recorded in
+    tests/golden/cli/digests.txt. A row that moves must be explained, and
+    the table regenerated with the script beside it."""
+    table = _digest_table()
+    want = table.recorded_rows()
+    got = table.table_rows(tmp_path)
+    assert len(want) == len(table.CONFIGS) * len(table.COMMANDS) * len(table.MODES)
+    moved = [f"recorded {w}\n     now {g}" for w, g in zip(want, got) if w != g]
+    assert len(got) == len(want) and not moved, "\n".join(moved)
 
 
 def test_digest_tracks_config_bytes(tmp_path):

@@ -13,9 +13,10 @@ Each kernel is checked against a slow reference kept in this file:
 * the ratios read straight from the integer run (``_magnitudes``) against
   ``ratio_points`` of the reduced Fractions, and ``confirm_divergence``
   against its one-Fraction-per-ratio loop, bit for bit;
-* ``cauchy_bound_check`` against the per-call conversion of the pole
-  constants, and its hoisted evaluator against ``SeedFunction.value_at``
-  and ``derivative_at``, repr for repr, refusals included;
+* ``cauchy_bound_check`` against a per-call run of the closed forms, and
+  the one float evaluator of a seed (``pde._complex_evaluator``, which
+  ``SeedFunction.value_at`` and ``derivative_at`` call at complex points)
+  against the closed forms kept here, repr for repr, refusals included;
 * the exact derivative run at u* (``pde._derivative_run``) against
   ``SeedFunction.derivative_at`` and the ``differentiated()`` chain, the
   boundary row ``_seed_b0`` against one ``derivative_at`` per order, and
@@ -39,7 +40,6 @@ from hodocusp.korobeinik import (
     RATIO_TAIL,
     CauchyReport,
     ConvergenceReport,
-    _complex_evaluator,
     _magnitudes,
     _radius_verdict,
     bidisc_check,
@@ -61,6 +61,7 @@ from hodocusp.pde import (
     PolyTerm,
     ProblemData,
     SeedFunction,
+    _complex_evaluator,
     bridge_check,
     expand_potential,
     h_scaled,
@@ -90,14 +91,14 @@ def ref_confirm_divergence(seed, u, h_abs, K):
 
 
 def ref_cauchy(seed, r, r0, eps, n_max, closed_form=None):
-    """The Cauchy check with the pole constants converted on every call.
+    """The Cauchy check with the closed forms evaluated on every call.
 
     ``closed_form(z, m)`` evaluates the seed's m-th derivative at z; the
-    default is ``seed.derivative_at`` (``seed.value_at`` for m = 0).
+    default is ``ref_closed_form`` on the seed's components.
     """
     if closed_form is None:
         def closed_form(z, m):
-            return seed.derivative_at(z, m) if m else seed.value_at(z)
+            return ref_closed_form(seed.terms, z, m, value_form=m == 0)
     r, r0, eps = float(r), float(r0), float(eps)
     rho = r - eps
     c_eps = max(
@@ -191,7 +192,7 @@ def ref_variable_alpha_probe(seed, alpha, u_star, order, u_list):
             acc = ref_row_at(rows.get(k, {}), v_val)
             mags2.append(ref_abs2(acc) if acc is not None else Fraction(0))
         pts = ratio_points(mags2)
-        est, verdict = _radius_verdict(*richardson_limit(pts, tail=min(RATIO_TAIL, len(pts))))
+        est, verdict = _radius_verdict(*richardson_limit(pts))
         reports.append(
             ConvergenceReport(
                 uq.to_complex(),
@@ -208,7 +209,8 @@ def ref_closed_form(terms, z, m, value_form=False):
     """The component formulas at a complex z on the components as built,
     a float staying a float: the m-th derivative as
     ``SeedFunction.derivative_at`` computed it before seeds were read
-    exactly, or its ``value_at`` (m = 0) with ``value_form``."""
+    exactly, or its ``value_at`` (m = 0) with ``value_form``. A zero power
+    of (a - z) raises the seed's DomainError, worded here."""
     total = None
     for t in terms:
         if isinstance(t, PolyTerm):
@@ -222,10 +224,17 @@ def ref_closed_form(terms, z, m, value_form=False):
         else:
             a = t.a.to_complex() if isinstance(t.a, QComplex) else t.a
             c = t.c.to_complex() if isinstance(t.c, QComplex) else complex(t.c)
-            if value_form:
-                v = c / (a - z) ** t.n
-            else:
-                v = c * math.prod(range(t.n, t.n + m)) / (a - z) ** (t.n + m)
+            power = t.n if value_form else t.n + m
+            try:
+                if value_form:
+                    v = c / (a - z) ** power
+                else:
+                    v = c * math.prod(range(t.n, t.n + m)) / (a - z) ** power
+            except ZeroDivisionError:
+                raise DomainError(
+                    f"seed pole at a = {a!r}: (a - u)**{power} is zero at u = {z!r} "
+                    f"(derivative order {m})"
+                ) from None
         total = v if total is None else total + v
     return total
 
@@ -576,18 +585,18 @@ def test_float_built_seed_keeps_the_closed_form_bits(terms, z):
     closed form on the floats still agrees: in the value, and in every pole
     derivative. A polynomial derivative is the one place it may not: its
     coefficient c_j perm(j, m) is now the exact product rounded once, where
-    the float product was rounded from the binary c_j."""
+    the float product was rounded from the binary c_j. The seed calls and
+    the evaluator are one code path, so both are read against the closed
+    forms kept in this file."""
     seed = SeedFunction(terms)
     twin = decimal_twin(terms)
     has_poly = any(isinstance(t, PolyTerm) for t in terms)
     for m in range(9):
         got = repr(seed.derivative_at(z, m))
-        assert got == repr(ref_closed_form(twin, z, m))
-        assert repr(_complex_evaluator(seed, m)(z)) == repr(
-            ref_closed_form(twin, z, m, value_form=m == 0)
-        )
+        assert got == repr(ref_closed_form(twin, z, m, value_form=m == 0))
+        assert repr(_complex_evaluator(seed, m)(z)) == got
         if not has_poly:
-            assert got == repr(ref_closed_form(terms, z, m))
+            assert got == repr(ref_closed_form(terms, z, m, value_form=m == 0))
     value = repr(seed.value_at(z))
     assert value == repr(ref_closed_form(terms, z, 0, value_form=True))
     assert value == repr(ref_closed_form(twin, z, 0, value_form=True))
@@ -632,9 +641,11 @@ def _outcome(f):
 
 
 def check_evaluator(seed, z):
+    """The evaluator and the seed calls that run it, against the closed forms."""
     for m in range(21):
-        want = _outcome(lambda: seed.derivative_at(z, m) if m else seed.value_at(z))
+        want = _outcome(lambda: ref_closed_form(seed.terms, z, m, value_form=m == 0))
         assert _outcome(lambda: _complex_evaluator(seed, m)(z)) == want
+        assert _outcome(lambda: seed.derivative_at(z, m) if m else seed.value_at(z)) == want
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,8 +12,9 @@ from hodocusp import (
     expand_potential,
     hodograph_map,
 )
-from hodocusp.pde import SeedFunction, korobeinik_series
+from hodocusp.pde import KorobeinikSeries, SeedFunction, korobeinik_series
 from hodocusp.verify import (
+    MAX_NODES,
     GridSpec,
     ResidualReport,
     alpha_values,
@@ -269,6 +270,20 @@ def test_grid_touching_pole(catalan_ks):
         pde_grid_residual_G(catalan_ks, GridSpec((0.01, 1.0), 0.005, 1e-3))
 
 
+def test_G_node_cap_refuses_before_any_evaluation(catalan_ks, monkeypatch):
+    # over the node cap and outside the predicted region: the cap refuses
+    # first, with system_residual's words, and no coefficient is evaluated
+    def no_evaluation(*args):
+        raise AssertionError("the grid was evaluated")
+
+    monkeypatch.setattr(KorobeinikSeries, "coefficient", no_evaluation)
+    monkeypatch.setattr(SeedFunction, "min_pole_distance2", no_evaluation)
+    grid = GridSpec((0.2, 0.8), 0.2, 1e-4)
+    assert grid.axis(0).size ** 2 > MAX_NODES
+    with pytest.raises(UsageError, match="^grid too fine: node count exceeds the safety cap$"):
+        pde_grid_residual_G(catalan_ks, grid)
+
+
 # -- reference oracles: one 2-D stencil for the grid, per-point ones for order ---
 #
 # Both oracles take their convergence order from 3x3 patches run through the
@@ -387,10 +402,31 @@ def test_system_residual_matches_reference_with_alpha(geometric_tail_problem):
     assert rep == reference_system_residual(pack, grid, check=False)
 
 
-def test_grid_residual_G_matches_reference_stencils(catalan_ks):
-    grid = tile_grids(5e-3)[0]
-    rep = pde_grid_residual_G(catalan_ks, grid, terms=30)
-    assert rep == reference_grid_residual_G(catalan_ks, grid, terms=30)
+POLY_SEED = [{"poly": [1, Fraction(1, 2), Fraction(-1, 3), Fraction(1, 4), 0, Fraction(-1, 6), 1]}]
+# a conjugate pole pair with complex residues, |a - u| >= 1.14 on the grid
+PAIR_SEED = [
+    {"pole": {"a": [Fraction(3, 4), 1], "c": [1, Fraction(1, 2)]}},
+    {"pole": {"a": [Fraction(3, 4), -1], "c": [1, Fraction(-1, 2)]}},
+]
+
+
+@pytest.mark.parametrize(
+    "cfg, cap, terms, halvings",
+    [
+        (None, 30, 30, 3),
+        (None, 30, 30, 4),
+        (None, 30, None, 3),
+        (POLY_SEED, 8, None, 3),
+        (PAIR_SEED, 24, None, 3),
+    ],
+    ids=["catalan-terms30", "catalan-halvings4", "catalan-default-terms", "polynomial", "pole-pair"],
+)
+def test_grid_residual_G_matches_reference_stencils(catalan_ks, cfg, cap, terms, halvings):
+    ks = catalan_ks if cfg is None else korobeinik_series(SeedFunction.from_config(cfg), 0, cap)
+    grid = tile_grids(5e-3)[0 if cfg is None else 3]
+    rep = pde_grid_residual_G(ks, grid, terms=terms, halvings=halvings)
+    assert rep == reference_grid_residual_G(ks, grid, terms, halvings)
+    assert rep.halvings == halvings and rep.r1_rms > 0.0
 
 
 # -- hodograph roundtrip ---------------------------------------------------------

@@ -33,7 +33,6 @@ from .hodograph import (
     jacobian_forms_agree,
 )
 from .korobeinik import (
-    Bidisc,
     BidiscReport,
     CauchyReport,
     ConvergenceReport,
@@ -80,7 +79,6 @@ from .scalars import (
     parse_exact,
     parse_point,
     rational_cbrt,
-    rational_sqrt,
     real_cbrt,
     scalar_float,
 )
@@ -89,7 +87,6 @@ from .series import EXACT, FLOAT, Series1, Series2, series1_text, series2_text
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bidisc",
     "BidiscReport",
     "CauchyReport",
     "ConvergenceReport",
@@ -147,7 +144,6 @@ __all__ = [
     "predicted_radius",
     "radius_probe",
     "rational_cbrt",
-    "rational_sqrt",
     "real_cbrt",
     "reconstruct",
     "reconstruct_tau_xi",

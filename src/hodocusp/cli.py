@@ -159,12 +159,11 @@ def _pipeline(ns, cfg):
     so degenerate data (b02 != 0 or b03 = 0) fails fast here even where the
     library expansion itself would not need the restriction.
     """
-    mode = _mode(ns, cfg)
-    smode = EXACT if mode == "exact" else FLOAT
+    smode = EXACT if _mode(ns, cfg) == "exact" else FLOAT
     problem = _problem(cfg)
     problem.require_singular()
     sol = expand_potential(problem, _order(cfg), mode=smode)
-    return mode, sol, hodograph_map(sol)
+    return sol, hodograph_map(sol)
 
 
 def _write(out: Path, name: str, digest: str, body: str) -> Path:
@@ -187,7 +186,7 @@ def _floats_pair(entry, where):
 def _cmd_expand(ns, cfg, digest) -> int:
     if _mode(ns, cfg) != "exact":
         raise UsageError("expand checks exact coefficient identities; use mode exact")
-    _, sol, m = _pipeline(ns, cfg)
+    sol, m = _pipeline(ns, cfg)
     out = _out_dir(ns, cfg)
     tables = (
         ("B.txt", sol.series),
@@ -215,7 +214,7 @@ def _cmd_normalform(ns, cfg, digest) -> int:
         raise UsageError(
             "normalform asserts the miniversal fit exactly; use mode exact"
         )
-    _, _, m = _pipeline(ns, cfg)
+    _, m = _pipeline(ns, cfg)
     pack = build_normal_form(m)
     out = _out_dir(ns, cfg)
     files = save_pack(
@@ -234,7 +233,7 @@ def _cmd_normalform(ns, cfg, digest) -> int:
 
 
 def _cmd_solve(ns, cfg, digest) -> int:
-    _, _, m = _pipeline(ns, cfg)
+    _, m = _pipeline(ns, cfg)
     pack = build_normal_form(m)
     block = _section(cfg, "solve")
     points = _require(block, "points", "solve")
@@ -254,7 +253,7 @@ def _cmd_solve(ns, cfg, digest) -> int:
 
 
 def _cmd_curves(ns, cfg, digest) -> int:
-    _, _, m = _pipeline(ns, cfg)
+    _, m = _pipeline(ns, cfg)
     pack = build_normal_form(m)
     block = _section(cfg, "curves")
     tau_list = _require(block, "tau", "curves")
@@ -288,7 +287,7 @@ def system_residual(*args, **kwargs):
 def _cmd_verify(ns, cfg, digest) -> int:
     from .verify import GridSpec, hodograph_roundtrip
 
-    _, _, m = _pipeline(ns, cfg)
+    _, m = _pipeline(ns, cfg)
     pack = build_normal_form(m)
     block = _section(cfg, "verify")
     gblock = _require(block, "grid", "verify")

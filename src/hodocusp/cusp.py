@@ -96,8 +96,8 @@ def cusp_roots(p, q):
     return [(_polish(root, p, q), 1)]
 
 
-def _polish(r, p, q, steps=2):
-    for _ in range(steps):
+def _polish(r, p, q):
+    for _ in range(2):
         df = 3.0 * r * r + p
         if df == 0.0:
             break

@@ -51,7 +51,6 @@ from .pde import (
     _seed_b0,
     expand_potential,
     h_scaled,
-    korobeinik_series,
 )
 from .scalars import (
     QComplex,
@@ -69,18 +68,12 @@ WITNESS_K_CAP = 600
 def term_magnitudes2(ks: KorobeinikSeries, u, K: int):
     """|g_n(u)|**2 for n = 1..K as reduced Fractions: the integer run of
     :func:`_exact_magnitudes2`, each term put over its denominator here."""
-    mags, den2, step = _magnitudes(ks, u, K)
+    mags, den2, step = _exact_magnitudes2(ks.seed, parse_point(u, "u"), K)
     out = []
     for m in mags:
         out.append(Fraction(m, den2))
         den2 *= step
     return out
-
-
-def _magnitudes(ks: KorobeinikSeries, u, K: int):
-    """(mags, den2, step) with |g_{k+1}(u)|**2 = mags[k] / (den2 step**k),
-    integers from the exact recurrence at the exact point u."""
-    return _exact_magnitudes2(ks.seed, parse_point(u, "u"), K)
 
 
 def _exact_magnitudes2(seed: SeedFunction, u: QComplex, K: int):
@@ -136,7 +129,7 @@ def ratio_points(mags2, h_abs2=None, step=1):
     """Indexed term ratios (n, |t_{n+1}|/|t_n|), skipping zero terms.
 
     |t_{n+1}/t_n|**2 = mags2[n] / (mags2[n-1] step): mags2[n-1] is the
-    Fraction |g_n|**2 (step 1) or the integer run of ``_magnitudes``. With
+    Fraction |g_n|**2 (step 1) or the integer run of ``_exact_magnitudes2``. With
     h_abs2 the ratios include the |h| factor; a float h_abs2 is read as its
     decimal (``parse_exact``). The quotient is one integer true division,
     which rounds correctly like float(Fraction), so it gives the same bits
@@ -213,7 +206,7 @@ def radius_probe(seed: SeedFunction, u, K: int = 40) -> ConvergenceReport:
         raise UsageError("radius probe needs K >= 20 terms")
     u = parse_point(u, "u")
     seed.assert_not_pole(u, "u")
-    mags, _, step = _magnitudes(korobeinik_series(seed, u, K), u, K)
+    mags, _, step = _exact_magnitudes2(seed, u, K)
     pts = ratio_points(mags, step=step)
     pred = predicted_radius(seed, u)
     uf = u.to_complex()
@@ -260,7 +253,8 @@ def confirm_divergence(seed: SeedFunction, u, h_abs, K: int):
     A float h_abs is read as its decimal (``parse_exact``).
     """
     u = parse_point(u, "u")
-    mags, _, step = _magnitudes(korobeinik_series(seed, u, K), u, K)
+    seed.assert_not_pole(u, "u")
+    mags, _, step = _exact_magnitudes2(seed, u, K)
     h2 = parse_exact(h_abs, "h_abs") ** 2
     pts = ratio_points(mags, h2, step)[-RATIO_TAIL:]
     sq = [
@@ -268,19 +262,6 @@ def confirm_divergence(seed: SeedFunction, u, h_abs, K: int):
         for n, _ in pts
     ]
     return divergence_heuristic(sq), tuple(r for _, r in pts)
-
-
-@dataclass(frozen=True)
-class Bidisc:
-    """Product domain {|h| < R1} x {|u - u*| < R}."""
-
-    u_star: object
-    R1: Fraction
-    R: Fraction
-
-    def __post_init__(self):
-        if self.R1 <= 0 or self.R <= 0:
-            raise UsageError("bidisc radii must be positive")
 
 
 @dataclass(frozen=True)
@@ -317,10 +298,6 @@ class BidiscReport:
     samples: tuple          # BidiscSample
     witness: object         # DivergenceWitness | None
 
-    @property
-    def samples_consistent(self) -> bool:
-        return all(s.consistent for s in self.samples)
-
 
 def bidisc_check(
     seed: SeedFunction,
@@ -342,19 +319,19 @@ def bidisc_check(
     """
     R = parse_exact(R, "R")
     R1 = parse_exact(R1, "R1")
-    Bidisc(u_star, R1, R)  # validates positivity
+    if R1 <= 0 or R <= 0:
+        raise UsageError("bidisc radii must be positive")
     u0 = parse_point(u_star, "u_star")
     seed.assert_not_pole(u0, "u_star")
 
     d2s = [d2 for _, d2 in seed._pole_distances2(u0)]
     analytic = not any(lt_dist_vs_radius(d2, R, R1) for d2 in d2s)
 
-    ks = korobeinik_series(seed, u0, probe_terms)
     rnd = random.Random(rng_seed)
     rows = []
     for i in range(samples):
         u, h, h_abs = _sample_bidisc_point(rnd, u0, R, R1, complex_h=(i % 4 == 3))
-        rows.append(_classify_sample(seed, ks, u, h, h_abs, probe_terms))
+        rows.append(_classify_sample(seed, u, h, h_abs, probe_terms))
 
     witness = None
     if not analytic:
@@ -392,7 +369,7 @@ def _sample_bidisc_point(rnd, u0, R, R1, complex_h=False):
     return u, h, m
 
 
-def _classify_sample(seed, ks, u, h, h_abs, K):
+def _classify_sample(seed, u, h, h_abs, K):
     d2 = seed.min_pole_distance2(u)
     if d2 is None or 4 * h_abs < d2:
         predicted = "converges"
@@ -400,7 +377,7 @@ def _classify_sample(seed, ks, u, h, h_abs, K):
         predicted = "diverges"
     else:
         predicted = "boundary"
-    observed = _observe_point(ks, u, h_abs, K)
+    observed = _observe_point(seed, u, h_abs, K)
     return BidiscSample(
         u=u.to_complex(),
         h=h.to_complex(),
@@ -409,9 +386,9 @@ def _classify_sample(seed, ks, u, h, h_abs, K):
     )
 
 
-def _observe_point(ks, u, h_abs, K) -> str:
+def _observe_point(seed, u, h_abs, K) -> str:
     """Ratio-tail verdict for the series at a concrete (u, h)."""
-    mags, _, step = _magnitudes(ks, u, K)
+    mags, _, step = _exact_magnitudes2(seed, u, K)
     pts = ratio_points(mags, h_abs * h_abs, step)
     if len(pts) < RATIO_TAIL:
         return "converges"  # terminating terms: polynomial seed

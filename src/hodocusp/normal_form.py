@@ -81,10 +81,6 @@ class NormalFormPack:
             raise DegeneracyError("lambda1 has no linear part")
         return -1 if slope > 0 else 1
 
-    def h_at(self, tau, V) -> float:
-        """Numeric h(tau, V) inside the validity disc."""
-        return self.h_of_tau_v.evaluate(tau, V)
-
     @cached_property
     def _float_base(self):
         """(t*, x*, v*) as floats, for the pointwise and grid evaluators."""
@@ -92,13 +88,10 @@ class NormalFormPack:
         return scalar_float(p.t_star), scalar_float(p.x_star), scalar_float(p.v_star)
 
 
-def build_normal_form(m: HodographMap, order: int | None = None) -> NormalFormPack:
+def build_normal_form(m: HodographMap) -> NormalFormPack:
     p = m.problem
     p.require_singular()
     tau, xi = m.tau, m.xi
-    if order is not None and order != tau.cap:
-        tau = tau.recap(order)
-        xi = xi.recap(order)
     b11 = tau.coefficient(1, 0)
     if b11 == 0:
         raise DegeneracyError("degenerate: b11 must be nonzero")
@@ -166,11 +159,11 @@ def _fit_miniversal(xi_tw: Series2):
         sq_m = {}
         known = {}
         for a in range(1, m):
-            _row_mul_add(sq_m, u[a], u[m - a], deg)
-            _row_mul_add(known, sq[a], u[m - a], deg)
+            _product(u[a], u[m - a], deg, sq_m)
+            _product(sq[a], u[m - a], deg, known)
             if a in lam1:
-                _row_mul_add(known, {0: lam1[a]}, u[m - a], deg)
-        _row_mul_add(known, sq_m, u[0], deg)
+                _product({0: lam1[a]}, u[m - a], deg, known)
+        _product(sq_m, u[0], deg, known)
         resid = dict(xi_rows[m])
         for j, v in known.items():
             resid[j] = resid[j] - v if j in resid else -v
@@ -185,7 +178,7 @@ def _fit_miniversal(xi_tw: Series2):
             else:
                 u_m[j - 2] = v / three
         u.append(u_m)
-        _row_mul_add(sq_m, {1: 2 * one}, u_m, deg)
+        _product({1: 2 * one}, u_m, deg, sq_m)
         sq.append(sq_m)
     eff = xi_tw.eff
     lam1_s = Series1("tau", cap, lam1, mode=mode, eff=eff)
@@ -193,11 +186,6 @@ def _fit_miniversal(xi_tw: Series2):
     u_c = {(i, j): v for i, row in enumerate(u) for j, v in row.items()}
     u_s = Series2(xi_tw.names, cap, u_c, mode=mode, eff=eff)
     return lam1_s, lam2_s, u_s
-
-
-def _row_mul_add(out: dict, a: dict, b: dict, deg: int):
-    """out += a * b for polynomials given as {degree: coeff}, up to degree deg."""
-    _product(a, b, deg, out)
 
 
 def verify_miniversal(pack: NormalFormPack) -> Series2:

@@ -214,17 +214,6 @@ def h_scaled(series: Series2) -> Series2:
     return h * up
 
 
-def h_unscaled(series: Series2) -> Series2:
-    """Inverse of h_scaled; the input must be divisible by h."""
-    stray = [(i, j) for (i, j, v) in series.terms() if i == 0]
-    if stray:
-        raise UsageError(f"series is not divisible by {series.names[0]}: terms {stray}")
-    c = {(i - 1, j): v for (i, j, v) in series.terms()}
-    return Series2(
-        series.names, series.cap - 1, c, mode=series.mode, eff=series.eff - 1
-    )
-
-
 def scaled_residual(C: Series2, problem: ProblemData) -> Series2:
     """Series residual h*C_hh - alpha(h)*C_vv."""
     h = variable2(C.names, C.cap, C.names[0], mode=C.mode)
@@ -482,24 +471,35 @@ class KorobeinikSeries:
     until a value is requested.
     """
 
-    __slots__ = ("seed", "u_star", "cap")
+    __slots__ = ("seed", "cap")
 
-    def __init__(self, seed: SeedFunction, u_star, cap: int):
+    def __init__(self, seed: SeedFunction, cap: int):
         if cap < 1:
             raise UsageError("cap must be at least 1")
         self.seed = seed
-        self.u_star = u_star
         self.cap = cap
 
     def coefficient(self, n: int, u):
-        """g_n(u); n >= 1."""
+        """g_n(u); n >= 1. Exact at a QComplex, int or Fraction u, in complex
+        floats (``_float_coefficient``) at any other u."""
         if n < 1:
             raise UsageError("coefficient index starts at 1")
-        if n == 1:
-            return self.seed.value_at(u)
+        if not isinstance(u, (int, Fraction, QComplex)):
+            return self._float_coefficient(n)(complex(u))
         k = n - 1
         d = self.seed.derivative_at(u, 2 * k)
-        return d / (math.factorial(k) * math.factorial(k + 1))
+        return d if k == 0 else d / (math.factorial(k) * math.factorial(k + 1))
+
+    def _float_coefficient(self, n: int):
+        """z -> g_n(z) in complex floats: the seed's value form for n = 1,
+        else its evaluator of order 2k = 2(n - 1) divided by the int
+        k!(k+1)!. Built once, it serves any number of points."""
+        k = n - 1
+        f = _complex_evaluator(self.seed, 2 * k)
+        if k == 0:
+            return f
+        div = math.factorial(k) * math.factorial(k + 1)
+        return lambda z: f(z) / div
 
     def partial_sum(self, h, u, terms: int | None = None):
         """sum_{n=1..terms} g_n(u) h^n (complex or exact, following inputs)."""
@@ -512,17 +512,16 @@ class KorobeinikSeries:
             total = v if total is None else total + v
         return total
 
-    def recurrence_residuals(self, u_points, kmax: int | None = None):
-        """Exact residuals k(k+1) g_{k+1}(u) - g_k''(u) for k = 1..kmax.
+    def recurrence_residuals(self, u_points):
+        """Exact residuals k(k+1) g_{k+1}(u) - g_k''(u) for k = 1..cap - 1.
 
         g_k'' is computed through the symbolic derivative chain
         g_{k+1} = g_k'' / (k (k+1)), independent of the closed factorial
         formula used by :meth:`coefficient`; both routes must agree.
         """
-        kmax = self.cap - 1 if kmax is None else kmax
         out = []
         gk = self.seed  # symbolic g_k, starting at k = 1
-        for k in range(1, kmax + 1):
+        for k in range(1, self.cap):
             gk_dd = gk.differentiated().differentiated()
             for u in u_points:
                 lhs = self.coefficient(k + 1, u) * (k * (k + 1))
@@ -543,7 +542,7 @@ def _scale_term(t, s):
 def korobeinik_series(seed: SeedFunction, u_star, cap: int) -> KorobeinikSeries:
     """Series solution of h*G_hh = G_uu with boundary row g1 about u_star."""
     seed.assert_not_pole(u_star, "u_star")
-    return KorobeinikSeries(seed, u_star, cap)
+    return KorobeinikSeries(seed, cap)
 
 
 @dataclass(frozen=True)
@@ -658,7 +657,7 @@ def _seed_b0(seed: SeedFunction, u_star: Fraction, order: int):
     return None if derivs is None else _b0_row(derivs)
 
 
-def bridge_check(seed: SeedFunction, u_star, order: int, alpha=()) -> BridgeCheck:
+def bridge_check(seed: SeedFunction, u_star, order: int) -> BridgeCheck:
     """Expand the potential from B0(v) = g1(v/2) and compare rows.
 
     Row k of the potential must equal the Taylor coefficients of
@@ -666,8 +665,6 @@ def bridge_check(seed: SeedFunction, u_star, order: int, alpha=()) -> BridgeChec
 
         b_{kj} = (1/2)^j g1^(2k+j)(u_star) / (j! k! (k+1)!).
     """
-    if any(parse_exact(a, "alpha") != 0 for a in alpha):
-        raise UsageError("the series bridge holds only for alpha == 4 (all alpha_j = 0)")
     u_star = parse_exact(u_star, "u_star")
     derivs = _seed_derivatives(seed, u_star, 2 * order + 1)
     if derivs is None:

@@ -71,18 +71,6 @@ def rational_cbrt(q: Fraction) -> Fraction | None:
     return None
 
 
-def rational_sqrt(q) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None."""
-    q = Fraction(q)
-    if q < 0:
-        return None
-    num, den = q.numerator, q.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
 class CubicRadical:
     """a0 + a1*c + a2*c**2 with c = real cube root of ``rad`` (a non-cube rational).
 
@@ -226,18 +214,6 @@ class CubicRadical:
         if self._parts(other) is None:
             return NotImplemented
         return self.inverse() * other
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = Fraction(1)
-        base = self
-        while n:
-            if n & 1:
-                out = base * out
-            base = base * base
-            n >>= 1
-        return out
 
     # -- comparisons and conversions --------------------------------------
 
@@ -386,9 +362,6 @@ class QComplex:
 
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
-
-    def conj(self):
-        return QComplex(self.re, -self.im)
 
     def is_real(self) -> bool:
         return self.im == 0

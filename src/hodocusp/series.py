@@ -458,18 +458,6 @@ class Series2(_Series):
 
     __mul__ = __rmul__ = _Series.__mul__
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = const2(self.names, self.cap, 1, mode=self.mode)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
     # -- calculus -----------------------------------------------------------
 
     def derivative(self, name):
@@ -612,10 +600,6 @@ class Series1(_Series):
 
 
 # -- constructors ------------------------------------------------------------
-
-
-def zero2(names, cap, mode=EXACT):
-    return Series2(names, cap, {}, mode=mode)
 
 
 def const2(names, cap, value, mode=EXACT):
@@ -764,25 +748,6 @@ def compose1(f: Series1, g: Series1) -> Series1:
 
 
 # -- inversion ---------------------------------------------------------------
-
-
-def reversion(f: Series1, new_name: str = "W") -> Series1:
-    """Compositional inverse of f (f(0) = 0, f'(0) != 0): f(g(W)) = W.
-
-    f is lifted onto a variable pair with a spare variable it does not
-    depend on, and W = f is solved for f's variable by
-    :func:`implicit_solve`; the solution restricted to spare = 0 is g.
-    """
-    if not f.is_zero() and 0 in f._c:
-        raise UsageError("reversion needs a series with zero constant term")
-    f1 = f._c.get(1)
-    if f1 is None or _is_zero(f1):
-        raise DegeneracyError("reversion needs a nonzero linear coefficient")
-    # the solved variable, the spare and the value need three distinct names
-    name = f.name if f.name != new_name else new_name + "_"
-    names = (name, name + "_" + new_name)
-    lifted = lift1to2(f.rename(name), names, 0)
-    return implicit_solve(lifted, name, new_name).at_zero(0)
 
 
 def implicit_solve(f: Series2, solve_for: str, value_name: str) -> Series2:

@@ -297,19 +297,19 @@ def system_residual(
     return _fd_report(grid, halvings, residuals)
 
 
-def branch_swap_probe(pack: NormalFormPack, grid: GridSpec, branches=(0, 2)):
-    """Negative control: stitch two sheets mid-grid and difference across.
+def branch_swap_probe(pack: NormalFormPack, grid: GridSpec):
+    """Negative control: stitch the outer sheets 0 and 2 mid-grid and
+    difference across.
 
     Returns (baseline_rms, swapped_rms) of the mass-equation residual; the
     swap must blow the residual up by orders of magnitude, proving the
     oracle actually sees branch discontinuities.
     """
-    b_lo, b_hi = branches
     t_ax = grid.axis(0)
     x_ax = grid.axis(1)
     T, X = np.meshgrid(t_ax, x_ax, indexing="ij")
-    H0, V0 = branch_field(pack, T, X, b_lo)[:2]
-    H1, V1 = branch_field(pack, T, X, b_hi)[:2]
+    H0, V0 = branch_field(pack, T, X, 0)[:2]
+    H1, V1 = branch_field(pack, T, X, 2)[:2]
     mid = x_ax.size // 2
     cols = np.arange(x_ax.size)[None, :]
     Hs = np.where(cols < mid, H0, H1)
@@ -319,11 +319,12 @@ def branch_swap_probe(pack: NormalFormPack, grid: GridSpec, branches=(0, 2)):
     return _rms(base1), _rms(swap1)
 
 
-def constant_field_probe(h0=2.0, v0=0.5, nodes=21, step=1e-3, alpha_coeffs=()):
-    """Constant fields solve the system; the oracle must report ~ 0."""
-    H = np.full((nodes, nodes), float(h0))
-    V = np.full((nodes, nodes), float(v0))
-    r1, r2 = grid_residuals(H, V, step, alpha_coeffs)
+def constant_field_probe(alpha_coeffs=()):
+    """Constant fields (h, v) = (2, 0.5) on a 21 x 21 grid solve the system;
+    the oracle must report ~ 0."""
+    H = np.full((21, 21), 2.0)
+    V = np.full((21, 21), 0.5)
+    r1, r2 = grid_residuals(H, V, 1e-3, alpha_coeffs)
     return float(np.max(np.abs(r1))), float(np.max(np.abs(r2)))
 
 
@@ -333,15 +334,16 @@ def constant_field_probe(h0=2.0, v0=0.5, nodes=21, step=1e-3, alpha_coeffs=()):
 def _g_field(ks: KorobeinikSeries, H: np.ndarray, U: np.ndarray, terms: int) -> np.ndarray:
     """Real part of sum_{n=1..terms} g_n(u) h^n on (h, u) arrays.
 
-    g_n is evaluated once per distinct u, and the h powers are multiplied
-    up from ones and added in n order, so a node's value does not depend
-    on the grid around it.
+    Each g_n's float evaluator is built once and evaluated once per
+    distinct u, and the h powers are multiplied up from ones and added in
+    n order, so a node's value does not depend on the grid around it.
     """
     u_vals, where = np.unique(U.ravel(), return_inverse=True)
     G = np.zeros(H.shape)
     hp = np.ones(H.shape)
     for n in range(1, terms + 1):
-        g = np.array([ks.coefficient(n, complex(u)).real for u in u_vals])
+        gn = ks._float_coefficient(n)
+        g = np.array([gn(complex(u)).real for u in u_vals])
         hp = hp * H
         G += hp * g[where].reshape(H.shape)
     return G

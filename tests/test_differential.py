@@ -5,8 +5,8 @@ Each kernel is checked against a slow reference kept in this file:
 * Horner ``substitute`` and ``compose2`` against term-by-term composition
   from power tables, one product per term of the outer series;
 * ``compose1`` against the sum of full-cap powers it used to form, and
-  ``reversion`` and ``cube_root_normalize`` against the same solvers with a
-  full-cap recomposition per order, coefficient and insertion order alike;
+  ``cube_root_normalize`` against the same solver with a full-cap
+  recomposition per order, coefficient and insertion order alike;
 * ``implicit_solve`` through the round trip f(solution) = identity, also
   over Q(cbrt(rad));
 * the integer ``CubicRadical`` against the same field written with three
@@ -31,10 +31,8 @@ from hodocusp.series import (
     const2,
     cube_root_normalize,
     implicit_solve,
-    reversion,
     substitute,
     variable2,
-    zero2,
 )
 
 HV = ("h", "V")
@@ -120,13 +118,15 @@ def test_radical_matches_fraction_formulas(a, b, r, k):
 @settings(max_examples=100, deadline=None)
 def test_radical_pow_and_float_match_reference(a, r, n):
     x = make_radical(*a, r)
+    xn = Fraction(1)
     want = (Fraction(1), Fraction(0), Fraction(0))
     for _ in range(n):
+        xn = xn * x
         want = ref_mul(want, a, r)
-    assert as_parts(x**n) == want
+    assert as_parts(xn) == want
     # bit-equal conversion, the float evaluators read coefficients this way
     assert float(x) == ref_float(a, r)
-    assert float(x**n) == ref_float(want, r)
+    assert float(xn) == ref_float(want, r)
 
 
 @given(a=triples_st, root=fractions_st.filter(lambda q: q != 0))
@@ -148,7 +148,7 @@ def naive_compose(a, s1, s2):
     for _ in range(cap):
         p1.append(p1[-1] * s1)
         p2.append(p2[-1] * s2)
-    out = zero2(names, cap, mode)
+    out = Series2(names, cap, {}, mode=mode)
     for i, j, v in a.terms():
         out = out + (p1[i] * p2[j]).scale(v)
     return out
@@ -269,20 +269,6 @@ def ref_compose1(f, g):
     return Series1._raw(g.name, g.cap, out._c, g.mode, eff)
 
 
-def ref_reversion(f, new_name="W"):
-    """The inverse series, each order from a full-cap recomposition."""
-    cap, mode = f.cap, f.mode
-    f1 = f._c[1]
-    g = {1: 1 / f1}
-    fw = f.rename(new_name)
-    for k in range(2, cap + 1):
-        comp = ref_compose1(fw, Series1._raw(new_name, cap, dict(g), mode, cap))
-        gk = -comp._c.get(k, 0) / f1
-        if gk != 0:
-            g[k] = gk
-    return Series1._raw(new_name, cap, g, mode, f.eff)
-
-
 def ref_cube_root_normalize(x0, new_name="W"):
     """V(W) with x0(V) = W**3, each order from a full-cap recomposition."""
     cap, mode = x0.cap, x0.mode
@@ -352,8 +338,3 @@ def test_solvers_match_full_cap_recomposition():
         want = ref_cube_root_normalize(x0, "W")
         assert_same_series1(v, want)
         assert list(v._c.items()) == list(want._c.items())
-        # Fraction coefficients, then the cube-root ones of V(W)
-        for f in (random_series1(rng, cap, 1), v.rename("V")):
-            g, want = reversion(f, "U"), ref_reversion(f, "U")
-            assert_same_series1(g, want)
-            assert list(g._c.items()) == list(want._c.items())

@@ -20,7 +20,6 @@ from hodocusp import (
     witness_report,
 )
 from hodocusp.korobeinik import (
-    Bidisc,
     confirm_divergence,
     divergence_heuristic,
     predicted_radius,
@@ -154,7 +153,7 @@ def test_bidisc_divergent_case_with_witness(catalan_seed):
     rep = bidisc_check(catalan_seed, 0, "0.9", "0.25")
     assert not rep.analytic
     assert rep.pole_distance == 1.0
-    assert rep.samples_consistent
+    assert all(smp.consistent for smp in rep.samples)
     w = rep.witness
     assert w is not None and w.confirmed
     assert w.u == 0.45 + 0j
@@ -172,7 +171,7 @@ def test_bidisc_boundary_case_is_analytic(catalan_seed):
     rep = bidisc_check(catalan_seed, 0, Fraction(1, 2), Fraction(1, 16))
     assert rep.analytic
     assert rep.witness is None
-    assert rep.samples_consistent
+    assert all(smp.consistent for smp in rep.samples)
 
 
 def test_bidisc_margin_sweep(catalan_seed):
@@ -191,14 +190,15 @@ def test_bidisc_margin_sweep(catalan_seed):
         else:
             assert rep.witness is not None
             assert rep.witness.confirmed
-        assert rep.samples_consistent
+        assert all(smp.consistent for smp in rep.samples)
 
 
-def test_bidisc_radii_must_be_positive():
+def test_bidisc_radii_must_be_positive(catalan_seed):
+    # the radii are checked before u_star is read
     with pytest.raises(UsageError, match="positive"):
-        Bidisc(0, Fraction(0), Fraction(1))
+        bidisc_check(catalan_seed, "not a point", Fraction(1), Fraction(0))
     with pytest.raises(UsageError, match="positive"):
-        Bidisc(0, Fraction(1), Fraction(-1))
+        bidisc_check(catalan_seed, "not a point", Fraction(-1), Fraction(1))
 
 
 # -- union domain membership --------------------------------------------------

@@ -10,7 +10,7 @@ Each kernel is checked against a slow reference kept in this file:
 * float-built seeds and float or complex points against their exact
   decimal twins, report for report, and the float evaluation at complex
   points against a kept copy of the closed forms, bit for bit;
-* the ratios read straight from the integer run (``_magnitudes``) against
+* the ratios read straight from the integer run (``_exact_magnitudes2``) against
   ``ratio_points`` of the reduced Fractions, and ``confirm_divergence``
   against its one-Fraction-per-ratio loop, bit for bit;
 * ``cauchy_bound_check`` against a per-call run of the closed forms, and
@@ -40,7 +40,7 @@ from hodocusp.korobeinik import (
     RATIO_TAIL,
     CauchyReport,
     ConvergenceReport,
-    _magnitudes,
+    _exact_magnitudes2,
     _radius_verdict,
     bidisc_check,
     cauchy_bound_check,
@@ -281,8 +281,8 @@ def seeds(draw):
             terms.append(PoleTerm(QComplex(draw(small_q)), c, 1))
         else:
             a = QComplex(draw(small_q), draw(residue_q))
-            c_bar = c.conj() if isinstance(c, QComplex) else c
-            terms += [PoleTerm(a, c, 1), PoleTerm(a.conj(), c_bar, 1)]
+            c_bar = QComplex(c.re, -c.im) if isinstance(c, QComplex) else c
+            terms += [PoleTerm(a, c, 1), PoleTerm(QComplex(a.re, -a.im), c_bar, 1)]
     if draw(st.booleans()):
         coeffs = draw(st.lists(small_q, min_size=1, max_size=7))
         terms.insert(draw(st.integers(0, len(terms))), PolyTerm(tuple(coeffs)))
@@ -303,8 +303,8 @@ def real_seeds(draw):
         else:
             a = QComplex(draw(small_q), draw(residue_q))
             c = draw(residues())
-            c_bar = c.conj() if isinstance(c, QComplex) else c
-            terms += [PoleTerm(a, c, 1), PoleTerm(a.conj(), c_bar, 1)]
+            c_bar = QComplex(c.re, -c.im) if isinstance(c, QComplex) else c
+            terms += [PoleTerm(a, c, 1), PoleTerm(QComplex(a.re, -a.im), c_bar, 1)]
     if draw(st.booleans()):
         coeffs = draw(st.lists(small_q, min_size=1, max_size=9))
         terms.insert(draw(st.integers(0, len(terms))), PolyTerm(tuple(coeffs)))
@@ -374,7 +374,7 @@ POLY_ONLY = SeedFunction.from_config([{"poly": [1, 2, 0, 3, 0, 0, 5]}])
 
 def check_integer_run_ratios(seed, u, K, h2_values):
     ks = korobeinik_series(seed, u, K)
-    mags, den2, step = _magnitudes(ks, u, K)
+    mags, den2, step = _exact_magnitudes2(seed, parse_point(u), K)
     assert all(type(m) is int for m in mags) and type(den2) is int and type(step) is int
     fractions = term_magnitudes2(ks, u, K)
     for h2 in h2_values:
@@ -390,7 +390,7 @@ def test_integer_run_ratios_match_fraction_ratios(seed, u, K, h):
 
 @pytest.mark.parametrize("u", [0, Fraction(3, 7), QComplex(Fraction(1, 5), Fraction(-2, 9))])
 def test_integer_run_ratios_skip_vanishing_terms(u):
-    mags, _, _ = _magnitudes(korobeinik_series(POLY_ONLY, u, 30), u, 30)
+    mags, _, _ = _exact_magnitudes2(POLY_ONLY, parse_point(u), 30)
     assert mags[4:] == [0] * 26 and (mags[2] == 0) == (u == 0)
     check_integer_run_ratios(POLY_ONLY, u, 30, [None, Fraction(9, 16), 0.5625])
 

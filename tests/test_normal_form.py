@@ -210,27 +210,34 @@ def test_rejects_vanishing_cubic_term():
 
 
 def test_order_recap():
-    pack = build_normal_form(
-        hodograph_map(expand_potential(canonical_problem(), order=8)), order=4
+    # the pack of an order-4 expansion is the order-8 pack cut at cap 4
+    pack, big = (
+        build_normal_form(hodograph_map(expand_potential(canonical_problem(), order=n)))
+        for n in (4, 8)
     )
     assert pack.order == 4
     assert pack.lambda1_slope() == -cbrt_exact(Fraction(12, 5))
+    for f in dataclasses.fields(pack):
+        s = getattr(pack, f.name)
+        if isinstance(s, (Series1, Series2)):
+            assert getattr(big, f.name).recap(4) == s
 
 
 # -- numeric evaluation -------------------------------------------------------
 
 
 def test_h_at_canonical_points(canonical_pack):
-    assert canonical_pack.h_at(0.0, 0.0) == 0.0
-    assert abs(canonical_pack.h_at(1e-4, 0.0) - 1e-4) < 1e-10
+    h_at = canonical_pack.h_of_tau_v.evaluate
+    assert h_at(0.0, 0.0) == 0.0
+    assert abs(h_at(1e-4, 0.0) - 1e-4) < 1e-10
     v = 0.02
-    assert abs(canonical_pack.h_at(0.0, v) - (-v * v / 4)) < 1e-12
+    assert abs(h_at(0.0, v) - (-v * v / 4)) < 1e-12
 
 
 def test_h_at_outside_validity_disc_raises():
     pack = random_pack(3)
     with pytest.raises(DomainError, match="validity radius"):
-        pack.h_at(1.0, 0.0)
+        pack.h_of_tau_v.evaluate(1.0, 0.0)
 
 
 def test_float_mode_build_matches_exact_slope():

@@ -32,7 +32,6 @@ from hodocusp import (
     relation_checklist,
     scaled_residual,
 )
-from hodocusp.pde import h_unscaled
 from hodocusp.series import EXACT, FLOAT, Series2
 
 from conftest import rand_fraction, random_singular_problem
@@ -195,10 +194,11 @@ def test_h_scaled_unit():
 def test_h_scaled_roundtrip_and_guard():
     rng = random.Random(23)
     sol = expand_potential(random_singular_problem(rng), order=6)
-    C = h_scaled(sol.series)
-    assert h_unscaled(C) == sol.series
-    with pytest.raises(UsageError, match="not divisible"):
-        h_unscaled(Series2(("h", "V"), 4, {(0, 1): 1}))
+    B = sol.series
+    C = h_scaled(B)
+    # every term moves up one power of h, in the same order, at cap + 1
+    assert (C.names, C.cap, C.mode) == (B.names, B.cap + 1, B.mode)
+    assert list(C.terms()) == [(i + 1, j, v) for i, j, v in B.terms()]
 
 
 @given(seed=st.integers(0, 10_000))
@@ -360,12 +360,6 @@ def test_bridge_pole_seed_exact():
     seed = SeedFunction([PoleTerm(QComplex(Fraction(1)), Fraction(1), 1)])
     rep = bridge_check(seed, 0, order=6)
     assert rep.ok and rep.order == 6
-
-
-def test_bridge_rejects_nonzero_alpha():
-    seed = SeedFunction([PolyTerm((0, 0, Fraction(1)))])
-    with pytest.raises(UsageError, match="alpha == 4"):
-        bridge_check(seed, 0, order=4, alpha=(Fraction(1),))
 
 
 def test_bridge_reads_float_seed_as_decimals():

@@ -1,7 +1,7 @@
 """The truncated-product kernel against the schoolbook loops it replaced.
 
-``Series1``, ``Series2`` and the miniversal fit's ``_row_mul_add`` share one
-product kernel, which works on integer numerators over one denominator per
+``Series1``, ``Series2`` and the miniversal fit's row products share one
+product kernel, ``_product``, which works on integer numerators over one denominator per
 operand. Kept in this file as references: the three loops that multiplied
 ``Fraction``/``CubicRadical``/float coefficients one term pair at a time.
 The kernel must give the same coefficients, in the same key order (the
@@ -21,9 +21,8 @@ from hypothesis import strategies as st
 
 from hodocusp import build_normal_form, expand_potential, hodograph_map
 from hodocusp.errors import UsageError
-from hodocusp.normal_form import _row_mul_add
 from hodocusp.scalars import CubicRadical, make_radical
-from hodocusp.series import EXACT, FLOAT, Series1, Series2
+from hodocusp.series import EXACT, FLOAT, Series1, Series2, _product
 
 RADS = [Fraction(2), Fraction(12, 5), Fraction(-4, 15)]
 PAIR = ("x", "y")
@@ -259,7 +258,7 @@ def test_row_mul_add_matches_reference(case):
     want = dict(out)
     ref_row_mul_add(want, a, b, deg)
     got = dict(out)
-    assert _row_mul_add(got, a, b, deg) is None
+    assert _product(a, b, deg, got) is got
     assert bits(got.items()) == bits(want.items())
 
 
@@ -270,10 +269,10 @@ def test_row_mul_add_keeps_zero_sums():
         want = dict(out)
         ref_row_mul_add(want, a, b, 3)
         got = dict(out)
-        _row_mul_add(got, a, b, 3)
+        _product(a, b, 3, got)
         assert bits(got.items()) == bits(want.items())
     got = {}
-    _row_mul_add(got, a, b, 3)
+    _product(a, b, 3, got)
     assert got == {0: 1, 1: 0, 2: -1}
 
 
@@ -314,7 +313,7 @@ def test_row_mul_add_mixed_radicands():
     a = {0: c2, 1: c3}
     b = {0: Fraction(1), 1: Fraction(1)}
     want = ref_error(lambda: ref_row_mul_add({}, a, b, 3))
-    assert ref_error(lambda: _row_mul_add({}, a, b, 3)) == want
+    assert ref_error(lambda: _product(a, b, 3, {})) == want
 
 
 def test_radical_product_matches_scalar_arithmetic():

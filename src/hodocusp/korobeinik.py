@@ -321,6 +321,10 @@ def bidisc_check(
     R1 = parse_exact(R1, "R1")
     if R1 <= 0 or R <= 0:
         raise UsageError("bidisc radii must be positive")
+    # with fewer than RATIO_TAIL ratios the heuristic reads every sample as
+    # converging, its rule for terminating seeds; 20 is the CLI's bound
+    if probe_terms < 20:
+        raise UsageError("bidisc check needs probe_terms >= 20")
     u0 = parse_point(u_star, "u_star")
     seed.assert_not_pole(u0, "u_star")
 

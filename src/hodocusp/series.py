@@ -757,10 +757,17 @@ def implicit_solve(f: Series2, solve_for: str, value_name: str) -> Series2:
     variable. The output pair keeps the solved variable's position, renamed
     to ``value_name``.
 
-    Pass n substitutes the solution known through degree n - 1 into f, all
-    at cap n, and fixes band n from the defect there, which is linear in
-    band n through the first-order coefficient: cap passes whose costs grow
-    with n, instead of cap full-cap recompositions.
+    Newton's iteration without a series inverse (Brent and Kung, J. ACM 25
+    (1978) 581-595). Band 1 comes from the linear coefficients. With the
+    solution right through band p, the defect value - f(solution) starts
+    at band p + 1, and dividing it by f_x(solution) makes the solution
+    right through band q = min(2p, cap). The solution's own derivative in
+    the value variable is 1 / f_x(solution) through band p - 1, all that
+    division reads. So each step is one substitution at cap q and one
+    product, and the caps run 2, 4, 8, .., cap. Bands up to p are never
+    revisited, also in float mode. The terms are stored band by band,
+    ascending in the value variable's exponent: the validity radius sums a
+    band's magnitudes in that order.
     """
     if solve_for not in f.names:
         raise UsageError(f"no variable {solve_for!r} in {f.names}")
@@ -779,16 +786,24 @@ def implicit_solve(f: Series2, solve_for: str, value_name: str) -> Series2:
     names = (value_name, f.names[1])
     cap, mode = f.cap, f.mode
     c10_inv = 1 / c10
-    sol = {}
-    for n in range(1, cap + 1):
-        fs = substitute(f.recap(n), solve_for, Series2._raw(names, n, dict(sol), mode, n))
-        # band n of value - f(sol); the value variable is the (1, 0) term
-        for i in range(n + 1):
-            k = (i, n - i)
-            r = (1 if k == (1, 0) else 0) - fs._c.get(k, 0)
-            if not _is_zero(r):
-                sol[k] = r * c10_inv
-    out = Series2._raw(names, cap, sol, mode, f.eff)
+    # band 1: x = (value - c01 y) / c10; the value variable is the (1, 0) term
+    sol = {(1, 0): c10_inv}
+    c01 = f._c.get((0, 1))
+    if c01 is not None:
+        sol[(0, 1)] = -c01 * c10_inv
+    p = 1
+    while p < cap:
+        q = min(2 * p, cap)
+        fs = substitute(f.recap(q), solve_for, Series2._raw(names, q, sol, mode, q))
+        # bands p+1..q of value - f(sol); the bands below are already solved
+        d = {k: -v for k, v in fs._c.items() if k[0] + k[1] > p}
+        # d sol / d value, through band q - p - 1
+        g = {(i - 1, j): v * i for (i, j), v in sol.items() if i and i + j <= q - p}
+        sol.update(_product(d, g, q, pairs=True))
+        p = q
+    order = sorted(sol, key=lambda k: (k[0] + k[1], k[0]))
+    c = {k: sol[k] for k in order if not _is_zero(sol[k])}
+    out = Series2._raw(names, cap, c, mode, f.eff)
     return out.swap() if swapped else out
 
 

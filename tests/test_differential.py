@@ -8,7 +8,9 @@ Each kernel is checked against a slow reference kept in this file:
   ``cube_root_normalize`` against the same solver with a full-cap
   recomposition per order, coefficient and insertion order alike;
 * ``implicit_solve`` through the round trip f(solution) = identity, also
-  over Q(cbrt(rad));
+  over Q(cbrt(rad)), and against the band-by-band solve it replaced,
+  coefficient and insertion order alike, with float results within
+  rounding of the exact ones;
 * the integer ``CubicRadical`` against the same field written with three
   Fractions and the textbook formulas.
 """
@@ -227,7 +229,7 @@ def test_compositions_match_naive_float(a, s1, s2):
     assert_close(substitute(a_s, "h", f), naive_compose(a_s, f, v))
 
 
-# -- implicit_solve round trip ----------------------------------------------------
+# -- implicit_solve: round trip, and the band-by-band solve it replaced -------
 
 
 @given(
@@ -247,6 +249,90 @@ def test_implicit_solve_roundtrip_radical(r, lead, second, data):
     assert sol.eff == f.eff
     back = substitute(f, x, sol)
     assert back == variable2(sol.names, CAP, "tau")
+
+
+def ref_implicit_solve(f, solve_for, value_name):
+    """The band-by-band solve: pass n substitutes the solution known through
+    band n - 1 into f at cap n and fixes band n from the defect there."""
+    swapped = f.names.index(solve_for) == 1
+    if swapped:
+        f = f.swap()
+    names = (value_name, f.names[1])
+    cap, mode = f.cap, f.mode
+    c10_inv = 1 / f._c[(1, 0)]
+    sol = {}
+    for n in range(1, cap + 1):
+        fs = substitute(f.recap(n), solve_for, Series2._raw(names, n, dict(sol), mode, n))
+        for i in range(n + 1):
+            k = (i, n - i)
+            r = (1 if k == (1, 0) else 0) - fs._c.get(k, 0)
+            if r != 0:
+                sol[k] = r * c10_inv
+    out = Series2._raw(names, cap, sol, mode, f.eff)
+    return out.swap() if swapped else out
+
+
+# odd caps end on a partial doubling step
+SOLVE_CAPS = (1, 2, 3, 5, 7, 11, 16)
+
+
+def implicit_input(data, cap, values, second):
+    """f(h, V) with no constant term and a nonzero linear coefficient in the
+    solved variable (V when ``second``); the other linear term is dropped
+    half the time."""
+    keys = st.tuples(st.integers(0, cap), st.integers(0, cap)).filter(
+        lambda k: 0 < k[0] + k[1] <= cap
+    )
+    coeffs = data.draw(st.dictionaries(keys, values, max_size=6))
+    lead, other = ((0, 1), (1, 0)) if second else ((1, 0), (0, 1))
+    coeffs[lead] = data.draw(values.filter(lambda v: v != 0))
+    if data.draw(st.booleans()):
+        coeffs.pop(other, None)
+    return Series2(HV, cap, coeffs, eff=cap - data.draw(st.integers(0, 1)))
+
+
+def assert_same_solve(got, want):
+    assert (got.names, got.cap, got.mode, got.eff) == (want.names, want.cap, want.mode, want.eff)
+    assert got._c == want._c
+    assert list(got._c) == list(want._c)
+
+
+@given(cap=st.sampled_from(SOLVE_CAPS), second=st.booleans(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_implicit_solve_matches_band_by_band_exact(cap, second, data):
+    f = implicit_input(data, cap, fractions_st, second)
+    x = "V" if second else "h"
+    assert_same_solve(implicit_solve(f, x, "tau"), ref_implicit_solve(f, x, "tau"))
+
+
+@given(
+    r=st.sampled_from(RADS),
+    cap=st.sampled_from(SOLVE_CAPS),
+    second=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_implicit_solve_matches_band_by_band_radical(r, cap, second, data):
+    f = implicit_input(data, cap, radical_st(r), second)
+    x = "V" if second else "h"
+    assert_same_solve(implicit_solve(f, x, "tau"), ref_implicit_solve(f, x, "tau"))
+
+
+@given(cap=st.sampled_from(SOLVE_CAPS), second=st.booleans(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_implicit_solve_float_matches_exact_rounded(cap, second, data):
+    f = implicit_input(data, cap, fractions_st, second)
+    x = "V" if second else "h"
+    exact = implicit_solve(f, x, "tau")
+    got = implicit_solve(f.to_float(), x, "tau")
+    assert (got.names, got.eff) == (exact.names, exact.eff)
+    keys = set(exact._c) | set(got._c)
+    for n in range(1, cap + 1):
+        band = [k for k in keys if sum(k) == n]
+        norm = sum(abs(float(exact._c[k])) for k in band if k in exact._c)
+        for k in band:
+            want = float(exact._c.get(k, 0))
+            assert abs(got._c.get(k, 0.0) - want) <= 1e-13 * norm, (k, norm)
 
 
 # -- reference: one-variable composition from full-cap powers -----------------------

@@ -201,6 +201,14 @@ def test_bidisc_radii_must_be_positive(catalan_seed):
         bidisc_check(catalan_seed, "not a point", Fraction(-1), Fraction(1))
 
 
+def test_bidisc_needs_enough_probe_terms(catalan_seed):
+    # five terms leave fewer ratios than the heuristic reads, which it took
+    # for a terminating seed: every sample was observed to converge
+    with pytest.raises(UsageError, match="probe_terms >= 20"):
+        bidisc_check(catalan_seed, 0, "0.9", "0.25", probe_terms=5)
+    assert bidisc_check(catalan_seed, 0, "0.9", "0.25", samples=4, probe_terms=20).samples
+
+
 # -- union domain membership --------------------------------------------------
 
 

@@ -16,13 +16,19 @@ divergence-witness confirmation (whose term ratios overflow float range
 long before the heuristic window is reached). Floats appear only in the
 final ratio-limit extrapolation and in reports.
 
-The exact term magnitudes |g_n(u)|**2, n = 1..K, are not built from the
-closed form g1^(2k)(u)/(k!(k+1)!) one n at a time: each pole term steps
-by an integer recurrence, all poles share one integer denominator, and
-the sequence costs O(K) big-integer products and no gcd. The run is kept
-as integers M_k over the denominator den0**2 step**k, so each term ratio
-is one integer true division of consecutive M_k (see ``ratio_points``);
-reduced Fractions are built only where they are asked for
+The exact terms g_n(u) are not built from the closed form
+g1^(2k)(u)/(k!(k+1)!) one n at a time: each pole term steps by an integer
+recurrence, all poles share one integer denominator, and no gcd runs
+(``_exact_terms``). A verdict reads only the last RATIO_TAIL ratios, so a
+run starts at k0 = K - RATIO_TAIL - 1: each pole's term there is one binary
+power of w**2 and a closed-form binomial factor, and the RATIO_TAIL + 1
+terms from k0 cost O(RATIO_TAIL + log K) big-integer products. Only the
+terms whose ratios are read are squared, into integers M_k over the
+denominator den0**2 step**k, so each term ratio is one integer true
+division of consecutive M_k (see ``ratio_points``). When a window term is
+zero (a polynomial seed, or poles that cancel exactly), the run falls back
+to k = 0, O(K) products, and reads the nonzero terms as before
+(``_tail_run``). Reduced Fractions are built only where they are asked for
 (``term_magnitudes2``, the tail of ``confirm_divergence``).
 
 Seeds and points are read exactly where they enter: a float or complex
@@ -33,6 +39,7 @@ diagnostic has one exact path.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 import statistics
@@ -67,28 +74,45 @@ WITNESS_K_CAP = 600
 
 def term_magnitudes2(ks: KorobeinikSeries, u, K: int):
     """|g_n(u)|**2 for n = 1..K as reduced Fractions: the integer run of
-    :func:`_exact_magnitudes2`, each term put over its denominator here."""
-    mags, den2, step = _exact_magnitudes2(ks.seed, parse_point(u, "u"), K)
+    :func:`_exact_terms` from k = 0, each term squared and put over its
+    denominator here."""
+    terms, den0, L2 = _exact_terms(ks.seed, parse_point(u, "u"), K)
+    den2, step = den0 * den0, L2 * L2
     out = []
-    for m in mags:
-        out.append(Fraction(m, den2))
+    for x, y in terms:
+        out.append(Fraction(x * x + y * y, den2))
         den2 *= step
     return out
 
 
-def _exact_magnitudes2(seed: SeedFunction, u: QComplex, K: int):
-    """(M, den0**2, L**4) with |g_{k+1}(u)|**2 = M[k] / (den0**2 L**(4k)).
+def _gauss_pow(zr: int, zi: int, n: int):
+    """(zr + i zi)**n for n >= 0 by binary powering (Knuth, TAOCP 2, 4.6.3)."""
+    pr, pi = 1, 0
+    while n:
+        if n & 1:
+            pr, pi = pr * zr - pi * zi, pr * zi + pi * zr
+        n >>= 1
+        if n:
+            zr, zi = (zr + zi) * (zr - zi), 2 * zr * zi
+    return pr, pi
+
+
+def _exact_terms(seed: SeedFunction, u: QComplex, K: int, start: int = 0):
+    """(T, den0, L**2) with g_{k+1}(u) = (X_k + i Y_k) / (den0 L**(2k)) and
+    T = [(X_k, Y_k) for k = start..K-1], signed Gaussian integers.
 
     A pole term c/(a - u)**m contributes t_k = c (m)_{2k}/(k!(k+1)!) w**(m+2k)
-    to g_{k+1}(u), with w = 1/(a - u), so
-    t_{k+1} = t_k w**2 (m+2k)(m+2k+1)/((k+1)(k+2)); the scalar factor
-    s_k = C(m+2k-1, 2k) Catalan_k is an integer. Each w is written as a
+    to g_{k+1}(u), with w = 1/(a - u), so t_k = s_k E_0 (w**2)**k with the
+    integer s_k = C(m+2k-1, 2k) Catalan_k, and
+    t_{k+1} = t_k w**2 (m+2k)(m+2k+1)/((k+1)(k+2)). Each w is written as a
     Gaussian integer over the common integer L of all poles
     (``pde._pole_run_start``, shared with the seed derivatives), and every
-    term carries the denominator den0 L**(2k), den0 = Cden L**mmax, so
-    X + iY over that denominator is g_{k+1}(u) and M[k] = X**2 + Y**2; no
-    gcd runs. Polynomial components add P^(2k)(u)/(k!(k+1)!) exactly for
-    2k <= degree.
+    term carries the denominator den0 L**(2k), den0 = Cden L**mmax; no gcd
+    runs. The run may start at any k: each pole's state there is E_0 times
+    a binary power of w**2 and the closed-form s_start, and the run steps
+    by the recurrence from there, so a later start skips the products of
+    the terms before it and gives the same integers. Polynomial components
+    add P^(2k)(u)/(k!(k+1)!) exactly for 2k <= degree.
     """
     poles = [t for t in seed.terms if isinstance(t, PoleTerm)]
     prow = []  # polynomial part of g_{k+1}(u), k = 0, 1, ...
@@ -101,13 +125,17 @@ def _exact_magnitudes2(seed: SeedFunction, u: QComplex, K: int):
                 else:
                     prow.append(v)
     den0, L, starts = _pole_run_start(poles, u, prow)
-    states = [  # [m, s_k, Re E_k, Im E_k, Re W**2, Im W**2]
-        [m, 1, er, ei, wr * wr - wi * wi, 2 * wr * wi] for m, er, ei, wr, wi in starts
-    ]
-    den = den0
     L2 = L * L
+    catalan = math.comb(2 * start, start) // (start + 1)
+    states = []  # [m, s_k, Re E_k, Im E_k, Re w**2, Im w**2]
+    for m, er, ei, wr, wi in starts:
+        w2r, w2i = wr * wr - wi * wi, 2 * wr * wi
+        pr, pi = _gauss_pow(w2r, w2i, start)
+        s = math.comb(m + 2 * start - 1, 2 * start) * catalan
+        states.append([m, s, er * pr - ei * pi, er * pi + ei * pr, w2r, w2i])
+    den = den0 * L2**start
     out = []
-    for k in range(K):
+    for k in range(start, K):
         X = Y = 0
         for st in states:
             m, s, er, ei, w2r, w2i = st
@@ -120,30 +148,55 @@ def _exact_magnitudes2(seed: SeedFunction, u: QComplex, K: int):
             v = prow[k]
             X += v.re.numerator * (den // v.re.denominator)
             Y += v.im.numerator * (den // v.im.denominator)
-        out.append(X * X + Y * Y)
+        out.append((X, Y))
         den *= L2
-    return out, den0 * den0, L2 * L2
+    return out, den0, L2
 
 
-def ratio_points(mags2, h_abs2=None, step=1):
+def _tail_run(seed: SeedFunction, u: QComplex, K: int, read: int):
+    """(M, first, step): the squared terms a verdict reads, with
+    |g_{k+1}(u)|**2 = M[k - first] / (den0**2 step**k).
+
+    The run starts at k0 = K - RATIO_TAIL - 1. When none of its RATIO_TAIL + 1
+    terms is zero (X = Y = 0 tests that without squaring), the window holds
+    every ratio pair that the last RATIO_TAIL ratios of the full run read,
+    and only its last ``read`` terms are squared (first = K - read). When a
+    window term is zero (a polynomial seed, or poles that cancel exactly), or
+    K leaves no room for the window, the run falls back to k = 0 and every
+    term is squared (first = 0).
+    """
+    k0 = K - RATIO_TAIL - 1
+    if k0 > 0:
+        terms, _, L2 = _exact_terms(seed, u, K, k0)
+        if all(x or y for x, y in terms):
+            return [x * x + y * y for x, y in terms[-read:]], K - read, L2 * L2
+    terms, _, L2 = _exact_terms(seed, u, K)
+    return [x * x + y * y for x, y in terms], 0, L2 * L2
+
+
+def ratio_points(mags2, h_abs2=None, step=1, first=0):
     """Indexed term ratios (n, |t_{n+1}|/|t_n|), skipping zero terms.
 
-    |t_{n+1}/t_n|**2 = mags2[n] / (mags2[n-1] step): mags2[n-1] is the
-    Fraction |g_n|**2 (step 1) or the integer run of ``_exact_magnitudes2``. With
-    h_abs2 the ratios include the |h| factor; a float h_abs2 is read as its
-    decimal (``parse_exact``). The quotient is one integer true division,
-    which rounds correctly like float(Fraction), so it gives the same bits
-    whether or not the fraction is reduced.
+    mags2[i] is |t_{first+i+1}|**2 up to a factor step**(first+i): a reduced
+    Fraction |g_n|**2 (step 1), or the squared integer terms of
+    ``_exact_terms`` (step L**4), so |t_{n+1}/t_n|**2 is
+    mags2[i] / (mags2[i-1] step) with n = first + i. A window that starts
+    at first > 0 (``_tail_run``) keeps the indices n of the full run, which
+    the Richardson extrapolation reads. With h_abs2 the ratios include the
+    |h| factor; a float h_abs2 is read as its decimal (``parse_exact``). The
+    quotient is one integer true division, which rounds correctly like
+    float(Fraction), so it gives the same bits whether or not the fraction
+    is reduced.
     """
     h2 = Fraction(1) if h_abs2 is None else parse_exact(h_abs2, "h_abs2")
     pts = []
-    for n in range(1, len(mags2)):
-        a, b = mags2[n - 1], mags2[n]
+    for i in range(1, len(mags2)):
+        a, b = mags2[i - 1], mags2[i]
         if a == 0 or b == 0:
             continue
         num = b.numerator * a.denominator * h2.numerator
         den = b.denominator * a.numerator * step * h2.denominator
-        pts.append((n, math.sqrt(num / den)))
+        pts.append((first + i, math.sqrt(num / den)))
     return pts
 
 
@@ -170,7 +223,12 @@ def richardson_limit(pts):
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Ratio-test summary of the h-series at one probe point."""
+    """Ratio-test summary of the h-series at one probe point.
+
+    ``ratios`` holds the term ratios the radius estimate reads: the last
+    RATIO_TAIL of the run (a witness: of its heuristic window), or all of
+    them when there are fewer.
+    """
 
     u: complex
     ratios: tuple
@@ -206,8 +264,8 @@ def radius_probe(seed: SeedFunction, u, K: int = 40) -> ConvergenceReport:
         raise UsageError("radius probe needs K >= 20 terms")
     u = parse_point(u, "u")
     seed.assert_not_pole(u, "u")
-    mags, _, step = _exact_magnitudes2(seed, u, K)
-    pts = ratio_points(mags, step=step)
+    mags, first, step = _tail_run(seed, u, K, RATIO_TAIL + 1)
+    pts = ratio_points(mags, step=step, first=first)[-RATIO_TAIL:]
     pred = predicted_radius(seed, u)
     uf = u.to_complex()
     ratios = tuple(r for _, r in pts)
@@ -249,16 +307,17 @@ def confirm_divergence(seed: SeedFunction, u, h_abs, K: int):
 
     Squared term ratios are compared in exact rational arithmetic, since
     the terms themselves overflow floats for the K this can need; only the
-    last RATIO_TAIL of them, which the heuristic reads, become Fractions.
-    A float h_abs is read as its decimal (``parse_exact``).
+    last RATIO_TAIL of them, which the heuristic reads, are computed
+    (``_tail_run``) and become Fractions. A float h_abs is read as its
+    decimal (``parse_exact``).
     """
     u = parse_point(u, "u")
     seed.assert_not_pole(u, "u")
-    mags, _, step = _exact_magnitudes2(seed, u, K)
+    mags, first, step = _tail_run(seed, u, K, RATIO_TAIL + 1)
     h2 = parse_exact(h_abs, "h_abs") ** 2
-    pts = ratio_points(mags, h2, step)[-RATIO_TAIL:]
+    pts = ratio_points(mags, h2, step, first)[-RATIO_TAIL:]
     sq = [
-        Fraction(mags[n] * h2.numerator, mags[n - 1] * step * h2.denominator)
+        Fraction(mags[n - first] * h2.numerator, mags[n - first - 1] * step * h2.denominator)
         for n, _ in pts
     ]
     return divergence_heuristic(sq), tuple(r for _, r in pts)
@@ -391,10 +450,12 @@ def _classify_sample(seed, u, h, h_abs, K):
 
 
 def _observe_point(seed, u, h_abs, K) -> str:
-    """Ratio-tail verdict for the series at a concrete (u, h)."""
-    mags, _, step = _exact_magnitudes2(seed, u, K)
-    pts = ratio_points(mags, h_abs * h_abs, step)
-    if len(pts) < RATIO_TAIL:
+    """Ratio-tail verdict for the series at a concrete (u, h): the median
+    of the last five ratios, read from the last six terms."""
+    mags, first, step = _tail_run(seed, u, K, 6)
+    pts = ratio_points(mags, h_abs * h_abs, step, first)
+    # a window run (first > 0) had RATIO_TAIL + 1 nonzero terms
+    if first == 0 and len(pts) < RATIO_TAIL:
         return "converges"  # terminating terms: polynomial seed
     tail = [r for _, r in pts[-5:]]
     med = statistics.median(tail)
@@ -475,6 +536,13 @@ def in_union_domain(h, u, u_star, R0) -> bool:
 CIRCLE_SAMPLES = 4096
 
 
+@functools.cache
+def _circle_roots():
+    """The CIRCLE_SAMPLES unit roots exp(2 pi i k / CIRCLE_SAMPLES), built
+    on the first Cauchy check rather than at import."""
+    return tuple(cmath.exp(2j * math.pi * k / CIRCLE_SAMPLES) for k in range(CIRCLE_SAMPLES))
+
+
 @dataclass(frozen=True)
 class CauchyReport:
     c_eps: float
@@ -510,10 +578,7 @@ def cauchy_bound_check(seed: SeedFunction, r, r0, eps, n_max: int) -> CauchyRepo
         )
     value = _complex_evaluator(seed, 0)
     rho = r - eps
-    c_eps = max(
-        abs(value(rho * cmath.exp(2j * math.pi * k / CIRCLE_SAMPLES)))
-        for k in range(CIRCLE_SAMPLES)
-    )
+    c_eps = max(map(abs, map(value, (rho * e for e in _circle_roots()))))
     z_points = [0j]
     for frac in (Fraction(1, 3), Fraction(2, 3), Fraction(1)):
         for k in range(8):
@@ -572,7 +637,7 @@ def variable_alpha_probe(
     for u in u_list:
         uq = parse_point(u, "u")
         v_val = (uq - QComplex(u_star_q)) * 2
-        pts = ratio_points([_row_mag2(row, v_val) for row in int_rows])
+        pts = ratio_points([_row_mag2(row, v_val) for row in int_rows])[-RATIO_TAIL:]
         limit, spread = richardson_limit(pts)
         pred = predicted_radius(seed, uq)
         est, verdict = _radius_verdict(limit, spread)

@@ -20,12 +20,15 @@ from hodocusp import (
     witness_report,
 )
 from hodocusp.korobeinik import (
+    RATIO_TAIL,
     confirm_divergence,
     divergence_heuristic,
     predicted_radius,
+    ratio_points,
+    term_magnitudes2,
     witness_terms,
 )
-from hodocusp.pde import PoleTerm, PolyTerm, SeedFunction
+from hodocusp.pde import PoleTerm, PolyTerm, SeedFunction, korobeinik_series
 
 
 @pytest.fixture(scope="module")
@@ -331,12 +334,15 @@ def test_cauchy_bound_pole_on_the_circle_is_outside():
 
 def test_variable_alpha_reduces_to_radius_probe(catalan_seed):
     # with alpha == 4 (no corrections) the scaled potential rows reproduce
-    # the seed series ratios bit for bit
+    # the seed series ratios bit for bit; each report keeps the last
+    # RATIO_TAIL ratios, the ones its estimate reads
     base = radius_probe(catalan_seed, 0, K=40)
     (va,) = variable_alpha_probe(catalan_seed, (), 0, 16, [0])
-    n = len(va.ratios)
-    assert n >= 10
-    assert va.ratios == base.ratios[:n]
+    pts = ratio_points(term_magnitudes2(korobeinik_series(catalan_seed, 0, 40), 0, 40))
+    # the h-rows 1..17 of the order-16 potential give the ratios n = 1..16;
+    # the probe keeps n = 7..16
+    assert va.ratios == tuple(r for n, r in pts if 17 - RATIO_TAIL <= n <= 16)
+    assert base.ratios == tuple(r for n, r in pts if n >= 40 - RATIO_TAIL)
     assert va.verdict == "converges"
     assert va.estimated_radius == pytest.approx(base.estimated_radius, rel=1e-2)
     assert va.predicted_radius == 0.25

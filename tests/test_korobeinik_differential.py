@@ -10,9 +10,13 @@ Each kernel is checked against a slow reference kept in this file:
 * float-built seeds and float or complex points against their exact
   decimal twins, report for report, and the float evaluation at complex
   points against a kept copy of the closed forms, bit for bit;
-* the ratios read straight from the integer run (``_exact_magnitudes2``) against
+* the ratios read straight from the integer run (``_exact_terms``) against
   ``ratio_points`` of the reduced Fractions, and ``confirm_divergence``
   against its one-Fraction-per-ratio loop, bit for bit;
+* the run started late (``_exact_terms(..., start)``) against the tail of
+  the run from k = 0, and the verdicts read from that window (radius
+  probes, bidisc samples, witnesses) against the full closed-form run,
+  windows with zero terms (the fallback to k = 0) included;
 * ``cauchy_bound_check`` against a per-call run of the closed forms, and
   the one float evaluator of a seed (``pde._complex_evaluator``, which
   ``SeedFunction.value_at`` and ``derivative_at`` call at complex points)
@@ -27,20 +31,23 @@ Each kernel is checked against a slow reference kept in this file:
 
 import cmath
 import math
+import statistics
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hodocusp import pde
+from hodocusp import korobeinik, pde
 from hodocusp.errors import DomainError
 from hodocusp.korobeinik import (
     CIRCLE_SAMPLES,
+    HEURISTIC_MARGIN,
     RATIO_TAIL,
     CauchyReport,
     ConvergenceReport,
-    _exact_magnitudes2,
+    _exact_terms,
+    _observe_point,
     _radius_verdict,
     bidisc_check,
     cauchy_bound_check,
@@ -77,9 +84,11 @@ def ref_magnitudes2(ks, u, K):
     return [ks.coefficient(n, u).abs2() for n in range(1, K + 1)]
 
 
-def ref_confirm_divergence(seed, u, h_abs, K):
-    """The divergence run with one reduced Fraction per squared ratio."""
-    mags2 = term_magnitudes2(korobeinik_series(seed, u, K), u, K)
+def ref_confirm_divergence(seed, u, h_abs, K, mags2=None):
+    """The divergence run with one reduced Fraction per squared ratio, over
+    the magnitudes of the whole run (``term_magnitudes2`` by default)."""
+    if mags2 is None:
+        mags2 = term_magnitudes2(korobeinik_series(seed, u, K), u, K)
     h2 = parse_exact(h_abs) ** 2
     sq = []
     for n in range(1, len(mags2)):
@@ -88,6 +97,32 @@ def ref_confirm_divergence(seed, u, h_abs, K):
             continue
         sq.append(b * h2 / a)
     return divergence_heuristic(sq), tuple(math.sqrt(float(s)) for s in sq[-RATIO_TAIL:])
+
+
+def ref_radius_probe(seed, u, K):
+    """The radius probe over the closed-form magnitudes of the whole run."""
+    u = parse_point(u)
+    pts = ratio_points(ref_magnitudes2(korobeinik_series(seed, u, K), u, K))
+    ratios = tuple(r for _, r in pts[-RATIO_TAIL:])
+    pred = predicted_radius(seed, u)
+    if seed.is_entire():
+        return ConvergenceReport(u.to_complex(), ratios, math.inf, math.inf, "converges")
+    est, verdict = _radius_verdict(*richardson_limit(pts))
+    return ConvergenceReport(u.to_complex(), ratios, est, pred, verdict)
+
+
+def ref_observe_point(seed, u, h_abs, K):
+    """The bidisc sample verdict over the closed-form magnitudes of the whole run."""
+    mags2 = ref_magnitudes2(korobeinik_series(seed, u, K), u, K)
+    pts = ratio_points(mags2, h_abs * h_abs)
+    if len(pts) < RATIO_TAIL:
+        return "converges"
+    med = statistics.median(r for _, r in pts[-5:])
+    if med < 1.0 - HEURISTIC_MARGIN:
+        return "converges"
+    if med > 1.0 + HEURISTIC_MARGIN:
+        return "diverges"
+    return "inconclusive"
 
 
 def ref_cauchy(seed, r, r0, eps, n_max, closed_form=None):
@@ -196,7 +231,7 @@ def ref_variable_alpha_probe(seed, alpha, u_star, order, u_list):
         reports.append(
             ConvergenceReport(
                 uq.to_complex(),
-                tuple(r for _, r in pts),
+                tuple(r for _, r in pts[-RATIO_TAIL:]),
                 est,
                 predicted_radius(seed, uq),
                 verdict,
@@ -372,10 +407,17 @@ def test_ratio_points_match_fraction_quotient():
 POLY_ONLY = SeedFunction.from_config([{"poly": [1, 2, 0, 3, 0, 0, 5]}])
 
 
+def integer_run(seed, u, K):
+    """(squared terms, step) of the ``_exact_terms`` run from k = 0."""
+    terms, den0, L2 = _exact_terms(seed, parse_point(u), K)
+    assert all(type(x) is int and type(y) is int for x, y in terms)
+    assert type(den0) is int and type(L2) is int
+    return [x * x + y * y for x, y in terms], L2 * L2
+
+
 def check_integer_run_ratios(seed, u, K, h2_values):
     ks = korobeinik_series(seed, u, K)
-    mags, den2, step = _exact_magnitudes2(seed, parse_point(u), K)
-    assert all(type(m) is int for m in mags) and type(den2) is int and type(step) is int
+    mags, step = integer_run(seed, u, K)
     fractions = term_magnitudes2(ks, u, K)
     for h2 in h2_values:
         assert ratio_points(mags, h2, step) == ratio_points(fractions, h2)
@@ -390,7 +432,7 @@ def test_integer_run_ratios_match_fraction_ratios(seed, u, K, h):
 
 @pytest.mark.parametrize("u", [0, Fraction(3, 7), QComplex(Fraction(1, 5), Fraction(-2, 9))])
 def test_integer_run_ratios_skip_vanishing_terms(u):
-    mags, _, _ = _exact_magnitudes2(POLY_ONLY, parse_point(u), 30)
+    mags, _ = integer_run(POLY_ONLY, u, 30)
     assert mags[4:] == [0] * 26 and (mags[2] == 0) == (u == 0)
     check_integer_run_ratios(POLY_ONLY, u, 30, [None, Fraction(9, 16), 0.5625])
 
@@ -481,7 +523,11 @@ def test_radius_probe_at_a_complex_point_is_its_decimal_twin(u):
     # the float closed form overflowed here before K = 200
     twin = QComplex(Fraction(repr(u.real)), Fraction(repr(u.imag)))
     got = radius_probe(THREE_POLE, u, 200)
-    assert len(got.ratios) == 199
+    # the report keeps the ratios its estimate reads: the last RATIO_TAIL,
+    # bit for bit those of the whole run at the same indices n
+    pts = ratio_points(term_magnitudes2(korobeinik_series(THREE_POLE, twin, 200), twin, 200))
+    assert [n for n, _ in pts[-RATIO_TAIL:]] == list(range(200 - RATIO_TAIL, 200))
+    assert got.ratios == tuple(r for _, r in pts[-RATIO_TAIL:])
     assert repr(got) == repr(radius_probe(THREE_POLE, twin, 200))
 
 
@@ -609,6 +655,172 @@ def test_float_built_seed_keeps_the_closed_form_bits(terms, z):
         assert got == ref_cauchy(
             seed, r, r0, eps, 6, lambda w, m: ref_closed_form(terms, w, m, value_form=m == 0)
         )
+
+
+# -- the run from a late start ------------------------------------------------------
+
+
+@st.composite
+def window_cases(draw):
+    """(seed, u, K): 1-3 poles of order 1-3, real or conjugate pairs, maybe a
+    polynomial whose rows g_{k+1} reach k >= K - RATIO_TAIL - 1, the window
+    (its derivative rows cost O(degree**2) QComplex products per run, so
+    K <= 32 and u has a small denominator)."""
+    with_poly = draw(st.booleans())
+    K = draw(st.integers(20, 32 if with_poly else 200))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        c, m = draw(residues()), draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            terms.append(PoleTerm(QComplex(draw(small_q)), c, m))
+        else:
+            a = QComplex(draw(small_q), draw(residue_q))
+            c_bar = QComplex(c.re, -c.im) if isinstance(c, QComplex) else c
+            terms += [PoleTerm(a, c, m), PoleTerm(QComplex(a.re, -a.im), c_bar, m)]
+    if with_poly:
+        # degree 2k reaches row k; a few nonzero coefficients, the top one set
+        degree = draw(st.integers(2 * (K - RATIO_TAIL - 1), 2 * K + 1))
+        coeffs = [Fraction(0)] * degree + [draw(residue_q)]
+        for j in draw(st.lists(st.integers(0, degree - 1), max_size=4)):
+            coeffs[j] = draw(small_q)
+        terms.append(PolyTerm(tuple(coeffs)))
+    u = draw(points if with_poly else st.one_of(big_den_q.map(QComplex), points))
+    return SeedFunction(terms), u, K
+
+
+@settings(max_examples=8, deadline=None)
+@given(window_cases())
+def test_late_start_is_the_tail_of_the_full_run(case):
+    seed, u, K = case
+    assume(seed.min_pole_distance2(u) != 0)
+    full, den0, L2 = _exact_terms(seed, u, K)
+    # every start; the starts before the window run two terms (the run of
+    # K' = start + 2 terms is a prefix of the run of K), the later ones to K
+    for start in range(K + 1):
+        stop = K if start >= K - RATIO_TAIL - 1 else start + 2
+        assert _exact_terms(seed, u, stop, start) == (full[start:stop], den0, L2)
+
+
+def full_run_ref_magnitudes(seed, u, K):
+    return ref_magnitudes2(korobeinik_series(seed, u, K), u, K)
+
+
+def check_window_verdicts(seed, u, K, h_values):
+    """Radius probe, sample verdicts and witness run against the closed-form
+    magnitudes of the whole run."""
+    assert repr(radius_probe(seed, u, K)) == repr(ref_radius_probe(seed, u, K))
+    mags2 = full_run_ref_magnitudes(seed, u, K)
+    for h in h_values:
+        assert _observe_point(seed, u, h, K) == ref_observe_point(seed, u, h, K)
+        got = confirm_divergence(seed, u, h, K)
+        assert got == ref_confirm_divergence(seed, u, h, K, mags2)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seeds(),
+    points,
+    st.integers(20, 80),
+    st.lists(
+        st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=16),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_window_verdicts_match_the_full_closed_form_run(seed, u, K, factors):
+    d2 = seed.min_pole_distance2(u)
+    assume(d2 != 0)
+    # |h| around the pointwise radius d(u)**2 / 4, or any |h| for an entire seed
+    check_window_verdicts(seed, u, K, [(d2 or 1) / 4 * f for f in factors])
+
+
+CATALAN = SeedFunction.from_config([{"pole": {"a": 1, "c": 1}}])
+
+
+def ref_bidisc_check(seed, *args, **kwargs):
+    """bidisc_check with its sample verdicts and witness run taken from the
+    closed-form magnitudes of the whole run."""
+
+    def ref_confirm(s, u, h_abs, K):
+        return ref_confirm_divergence(s, u, h_abs, K, full_run_ref_magnitudes(s, u, K))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(korobeinik, "_observe_point", ref_observe_point)
+        mp.setattr(korobeinik, "confirm_divergence", ref_confirm)
+        return bidisc_check(seed, *args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "seed, u_star, R, R1",
+    [
+        (CATALAN, 0, Fraction(9, 10), Fraction(1, 4)),
+        (THREE_POLE, Fraction(-1, 16), Fraction(17, 20), Fraction(289, 1600)),
+        (POLY_ONLY, 0, Fraction(1, 2), Fraction(1, 8)),
+    ],
+)
+def test_bidisc_samples_and_witness_match_the_full_closed_form_run(seed, u_star, R, R1):
+    got = bidisc_check(seed, u_star, R, R1, samples=12, probe_terms=30)
+    assert got == ref_bidisc_check(seed, u_star, R, R1, samples=12, probe_terms=30)
+    assert got.witness is None or got.witness.confirmed
+
+
+# window seeds where some term in the window is zero, so the run falls back to k = 0
+U_FALLBACK = QComplex(Fraction(1, 3))
+FALLBACK_SEEDS = {
+    # a = u + 1 +- i, m = 2: w**2 = -+i/2, so g_{k+1}(u) = 0 for every even k
+    "double pair at 45 degrees": SeedFunction(
+        [PoleTerm(QComplex(Fraction(4, 3), 1), Fraction(1), 2),
+         PoleTerm(QComplex(Fraction(4, 3), -1), Fraction(1), 2)]
+    ),
+    # poles at u +- 1 with equal residues: g1 is odd about u, every term cancels
+    "symmetric equal residues": SeedFunction(
+        [PoleTerm(QComplex(Fraction(4, 3)), Fraction(3, 2), 1),
+         PoleTerm(QComplex(Fraction(-2, 3)), Fraction(3, 2), 1)]
+    ),
+    "polynomial": POLY_ONLY,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK_SEEDS))
+@pytest.mark.parametrize("K", [20, 41])
+def test_windows_with_zero_terms_fall_back_to_the_full_run(name, K, monkeypatch):
+    seed = FALLBACK_SEEDS[name]
+    window, _, _ = _exact_terms(seed, U_FALLBACK, K, K - RATIO_TAIL - 1)
+    assert any(not (x or y) for x, y in window)
+    mags2 = full_run_ref_magnitudes(seed, U_FALLBACK, K)
+    if name == "double pair at 45 degrees":
+        assert all((m == 0) == (k % 2 == 0) for k, m in enumerate(mags2))
+    elif name == "symmetric equal residues":
+        assert not any(mags2)
+    starts = []
+    inner = korobeinik._exact_terms
+
+    def spy(seed, u, K, start=0):
+        starts.append(start)
+        return inner(seed, u, K, start)
+
+    monkeypatch.setattr(korobeinik, "_exact_terms", spy)
+    check_window_verdicts(seed, U_FALLBACK, K, [Fraction(1, 8), Fraction(2), Fraction(50)])
+    # each of the 7 runs (a probe, 3 samples, 3 witness runs) tried the
+    # window first and then ran from k = 0
+    assert starts == [K - RATIO_TAIL - 1, 0] * 7
+
+
+def test_pole_seeds_read_only_the_window(monkeypatch):
+    starts = []
+    inner = korobeinik._exact_terms
+
+    def spy(seed, u, K, start=0):
+        starts.append((K, start))
+        return inner(seed, u, K, start)
+
+    monkeypatch.setattr(korobeinik, "_exact_terms", spy)
+    rep = bidisc_check(
+        THREE_POLE, Fraction(-1, 16), Fraction(17, 20), Fraction(289, 1600), samples=6
+    )
+    radius_probe(THREE_POLE, Fraction(1, 16), 60)
+    K_w = rep.witness.terms
+    assert starts == [(40, 29)] * 6 + [(K_w, K_w - RATIO_TAIL - 1), (60, 49)]
 
 
 # -- cauchy and bridge --------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .normal_form import NormalFormPack
-from .scalars import scalar_float
+from .scalars import real_cbrt, scalar_float
 
 BOUNDARY_TOL = 1e-12
 NEWTON_TOL = 1e-13
@@ -72,10 +72,12 @@ def cusp_roots(p, q):
     if abs(disc) <= BOUNDARY_TOL * fold_scale(p, q):
         if max(abs(p), abs(q)) <= BOUNDARY_TOL:
             return [(0.0, 3)]
-        a = -1.5 * q / p
-        pair = [(a, 2), (-2.0 * a, 1)]
-        pair.sort(key=lambda rm: rm[0])
-        return pair
+        # p == 0 leaves U**3 + q with one simple real root: Cardano below
+        if p != 0.0:
+            a = -1.5 * q / p
+            pair = [(a, 2), (-2.0 * a, 1)]
+            pair.sort(key=lambda rm: rm[0])
+            return pair
     if disc > 0.0:
         # p < 0 is forced here; amplitude 2 sqrt(-p/3)
         m = 2.0 * math.sqrt(-p / 3.0)
@@ -91,7 +93,7 @@ def cusp_roots(p, q):
     s = -0.5 * q
     d = math.sqrt(max(q * q / 4.0 + (p / 3.0) ** 3, 0.0))
     big = s + d if s >= 0.0 else s - d
-    a_part = math.copysign(abs(big) ** (1.0 / 3.0), big)
+    a_part = real_cbrt(big)
     root = a_part - p / (3.0 * a_part) if a_part != 0.0 else 0.0
     return [(_polish(root, p, q), 1)]
 

@@ -17,19 +17,22 @@ long before the heuristic window is reached). Floats appear only in the
 final ratio-limit extrapolation and in reports.
 
 The exact terms g_n(u) are not built from the closed form
-g1^(2k)(u)/(k!(k+1)!) one n at a time: each pole term steps by an integer
-recurrence, all poles share one integer denominator, and no gcd runs
-(``_exact_terms``). A verdict reads only the last RATIO_TAIL ratios, so a
-run starts at k0 = K - RATIO_TAIL - 1: each pole's term there is one binary
-power of w**2 and a closed-form binomial factor, and the RATIO_TAIL + 1
-terms from k0 cost O(RATIO_TAIL + log K) big-integer products. Only the
-terms whose ratios are read are squared, into integers M_k over the
-denominator den0**2 step**k, so each term ratio is one integer true
-division of consecutive M_k (see ``ratio_points``). When a window term is
-zero (a polynomial seed, or poles that cancel exactly), the run falls back
-to k = 0, O(K) products, and reads the nonzero terms as before
-(``_tail_run``). Reduced Fractions are built only where they are asked for
-(``term_magnitudes2``, the tail of ``confirm_divergence``).
+g1^(2k)(u)/(k!(k+1)!) one n at a time. g_{k+1}(u) = Catalan_k [z**(2k)]
+g1(u + z), and the Taylor coefficients of the seed come from one exact
+integer run (``pde._taylor_run``, which also gives the potential its
+boundary row): each pole term steps by one Gaussian-integer multiply, the
+polynomial part is shifted to u once, all of it shares one integer
+denominator, and no gcd runs (``_exact_terms``). A verdict reads only the
+last RATIO_TAIL ratios, so a run starts at k0 = K - RATIO_TAIL - 1: each
+pole's term there is one binary power of w, and the RATIO_TAIL + 1 terms
+from k0 cost O(RATIO_TAIL + log K) big-integer products. Only the terms
+whose ratios are read are squared, into integers M_k over the denominator
+den0**2 step**k, so each term ratio is one integer true division of
+consecutive M_k (see ``ratio_points``). When a window term is zero (a
+polynomial seed, or poles that cancel exactly), the run falls back to
+k = 0, O(K) products, and reads the nonzero terms as before
+(``_tail_run``). Reduced Fractions are built only where they are asked
+for (the tail of ``confirm_divergence``).
 
 Seeds and points are read exactly where they enter: a float or complex
 input counts as its decimal (``parse_exact``, ``parse_point``), so every
@@ -48,14 +51,11 @@ from fractions import Fraction
 
 from .errors import DomainError, UsageError
 from .pde import (
-    KorobeinikSeries,
-    PoleTerm,
-    PolyTerm,
     ProblemData,
     SeedFunction,
     _complex_evaluator,
-    _pole_run_start,
     _seed_b0,
+    _taylor_run,
     expand_potential,
     h_scaled,
 )
@@ -72,85 +72,23 @@ HEURISTIC_MARGIN = 1e-3
 WITNESS_K_CAP = 600
 
 
-def term_magnitudes2(ks: KorobeinikSeries, u, K: int):
-    """|g_n(u)|**2 for n = 1..K as reduced Fractions: the integer run of
-    :func:`_exact_terms` from k = 0, each term squared and put over its
-    denominator here."""
-    terms, den0, L2 = _exact_terms(ks.seed, parse_point(u, "u"), K)
-    den2, step = den0 * den0, L2 * L2
-    out = []
-    for x, y in terms:
-        out.append(Fraction(x * x + y * y, den2))
-        den2 *= step
-    return out
-
-
-def _gauss_pow(zr: int, zi: int, n: int):
-    """(zr + i zi)**n for n >= 0 by binary powering (Knuth, TAOCP 2, 4.6.3)."""
-    pr, pi = 1, 0
-    while n:
-        if n & 1:
-            pr, pi = pr * zr - pi * zi, pr * zi + pi * zr
-        n >>= 1
-        if n:
-            zr, zi = (zr + zi) * (zr - zi), 2 * zr * zi
-    return pr, pi
-
-
 def _exact_terms(seed: SeedFunction, u: QComplex, K: int, start: int = 0):
     """(T, den0, L**2) with g_{k+1}(u) = (X_k + i Y_k) / (den0 L**(2k)) and
     T = [(X_k, Y_k) for k = start..K-1], signed Gaussian integers.
 
-    A pole term c/(a - u)**m contributes t_k = c (m)_{2k}/(k!(k+1)!) w**(m+2k)
-    to g_{k+1}(u), with w = 1/(a - u), so t_k = s_k E_0 (w**2)**k with the
-    integer s_k = C(m+2k-1, 2k) Catalan_k, and
-    t_{k+1} = t_k w**2 (m+2k)(m+2k+1)/((k+1)(k+2)). Each w is written as a
-    Gaussian integer over the common integer L of all poles
-    (``pde._pole_run_start``, shared with the seed derivatives), and every
-    term carries the denominator den0 L**(2k), den0 = Cden L**mmax; no gcd
-    runs. The run may start at any k: each pole's state there is E_0 times
-    a binary power of w**2 and the closed-form s_start, and the run steps
-    by the recurrence from there, so a later start skips the products of
-    the terms before it and gives the same integers. Polynomial components
-    add P^(2k)(u)/(k!(k+1)!) exactly for 2k <= degree.
+    g_{k+1}(u) = g1^(2k)(u)/(k!(k+1)!) = Catalan_k [z**(2k)] g1(u + z), so
+    the terms are the even Taylor coefficients of the seed's one exact run
+    (``pde._taylor_run`` from j = 2 start in steps of 2) times Catalan_k,
+    which steps by 2(2k+1)/(k+2). den0 depends on neither start nor K, so a
+    later start gives the same integers as the tail of a run from k = 0.
     """
-    poles = [t for t in seed.terms if isinstance(t, PoleTerm)]
-    prow = []  # polynomial part of g_{k+1}(u), k = 0, 1, ...
-    for t in seed.terms:
-        if isinstance(t, PolyTerm):
-            for k in range((len(t.coeffs) + 1) // 2):
-                v = t.derivative_at(u, 2 * k) / (math.factorial(k) * math.factorial(k + 1))
-                if k < len(prow):
-                    prow[k] = prow[k] + v
-                else:
-                    prow.append(v)
-    den0, L, starts = _pole_run_start(poles, u, prow)
-    L2 = L * L
+    run, den0, L = _taylor_run(seed, u, 2 * start, 2 * K, 2)
     catalan = math.comb(2 * start, start) // (start + 1)
-    states = []  # [m, s_k, Re E_k, Im E_k, Re w**2, Im w**2]
-    for m, er, ei, wr, wi in starts:
-        w2r, w2i = wr * wr - wi * wi, 2 * wr * wi
-        pr, pi = _gauss_pow(w2r, w2i, start)
-        s = math.comb(m + 2 * start - 1, 2 * start) * catalan
-        states.append([m, s, er * pr - ei * pi, er * pi + ei * pr, w2r, w2i])
-    den = den0 * L2**start
     out = []
-    for k in range(start, K):
-        X = Y = 0
-        for st in states:
-            m, s, er, ei, w2r, w2i = st
-            X += s * er
-            Y += s * ei
-            j = m + 2 * k
-            st[1] = s * j * (j + 1) // ((k + 1) * (k + 2))
-            st[2], st[3] = er * w2r - ei * w2i, er * w2i + ei * w2r
-        if k < len(prow):
-            v = prow[k]
-            X += v.re.numerator * (den // v.re.denominator)
-            Y += v.im.numerator * (den // v.im.denominator)
-        out.append((X, Y))
-        den *= L2
-    return out, den0, L2
+    for k, (x, y) in enumerate(run, start):
+        out.append((catalan * x, catalan * y))
+        catalan = catalan * 2 * (2 * k + 1) // (k + 2)
+    return out, den0, L * L
 
 
 def _tail_run(seed: SeedFunction, u: QComplex, K: int, read: int):
@@ -177,9 +115,9 @@ def _tail_run(seed: SeedFunction, u: QComplex, K: int, read: int):
 def ratio_points(mags2, h_abs2=None, step=1, first=0):
     """Indexed term ratios (n, |t_{n+1}|/|t_n|), skipping zero terms.
 
-    mags2[i] is |t_{first+i+1}|**2 up to a factor step**(first+i): a reduced
-    Fraction |g_n|**2 (step 1), or the squared integer terms of
-    ``_exact_terms`` (step L**4), so |t_{n+1}/t_n|**2 is
+    mags2[i] is |t_{first+i+1}|**2 up to a factor step**(first+i): a
+    Fraction (step 1), or the squared integer terms of ``_exact_terms``
+    (step L**4), so |t_{n+1}/t_n|**2 is
     mags2[i] / (mags2[i-1] step) with n = first + i. A window that starts
     at first > 0 (``_tail_run``) keeps the indices n of the full run, which
     the Richardson extrapolation reads. With h_abs2 the ratios include the

@@ -555,16 +555,35 @@ class BridgeCheck:
     mismatches: tuple
 
 
-def _pole_run_start(poles, u: QComplex, extra: list):
-    """(den0, L, starts): the integer start of an exact run over the poles at u.
+def _gauss_pow(zr: int, zi: int, n: int):
+    """(zr + i zi)**n for n >= 0 by binary powering (Knuth, TAOCP 2, 4.6.3)."""
+    pr, pi = 1, 0
+    while n:
+        if n & 1:
+            pr, pi = pr * zr - pi * zi, pr * zi + pi * zr
+        n >>= 1
+        if n:
+            zr, zi = (zr + zi) * (zr - zi), 2 * zr * zi
+    return pr, pi
 
-    Each w = 1/(a - u) is written as a Gaussian integer (wr + i wi)/L over
-    the common integer L of all poles, and each c w**n as (er + i ei)/den0
-    with den0 = Cden L**mmax, where Cden clears the residues and the
-    QComplex values in ``extra``. ``starts`` holds (n, er, ei, wr, wi) per pole;
-    stepping (er, ei) by (wr, wi) puts the next power over den0 L. No gcd
-    runs after the first one per pole.
+
+def _taylor_run(seed: SeedFunction, u: QComplex, start: int, stop: int, stride: int = 1):
+    """(T, den0, L) with [z**j] g1(u + z) = (X_j + i Y_j)/(den0 L**j) and
+    T = [(X_j, Y_j) for j in range(start, stop, stride)], signed Gaussian
+    integers: the one exact run of the seed's Taylor coefficients at u.
+
+    A pole c/(a - u)**m contributes c C(m+j-1, j) w**(m+j), w = 1/(a - u).
+    Each w is written as a Gaussian integer over the common integer L of all
+    poles; a pole starts at j = start by one binary power of w and steps by
+    w**stride, so a later start skips the products of the terms before it
+    and gives the same integers. The polynomial part P is shifted to u once,
+    in Gaussian integers, by repeated synthetic division (Knuth, TAOCP 2,
+    4.6.4): with u = U/Du, z = y/Du and Dc clearing its coefficients,
+    Dc Du**deg P(u + z) = sum_i n_i Du**(deg-i) (U + y)**i. The denominator
+    den0 = Cden L**mmax, where Cden clears the residues and Dc Du**deg, does
+    not depend on start or stop, and no gcd runs after the first one per pole.
     """
+    poles = [t for t in seed.terms if isinstance(t, PoleTerm)]
     # a - u = (p + iq)/D over one denominator D; then w = omega/nu reduced
     diffs = [t.a - u for t in poles]
     D = math.lcm(*(x.denominator for z in diffs for x in (z.re, z.im)))
@@ -575,86 +594,86 @@ def _pole_run_start(poles, u: QComplex, extra: list):
         ws.append((D * p // g, -D * q // g, (p * p + q * q) // g))
     L = math.lcm(*(nu for _, _, nu in ws))
     residues = [t.c if isinstance(t.c, QComplex) else QComplex(t.c) for t in poles]
-    Cden = math.lcm(
-        *(x.denominator for z in residues + extra for x in (z.re, z.im))
-    )
+    poly = []  # the polynomial components summed, coefficients ascending
+    for t in seed.terms:
+        if isinstance(t, PolyTerm):
+            poly += [Fraction(0)] * (len(t.coeffs) - len(poly))
+            for i, c in enumerate(t.coeffs):
+                poly[i] += c
+    deg = len(poly) - 1
+    Du = math.lcm(u.re.denominator, u.im.denominator)
+    Dc = math.lcm(*(c.denominator for c in poly))
+    Dp = Dc * Du**deg if poly else 1
+    Cden = math.lcm(Dp, *(x.denominator for z in residues for x in (z.re, z.im)))
     mmax = max((t.n for t in poles), default=0)
-    starts = []
+    den0 = Cden * L**mmax
+    js = range(start, stop, stride)
+    X = [0] * len(js)
+    Y = [0] * len(js)
     for t, c, (wr, wi, nu) in zip(poles, residues, ws):
         f = L // nu
         wr, wi = wr * f, wi * f  # w = (wr + i wi) / L
+        m = t.n
         er, ei = (c.re * Cden).numerator, (c.im * Cden).numerator
-        for _ in range(t.n):
-            er, ei = er * wr - ei * wi, er * wi + ei * wr
-        scale = L ** (mmax - t.n)
-        starts.append((t.n, er * scale, ei * scale, wr, wi))
-    return Cden * L**mmax, L, starts
+        pr, pi = _gauss_pow(wr, wi, m + start)
+        scale = L ** (mmax - m)
+        er, ei = (er * pr - ei * pi) * scale, (er * pi + ei * pr) * scale
+        sr, si = _gauss_pow(wr, wi, stride)
+        for i, j in enumerate(js):
+            b = math.comb(m + j - 1, j)
+            X[i] += b * er
+            Y[i] += b * ei
+            er, ei = er * sr - ei * si, er * si + ei * sr
+    if start <= deg:
+        Ur = u.re.numerator * (Du // u.re.denominator)
+        Ui = u.im.numerator * (Du // u.im.denominator)
+        ar = [c.numerator * (Dc // c.denominator) * Du ** (deg - i) for i, c in enumerate(poly)]
+        ai = [0] * (deg + 1)
+        # shift x = U + y: ar[j] + i ai[j] becomes the coefficient of y**j
+        for i in range(deg):
+            for j in range(deg - 1, i - 1, -1):
+                xr, xi = ar[j + 1], ai[j + 1]
+                ar[j] += Ur * xr - Ui * xi
+                ai[j] += Ur * xi + Ui * xr
+        scale = den0 // Dp * (Du * L) ** start
+        step = (Du * L) ** stride
+        for i, j in enumerate(js):
+            if j > deg:
+                break
+            X[i] += ar[j] * scale
+            Y[i] += ai[j] * scale
+            scale *= step
+    return list(zip(X, Y)), den0, L
 
 
-def _derivative_run(seed: SeedFunction, u: QComplex, count: int):
-    """[(X_j, Y_j, d_j)] with g1^(j)(u) = (X_j + i Y_j)/d_j for j < count.
-
-    One exact pass: a pole c/(a - u)**n contributes c (n)_j w**(n+j),
-    w = 1/(a - u), and each order steps the power by one Gaussian-integer
-    multiply and the rising factor by n + j (see ``_pole_run_start``).
-    The polynomial rows P^(j)(u) join over the common denominator
-    d_j = den0 L**j. Equal to ``SeedFunction.derivative_at(u, j)``.
-    """
-    poles = [t for t in seed.terms if isinstance(t, PoleTerm)]
-    prow = []  # polynomial part of g1^(j)(u), j = 0, 1, ...
-    for t in seed.terms:
-        if isinstance(t, PolyTerm):
-            for j in range(min(len(t.coeffs), count)):
-                v = t.derivative_at(u, j)
-                if j < len(prow):
-                    prow[j] = prow[j] + v
-                else:
-                    prow.append(v)
-    den0, L, starts = _pole_run_start(poles, u, prow)
-    X = [0] * count
-    Y = [0] * count
-    for n, er, ei, wr, wi in starts:
-        rising = 1
-        for j in range(count):
-            X[j] += rising * er
-            Y[j] += rising * ei
-            rising *= n + j
-            er, ei = er * wr - ei * wi, er * wi + ei * wr
+def _seed_taylor(seed: SeedFunction, u_star: Fraction, count: int):
+    """[(x_j, d_j)] with [z**j] g1(u* + z) = x_j / d_j for j < count, from one
+    ``_taylor_run``; None when some of them is not real (Y_j != 0)."""
+    u = QComplex(u_star)
+    seed.assert_not_pole(u, "u_star")
+    run, den, L = _taylor_run(seed, u, 0, count)
+    if any(y for _, y in run):
+        return None
     out = []
-    den = den0
-    for j in range(count):
-        if j < len(prow):
-            v = prow[j]
-            X[j] += v.re.numerator * (den // v.re.denominator)
-            Y[j] += v.im.numerator * (den // v.im.denominator)
-        out.append((X[j], Y[j], den))
+    for x, _ in run:
+        out.append((x, den))
         den *= L
     return out
 
 
-def _seed_derivatives(seed: SeedFunction, u_star: Fraction, count: int):
-    """[(x_j, d_j)] with g1^(j)(u*) = x_j / d_j for j < count, from one
-    ``_derivative_run``; None when some of them is not real (Y_j != 0)."""
-    u = QComplex(u_star)
-    seed.assert_not_pole(u, "u_star")
-    run = _derivative_run(seed, u, count)
-    if any(y for _, y, _ in run):
-        return None
-    return [(x, d) for x, _, d in run]
-
-
-def _b0_row(derivs):
-    """b0_j = (1/2)^j g1^(j)(u*) / j! from the ``_seed_derivatives`` run."""
-    return [Fraction(x, (d << j) * math.factorial(j)) for j, (x, d) in enumerate(derivs)]
+def _b0_row(taylor):
+    """b0_j = [z**j] g1(u* + z) / 2**j from the ``_seed_taylor`` run."""
+    return [Fraction(x, d << j) for j, (x, d) in enumerate(taylor)]
 
 
 def _seed_b0(seed: SeedFunction, u_star: Fraction, order: int):
     """Boundary row of B0(v) = g1(v/2) about v* = 2 u*, up to j = 2*order.
 
-    b0_j = (1/2)^j g1^(j)(u*) / j!; None when some derivative is not real.
+    b0_j = [z**j] g1(u* + z) / 2**j = (1/2)^j g1^(j)(u*) / j!; None when
+    some coefficient is not real.
     """
-    derivs = _seed_derivatives(seed, u_star, 2 * order + 1)
-    return None if derivs is None else _b0_row(derivs)
+    taylor = _seed_taylor(seed, u_star, 2 * order + 1)
+    return None if taylor is None else _b0_row(taylor)
 
 
 def bridge_check(seed: SeedFunction, u_star, order: int) -> BridgeCheck:
@@ -663,25 +682,25 @@ def bridge_check(seed: SeedFunction, u_star, order: int) -> BridgeCheck:
     Row k of the potential must equal the Taylor coefficients of
     g1^(2k)(v/2) / (k!(k+1)!) about v_star = 2*u_star, i.e.
 
-        b_{kj} = (1/2)^j g1^(2k+j)(u_star) / (j! k! (k+1)!).
+        b_{kj} = (1/2)^j g1^(2k+j)(u_star) / (j! k! (k+1)!)
+               = C(2k+j, j) Catalan_k [z**(2k+j)] g1(u_star + z) / 2**j.
     """
     u_star = parse_exact(u_star, "u_star")
-    derivs = _seed_derivatives(seed, u_star, 2 * order + 1)
-    if derivs is None:
+    taylor = _seed_taylor(seed, u_star, 2 * order + 1)
+    if taylor is None:
         raise UsageError("bridge check needs a seed that is real on the real axis")
-    problem = ProblemData(b0=_b0_row(derivs), alpha=(), v_star=2 * u_star)
+    problem = ProblemData(b0=_b0_row(taylor), alpha=(), v_star=2 * u_star)
     sol = expand_potential(problem, order)
     mismatches = []
     checked = 0
+    catalan = 1
     for k in range(order + 1):
         for j in range(order - k + 1):
             got = sol.row_coefficient(k, j)
-            x, d = derivs[2 * k + j]
-            want = Fraction(
-                x,
-                (d << j) * math.factorial(j) * math.factorial(k) * math.factorial(k + 1),
-            )
+            x, d = taylor[2 * k + j]
+            want = Fraction(math.comb(2 * k + j, j) * catalan * x, d << j)
             checked += 1
             if got != want:
                 mismatches.append((k, j, got, want))
+        catalan = catalan * 2 * (2 * k + 1) // (k + 2)
     return BridgeCheck(not mismatches, order, checked, tuple(mismatches))

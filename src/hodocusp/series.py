@@ -90,7 +90,7 @@ def _product(a, b, limit, out=None, pairs=False):
         if pairs:
             out.update((divmod(k, base), v) for k, v in acc.items())
         return out
-    rad = _radicand(ta, tb)
+    rad = _radicand(v for terms in (ta, tb) for _, _, v in terms)
     den_a, ta = _over_one_denominator(ta, rad)
     den_b, tb = _over_one_denominator(tb, rad)
     acc = {}
@@ -148,16 +148,15 @@ def _pairings(ta, tb, limit):
     return out
 
 
-def _radicand(*term_lists):
-    """The one radicand of the CubicRadical coefficients, or None."""
+def _radicand(values):
+    """The one radicand of the CubicRadical values, or None."""
     rad = None
-    for terms in term_lists:
-        for _, _, v in terms:
-            if isinstance(v, CubicRadical):
-                if rad is None:
-                    rad = v.rad
-                elif v.rad is not rad and v.rad != rad:
-                    raise UsageError(f"cannot mix cube roots of {rad} and {v.rad}")
+    for v in values:
+        if isinstance(v, CubicRadical):
+            if rad is None:
+                rad = v.rad
+            elif v.rad is not rad and v.rad != rad:
+                raise UsageError(f"cannot mix cube roots of {rad} and {v.rad}")
     return rad
 
 
@@ -850,17 +849,6 @@ def cube_root_normalize(x0: Series1, new_name: str = "W") -> Series1:
 # -- serialization -------------------------------------------------------------
 
 
-def _radical_info(coeffs):
-    rad = None
-    for v in coeffs:
-        if isinstance(v, CubicRadical):
-            if rad is None:
-                rad = v.rad
-            elif rad != v.rad:
-                raise UsageError("series mixes different radicands")
-    return rad
-
-
 def _term_fields(v, rad):
     if rad is None:
         return f"{v.numerator} {v.denominator}"
@@ -881,7 +869,7 @@ def _series_text(s, head, cols, rows) -> str:
         lines.append(f"# term: {cols} value")
         lines.extend(f"{k} {v!r}" for k, v in rows)
     else:
-        rad = _radical_info(s._c.values())
+        rad = _radicand(s._c.values())
         if rad is None:
             lines.append(f"# term: {cols} num den")
         else:

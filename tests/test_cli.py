@@ -120,6 +120,18 @@ def test_solve_wedge_point_three_rows(tmp_path):
     assert all(row.split(",")[-1] == "1" for row in rows)
 
 
+def test_solve_at_t_star_off_the_base_point_is_one_branch(tmp_path, capsys):
+    # tau == 0 gives lambda1 == 0 exactly: the cubic U**3 + q, one simple root
+    cfg = write_cfg(tmp_path, PROBLEM + "solve:\n  points:\n    - [0, 1e-8]\n")
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = (out / "branches.csv").read_text().splitlines()[2:]
+    assert len(rows) == 1
+    t, x, branch, h, v, mult, inside = rows[0].split(",")
+    assert (t, x, branch, mult, inside) == ("0.0", "1e-08", "0", "1", "0")
+
+
 def test_solve_float_mode_allowed(tmp_path):
     cfg = write_cfg(tmp_path, PROBLEM + "solve:\n  points:\n    - [0, 0]\n")
     rc = cli.main(["solve", "--config", str(cfg), "--mode", "float",

@@ -25,6 +25,7 @@ from hodocusp.cusp import (
     wedge_halfwidth,
     zero_curves,
 )
+from hodocusp.scalars import real_cbrt
 from hodocusp.verify import _cardano_grid, _trig_grid
 
 C_CANON = (12.0 / 5.0) ** (1.0 / 3.0)
@@ -67,6 +68,17 @@ def test_single_real_root():
     (r, m), = cusp_roots(3.0, -4.0)
     assert m == 1
     assert abs(r - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize("p", [0.0, -0.0])
+@pytest.mark.parametrize("q", [1e-8, -1e-8, 1e-7, -3e-10])
+def test_zero_p_in_the_fold_band_is_one_simple_root(p, q):
+    # |disc| = 27 q**2 lies inside the fold tolerance, but U**3 + q has one
+    # simple real root, the real cube root of -q (this used to divide by p)
+    (r, m), = cusp_roots(p, q)
+    assert m == 1
+    assert abs(r - real_cbrt(-q)) <= 1e-15 * abs(r)
+    assert math.copysign(1.0, r) == -math.copysign(1.0, q)
 
 
 def test_cardano_cancellation_free():

@@ -21,14 +21,14 @@ from hodocusp import (
 )
 from hodocusp.korobeinik import (
     RATIO_TAIL,
+    _exact_terms,
     confirm_divergence,
     divergence_heuristic,
     predicted_radius,
     ratio_points,
-    term_magnitudes2,
     witness_terms,
 )
-from hodocusp.pde import PoleTerm, PolyTerm, SeedFunction, korobeinik_series
+from hodocusp.pde import PoleTerm, PolyTerm, SeedFunction
 
 
 @pytest.fixture(scope="module")
@@ -338,7 +338,8 @@ def test_variable_alpha_reduces_to_radius_probe(catalan_seed):
     # RATIO_TAIL ratios, the ones its estimate reads
     base = radius_probe(catalan_seed, 0, K=40)
     (va,) = variable_alpha_probe(catalan_seed, (), 0, 16, [0])
-    pts = ratio_points(term_magnitudes2(korobeinik_series(catalan_seed, 0, 40), 0, 40))
+    terms, _, L2 = _exact_terms(catalan_seed, QComplex(0), 40)
+    pts = ratio_points([x * x + y * y for x, y in terms], step=L2 * L2)
     # the h-rows 1..17 of the order-16 potential give the ratios n = 1..16;
     # the probe keeps n = 7..16
     assert va.ratios == tuple(r for n, r in pts if 17 - RATIO_TAIL <= n <= 16)

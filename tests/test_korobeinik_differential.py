@@ -2,9 +2,9 @@
 
 Each kernel is checked against a slow reference kept in this file:
 
-* exact ``term_magnitudes2`` (the per-pole integer recurrence) against
-  |g_n(u)|**2 from the closed form ``KorobeinikSeries.coefficient``, one
-  QComplex derivative per n, on real poles, conjugate pairs, complex
+* the exact terms (``_exact_terms``, squared here by ``exact_magnitudes2``)
+  against |g_n(u)|**2 from the closed form ``KorobeinikSeries.coefficient``,
+  one QComplex derivative per n, on real poles, conjugate pairs, complex
   residues, polynomial parts and the higher-order poles of
   ``seed.differentiated()``;
 * float-built seeds and float or complex points against their exact
@@ -21,9 +21,10 @@ Each kernel is checked against a slow reference kept in this file:
   the one float evaluator of a seed (``pde._complex_evaluator``, which
   ``SeedFunction.value_at`` and ``derivative_at`` call at complex points)
   against the closed forms kept here, repr for repr, refusals included;
-* the exact derivative run at u* (``pde._derivative_run``) against
-  ``SeedFunction.derivative_at`` and the ``differentiated()`` chain, the
-  boundary row ``_seed_b0`` against one ``derivative_at`` per order, and
+* the one exact Taylor run of the seed (``pde._taylor_run``) against
+  ``SeedFunction.derivative_at(u, j) / j!`` and the ``differentiated()``
+  chain, from every start with strides 1 and 2, the boundary row
+  ``_seed_b0`` against one ``derivative_at`` per order, and
   ``bridge_check`` against one derivative evaluation per (k, j) pair;
 * ``variable_alpha_probe`` against its per-row ``Fraction``/``QComplex``
   evaluation, bit for bit.
@@ -58,7 +59,6 @@ from hodocusp.korobeinik import (
     radius_probe,
     ratio_points,
     richardson_limit,
-    term_magnitudes2,
     variable_alpha_probe,
 )
 from hodocusp.pde import (
@@ -84,11 +84,23 @@ def ref_magnitudes2(ks, u, K):
     return [ks.coefficient(n, u).abs2() for n in range(1, K + 1)]
 
 
+def exact_magnitudes2(seed, u, K):
+    """|g_n(u)|**2 for n = 1..K as reduced Fractions: the ``_exact_terms``
+    run from k = 0, each term squared and put over its denominator."""
+    terms, den0, L2 = _exact_terms(seed, parse_point(u, "u"), K)
+    den2, step = den0 * den0, L2 * L2
+    out = []
+    for x, y in terms:
+        out.append(Fraction(x * x + y * y, den2))
+        den2 *= step
+    return out
+
+
 def ref_confirm_divergence(seed, u, h_abs, K, mags2=None):
     """The divergence run with one reduced Fraction per squared ratio, over
-    the magnitudes of the whole run (``term_magnitudes2`` by default)."""
+    the magnitudes of the whole run (``exact_magnitudes2`` by default)."""
     if mags2 is None:
-        mags2 = term_magnitudes2(korobeinik_series(seed, u, K), u, K)
+        mags2 = exact_magnitudes2(seed, u, K)
     h2 = parse_exact(h_abs) ** 2
     sq = []
     for n in range(1, len(mags2)):
@@ -368,7 +380,7 @@ points = st.builds(
 def test_exact_magnitudes_match_closed_form(seed, u, K):
     assume(seed.min_pole_distance2(u) != 0)
     ks = korobeinik_series(seed, u, K)
-    got = term_magnitudes2(ks, u, K)
+    got = exact_magnitudes2(seed, u, K)
     assert all(type(m) is Fraction for m in got)
     assert got == ref_magnitudes2(ks, u, K)
 
@@ -387,13 +399,13 @@ def test_exact_magnitudes_fixed_cases(cfg, u):
     seed = SeedFunction.from_config(cfg)
     for s in (seed, seed.differentiated().differentiated().differentiated()):
         ks = korobeinik_series(s, u, 60)
-        assert term_magnitudes2(ks, u, 60) == ref_magnitudes2(ks, u, 60)
+        assert exact_magnitudes2(s, u, 60) == ref_magnitudes2(ks, u, 60)
 
 
 def test_ratio_points_match_fraction_quotient():
     seed = SeedFunction.from_config([{"pole": {"a": [1, 1], "c": Fraction(2, 3)}}])
     u = QComplex(Fraction(1, 7), Fraction(-1, 11))
-    mags2 = term_magnitudes2(korobeinik_series(seed, u, 80), u, 80)
+    mags2 = exact_magnitudes2(seed, u, 80)
     h2 = Fraction(3, 17) ** 2
     for got, (n, r) in zip(ratio_points(mags2, h2), enumerate(mags2[1:], 1)):
         assert got == (n, math.sqrt(float(r / mags2[n - 1] * h2)))
@@ -418,7 +430,7 @@ def integer_run(seed, u, K):
 def check_integer_run_ratios(seed, u, K, h2_values):
     ks = korobeinik_series(seed, u, K)
     mags, step = integer_run(seed, u, K)
-    fractions = term_magnitudes2(ks, u, K)
+    fractions = exact_magnitudes2(seed, u, K)
     for h2 in h2_values:
         assert ratio_points(mags, h2, step) == ratio_points(fractions, h2)
 
@@ -457,7 +469,7 @@ def test_float_h_reads_as_its_decimal():
     got = confirm_divergence(seed, 0, 0.3, 120)
     assert got == confirm_divergence(seed, 0, Fraction(3, 10), 120)
     assert got[1][-1] == 1.185
-    mags2 = term_magnitudes2(korobeinik_series(seed, 0, 20), 0, 20)
+    mags2 = exact_magnitudes2(seed, 0, 20)
     assert ratio_points(mags2, 0.09) == ratio_points(mags2, Fraction(9, 100))
 
 
@@ -496,7 +508,7 @@ def test_float_path_keeps_closed_form_bits():
     ]
     for seed, u, seed_q, u_q in cases:
         ks = korobeinik_series(seed, u, 40)
-        got = term_magnitudes2(ks, u, 40)
+        got = exact_magnitudes2(seed, u, 40)
         assert all(type(m) is Fraction for m in got)
         assert got == ref_magnitudes2(korobeinik_series(seed_q, u_q, 40), u_q, 40)
         z = u_q.to_complex()
@@ -525,7 +537,7 @@ def test_radius_probe_at_a_complex_point_is_its_decimal_twin(u):
     got = radius_probe(THREE_POLE, u, 200)
     # the report keeps the ratios its estimate reads: the last RATIO_TAIL,
     # bit for bit those of the whole run at the same indices n
-    pts = ratio_points(term_magnitudes2(korobeinik_series(THREE_POLE, twin, 200), twin, 200))
+    pts = ratio_points(exact_magnitudes2(THREE_POLE, twin, 200))
     assert [n for n, _ in pts[-RATIO_TAIL:]] == list(range(200 - RATIO_TAIL, 200))
     assert got.ratios == tuple(r for _, r in pts[-RATIO_TAIL:])
     assert repr(got) == repr(radius_probe(THREE_POLE, twin, 200))
@@ -597,7 +609,7 @@ def test_diagnostics_at_complex_points_never_take_the_closed_form(monkeypatch):
     assert rep.witness is not None and len(rep.samples) == 8
     assert bidisc_check(THREE_POLE, 0.0625j, 0.5, 0.0625, samples=4).analytic
     confirm_divergence(seed, u, Fraction(1, 2), 60)
-    term_magnitudes2(korobeinik_series(seed, u, 40), u, 40)
+    exact_magnitudes2(seed, u, 40)
     assert len(variable_alpha_probe(seed, (0.625,), -0.0625, 6, [u, 0.25 - 0.125j])) == 2
     assert in_union_domain(0.01 + 0.01j, u, 0j, 1.0)
 
@@ -661,13 +673,9 @@ def test_float_built_seed_keeps_the_closed_form_bits(terms, z):
 
 
 @st.composite
-def window_cases(draw):
-    """(seed, u, K): 1-3 poles of order 1-3, real or conjugate pairs, maybe a
-    polynomial whose rows g_{k+1} reach k >= K - RATIO_TAIL - 1, the window
-    (its derivative rows cost O(degree**2) QComplex products per run, so
-    K <= 32 and u has a small denominator)."""
-    with_poly = draw(st.booleans())
-    K = draw(st.integers(20, 32 if with_poly else 200))
+def higher_poles(draw):
+    """1-3 poles of order 1-3: real poles, or conjugate pairs with conjugate
+    residues."""
     terms = []
     for _ in range(draw(st.integers(1, 3))):
         c, m = draw(residues()), draw(st.integers(1, 3))
@@ -677,6 +685,17 @@ def window_cases(draw):
             a = QComplex(draw(small_q), draw(residue_q))
             c_bar = QComplex(c.re, -c.im) if isinstance(c, QComplex) else c
             terms += [PoleTerm(a, c, m), PoleTerm(QComplex(a.re, -a.im), c_bar, m)]
+    return terms
+
+
+@st.composite
+def window_cases(draw):
+    """(seed, u, K): ``higher_poles``, maybe a polynomial whose rows g_{k+1}
+    reach k >= K - RATIO_TAIL - 1, the window (K <= 80, so its degree
+    2K + 1 <= 161, and u has a small denominator)."""
+    with_poly = draw(st.booleans())
+    K = draw(st.integers(20, 80 if with_poly else 200))
+    terms = draw(higher_poles())
     if with_poly:
         # degree 2k reaches row k; a few nonzero coefficients, the top one set
         degree = draw(st.integers(2 * (K - RATIO_TAIL - 1), 2 * K + 1))
@@ -915,31 +934,54 @@ def test_bridge_evaluates_each_derivative_once(cfg, u_star, order, monkeypatch):
 
     monkeypatch.setattr(SeedFunction, "derivative_at", counted)
     assert bridge_check(seed, u_star, order) == want
-    # the boundary row and the targets both read one exact derivative run
+    # the boundary row and the targets both read one exact Taylor run
     assert calls == []
 
 
-# -- derivative run, boundary row and alpha probe ------------------------------------
+# -- Taylor run, boundary row and alpha probe ---------------------------------------
 
 
-def run_values(run):
-    return [QComplex(Fraction(x, d), Fraction(y, d)) for x, y, d in run]
-
-
-def check_derivative_run(seed, u, count):
-    got = run_values(pde._derivative_run(seed, u, count))
-    assert got == [seed.derivative_at(u, j) for j in range(count)]
+def check_taylor_run(seed, u, count):
+    """The run times j! is the run of derivatives g1^(j)(u): checked against
+    derivative_at and the differentiated() chain up to j < count, and from
+    every start with strides 1 and 2 against the run from j = 0."""
+    run, den0, L = pde._taylor_run(seed, u, 0, count)
+    assert all(type(x) is int and type(y) is int for x, y in run)
     g = seed
-    for j in range(count):
-        assert got[j] == g.value_at(u)
+    for j, (x, y) in enumerate(run):
+        got = QComplex(Fraction(x, den0 * L**j), Fraction(y, den0 * L**j)) * math.factorial(j)
+        assert got == seed.derivative_at(u, j)
+        assert got == g.value_at(u)
         g = g.differentiated()
+    for stride in (1, 2):
+        for start in range(count + 1):
+            assert pde._taylor_run(seed, u, start, count, stride) == (
+                run[start:count:stride], den0, L
+            )
+
+
+@st.composite
+def taylor_cases(draw):
+    """(seed, u, count): ``higher_poles``, maybe a polynomial of degree up to
+    120 that the run passes through, at a rational or complex u."""
+    terms = draw(higher_poles())
+    degree = draw(st.integers(-1, 120))  # -1: no polynomial
+    if degree >= 0:
+        coeffs = [Fraction(0)] * degree + [draw(residue_q)]
+        for j in draw(st.lists(st.integers(0, degree), max_size=5)):
+            coeffs[j] = draw(small_q)
+        terms.insert(draw(st.integers(0, len(terms))), PolyTerm(tuple(coeffs)))
+    count = draw(st.integers(1, max(40, degree + 3)))
+    u = draw(st.one_of(big_den_q.map(QComplex), points))
+    return SeedFunction(terms), u, count
 
 
 @settings(max_examples=25, deadline=None)
-@given(seeds(), st.one_of(big_den_q.map(QComplex), points), st.integers(0, 16))
-def test_derivative_run_matches_derivative_at_and_chain(seed, u, order):
+@given(taylor_cases())
+def test_derivative_run_matches_derivative_at_and_chain(case):
+    seed, u, count = case
     assume(seed.min_pole_distance2(u) != 0)
-    check_derivative_run(seed, u, 2 * order + 1)
+    check_taylor_run(seed, u, count)
 
 
 @pytest.mark.parametrize(
@@ -950,12 +992,29 @@ def test_derivative_run_matches_derivative_at_and_chain(seed, u, order):
         ([{"poly": [1, 2]}, {"pole": {"a": [Fraction(-209, 272), Fraction(45, 34)], "c": [1, 2]}},
           {"pole": {"a": [Fraction(-209, 272), Fraction(-45, 34)], "c": [1, -2]}}],
          Fraction(-1, 16)),
+        ([{"poly": [1, 2]}, {"poly": [0, Fraction(1, 3), 0, 5]}, {"pole": {"a": 2, "c": 1}}],
+         QComplex(Fraction(1, 5), Fraction(-2, 9))),
     ],
 )
 def test_derivative_run_fixed_cases(cfg, u):
     seed = SeedFunction.from_config(cfg)
     for s in (seed, seed.differentiated().differentiated().differentiated()):
-        check_derivative_run(s, QComplex(u), 33)
+        check_taylor_run(s, parse_point(u), 33)
+
+
+def test_taylor_run_never_takes_the_closed_form(monkeypatch):
+    def closed_form(*args):
+        raise AssertionError("closed-form derivative called")
+
+    monkeypatch.setattr(PolyTerm, "derivative_at", closed_form)
+    monkeypatch.setattr(PoleTerm, "derivative_at", closed_form)
+    seed = SeedFunction.from_config(
+        [{"poly": list(range(1, 98))}, {"pole": {"a": [2, 1], "c": [1, -1]}}]
+    )
+    u = QComplex(Fraction(1, 3), Fraction(1, 7))
+    pde._taylor_run(seed, u, 0, 120, 2)
+    _exact_terms(seed, u, 60, 49)
+    pde._seed_b0(seed, Fraction(1, 3), 6)
 
 
 @settings(max_examples=25, deadline=None)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from hodocusp import build_normal_form, expand_potential, hodograph_map
 from hodocusp.errors import UsageError
 from hodocusp.scalars import CubicRadical, make_radical
-from hodocusp.series import EXACT, FLOAT, Series1, Series2, _product
+from hodocusp.series import EXACT, FLOAT, Series1, Series2, _product, series1_text, series2_text
 
 RADS = [Fraction(2), Fraction(12, 5), Fraction(-4, 15)]
 PAIR = ("x", "y")
@@ -305,6 +305,16 @@ def test_mixed_radicands_raise_parent_message(cls):
     want = ref_error(lambda: ref_mul(s, t))
     assert want == "cannot mix cube roots of 2 and 3"
     assert ref_error(lambda: s * t) == want
+
+
+@pytest.mark.parametrize("cls", [Series1, Series2])
+def test_text_writer_refuses_mixed_radicands_with_the_product_message(cls):
+    c2 = make_radical(0, 1, 0, 2)
+    c3 = make_radical(1, 1, 0, 3)
+    key = (lambda j: j) if cls is Series1 else (lambda j: (j, 0))
+    s = series(cls, {key(0): c2, key(1): c3}, 4, EXACT)
+    write = series1_text if cls is Series1 else series2_text
+    assert ref_error(lambda: write(s)) == "cannot mix cube roots of 2 and 3"
 
 
 def test_row_mul_add_mixed_radicands():

@@ -70,10 +70,13 @@ def cusp_roots(p, q):
     q = float(q)
     disc = cubic_discriminant(p, q)
     if abs(disc) <= BOUNDARY_TOL * fold_scale(p, q):
-        if max(abs(p), abs(q)) <= BOUNDARY_TOL:
+        m = max(abs(p), abs(q))
+        if m <= BOUNDARY_TOL:
             return [(0.0, 3)]
-        # p == 0 leaves U**3 + q with one simple real root: Cardano below
-        if p != 0.0:
+        # a double root a and a simple one -2a = 3q/p, but only when that
+        # lies within the Cauchy bound 1 + m of every root; otherwise (p == 0
+        # among them) the sign of disc decides below
+        if abs(3.0 * q) <= abs(p) * (1.0 + m):
             a = -1.5 * q / p
             pair = [(a, 2), (-2.0 * a, 1)]
             pair.sort(key=lambda rm: rm[0])

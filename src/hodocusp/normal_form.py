@@ -142,6 +142,12 @@ def _fit_miniversal(xi_tw: Series2):
     plus the unknowns 3 W^2 U_m + lambda1_m W + lambda2_m. So the residual
     row R_m(W) determines lambda2_m (W^0), lambda1_m (W^1) and U_{m, k-2}
     (W^k, k >= 2), and one sweep in m suffices.
+
+    The rows are one-variable series, so each converts its coefficients to
+    the product kernel's integer form once, however many rows it meets. The
+    known part of row m of U^2, and that of U^3 + lambda1 U, is one kernel
+    call each over the list of row pairs; row m of U^2 then gains the
+    unknowns' share 2 W U_m term by term.
     """
     cap, mode = xi_tw.cap, xi_tw.mode
     one = 1.0 if mode == "float" else Fraction(1)
@@ -151,19 +157,23 @@ def _fit_miniversal(xi_tw: Series2):
         xi_rows[i][j] = v
     lam1 = {}
     lam2 = {}
-    u = [{1: one}]  # rows of U
-    sq = [{2: one}]  # rows of U^2
+
+    def row(c):
+        return Series1._raw("W", cap, c, mode, cap)
+
+    u = [row({1: one})]  # rows of U
+    sq = [row({2: one})]  # rows of U^2
     for m in range(1, cap + 1):
         deg = cap - m
         # row m of U^2 and of U^3 + lambda1 U, leaving out the unknowns
-        sq_m = {}
-        known = {}
+        sq_m = _product([(u[a], u[m - a]) for a in range(1, m)], deg)
+        pairs = []
         for a in range(1, m):
-            _product(u[a], u[m - a], deg, sq_m)
-            _product(sq[a], u[m - a], deg, known)
+            pairs.append((sq[a], u[m - a]))
             if a in lam1:
-                _product({0: lam1[a]}, u[m - a], deg, known)
-        _product(sq_m, u[0], deg, known)
+                pairs.append((row({0: lam1[a]}), u[m - a]))
+        pairs.append((row(sq_m), u[0]))
+        known = _product(pairs, deg)
         resid = dict(xi_rows[m])
         for j, v in known.items():
             resid[j] = resid[j] - v if j in resid else -v
@@ -177,13 +187,18 @@ def _fit_miniversal(xi_tw: Series2):
                 lam1[m] = v
             else:
                 u_m[j - 2] = v / three
-        u.append(u_m)
-        _product({1: 2 * one}, u_m, deg, sq_m)
-        sq.append(sq_m)
+        u.append(row(u_m))
+        # and the unknowns' share of row m of U^2, 2 W U_m, in a copy: the
+        # series over the known part has cached its terms
+        sq_m = dict(sq_m)
+        for j, v in u_m.items():
+            w = sq_m.get(j + 1)
+            sq_m[j + 1] = 2 * v if w is None else w + 2 * v
+        sq.append(row(sq_m))
     eff = xi_tw.eff
     lam1_s = Series1("tau", cap, lam1, mode=mode, eff=eff)
     lam2_s = Series1("tau", cap, lam2, mode=mode, eff=eff)
-    u_c = {(i, j): v for i, row in enumerate(u) for j, v in row.items()}
+    u_c = {(i, j): v for i, r in enumerate(u) for j, v in r._c.items()}
     u_s = Series2(xi_tw.names, cap, u_c, mode=mode, eff=eff)
     return lam1_s, lam2_s, u_s
 

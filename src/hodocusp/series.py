@@ -45,65 +45,69 @@ def _is_zero(v):
     return v == 0
 
 
-def _product(a, b, limit, out=None, pairs=False):
-    """Add a * b, truncated at total degree ``limit``, into ``out`` (a new
-    dict by default) and return it.
+def _product(pairs, limit):
+    """The sum of a * b over the (a, b) series pairs, truncated at total
+    degree ``limit``, as a new dict of coefficients.
 
-    ``a`` and ``b`` map exponents to coefficients: ints, or (i, j) pairs when
-    ``pairs`` is set. Product terms that cancel stay in ``out`` as zeros.
-    Output keys appear in the order of their first term pair, outer loop
-    over ``a`` and inner over ``b``: the validity radius sums a band's
-    magnitudes in dict order, so that order is part of the result. Each term
-    of ``a`` runs, in ``b``'s order, only over the terms of ``b`` that keep
-    the product under the limit.
+    The operands of one call share one kind of key and one cap. Product
+    terms that cancel stay in the result as zeros. Keys appear in the order
+    of their first term pair: pairs in list order, then the outer loop over
+    ``a`` and the inner one over ``b``. The validity radius sums a band's
+    magnitudes in dict order, so that order is part of the result.
 
-    Float coefficients are multiplied and added pair by pair, in that order,
-    straight into ``out``. Exact operands are first put over one common
-    denominator each (the lcm of its ``Fraction`` denominators and
-    ``CubicRadical.d``), so a term pair costs plain int multiply-adds: one
-    when both operands are rational, nine into five sums once either holds a
-    ``CubicRadical``, with ``c**3 = rad`` folded in once per output key. Each
-    output coefficient is then built and reduced by one gcd, once, where
-    ``Fraction`` and ``CubicRadical`` arithmetic would take several per term
-    pair. With ``pairs``, ``out`` must start empty.
+    Float coefficients are multiplied and added pair by pair, in that order.
+    Exact ones are summed as integers in the operands' cached kernel forms
+    (see ``_Series._kernel_form``), over one denominator for the whole call,
+    and each output coefficient is built and reduced once, at the end.
     """
-    if out is None:
-        out = {}
-    # an (i, j) key travels as i * base + j, which adds like the pair as long
-    # as the total degree stays under the limit
-    base = limit + 1
-    if pairs:
-        ta = [(i * base + j, i + j, v) for (i, j), v in a.items() if i + j <= limit]
-        tb = [(i * base + j, i + j, v) for (i, j), v in b.items() if i + j <= limit]
-    else:
-        ta = [(j, j, v) for j, v in a.items() if j <= limit]
-        tb = [(j, j, v) for j, v in b.items() if j <= limit]
-    if not (ta and tb):
-        return out
-    if isinstance(ta[0][2], float):
-        acc = {} if pairs else out
-        for ka, x, row in _pairings(ta, tb, limit):
-            for kb, y in row:
-                k = ka + kb
-                w = acc.get(k)
-                acc[k] = x * y if w is None else w + x * y
-        if pairs:
-            out.update((divmod(k, base), v) for k, v in acc.items())
-        return out
-    rad = _radicand(v for terms in (ta, tb) for _, _, v in terms)
-    den_a, ta = _over_one_denominator(ta, rad)
-    den_b, tb = _over_one_denominator(tb, rad)
+    if not pairs:
+        return {}
+    first = pairs[0][0]
+    rad, den, acc = _sum_products(
+        [(a._kernel_form(), b._kernel_form()) for a, b in pairs], limit
+    )
+    return _coefficients(acc, rad, den, first.cap + 1 if first._pairs else None)
+
+
+def _sum_products(forms, limit):
+    """(radicand, D, {packed key: numerators over D}) of the sum of a * b
+    over pairs of kernel forms, truncated at total degree ``limit``.
+
+    Keys appear in the order of their first term pair, and sums that cancel
+    stay. Float forms give float sums with D = None, added pair by pair
+    straight into the result. Exact forms are put over the lcm D of the
+    pairs' denominator products and summed as plain int multiply-adds: one
+    per term pair when all operands are rational, nine into five sums once
+    one holds a ``CubicRadical``, with ``c**3 = rad`` folded in once per
+    output key.
+    """
     acc = {}
+    rad = den = None
+    scales = [1] * len(forms)
+    if forms[0][0][1] is not None:
+        for a, b in forms:
+            rad = _same_field(_same_field(rad, a[0]), b[0])
+        dens = [a[1] * b[1] for a, b in forms]
+        den = math.lcm(*dens)
+        scales = [den // e for e in dens]
     if rad is None:
-        for ka, x, row in _pairings(ta, tb, limit):
-            for kb, y in row:
-                k = ka + kb
-                acc[k] = acc.get(k, 0) + x * y
-        den = den_a * den_b
-        terms = ((k, Fraction(n, den)) for k, n in acc.items())
-    else:
-        for ka, (a0, a1, a2), row in _pairings(ta, tb, limit):
-            for kb, (b0, b1, b2) in row:
+        for ((_, _, ta, _), (_, _, tb, rows)), m in zip(forms, scales):
+            if m != 1:
+                ta = [(k, d, n * m) for k, d, n in ta if d <= limit]
+            for ka, x, row in _pairings(ta, tb, limit, rows):
+                for kb, _, y in row:
+                    k = ka + kb
+                    w = acc.get(k)
+                    acc[k] = x * y if w is None else w + x * y
+        return None, den, acc
+    for ((rad_a, _, ta, _), (rad_b, _, tb, rows)), m in zip(forms, scales):
+        if rad_a is None or m != 1:
+            ta = [(k, d, _scaled_triple(n, m)) for k, d, n in ta if d <= limit]
+        if rad_b is None:
+            tb = [(k, d, (n, 0, 0)) for k, d, n in tb if d <= limit]
+            rows = {}
+        for ka, (a0, a1, a2), row in _pairings(ta, tb, limit, rows):
+            for kb, _, (b0, b1, b2) in row:
                 k = ka + kb
                 s = acc.get(k)
                 if s is None:
@@ -120,30 +124,61 @@ def _product(a, b, limit, out=None, pairs=False):
                     s[2] += a0 * b1 + a1 * b0
                     s[3] += a2 * b2
                     s[4] += a0 * b2 + a1 * b1 + a2 * b0
-        # c**3 = rad = rp / rq
-        rp, rq = rad.numerator, rad.denominator
-        den = den_a * den_b * rq
-        terms = (
-            (k, _reduced(rq * s0 + rp * s1, rq * s2 + rp * s3, rq * s4, den, rad))
-            for k, (s0, s1, s2, s3, s4) in acc.items()
-        )
-    for k, v in terms:
-        if pairs:
-            k = divmod(k, base)
-        w = out.get(k)
-        out[k] = v if w is None else w + v
-    return out
+    # c**3 = rad = rp / rq
+    rp, rq = rad.numerator, rad.denominator
+    for k, (s0, s1, s2, s3, s4) in acc.items():
+        acc[k] = (rq * s0 + rp * s1, rq * s2 + rp * s3, rq * s4)
+    return rad, den * rq, acc
 
 
-def _pairings(ta, tb, limit):
-    """(key, coefficient, the (key, coefficient) terms of tb it pairs with
-    under the limit) for each term of ta, all in their dicts' order."""
-    rows = {}
+def _scaled_triple(n, m):
+    """Numerators n (an int or a triple) times m, as a triple."""
+    if isinstance(n, int):
+        return (n * m, 0, 0)
+    if m == 1:
+        return n
+    n0, n1, n2 = n
+    return (n0 * m, n1 * m, n2 * m)
+
+
+def _same_field(rad, other):
+    """The one radicand of two operands, either of which may be rational
+    (None)."""
+    if rad is None:
+        return other
+    if other is not None and other is not rad and other != rad:
+        raise UsageError(f"cannot mix cube roots of {rad} and {other}")
+    return rad
+
+
+def _coefficients(acc, rad, den, base):
+    """{key: coefficient} of a kernel sum, unpacking (i, j) keys when ``base``
+    is set; each exact coefficient is built and reduced here, once."""
+    if den is None:
+        values = acc.items()
+    elif rad is None:
+        values = ((k, Fraction(n, den)) for k, n in acc.items())
+    else:
+        values = ((k, _reduced(n0, n1, n2, den, rad)) for k, (n0, n1, n2) in acc.items())
+    if base is None:
+        return dict(values)
+    return {divmod(k, base): v for k, v in values}
+
+
+def _pairings(ta, tb, limit, rows):
+    """(key, coefficient, the terms of tb it pairs with under the limit)
+    for each term of ta under the limit, all in their dicts' order.
+
+    ``rows`` keeps lists of tb's own terms up to each degree bound, from
+    call to call.
+    """
     out = []
     for ka, da, x in ta:
-        row = rows.get(da)
+        if da > limit:
+            continue
+        row = rows.get(limit - da)
         if row is None:
-            row = rows[da] = [(kb, y) for kb, db, y in tb if da + db <= limit]
+            row = rows[limit - da] = [t for t in tb if da + t[1] <= limit]
         out.append((ka, x, row))
     return out
 
@@ -180,8 +215,8 @@ def _over_one_denominator(terms, rad):
 
 
 class _Series:
-    """What Series1 and Series2 share: termwise ring code, the float cache and
-    the validity-disc gate.
+    """What Series1 and Series2 share: termwise ring code, the float and
+    product-kernel caches and the validity-disc gate.
 
     Terms live in ``_c``, keyed by exponent: an int for one variable, an
     (i, j) pair for two. ``_vars`` holds the variable name or name pair,
@@ -191,7 +226,7 @@ class _Series:
     and whether its keys are (i, j) pairs, ``_pairs``.
     """
 
-    __slots__ = ("_vars", "cap", "mode", "eff", "_c", "_fcache")
+    __slots__ = ("_vars", "cap", "mode", "eff", "_c", "_fcache", "_kcache")
     _pairs = False
 
     def __init__(self, var, cap, coeffs, mode, eff):
@@ -213,6 +248,7 @@ class _Series:
         self.eff = cap if eff is None else min(eff, cap)
         self._c = c
         self._fcache = None
+        self._kcache = None
 
     # -- trusted fast constructor for internal use -------------------------
 
@@ -225,6 +261,7 @@ class _Series:
         s.eff = min(eff, cap)
         s._c = coeffs
         s._fcache = None
+        s._kcache = None
         return s
 
     # -- inspection ---------------------------------------------------------
@@ -303,7 +340,7 @@ class _Series:
             except UsageError:
                 return NotImplemented
         self._check_compat(other)
-        c = _product(self._c, other._c, self.cap, pairs=self._pairs)
+        c = _product([(self, other)], self.cap)
         c = {k: v for k, v in c.items() if not _is_zero(v)}
         eff = min(self.cap, self.eff + other.valuation(), other.eff + self.valuation())
         return self._raw(self._vars, self.cap, c, self.mode, eff)
@@ -318,6 +355,36 @@ class _Series:
             FLOAT,
             self.eff,
         )
+
+    def _kernel_form(self):
+        """(radicand, D, terms, rows): the terms as the product kernel reads
+        them, built once per series, like ``_floats``.
+
+        ``terms`` holds (packed key, total degree, numerators) in dict
+        order, stored zeros included: where product keys first appear
+        depends on them. An (i, j) key packs to i * (cap + 1) + j and an int
+        key stays as it is, so packed keys add like exponents while the
+        total degree stays under the cap, and k // (cap + 1) + k % (cap + 1)
+        is the degree of either kind. Exact coefficients become integer
+        numerators over the lcm D of their denominators (``Fraction``
+        denominators and ``CubicRadical.d``): an int each, or an
+        (n0, n1, n2) triple when the radicand is set. Float coefficients
+        stay floats, with no radicand and D = None. ``rows`` starts empty;
+        the kernel keeps there, by degree bound, the terms of this series
+        that a term pairing needs, the first time it needs them.
+        """
+        if self._kcache is None:
+            if self._pairs:
+                base = self.cap + 1
+                terms = [(i * base + j, i + j, v) for (i, j), v in self._c.items()]
+            else:
+                terms = [(j, j, v) for j, v in self._c.items()]
+            if self.mode == FLOAT:
+                self._kcache = (None, None, terms, {})
+            else:
+                rad = _radicand(v for _, _, v in terms)
+                self._kcache = (rad, *_over_one_denominator(terms, rad), {})
+        return self._kcache
 
     # -- numerics -----------------------------------------------------------
 
@@ -633,23 +700,92 @@ def lift1to2(s: Series1, names, axis) -> Series2:
 # -- composition --------------------------------------------------------------
 
 
-def _horner(rows, s: Series2) -> Series2:
-    """sum_i rows[i] * s**i by Horner's rule; s needs zero constant term.
+def _horner(rows, s: Series2) -> dict:
+    """The coefficients of sum_i rows[i] * s**i by Horner's rule; s needs
+    zero constant term.
 
     The partial sum that is still to be multiplied i times by s only matters
-    up to total degree cap - i*val(s), so it is kept at that cap: one
-    truncated product per row, and rows past cap // val(s) are never read.
-    Truncation commutes with sums and products, so the result equals the
-    truncated full sum exactly.
+    up to total degree cap - i*val(s), so each step keeps it at that cap:
+    one truncated product per row, and rows past cap // val(s) are never
+    read. Truncation commutes with sums and products, so the result equals
+    the truncated full sum exactly.
+
+    The partial sum stays in the kernel's form from the first step to the
+    last: exact numerators over one denominator, reduced by one gcd per
+    step, with coefficients built once at the end. Each step adds the
+    product's nonzero terms to the row's terms under its cap, in product key
+    order, and drops the sums that cancel. Float steps do the same with the
+    float values, in the same order.
     """
     cap = s.cap
     val = s.valuation()
     n = min(len(rows) - 1, cap // val)
-    acc = rows[n].recap(cap - n * val)
+    base = cap + 1
+    form = s._kernel_form()
+    rad, den, terms, _ = rows[n]._kernel_form()
+    acc = {k: v for k, d, v in terms if d <= cap - n * val}
     for i in range(n - 1, -1, -1):
         c = cap - i * val
-        acc = rows[i].recap(c) + acc.recap(c) * s.recap(c)
-    return acc
+        terms = [(k, k // base + k % base, v) for k, v in acc.items()]
+        product = _sum_products([((rad, den, terms, None), form)], c)
+        rad, den, acc = _row_plus(rows[i]._kernel_form(), c, product)
+    return _coefficients(acc, rad, den, base)
+
+
+def _row_plus(row, limit, product):
+    """The row's kernel form under ``limit`` plus a kernel sum, as a kernel
+    sum; exact numerators are reduced by one gcd.
+
+    The row's keys come first; the product's nonzero terms are added in
+    its key order, and sums that cancel are dropped.
+    """
+    rad_r, den_r, terms, _ = row
+    rad, den, prod = product
+    m = mp = 1
+    if den_r is not None:
+        rad = _same_field(rad_r, rad)
+        den_p, den = den, math.lcm(den_r, den)
+        m, mp = den // den_r, den // den_p
+    if rad is None:
+        out = {k: v * m if m != 1 else v for k, d, v in terms if d <= limit}
+        for k, v in prod.items():
+            if v == 0:
+                continue
+            if mp != 1:
+                v *= mp
+            w = out.get(k)
+            if w is None:
+                out[k] = v
+            else:
+                w = w + v
+                if w == 0:
+                    del out[k]
+                else:
+                    out[k] = w
+        if den is None:
+            return None, None, out
+        g = math.gcd(den, *out.values())
+        if g != 1:
+            out = {k: v // g for k, v in out.items()}
+        return None, den // g, out
+    out = {k: _scaled_triple(v, m) for k, d, v in terms if d <= limit}
+    for k, v in prod.items():
+        v0, v1, v2 = _scaled_triple(v, mp)
+        if not (v0 or v1 or v2):
+            continue
+        w = out.get(k)
+        if w is None:
+            out[k] = (v0, v1, v2)
+        else:
+            w0, w1, w2 = w[0] + v0, w[1] + v1, w[2] + v2
+            if w0 or w1 or w2:
+                out[k] = (w0, w1, w2)
+            else:
+                del out[k]
+    g = math.gcd(den, *(x for v in out.values() for x in v))
+    if g != 1:
+        out = {k: (v0 // g, v1 // g, v2 // g) for k, (v0, v1, v2) in out.items()}
+    return rad, den // g, out
 
 
 def _compose_eff(a: Series2, effs) -> int:
@@ -694,9 +830,9 @@ def compose2(a: Series2, s_first: Series2, s_second: Series2) -> Series2:
         _horner([Series2._raw(names, cap, c, mode, cap) for c in row], s_second)
         for row in consts
     ]
-    out = _horner(rows, s_first)
+    out = _horner([Series2._raw(names, cap, c, mode, cap) for c in rows], s_first)
     eff = _compose_eff(a, (s_first.eff, s_second.eff))
-    return Series2._raw(names, cap, out._c, mode, eff)
+    return Series2._raw(names, cap, out, mode, eff)
 
 
 def substitute(a: Series2, which: str, s: Series2) -> Series2:
@@ -724,7 +860,7 @@ def substitute(a: Series2, which: str, s: Series2) -> Series2:
         rows[k[axis]][(e, 0) if kept_first else (0, e)] = v
     out = _horner([Series2._raw(names, cap, r, mode, cap) for r in rows], s)
     eff = _compose_eff(a, (s.eff, cap) if axis == 0 else (cap, s.eff))
-    return Series2._raw(names, cap, out._c, mode, eff)
+    return Series2._raw(names, cap, out, mode, eff)
 
 
 def compose1(f: Series1, g: Series1) -> Series1:
@@ -793,12 +929,14 @@ def implicit_solve(f: Series2, solve_for: str, value_name: str) -> Series2:
     p = 1
     while p < cap:
         q = min(2 * p, cap)
+        # a new series over sol each pass: the product kernel caches a
+        # series' terms, and sol grows below
         fs = substitute(f.recap(q), solve_for, Series2._raw(names, q, sol, mode, q))
         # bands p+1..q of value - f(sol); the bands below are already solved
-        d = {k: -v for k, v in fs._c.items() if k[0] + k[1] > p}
+        d = Series2._raw(names, q, {k: -v for k, v in fs._c.items() if k[0] + k[1] > p}, mode, q)
         # d sol / d value, through band q - p - 1
         g = {(i - 1, j): v * i for (i, j), v in sol.items() if i and i + j <= q - p}
-        sol.update(_product(d, g, q, pairs=True))
+        sol.update(_product([(d, Series2._raw(names, q, g, mode, q))], q))
         p = q
     order = sorted(sol, key=lambda k: (k[0] + k[1], k[0]))
     c = {k: sol[k] for k in order if not _is_zero(sol[k])}

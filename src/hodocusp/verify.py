@@ -154,6 +154,11 @@ def branch_field(pack: NormalFormPack, T: np.ndarray, X: np.ndarray, branch=None
     disc = cubic_discriminant(lam1, q)
     near = np.abs(disc) <= BOUNDARY_TOL * fold_scale(lam1, q)
     if near.any():
+        # the nodes where cusp_roots takes repeated roots: the cusp point,
+        # or a double root whose simple root 3q/p is within the Cauchy bound
+        m = np.maximum(np.abs(lam1), np.abs(q))
+        near &= (m <= BOUNDARY_TOL) | (np.abs(3.0 * q) <= np.abs(lam1) * (1.0 + m))
+    if near.any():
         raise UsageError(
             f"grid touches a fold curve: |discriminant| ~ 0 at {int(near.sum())} nodes"
         )

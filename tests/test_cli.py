@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hodocusp import cli
+from hodocusp import canonical_problem, cli, expand_potential, hodograph_map
 from hodocusp.errors import UsageError
 
 REPO = Path(__file__).resolve().parent.parent
@@ -130,6 +130,27 @@ def test_solve_at_t_star_off_the_base_point_is_one_branch(tmp_path, capsys):
     assert len(rows) == 1
     t, x, branch, h, v, mult, inside = rows[0].split(",")
     assert (t, x, branch, mult, inside) == ("0.0", "1e-08", "0", "1", "0")
+
+
+def test_solve_next_to_the_cusp_point_maps_back(tmp_path):
+    # lambda1 ~ 1e-12 and q ~ -1e-8 sit inside the absolute fold band; the
+    # canonical config used to write a double-root pair there, two branches
+    # with h = -5.6e7 and -2.25e8
+    cfg = write_cfg(
+        tmp_path,
+        PROBLEM.replace("order: 6", "order: 10") + "solve:\n  points:\n    - [1e-12, 1e-8]\n",
+    )
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = (out / "branches.csv").read_text().splitlines()[2:]
+    assert len(rows) == 1
+    t, x, branch, h, v, mult, inside = rows[0].split(",")
+    assert (t, x, branch, mult, inside) == ("1e-12", "1e-08", "0", "1", "0")
+    assert abs(float(h) + 2.08e-6) < 1e-8 and abs(float(v) - 0.002884) < 1e-6
+    m = hodograph_map(expand_potential(canonical_problem(), order=10))
+    # v* = 0, so V = v
+    assert abs(m.t.evaluate(float(h), float(v)) - 1e-12) <= 1e-9
+    assert abs(m.x.evaluate(float(h), float(v)) - 1e-8) <= 1e-9
 
 
 def test_solve_float_mode_allowed(tmp_path):

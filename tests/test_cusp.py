@@ -81,6 +81,20 @@ def test_zero_p_in_the_fold_band_is_one_simple_root(p, q):
     assert math.copysign(1.0, r) == -math.copysign(1.0, q)
 
 
+@pytest.mark.parametrize("p, q", [(1e-20, 1e-8), (-1e-20, 1e-8), (1e-16, -3e-9), (-2e-14, 5e-10)])
+def test_fold_band_pair_beyond_the_root_bound_is_one_simple_root(p, q):
+    # |disc| lies inside the absolute fold band, but the pair's simple root
+    # 3q/p would lie far beyond the Cauchy bound 1 + max(|p|, |q|) of every
+    # root, so the sign of disc decides (cusp_roots(1e-20, 1e-8) used to
+    # give a double root at -1.5e12 and a simple one at 3e12)
+    assert abs(cubic_discriminant(p, q)) <= 1e-12
+    assert cubic_discriminant(p, q) < 0.0
+    (r, m), = cusp_roots(p, q)
+    assert m == 1
+    assert abs((r * r + p) * r + q) <= 1e-15 * abs(q)
+    assert abs(r) <= 1.0 + max(abs(p), abs(q))
+
+
 def test_cardano_cancellation_free():
     # large |q| with q > 0 hits the s - d branch; the root stays accurate
     (r, m), = cusp_roots(1e-3, 1e6)

@@ -44,7 +44,8 @@ GOLDEN_GENERIC = Path(__file__).parent / "golden" / "generic_n10"
 # sha256 of the nine files save_pack writes for the same instance at order 16,
 # the top order: its series carry cube-root coefficients through every stage
 GOLDEN_GENERIC_16 = Path(__file__).parent / "golden" / "generic_n16.json"
-# the order-16 packs of pool instances 0, 3 and 7, with key orders and radii
+# the order-16 packs of pool instances 0-19, with key orders and radii, and
+# their float outcomes at orders 10 and 16
 GOLDEN_POOL_16 = Path(__file__).parent / "golden" / "pool_n16.py"
 PACK_SERIES = (
     ("h_of_tau_v", "h_of_tau_V.txt"),
@@ -372,21 +373,33 @@ def test_generic_order16_pack_matches_golden_digests(tmp_path):
 
 
 def test_pool_order16_packs_keep_bytes_key_order_and_radii(tmp_path):
-    """Pool instances 0, 3 and 7 at order 16 save the recorded files, and
-    every pack series keeps its recorded key order and validity radius.
-    Instance 0's record is the generic_n16 golden. The two implicit solves
-    store their terms band by band, ascending in the solved-for value."""
+    """Pool instances 0-19 at order 16 save the recorded files, and every
+    pack series keeps its recorded key order and validity radius; the float
+    builds at orders 10 and 16 keep their recorded packs or refusals.
+    Instance 0's exact record is the generic_n16 golden. The two implicit
+    solves store their terms band by band, ascending in the solved-for
+    value."""
     spec = importlib.util.spec_from_file_location("pool_n16", GOLDEN_POOL_16)
     golden = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(golden)
     frozen = json.loads(golden.RECORD.read_text())
     assert frozen["order"] == golden.ORDER == 16
+    assert frozen["float_orders"] == list(golden.FLOAT_ORDERS) == [10, 16]
     records = frozen["records"]
-    assert sorted(map(int, records)) == list(golden.INSTANCES) == [0, 3, 7]
-    assert records["0"]["files"] == json.loads(GOLDEN_GENERIC_16.read_text())["sha256"]
+    assert sorted(map(int, records)) == list(golden.INSTANCES) == list(range(20))
+    assert records["0"]["exact"]["files"] == json.loads(GOLDEN_GENERIC_16.read_text())["sha256"]
+    refused = {
+        n: [i for i in golden.INSTANCES if "error" in records[str(i)]["float"][str(n)]]
+        for n in golden.FLOAT_ORDERS
+    }
+    assert refused == {10: [12, 16], 16: [0, 1, 4, 5, 12, 15, 16]}
     for i in golden.INSTANCES:
+        record = records[str(i)]
         pack = golden.pool_pack(i)
-        assert golden.pack_record(pack, tmp_path / str(i)) == records[str(i)], i
+        assert golden.pack_record(pack, tmp_path / str(i)) == record["exact"], i
+        for n in golden.FLOAT_ORDERS:
+            got = golden.float_outcome(i, n, tmp_path / f"{i}_float_{n}")
+            assert got == record["float"][str(n)], (i, n)
         h_keys, w_keys = list(pack.h_of_tau_v._c), list(pack.w_of_tau_u._c)
         assert h_keys == sorted(h_keys, key=lambda k: (k[0] + k[1], k[0]))  # (tau, V)
         assert w_keys == sorted(w_keys, key=lambda k: (k[0] + k[1], k[1]))  # (tau, U)

@@ -1,13 +1,17 @@
-"""The truncated-product kernel against the schoolbook loops it replaced.
+"""The exact series kernels against the loops they replaced.
 
-``Series1``, ``Series2`` and the miniversal fit's row products share one
-product kernel, ``_product``, which works on integer numerators over one denominator per
-operand. Kept in this file as references: the three loops that multiplied
-``Fraction``/``CubicRadical``/float coefficients one term pair at a time.
-The kernel must give the same coefficients, in the same key order (the
-validity radius sums a band's magnitudes in dict order), drop exact zeros
-from series products as before, keep float results bit for bit, and refuse
-to mix two cube-root fields with the same message.
+``Series1``, ``Series2``, the miniversal fit and the Newton steps of
+``implicit_solve`` share one product kernel, ``_product``, which sums the
+products of a list of operand pairs as integer numerators over one
+denominator; ``_horner``, behind every composition, keeps its partial sum in
+that integer form from step to step. Kept in this file as references: the
+loops that multiplied ``Fraction``/``CubicRadical``/float coefficients one
+term pair at a time, pair by pair into one dict, and the Horner rule that
+ran on whole series (``recap``, ``*``, ``+``). The kernels must give the
+same coefficients, in the same key order (the validity radius sums a band's
+magnitudes in dict order), drop exact zeros from series products as before,
+keep float results bit for bit, and refuse to mix two cube-root fields with
+the same message.
 """
 
 import math
@@ -22,7 +26,16 @@ from hypothesis import strategies as st
 from hodocusp import build_normal_form, expand_potential, hodograph_map
 from hodocusp.errors import UsageError
 from hodocusp.scalars import CubicRadical, make_radical
-from hodocusp.series import EXACT, FLOAT, Series1, Series2, _product, series1_text, series2_text
+from hodocusp.series import (
+    EXACT,
+    FLOAT,
+    Series1,
+    Series2,
+    _horner,
+    _product,
+    series1_text,
+    series2_text,
+)
 
 RADS = [Fraction(2), Fraction(12, 5), Fraction(-4, 15)]
 PAIR = ("x", "y")
@@ -59,10 +72,15 @@ def ref_product1(s, t):
 
 
 def ref_row_mul_add(out, a, b, deg):
+    """Add a * b under total degree deg into out, term pair by term pair."""
     for i, x in a.items():
         for j, y in b.items():
-            k = i + j
-            if k <= deg:
+            if isinstance(i, int):
+                k, d = i + j, i + j
+            else:
+                k = (i[0] + j[0], i[1] + j[1])
+                d = k[0] + k[1]
+            if d <= deg:
                 w = out.get(k)
                 out[k] = x * y if w is None else w + x * y
 
@@ -241,39 +259,58 @@ def test_empty_operands_and_truncation():
     assert got.is_zero()
 
 
-# -- the miniversal fit's row products ------------------------------------------
+# -- sums of products: the miniversal fit's rows and the Newton steps ---------
+
+
+def rows_of(pairs, dicts, cap, mode):
+    cls = Series2 if pairs else Series1
+    return [series(cls, d, cap, mode) for d in dicts]
 
 
 @given(
-    st.tuples(st.integers(0, 6), st.sampled_from([EXACT, FLOAT])).flatmap(
+    st.tuples(st.integers(0, 6), st.booleans(), st.sampled_from([EXACT, FLOAT])).flatmap(
         lambda t: st.tuples(
-            st.just(t[0]), operands(False, t[0] + 2, t[1], keep_zeros=True, count=3)
+            st.just(t[0]),
+            st.just(t[1]),
+            st.just(t[2]),
+            operands(t[1], t[0] + 2, t[2], keep_zeros=True, count=6),
+            st.integers(0, 3),
         )
     )
 )
 @settings(max_examples=150, deadline=None)
 def test_row_mul_add_matches_reference(case):
-    """Accumulates into ``out``, keeps zero sums, ignores terms past ``deg``."""
-    deg, (a, b, out) = case
-    want = dict(out)
-    ref_row_mul_add(want, a, b, deg)
-    got = dict(out)
-    assert _product(a, b, deg, got) is got
+    """Sums the pairs' products in one call, in the order the pairs' products
+    added into one dict pair by pair; keeps zero sums, ignores terms past
+    ``deg``, and holds stored zeros of the operands."""
+    deg, pairs, mode, dicts, n_pairs = case
+    ops = rows_of(pairs, dicts, deg + 2, mode)
+    operand_pairs = list(zip(ops[0::2], ops[1::2]))[:n_pairs]
+    want = {}
+    for a, b in operand_pairs:
+        ref_row_mul_add(want, a._c, b._c, deg)
+    got = _product(operand_pairs, deg)
     assert bits(got.items()) == bits(want.items())
+    if mode == EXACT:
+        assert all(isinstance(v, (Fraction, CubicRadical)) for v in got.values())
 
 
 def test_row_mul_add_keeps_zero_sums():
     a = {0: Fraction(1), 1: Fraction(1), 5: Fraction(3)}
     b = {0: Fraction(1), 1: Fraction(-1)}
-    for out in ({}, {2: Fraction(7)}, {1: Fraction(1, 2), 0: Fraction(-1)}):
-        want = dict(out)
-        ref_row_mul_add(want, a, b, 3)
-        got = dict(out)
-        _product(a, b, 3, got)
-        assert bits(got.items()) == bits(want.items())
-    got = {}
-    _product(a, b, 3, got)
+    c = {1: Fraction(1)}
+    d = {0: Fraction(-1), 1: Fraction(1)}
+    A, B, C, D = rows_of(False, (a, b, c, d), 5, EXACT)
+    got = _product([(A, B)], 3)
     assert got == {0: 1, 1: 0, 2: -1}
+    # (1 + x)(1 - x) + x(x - 1): the x**2 terms cancel across the two pairs
+    got = _product([(A, B), (C, D)], 3)
+    assert list(got.items()) == [(0, 1), (1, -1), (2, 0)]
+    want = {}
+    ref_row_mul_add(want, a, b, 3)
+    ref_row_mul_add(want, c, d, 3)
+    assert bits(got.items()) == bits(want.items())
+    assert _product([], 3) == {}
 
 
 # -- mixed cube-root fields -----------------------------------------------------
@@ -322,8 +359,21 @@ def test_row_mul_add_mixed_radicands():
     c3 = make_radical(1, 1, 0, 3)
     a = {0: c2, 1: c3}
     b = {0: Fraction(1), 1: Fraction(1)}
+    A, B = rows_of(False, (a, b), 3, EXACT)
     want = ref_error(lambda: ref_row_mul_add({}, a, b, 3))
-    assert ref_error(lambda: _product(a, b, 3, {})) == want
+    assert ref_error(lambda: _product([(A, B)], 3)) == want
+    # the two fields in two pairs of one call, meeting at x
+    c, d = {0: c2}, {1: c3}
+    C, D = rows_of(False, (c, d), 3, EXACT)
+
+    def ref():
+        out = {}
+        ref_row_mul_add(out, b, c, 3)
+        ref_row_mul_add(out, b, d, 3)
+
+    want = ref_error(ref)
+    assert want == "cannot mix cube roots of 2 and 3"
+    assert ref_error(lambda: _product([(B, C), (B, D)], 3)) == want
 
 
 def test_radical_product_matches_scalar_arithmetic():
@@ -343,3 +393,117 @@ def test_radical_product_matches_scalar_arithmetic():
     assert got._c[2] == a[0] * b[2]
     assert got._c[3] == a[1] * b[2]
     assert math.isfinite(got.validity_radius())
+
+
+# -- the Horner kernel ------------------------------------------------------------
+
+
+def ref_horner(rows, s):
+    """sum_i rows[i] * s**i by Horner's rule on whole series, each partial
+    sum recapped to the degree the remaining powers of s leave it."""
+    cap = s.cap
+    val = s.valuation()
+    n = min(len(rows) - 1, cap // val)
+    acc = rows[n].recap(cap - n * val)
+    for i in range(n - 1, -1, -1):
+        c = cap - i * val
+        acc = rows[i].recap(c) + ref_mul(acc.recap(c), s.recap(c))
+    return acc
+
+
+def coefficient_st(mode, rad, kinds):
+    return floats_st if mode == FLOAT else exact_coeffs(rad, kinds)
+
+
+@st.composite
+def horner_cases(draw, mode):
+    """(rows, s): Series2 rows and a substitution of valuation 1 or 2 in one
+    cube-root field, each operand with its own coefficient kinds, stored
+    zeros kept, s's valuation term first."""
+    cap = draw(st.integers(1, 6))
+    val = draw(st.sampled_from([1, 2]))
+    rad = draw(st.sampled_from(RADS))
+    key = st.tuples(st.integers(0, cap), st.integers(0, cap)).filter(
+        lambda k: k[0] + k[1] <= cap
+    )
+    higher = key.filter(lambda k: k[0] + k[1] >= val)
+    lead = draw(st.integers(0, val))
+    s = {(lead, val - lead): draw(coefficient_st(mode, rad, draw(st.sampled_from(KINDS))))}
+    s.update(
+        draw(st.dictionaries(higher, coefficient_st(mode, rad, draw(st.sampled_from(KINDS))), max_size=8))
+    )
+    rows = [
+        draw(st.dictionaries(key, coefficient_st(mode, rad, draw(st.sampled_from(KINDS))), max_size=6))
+        for _ in range(draw(st.integers(1, cap + 1)))
+    ]
+    return [series(Series2, r, cap, mode) for r in rows], series(Series2, s, cap, mode)
+
+
+@given(st.sampled_from([EXACT, FLOAT]).flatmap(horner_cases))
+@settings(max_examples=200, deadline=None)
+def test_horner_matches_series_horner(case):
+    """Same coefficients in the same key order, stored zeros included; float
+    sums bit for bit."""
+    rows, s = case
+    got = _horner(rows, s)
+    want = ref_horner(rows, s)._c
+    assert bits(got.items()) == bits(want.items())
+    if s.mode == EXACT:
+        assert all(isinstance(v, (Fraction, CubicRadical)) for v in got.values())
+
+
+nonzero_radical = st.builds(make_radical, small_q, small_q, small_q, st.just(Fraction(2))).filter(
+    lambda v: isinstance(v, CubicRadical)
+)
+
+
+@given(
+    st.integers(2, 5),
+    st.sampled_from([1, 2]),
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), nonzero_radical, max_size=4
+    ),
+    st.lists(st.builds(make_radical, small_q, small_q, small_q, st.just(Fraction(3))), min_size=1),
+)
+@settings(max_examples=100, deadline=None)
+def test_horner_mixed_radicands_raise_parent_message(cap, val, top, s_values):
+    """A partial sum in one field times a substitution in another."""
+    rows = [series(Series2, {(0, 0): Fraction(1)}, cap, EXACT)]
+    top = {k: v for k, v in top.items() if k[0] + k[1] <= cap - val}
+    top[(0, 0)] = make_radical(0, 1, 0, 2)
+    rows.append(series(Series2, top, cap, EXACT))
+    keys = [(i, d - i) for d in range(val, cap + 1) for i in range(d + 1)]
+    s_c = {k: v for k, v in zip(keys, s_values) if isinstance(v, CubicRadical)}
+    s_c[(val, 0)] = make_radical(1, 1, 0, 3)
+    s = series(Series2, s_c, cap, EXACT)
+    want = ref_error(lambda: ref_horner(rows, s))
+    assert want == "cannot mix cube roots of 2 and 3"
+    assert ref_error(lambda: _horner(rows, s)) == want
+
+
+def test_horner_row_meets_the_other_field():
+    """The last row's term meets a product term of the other field."""
+    c2 = make_radical(0, 1, 0, 2)
+    c3 = make_radical(0, 1, 0, 3)
+    rows = [series(Series2, c, 3, EXACT) for c in ({(1, 0): c3}, {(0, 0): c2})]
+    s = series(Series2, {(1, 0): Fraction(1)}, 3, EXACT)
+    want = ref_error(lambda: ref_horner(rows, s))
+    assert want == "cannot mix cube roots of 3 and 2"
+    assert ref_error(lambda: _horner(rows, s)) == want
+
+
+@pytest.mark.parametrize(
+    "c, one",
+    [(Fraction(3, 2), Fraction(1)), (make_radical(1, 1, 0, 2), Fraction(1)), (1.5, 1.0)],
+)
+def test_horner_drops_sums_that_cancel(c, one):
+    """c - c x + x (c + y): the x term of the last row cancels and goes."""
+    mode = FLOAT if isinstance(c, float) else EXACT
+    rows = [
+        series(Series2, {(1, 0): -c, (0, 0): c}, 3, mode),
+        series(Series2, {(0, 0): c, (0, 1): one}, 3, mode),
+    ]
+    s = series(Series2, {(1, 0): one}, 3, mode)
+    got = _horner(rows, s)
+    assert (1, 0) not in got
+    assert bits(got.items()) == bits(ref_horner(rows, s)._c.items())

@@ -162,6 +162,22 @@ def test_branch_fields_are_distinct_inside_wedge(canonical_pack):
     assert np.allclose(h0, h2) and np.allclose(v0, -v2)
 
 
+def test_branch_field_and_cusp_roots_agree_in_the_fold_band(canonical_pack):
+    # (lambda1, q) ~ (1e-12, -1e-8) at t = 1e-12, x = 1e-8 lies in the
+    # absolute fold band, but no repeated root is near: both classifiers
+    # give the one simple root, and the grid does not touch a fold
+    from hodocusp.cusp import reconstruct
+
+    (br,) = reconstruct(1e-12, 1e-8, canonical_pack)
+    assert br.multiplicity == 1
+    h, v = branch_field(canonical_pack, np.array([1e-12]), np.array([1e-8]))[:2]
+    assert abs(h[0] - br.h) <= 1e-12 * abs(br.h)
+    assert abs(v[0] - br.v) <= 1e-12 * abs(br.v)
+    # the cusp point itself still touches the fold
+    with pytest.raises(UsageError, match="touches a fold curve"):
+        branch_field(canonical_pack, np.array([0.0]), np.array([0.0]))
+
+
 # -- refinement study: two extra orders cut the residual ------------------------
 
 

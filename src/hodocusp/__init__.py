@@ -7,8 +7,8 @@ then reconstruct multivalued (h, v)(t, x) branches, the fold and h = 0
 curve families, and convergence diagnostics for the underlying series.
 
 In exact mode, the default, everything constructive is exact (Fraction
-coefficients, an explicit cube root adjoined where needed) and floats enter
-only at evaluation time; float mode builds the series in float64. Only the
+coefficients; the normal form's one cube root enters only when its pack is
+assembled) and floats enter only at evaluation time; float mode builds the series in float64. Only the
 finite-difference oracles of `hodocusp.verify` use numpy; the package
 re-exports their names lazily, so `import hodocusp` does not load it.
 """

@@ -53,7 +53,7 @@ from .pde import (
     relation_checklist,
 )
 from .scalars import parse_exact, scalar_float
-from .series import EXACT, FLOAT, series2_text
+from .series import series2_text
 
 MIN_ORDER = 3
 MAX_ORDER = 16
@@ -159,10 +159,10 @@ def _pipeline(ns, cfg):
     so degenerate data (b02 != 0 or b03 = 0) fails fast here even where the
     library expansion itself would not need the restriction.
     """
-    smode = EXACT if _mode(ns, cfg) == "exact" else FLOAT
+    mode = _mode(ns, cfg)
     problem = _problem(cfg)
     problem.require_singular()
-    sol = expand_potential(problem, _order(cfg), mode=smode)
+    sol = expand_potential(problem, _order(cfg), mode=mode)
     return sol, hodograph_map(sol)
 
 

@@ -13,10 +13,15 @@ Starting from the shifted map (tau, xi)(h, V) with b02 = 0, b11 != 0:
    (W^0 row -> lambda2, W^1 row -> lambda1, W^k rows -> U coefficients),
 5. invert U(tau, W) in W to get W(tau, U).
 
-In exact mode the only irrationality is (12/(5 b11))**(1/3); everything
-lives in Q of that cube root, so the fitted identity is exact, not
-approximate. sign(lambda1 slope) = -sign(b11) determines at runtime which
-tau half-plane carries the three-root wedge.
+In exact mode the only irrationality is c = (12/(5 b11))**(1/3) =
+(1/c3)**(1/3), with c3 = 5 b11/12 the V^3 coefficient of xi(0, V). The cusp
+is quasi-homogeneous (tau has weight 2; U, W and V weight 1), so c only
+rescales W to w = cW. Steps 3-5 therefore run over Q on xi/c3, whose cubic
+coefficient is 1, in w; the pack is assembled by lifting each series to the
+W frame with the weight table ``_C_POWERS``, which gives every coefficient
+its power of c, so the fitted identity is exact, not approximate. Float
+mode builds in the W frame directly. sign(lambda1 slope) = -sign(b11)
+determines at runtime which tau half-plane carries the three-root wedge.
 """
 
 from __future__ import annotations
@@ -27,10 +32,10 @@ from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
-from .errors import DegeneracyError
+from .errors import DegeneracyError, UsageError
 from .hodograph import HodographMap
 from .pde import ProblemData
-from .scalars import CubicRadical, scalar_float
+from .scalars import CubicRadical, _over_power, _times_power, cbrt_exact, scalar_float
 from .series import (
     EXACT,
     Series1,
@@ -42,6 +47,7 @@ from .series import (
     series1_text,
     series2_text,
     substitute,
+    variable2,
 )
 
 
@@ -76,7 +82,7 @@ class NormalFormPack:
         """Sign s such that lambda1(tau) < 0 (three roots possible) for
         small tau with sign(tau) = s. Derived from the fitted slope, not
         from any printed convention."""
-        slope = float(self.lambda1_slope()) if self.mode == EXACT else self.lambda1_slope()
+        slope = float(self.lambda1_slope())
         if slope == 0:
             raise DegeneracyError("lambda1 has no linear part")
         return -1 if slope > 0 else 1
@@ -98,12 +104,19 @@ def build_normal_form(m: HodographMap) -> NormalFormPack:
 
     h_tv = implicit_solve(tau, "h", "tau")
     xi_tv = substitute(xi, "h", h_tv)
-    v_of_w = cube_root_normalize(xi_tv.at_zero(1), "W")
+    x0 = xi_tv.at_zero(1)
+    # exact mode: the frame w = cW, where x0/c3 has cubic coefficient 1 and
+    # every series below is rational (a missing c3 is refused just below)
+    c3 = x0._c.get(3) if xi_tv.mode == EXACT else None
+    if c3 is not None:
+        x0 = x0.scale(1 / c3)
+    v_of_w = cube_root_normalize(x0, "W")
     vw2 = lift1to2(v_of_w, ("tau", "W"), 1)
     xi_tw = substitute(xi_tv, "V", vw2)
+    xi_fit = xi_tw if c3 is None else xi_tw.scale(1 / c3)
 
-    leftover = xi_tw.at_zero(1) - _cube_series(xi_tw)
-    if xi_tw.mode == EXACT:
+    leftover = xi_fit.at_zero(1) - _cube_series(xi_fit)
+    if c3 is not None:
         zero_row = [j for j, _ in leftover.terms()]
     else:
         zero_row = [j for j, v in leftover.terms() if abs(v) > 1e-9]
@@ -112,20 +125,73 @@ def build_normal_form(m: HodographMap) -> NormalFormPack:
             f"cube normalization failed: xi(0, W) != W^3 at degrees {zero_row}"
         )
 
-    lam1, lam2, u_tw = _fit_miniversal(xi_tw)
+    lam1, lam2, u_tw = _fit_miniversal(xi_fit)
     w_tu = implicit_solve(u_tw, "W", "U")
-    return NormalFormPack(
-        h_of_tau_v=h_tv,
-        xi_of_tau_v=xi_tv,
-        v_of_w=v_of_w,
-        xi_of_tau_w=xi_tw,
-        lambda1=lam1,
-        lambda2=lam2,
-        u_of_tau_w=u_tw,
-        w_of_tau_u=w_tu,
-        b11=b11,
-        problem=p,
-    )
+    framed = {
+        "v_of_w": v_of_w,
+        "xi_of_tau_w": xi_tw,
+        "lambda1": lam1,
+        "lambda2": lam2,
+        "u_of_tau_w": u_tw,
+        "w_of_tau_u": w_tu,
+    }
+    if c3 is not None:
+        c = cbrt_exact(1 / c3)
+        framed = {attr: _lift(s, attr, c) for attr, s in framed.items()}
+    return NormalFormPack(h_of_tau_v=h_tv, xi_of_tau_v=xi_tv, b11=b11, problem=p, **framed)
+
+
+# The weight table: the power of c that the coefficient of a key gains when a
+# series built over Q in w = cW is lifted to the W frame. U, W and V have
+# weight 1 and xi weight 3, so tau^i W^j of V(W) and xi(tau, W) gains c^j;
+# U(tau, W) = U~(tau, cW)/c and W(tau, U) likewise gain c^(j-1), and
+# lambda1 = lambda1~ c3^(2/3) and lambda2 = lambda2~ c3 gain c^-2 and c^-3.
+_C_POWERS = {
+    "v_of_w": lambda j: j,
+    "xi_of_tau_w": lambda k: k[1],
+    "lambda1": lambda i: -2,
+    "lambda2": lambda i: -3,
+    "u_of_tau_w": lambda k: k[1] - 1,
+    "w_of_tau_u": lambda k: k[1] - 1,
+}
+
+
+def _lift(s, attr, c):
+    """The pack series ``attr`` in the W frame from its rational form in
+    w = cW; a float series (c None) is already in the W frame."""
+    if c is None:
+        return s
+    power = _C_POWERS[attr]
+    lifted = {k: _times_power(v, c, power(k)) for k, v in s._c.items()}
+    return s._raw(s._vars, s.cap, lifted, s.mode, s.eff)
+
+
+def _read(pack, attr, c):
+    """The pack series ``attr`` read back to its rational form in w = cW.
+
+    Refuses a coefficient that is not a rational times the one power of c
+    that its key requires."""
+    s = getattr(pack, attr)
+    if c is None:
+        return s
+    power = _C_POWERS[attr]
+    out = {}
+    for k, v in s._c.items():
+        n = power(k)
+        out[k] = _over_power(v, c, n)
+        if out[k] is None:
+            raise UsageError(
+                f"{attr} coefficient {k} = {v!r} is not a rational times c^{n}, c = {c!r}"
+            )
+    return s._raw(s._vars, s.cap, out, s.mode, s.eff)
+
+
+def _pack_root(pack):
+    """c = (12/(5 b11))**(1/3) of an exact pack, from the problem data; None
+    for a float pack."""
+    if pack.mode != EXACT:
+        return None
+    return cbrt_exact(Fraction(12, 5) / pack.problem.b11)
 
 
 def _cube_series(xi_tw: Series2) -> Series1:
@@ -204,23 +270,39 @@ def _fit_miniversal(xi_tw: Series2):
 
 
 def verify_miniversal(pack: NormalFormPack) -> Series2:
-    """Residual xi(tau, W) - (U^3 + lambda1 U + lambda2); exactly zero to cap."""
-    names = pack.xi_of_tau_w.names
-    u = pack.u_of_tau_w
-    l1 = lift1to2(pack.lambda1, names, 0)
-    l2 = lift1to2(pack.lambda2, names, 0)
-    return pack.xi_of_tau_w - (u * u * u + l1 * u + l2)
+    """Residual xi(tau, W) - (U^3 + lambda1 U + lambda2); exactly zero to cap.
+
+    An exact pack is read back to w = cW through the weight table, where the
+    identity xi~ = c3 (U~^3 + lambda1~ U~ + lambda2~) holds over Q, and its
+    residual is lifted like xi.
+    """
+    c = _pack_root(pack)
+    xi, u, lam1, lam2 = (
+        _read(pack, attr, c) for attr in ("xi_of_tau_w", "u_of_tau_w", "lambda1", "lambda2")
+    )
+    l1 = lift1to2(lam1, xi.names, 0)
+    l2 = lift1to2(lam2, xi.names, 0)
+    cubic = u * u * u + l1 * u + l2
+    if c is not None:
+        cubic = cubic.scale(_times_power(Fraction(1), c, -3))
+    return _lift(xi - cubic, "xi_of_tau_w", c)
 
 
 def roundtrip_w_u(pack: NormalFormPack) -> tuple[Series2, Series2]:
-    """U(tau, W(tau, U)) - U and W(tau, U(tau, W)) - W; both zero to cap."""
-    from .series import variable2
+    """U(tau, W(tau, U)) - U and W(tau, U(tau, W)) - W; both zero to cap.
 
-    u_back = substitute(pack.u_of_tau_w, "W", pack.w_of_tau_u)
-    w_back = substitute(pack.w_of_tau_u, "U", pack.u_of_tau_w)
-    u_id = variable2(("tau", "U"), pack.u_of_tau_w.cap, "U", mode=pack.mode)
-    w_id = variable2(("tau", "W"), pack.w_of_tau_u.cap, "W", mode=pack.mode)
-    return u_back - u_id, w_back - w_id
+    An exact pack is read back to w = cW, the round trips run over Q, and
+    their residuals are lifted like W(tau, U) and U(tau, W).
+    """
+    c = _pack_root(pack)
+    u = _read(pack, "u_of_tau_w", c)
+    w = _read(pack, "w_of_tau_u", c)
+    u_id = variable2(("tau", "U"), u.cap, "U", mode=pack.mode)
+    w_id = variable2(("tau", "W"), w.cap, "W", mode=pack.mode)
+    return (
+        _lift(substitute(u, "W", w) - u_id, "w_of_tau_u", c),
+        _lift(substitute(w, "U", u) - w_id, "u_of_tau_w", c),
+    )
 
 
 # -- serialization ------------------------------------------------------------

@@ -164,10 +164,6 @@ def expand_potential(problem: ProblemData, order: int, mode=EXACT) -> PotentialS
     dd = [_second_derivative_row(row0)]
     for k in range(order):
         nxt_len = width - 2 * (k + 1)
-        if nxt_len <= 0:
-            rows.append([])
-            dd.append([])
-            continue
         acc = [4 * dd[k][j] for j in range(nxt_len)]
         for l in range(1, k + 1):
             al = alpha[l - 1]

@@ -2,10 +2,14 @@
 
 Three scalar families are used by the series layer:
 
-* plain rationals (fractions.Fraction),
+* plain rationals (fractions.Fraction): every exact series is built over Q,
 * elements of Q(c) where c is the real cube root of a fixed rational
-  radicand (CubicRadical) -- the only irrationalities the exact pipeline
-  ever needs are +-(12/(5*b11))**(1/3), and both live in one such field,
+  radicand (CubicRadical) -- the only irrationality an exact normal-form
+  pack holds is c = (12/(5*b11))**(1/3). It enters only when the pack is
+  assembled, each coefficient a rational times a power of c built once by
+  ``_times_power`` (and read back by ``_over_power``), so a CubicRadical is
+  stored, compared, negated, printed and converted to float, but takes
+  part in no arithmetic,
 * complex numbers with rational components (QComplex), used by the
   analytic-continuation diagnostics so that squared distances stay rational.
 """
@@ -74,13 +78,11 @@ def rational_cbrt(q: Fraction) -> Fraction | None:
 class CubicRadical:
     """a0 + a1*c + a2*c**2 with c = real cube root of ``rad`` (a non-cube rational).
 
-    Q(c) is a field (x**3 - rad is irreducible when rad is not a perfect
-    cube), so division is exact. An element is stored as integers
-    (n0 + n1*c + n2*c**2) / d over one denominator d > 0, reduced by a single
-    gcd, so equal elements have equal fields. Construct through
-    :func:`make_radical` or :func:`cbrt_exact`: they test the radicand for a
-    perfect cube once, and the arithmetic never tests it again; it only
-    collapses results with n1 = n2 = 0 to plain Fractions.
+    An element is stored as integers (n0 + n1*c + n2*c**2) / d over one
+    denominator d > 0, reduced by a single gcd, so equal elements have equal
+    fields. Construct through :func:`make_radical`, :func:`cbrt_exact` or
+    ``_reduced``: they collapse elements with n1 = n2 = 0 to plain
+    Fractions, so a live element is never rational.
     """
 
     __slots__ = ("n0", "n1", "n2", "d", "rad")
@@ -106,114 +108,8 @@ class CubicRadical:
     def a2(self) -> Fraction:
         return Fraction(self.n2, self.d)
 
-    # -- coercion ---------------------------------------------------------
-
-    def _parts(self, other):
-        """(n0, n1, n2, d) of an operand in the same field, or None."""
-        if isinstance(other, CubicRadical):
-            if other.rad is not self.rad and other.rad != self.rad:
-                raise UsageError(
-                    f"cannot mix cube roots of {self.rad} and {other.rad}"
-                )
-            return other.n0, other.n1, other.n2, other.d
-        if isinstance(other, Fraction):
-            return other.numerator, 0, 0, other.denominator
-        if isinstance(other, int):
-            return other, 0, 0, 1
-        return None
-
-    # -- ring operations --------------------------------------------------
-
-    def __add__(self, other):
-        p = self._parts(other)
-        if p is None:
-            return NotImplemented
-        b0, b1, b2, e = p
-        d = self.d
-        if d == e:
-            return _reduced(self.n0 + b0, self.n1 + b1, self.n2 + b2, d, self.rad)
-        return _reduced(
-            self.n0 * e + b0 * d,
-            self.n1 * e + b1 * d,
-            self.n2 * e + b2 * d,
-            d * e,
-            self.rad,
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if self._parts(other) is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        if self._parts(other) is None:
-            return NotImplemented
-        return (-self) + other
-
     def __neg__(self):
         return _element(-self.n0, -self.n1, -self.n2, self.d, self.rad)
-
-    def __mul__(self, other):
-        p = self._parts(other)
-        if p is None:
-            return NotImplemented
-        b0, b1, b2, e = p
-        a0, a1, a2, r = self.n0, self.n1, self.n2, self.rad
-        if not (b1 or b2):
-            return _reduced(a0 * b0, a1 * b0, a2 * b0, self.d * e, r)
-        # c**3 = rad = rp / rq
-        rp, rq = r.numerator, r.denominator
-        return _reduced(
-            rq * a0 * b0 + rp * (a1 * b2 + a2 * b1),
-            rq * (a0 * b1 + a1 * b0) + rp * a2 * b2,
-            rq * (a0 * b2 + a1 * b1 + a2 * b0),
-            self.d * e * rq,
-            r,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        a, b, c, r = self.n0, self.n1, self.n2, self.rad
-        rp, rq = r.numerator, r.denominator
-        # the field norm times d**3 rq**2
-        norm = (
-            rq * rq * a * a * a
-            + rp * rq * b * b * b
-            + rp * rp * c * c * c
-            - 3 * rp * rq * a * b * c
-        )
-        if norm == 0:
-            raise ZeroDivisionError("inverse of zero radical element")
-        k = self.d * rq
-        if norm < 0:
-            norm, k = -norm, -k
-        return _reduced(
-            (rq * a * a - rp * b * c) * k,
-            (rp * c * c - rq * a * b) * k,
-            rq * (b * b - a * c) * k,
-            norm,
-            r,
-        )
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError
-            num, den = other.numerator, other.denominator
-            if num < 0:
-                num, den = -num, -den
-            return _reduced(self.n0 * den, self.n1 * den, self.n2 * den, self.d * num, self.rad)
-        if isinstance(other, CubicRadical):
-            return self * other.inverse()
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if self._parts(other) is None:
-            return NotImplemented
-        return self.inverse() * other
 
     # -- comparisons and conversions --------------------------------------
 
@@ -234,9 +130,6 @@ class CubicRadical:
 
     def __hash__(self):
         return hash((self.n0, self.n1, self.n2, self.d, self.rad))
-
-    def __bool__(self):
-        return bool(self.n0 or self.n1 or self.n2)
 
     def __float__(self):
         # n / d is correctly rounded, so each term equals float(Fraction(n, d))
@@ -264,6 +157,35 @@ def _reduced(n0, n1, n2, d, rad) -> Fraction | CubicRadical:
     if g != 1:
         n0, n1, n2, d = n0 // g, n1 // g, n2 // g, d // g
     return _element(n0, n1, n2, d, rad)
+
+
+def _power(c, n):
+    """c**n as (slot, r) with c**n = r * c**slot and r rational, for a
+    rational c or c = cbrt(rad), whose cube is the radicand."""
+    if isinstance(c, CubicRadical):
+        return n % 3, c.rad ** (n // 3)
+    return 0, c**n
+
+
+def _times_power(q, c, n) -> Fraction | CubicRadical:
+    """q * c**n for a rational q, as one element built once."""
+    slot, r = _power(c, n)
+    q *= r
+    if slot == 0:
+        return q
+    parts = [0, 0, 0]
+    parts[slot] = q.numerator
+    return _reduced(*parts, q.denominator, c.rad)
+
+
+def _over_power(v, c, n) -> Fraction | None:
+    """The rational q with v = q * c**n, or None when v is not one."""
+    slot, r = _power(c, n)
+    if isinstance(v, CubicRadical):
+        q = Fraction((v.n0, v.n1, v.n2)[slot], v.d) / r
+    else:
+        q = v / r
+    return q if _times_power(q, c, n) == v else None
 
 
 def make_radical(a0, a1, a2, rad) -> Fraction | CubicRadical:

@@ -1,8 +1,12 @@
 """Truncated power series in one and two variables.
 
-Coefficients are either exact (Fraction, or CubicRadical elements of one
-fixed cube-root extension) or float64; a single series never mixes the two
-kinds. Zero coefficients are never stored, so equality compares canonical
+Coefficients are either exact or float64; a single series never mixes the
+two kinds. Exact series are built over Q: the product kernel has one exact
+numerator kind, ints over one denominator, and refuses a CubicRadical
+coefficient. Such coefficients appear only in a normal-form pack, where
+the cube root enters as the pack is assembled (see ``normal_form``); a
+series holding them is stored, printed and evaluated, not multiplied.
+Zero coefficients are never stored, so equality compares canonical
 forms. All operations re-truncate to the total-degree cap and are pure:
 series are immutable after construction.
 
@@ -18,7 +22,7 @@ import math
 from fractions import Fraction
 
 from .errors import DegeneracyError, DomainError, UsageError
-from .scalars import CubicRadical, _reduced, cbrt_exact, real_cbrt, scalar_float
+from .scalars import CubicRadical, rational_cbrt, real_cbrt, scalar_float
 
 EXACT = "exact"
 FLOAT = "float"
@@ -63,103 +67,45 @@ def _product(pairs, limit):
     if not pairs:
         return {}
     first = pairs[0][0]
-    rad, den, acc = _sum_products(
-        [(a._kernel_form(), b._kernel_form()) for a, b in pairs], limit
-    )
-    return _coefficients(acc, rad, den, first.cap + 1 if first._pairs else None)
+    den, acc = _sum_products([(a._kernel_form(), b._kernel_form()) for a, b in pairs], limit)
+    return _coefficients(acc, den, first.cap + 1 if first._pairs else None)
 
 
 def _sum_products(forms, limit):
-    """(radicand, D, {packed key: numerators over D}) of the sum of a * b
-    over pairs of kernel forms, truncated at total degree ``limit``.
+    """(D, {packed key: sum}) of the sum of a * b over pairs of kernel forms,
+    truncated at total degree ``limit``.
 
     Keys appear in the order of their first term pair, and sums that cancel
     stay. Float forms give float sums with D = None, added pair by pair
     straight into the result. Exact forms are put over the lcm D of the
-    pairs' denominator products and summed as plain int multiply-adds: one
-    per term pair when all operands are rational, nine into five sums once
-    one holds a ``CubicRadical``, with ``c**3 = rad`` folded in once per
-    output key.
+    pairs' denominator products and summed as int multiply-adds, one per
+    term pair.
     """
     acc = {}
-    rad = den = None
+    den = None
     scales = [1] * len(forms)
-    if forms[0][0][1] is not None:
-        for a, b in forms:
-            rad = _same_field(_same_field(rad, a[0]), b[0])
-        dens = [a[1] * b[1] for a, b in forms]
+    if forms[0][0][0] is not None:
+        dens = [a[0] * b[0] for a, b in forms]
         den = math.lcm(*dens)
         scales = [den // e for e in dens]
-    if rad is None:
-        for ((_, _, ta, _), (_, _, tb, rows)), m in zip(forms, scales):
-            if m != 1:
-                ta = [(k, d, n * m) for k, d, n in ta if d <= limit]
-            for ka, x, row in _pairings(ta, tb, limit, rows):
-                for kb, _, y in row:
-                    k = ka + kb
-                    w = acc.get(k)
-                    acc[k] = x * y if w is None else w + x * y
-        return None, den, acc
-    for ((rad_a, _, ta, _), (rad_b, _, tb, rows)), m in zip(forms, scales):
-        if rad_a is None or m != 1:
-            ta = [(k, d, _scaled_triple(n, m)) for k, d, n in ta if d <= limit]
-        if rad_b is None:
-            tb = [(k, d, (n, 0, 0)) for k, d, n in tb if d <= limit]
-            rows = {}
-        for ka, (a0, a1, a2), row in _pairings(ta, tb, limit, rows):
-            for kb, _, (b0, b1, b2) in row:
+    for ((_, ta, _), (_, tb, rows)), m in zip(forms, scales):
+        if m != 1:
+            ta = [(k, d, n * m) for k, d, n in ta if d <= limit]
+        for ka, x, row in _pairings(ta, tb, limit, rows):
+            for kb, _, y in row:
                 k = ka + kb
-                s = acc.get(k)
-                if s is None:
-                    acc[k] = [
-                        a0 * b0,
-                        a1 * b2 + a2 * b1,
-                        a0 * b1 + a1 * b0,
-                        a2 * b2,
-                        a0 * b2 + a1 * b1 + a2 * b0,
-                    ]
-                else:
-                    s[0] += a0 * b0
-                    s[1] += a1 * b2 + a2 * b1
-                    s[2] += a0 * b1 + a1 * b0
-                    s[3] += a2 * b2
-                    s[4] += a0 * b2 + a1 * b1 + a2 * b0
-    # c**3 = rad = rp / rq
-    rp, rq = rad.numerator, rad.denominator
-    for k, (s0, s1, s2, s3, s4) in acc.items():
-        acc[k] = (rq * s0 + rp * s1, rq * s2 + rp * s3, rq * s4)
-    return rad, den * rq, acc
+                w = acc.get(k)
+                acc[k] = x * y if w is None else w + x * y
+    return den, acc
 
 
-def _scaled_triple(n, m):
-    """Numerators n (an int or a triple) times m, as a triple."""
-    if isinstance(n, int):
-        return (n * m, 0, 0)
-    if m == 1:
-        return n
-    n0, n1, n2 = n
-    return (n0 * m, n1 * m, n2 * m)
-
-
-def _same_field(rad, other):
-    """The one radicand of two operands, either of which may be rational
-    (None)."""
-    if rad is None:
-        return other
-    if other is not None and other is not rad and other != rad:
-        raise UsageError(f"cannot mix cube roots of {rad} and {other}")
-    return rad
-
-
-def _coefficients(acc, rad, den, base):
+def _coefficients(acc, den, base):
     """{key: coefficient} of a kernel sum, unpacking (i, j) keys when ``base``
     is set; each exact coefficient is built and reduced here, once."""
     if den is None:
         values = acc.items()
-    elif rad is None:
-        values = ((k, Fraction(n, den)) for k, n in acc.items())
     else:
-        values = ((k, _reduced(n0, n1, n2, den, rad)) for k, (n0, n1, n2) in acc.items())
+        values = ((k, Fraction(n, den)) for k, n in acc.items())
     if base is None:
         return dict(values)
     return {divmod(k, base): v for k, v in values}
@@ -183,35 +129,23 @@ def _pairings(ta, tb, limit, rows):
     return out
 
 
-def _radicand(values):
-    """The one radicand of the CubicRadical values, or None."""
-    rad = None
-    for v in values:
-        if isinstance(v, CubicRadical):
-            if rad is None:
-                rad = v.rad
-            elif v.rad is not rad and v.rad != rad:
-                raise UsageError(f"cannot mix cube roots of {rad} and {v.rad}")
-    return rad
+def _over_one_denominator(terms):
+    """(D, terms with each rational coefficient as an int numerator over D).
 
-
-def _over_one_denominator(terms, rad):
-    """(D, terms with each coefficient as numerators over D).
-
-    A numerator is an int, or an (n0, n1, n2) triple when ``rad`` is set.
+    A ``CubicRadical`` coefficient is refused: the kernel has no radical
+    arithmetic.
     """
-    dens = [v.d if isinstance(v, CubicRadical) else v.denominator for _, _, v in terms]
+    try:
+        dens = [v.denominator for _, _, v in terms]
+    except AttributeError:
+        bad = next(v for _, _, v in terms if not hasattr(v, "denominator"))
+        raise UsageError(
+            f"the series kernel multiplies rational coefficients only, got {bad!r}: "
+            "exact series are built over Q, and the cube root enters a normal-form "
+            "pack only when it is assembled"
+        ) from None
     den = math.lcm(*dens)
-    if rad is None:
-        return den, [(k, d, v.numerator * (den // e)) for (k, d, v), e in zip(terms, dens)]
-    out = []
-    for (k, d, v), e in zip(terms, dens):
-        m = den // e
-        if isinstance(v, CubicRadical):
-            out.append((k, d, (v.n0 * m, v.n1 * m, v.n2 * m)))
-        else:
-            out.append((k, d, (v.numerator * m, 0, 0)))
-    return den, out
+    return den, [(k, d, v.numerator * (den // e)) for (k, d, v), e in zip(terms, dens)]
 
 
 class _Series:
@@ -357,19 +291,18 @@ class _Series:
         )
 
     def _kernel_form(self):
-        """(radicand, D, terms, rows): the terms as the product kernel reads
-        them, built once per series, like ``_floats``.
+        """(D, terms, rows): the terms as the product kernel reads them, built
+        once per series, like ``_floats``.
 
         ``terms`` holds (packed key, total degree, numerators) in dict
         order, stored zeros included: where product keys first appear
         depends on them. An (i, j) key packs to i * (cap + 1) + j and an int
         key stays as it is, so packed keys add like exponents while the
         total degree stays under the cap, and k // (cap + 1) + k % (cap + 1)
-        is the degree of either kind. Exact coefficients become integer
-        numerators over the lcm D of their denominators (``Fraction``
-        denominators and ``CubicRadical.d``): an int each, or an
-        (n0, n1, n2) triple when the radicand is set. Float coefficients
-        stay floats, with no radicand and D = None. ``rows`` starts empty;
+        is the degree of either kind. Exact coefficients become int
+        numerators over the lcm D of their denominators; a ``CubicRadical``
+        is refused with a ``UsageError``. Float coefficients stay floats,
+        with D = None. ``rows`` starts empty;
         the kernel keeps there, by degree bound, the terms of this series
         that a term pairing needs, the first time it needs them.
         """
@@ -380,10 +313,9 @@ class _Series:
             else:
                 terms = [(j, j, v) for j, v in self._c.items()]
             if self.mode == FLOAT:
-                self._kcache = (None, None, terms, {})
+                self._kcache = (None, terms, {})
             else:
-                rad = _radicand(v for _, _, v in terms)
-                self._kcache = (rad, *_over_one_denominator(terms, rad), {})
+                self._kcache = (*_over_one_denominator(terms), {})
         return self._kcache
 
     # -- numerics -----------------------------------------------------------
@@ -722,14 +654,14 @@ def _horner(rows, s: Series2) -> dict:
     n = min(len(rows) - 1, cap // val)
     base = cap + 1
     form = s._kernel_form()
-    rad, den, terms, _ = rows[n]._kernel_form()
+    den, terms, _ = rows[n]._kernel_form()
     acc = {k: v for k, d, v in terms if d <= cap - n * val}
     for i in range(n - 1, -1, -1):
         c = cap - i * val
         terms = [(k, k // base + k % base, v) for k, v in acc.items()]
-        product = _sum_products([((rad, den, terms, None), form)], c)
-        rad, den, acc = _row_plus(rows[i]._kernel_form(), c, product)
-    return _coefficients(acc, rad, den, base)
+        product = _sum_products([((den, terms, None), form)], c)
+        den, acc = _row_plus(rows[i]._kernel_form(), c, product)
+    return _coefficients(acc, den, base)
 
 
 def _row_plus(row, limit, product):
@@ -739,53 +671,33 @@ def _row_plus(row, limit, product):
     The row's keys come first; the product's nonzero terms are added in
     its key order, and sums that cancel are dropped.
     """
-    rad_r, den_r, terms, _ = row
-    rad, den, prod = product
+    den_r, terms, _ = row
+    den, prod = product
     m = mp = 1
     if den_r is not None:
-        rad = _same_field(rad_r, rad)
         den_p, den = den, math.lcm(den_r, den)
         m, mp = den // den_r, den // den_p
-    if rad is None:
-        out = {k: v * m if m != 1 else v for k, d, v in terms if d <= limit}
-        for k, v in prod.items():
-            if v == 0:
-                continue
-            if mp != 1:
-                v *= mp
-            w = out.get(k)
-            if w is None:
-                out[k] = v
-            else:
-                w = w + v
-                if w == 0:
-                    del out[k]
-                else:
-                    out[k] = w
-        if den is None:
-            return None, None, out
-        g = math.gcd(den, *out.values())
-        if g != 1:
-            out = {k: v // g for k, v in out.items()}
-        return None, den // g, out
-    out = {k: _scaled_triple(v, m) for k, d, v in terms if d <= limit}
+    out = {k: v * m if m != 1 else v for k, d, v in terms if d <= limit}
     for k, v in prod.items():
-        v0, v1, v2 = _scaled_triple(v, mp)
-        if not (v0 or v1 or v2):
+        if v == 0:
             continue
+        if mp != 1:
+            v *= mp
         w = out.get(k)
         if w is None:
-            out[k] = (v0, v1, v2)
+            out[k] = v
         else:
-            w0, w1, w2 = w[0] + v0, w[1] + v1, w[2] + v2
-            if w0 or w1 or w2:
-                out[k] = (w0, w1, w2)
-            else:
+            w = w + v
+            if w == 0:
                 del out[k]
-    g = math.gcd(den, *(x for v in out.values() for x in v))
+            else:
+                out[k] = w
+    if den is None:
+        return None, out
+    g = math.gcd(den, *out.values())
     if g != 1:
-        out = {k: (v0 // g, v1 // g, v2 // g) for k, (v0, v1, v2) in out.items()}
-    return rad, den // g, out
+        out = {k: v // g for k, v in out.items()}
+    return den // g, out
 
 
 def _compose_eff(a: Series2, effs) -> int:
@@ -948,8 +860,10 @@ def cube_root_normalize(x0: Series1, new_name: str = "W") -> Series1:
     """Find V(W) with x0(V(W)) = W**3 + O(W**(cap+1)).
 
     ``x0`` must vanish to second order with a nonzero cubic coefficient c3.
-    In exact mode the leading slope (1/c3)**(1/3) is kept as an element of
-    Q(cbrt(1/c3)); in float mode it is the real cube root.
+    The leading slope is (1/c3)**(1/3). In exact mode it must be rational,
+    since exact series hold no radicals: a c3 whose cube root is irrational
+    is refused, and ``build_normal_form`` divides x0 by c3 first. In float
+    mode it is the real cube root.
 
     Pass m composes x0 with V known through order m - 1, both at cap m + 2,
     and fixes a_m from the defect at order m + 2, which is linear in a_m:
@@ -966,9 +880,12 @@ def cube_root_normalize(x0: Series1, new_name: str = "W") -> Series1:
         raise DegeneracyError("cube-root normalization needs a nonzero cubic coefficient")
     cap, mode = x0.cap, x0.mode
     if mode == EXACT:
-        if not isinstance(c3, Fraction):
-            raise UsageError("cube-root normalization expects a rational cubic coefficient")
-        a1 = cbrt_exact(Fraction(1) / c3)
+        a1 = rational_cbrt(1 / c3) if isinstance(c3, Fraction) else None
+        if a1 is None:
+            raise UsageError(
+                f"exact cube-root normalization needs a rational cube root of 1/c3, "
+                f"and c3 = {c3} has none; divide x0 by c3 first"
+            )
     else:
         a1 = real_cbrt(1.0 / c3)
     a = {1: a1}
@@ -985,6 +902,18 @@ def cube_root_normalize(x0: Series1, new_name: str = "W") -> Series1:
 
 
 # -- serialization -------------------------------------------------------------
+
+
+def _radicand(values):
+    """The one radicand of the CubicRadical values, or None."""
+    rad = None
+    for v in values:
+        if isinstance(v, CubicRadical):
+            if rad is None:
+                rad = v.rad
+            elif v.rad is not rad and v.rad != rad:
+                raise UsageError(f"cannot mix cube roots of {rad} and {v.rad}")
+    return rad
 
 
 def _term_fields(v, rad):

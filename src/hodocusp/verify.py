@@ -401,12 +401,10 @@ def _require_inside_predicted(ks: KorobeinikSeries, h_ax, u_ax, extra):
 
 def hodograph_roundtrip(m: HodographMap, pack: NormalFormPack, points, check=True):
     """Max over points and branches of |t(h,V) - t| + |x(h,V) - x|."""
-    t_s = m.t.to_float()
-    x_s = m.x.to_float()
     worst = 0.0
     for t, x in points:
         for br in reconstruct(float(t), float(x), pack, check=check):
-            tb = t_s.evaluate(br.h, br.V, check=check)
-            xb = x_s.evaluate(br.h, br.V, check=check)
+            tb = m.t.evaluate(br.h, br.V, check=check)
+            xb = m.x.evaluate(br.h, br.V, check=check)
             worst = max(worst, abs(tb - t) + abs(xb - x))
     return worst

@@ -5,15 +5,18 @@ import hashlib
 import importlib.util
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from hodocusp import (
+    CubicRadical,
     DegeneracyError,
     DomainError,
     ProblemData,
+    UsageError,
     build_normal_form,
     canonical_problem,
     cbrt_exact,
@@ -25,6 +28,7 @@ from hodocusp import (
     save_pack,
     verify_miniversal,
 )
+from hodocusp.scalars import rational_cbrt
 from hodocusp.series import (
     FLOAT,
     Series1,
@@ -140,13 +144,35 @@ def test_normal_form_constants_exact(seed):
     assert pack.xi_of_tau_w.coefficient(0, 3) == 1
 
 
+def over_q(s, power, rad):
+    """s with each coefficient v = q c**n, n = power(key) and c**3 = rad,
+    replaced by the rational q; asserts that v is that single monomial."""
+    root = rational_cbrt(rad)
+    out = {}
+    for k, v in s._c.items():
+        n = power(k)
+        if root is not None:
+            assert isinstance(v, Fraction), (k, v)
+            out[k] = v / root**n
+            continue
+        parts = [v.a0, v.a1, v.a2] if isinstance(v, CubicRadical) else [v, 0, 0]
+        q = parts.pop(n % 3)
+        assert parts == [0, 0], (k, v, n)
+        out[k] = q / rad ** (n // 3)
+    return type(s)(s._vars, s.cap, out, eff=s.eff)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_composition_collapses_xi_to_depressed_cubic(seed):
+    """xi(tau, V(W)) = xi(tau, W), read over Q in w = cW: V~(w) = V(w/c)
+    and xi~(tau, w) = xi(tau, w/c), with c**3 = 12/(5 b11)."""
     pack = random_pack(seed)
-    lifted = lift1to2(pack.v_of_w, ("tau", "W"), 1)
-    comp = substitute(pack.xi_of_tau_v, "V", lifted)
-    diff = comp - pack.xi_of_tau_w
-    assert low2(diff) == {}
+    rad = Fraction(12, 5) / pack.b11
+    v_q = over_q(pack.v_of_w, lambda j: j, rad)
+    xi_q = over_q(pack.xi_of_tau_w, lambda k: k[1], rad)
+    comp = substitute(pack.xi_of_tau_v, "V", lift1to2(v_q, ("tau", "W"), 1))
+    assert low2(comp - xi_q) == {}
+    assert comp.eff == xi_q.eff
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -161,6 +187,61 @@ def test_w_u_roundtrips_vanish(seed):
     ru, rw = roundtrip_w_u(pack)
     assert low2(ru) == {}
     assert low2(rw) == {}
+
+
+def float_identity_points(pack):
+    """(tau, W) points inside half the smallest validity radius of the
+    series the identities read."""
+    series = (pack.xi_of_tau_w, pack.u_of_tau_w, pack.w_of_tau_u, pack.lambda1, pack.lambda2)
+    r = 0.5 * min([s.validity_radius() for s in series] + [1.0])
+    steps = (1.0, 0.5, 0.1, -0.5, -1.0)
+    return [(a * r, b * r) for a in steps for b in (1.0, 0.3, 0.0, -0.7, -1.0)]
+
+
+@pytest.mark.parametrize("order", [10, 16])
+def test_w_frame_pack_satisfies_the_identities_in_float(order):
+    """The stored pack, evaluated in floats without the weight table:
+    xi = U^3 + lambda1 U + lambda2 and U(tau, W(tau, U)) = U. A wrong power
+    of c in any of the five series breaks one of them by O(1). Measured on
+    these instances: at most 9.6e-16 and 1.1e-13 (instance 12 at order 10)."""
+    problems = [canonical_problem()] + [
+        random_singular_problem(random.Random(i)) for i in range(20)
+    ]
+    for problem in problems:
+        pack = build_normal_form(hodograph_map(expand_potential(problem, order=order)))
+        for tau, w in float_identity_points(pack):
+            xi = pack.xi_of_tau_w.evaluate(tau, w)
+            u = pack.u_of_tau_w.evaluate(tau, w)
+            l1, l2 = pack.lambda1.evaluate(tau), pack.lambda2.evaluate(tau)
+            size = abs(xi) + abs(u) ** 3 + abs(l1 * u) + abs(l2)
+            assert abs(xi - (u**3 + l1 * u + l2)) <= 1e-14 * size, (problem, tau, w)
+            # the point read as (tau, U)
+            back = pack.u_of_tau_w.evaluate(tau, pack.w_of_tau_u.evaluate(tau, w))
+            assert abs(back - w) <= 1e-12 * max(abs(w), abs(tau)), (problem, tau, w)
+
+
+@pytest.mark.parametrize(
+    "attr, key",
+    [("u_of_tau_w", (1, 1)), ("u_of_tau_w", (1, 2)), ("lambda1", 1), ("xi_of_tau_w", (0, 3))],
+)
+def test_verify_refuses_a_coefficient_at_another_power_of_c(attr, key):
+    """A pack whose coefficient sits at c**(n + 1) instead of c**n is refused
+    by both identity checks that read it, naming the series and the key."""
+    pack = random_pack(0, order=6)
+    rad = Fraction(12, 5) / pack.b11
+    s = getattr(pack, attr)
+    v = s._c[key]
+    # q c**n -> q c**(n + 1): a0 + a1 c + a2 c^2 becomes a2 rad + a0 c + a1 c^2
+    parts = (v.a0, v.a1, v.a2) if isinstance(v, CubicRadical) else (v, 0, 0)
+    moved = make_radical(parts[2] * rad, parts[0], parts[1], rad)
+    corrupted = type(s)._raw(s._vars, s.cap, {**s._c, key: moved}, s.mode, s.eff)
+    bad = dataclasses.replace(pack, **{attr: corrupted})
+    message = rf"{attr} coefficient {re.escape(str(key))} = .* is not a rational times c\^"
+    with pytest.raises(UsageError, match=message):
+        verify_miniversal(bad)
+    if attr == "u_of_tau_w":
+        with pytest.raises(UsageError, match=f"{attr} coefficient"):
+            roundtrip_w_u(bad)
 
 
 def test_lambda22_corruption_leaves_unit_residual(canonical_pack):

@@ -5,16 +5,15 @@
 products of a list of operand pairs as integer numerators over one
 denominator; ``_horner``, behind every composition, keeps its partial sum in
 that integer form from step to step. Kept in this file as references: the
-loops that multiplied ``Fraction``/``CubicRadical``/float coefficients one
-term pair at a time, pair by pair into one dict, and the Horner rule that
-ran on whole series (``recap``, ``*``, ``+``). The kernels must give the
-same coefficients, in the same key order (the validity radius sums a band's
+loops that multiplied ``Fraction``/float coefficients one term pair at a
+time, pair by pair into one dict, and the Horner rule that ran on whole
+series (``recap``, ``*``, ``+``). The kernels must give the same
+coefficients, in the same key order (the validity radius sums a band's
 magnitudes in dict order), drop exact zeros from series products as before,
-keep float results bit for bit, and refuse to mix two cube-root fields with
-the same message.
+and keep float results bit for bit. Exact series are built over Q, so the
+kernels refuse a ``CubicRadical`` operand.
 """
 
-import math
 import random
 from fractions import Fraction
 
@@ -37,7 +36,6 @@ from hodocusp.series import (
     series2_text,
 )
 
-RADS = [Fraction(2), Fraction(12, 5), Fraction(-4, 15)]
 PAIR = ("x", "y")
 
 
@@ -101,7 +99,7 @@ def same_terms(got, want):
     """Equal coefficients in equal key order; exact results hold no ints."""
     assert bits(got.items()) == bits(want.items())
     for v in got.values():
-        assert isinstance(v, (float, Fraction, CubicRadical))
+        assert isinstance(v, (float, Fraction))
 
 
 # -- strategies -----------------------------------------------------------------
@@ -112,37 +110,34 @@ small_int = st.integers(-2, 2)
 floats_st = st.floats(min_value=-4, max_value=4, allow_subnormal=False)
 
 
-def exact_coeffs(rad, kinds):
-    """Coefficients drawn from the given kinds: int, Fraction, radical."""
+def exact_coeffs(kinds):
+    """Coefficients drawn from the given kinds: int, Fraction."""
     options = []
     if "int" in kinds:
         options.append(small_int)
     if "q" in kinds:
         options.append(small_q)
-    if "rad" in kinds:
-        options.append(st.builds(make_radical, small_q, small_q, small_q, st.just(rad)))
     return st.one_of(*options)
 
 
-KINDS = [("q",), ("int",), ("q", "int"), ("rad",), ("q", "rad"), ("int", "rad")]
+KINDS = [("q",), ("int",), ("q", "int")]
 
 
 @st.composite
 def operands(draw, pairs, cap, mode=EXACT, max_terms=10, keep_zeros=False, count=2):
-    """``count`` coefficient dicts in one cube-root field, keys in drawn order."""
+    """``count`` coefficient dicts, keys in drawn order."""
     if pairs:
         key = st.tuples(st.integers(0, cap), st.integers(0, cap)).filter(
             lambda k: k[0] + k[1] <= cap
         )
     else:
         key = st.integers(0, cap)
-    rad = draw(st.sampled_from(RADS))
     out = []
     for _ in range(count):
         if mode == FLOAT:
             coeff = floats_st
         else:
-            coeff = exact_coeffs(rad, draw(st.sampled_from(KINDS)))
+            coeff = exact_coeffs(draw(st.sampled_from(KINDS)))
         d = draw(st.dictionaries(key, coeff, max_size=max_terms))
         if not keep_zeros:
             d = {k: v for k, v in d.items() if v != 0}
@@ -204,7 +199,8 @@ def generic_pack_10():
 
 
 def test_products_of_generic_pack_series(generic_pack_10):
-    """Products of real pack series: large denominators, radical and rational."""
+    """Products of real pack series with large denominators: exact where the
+    series is rational, and the float copies of all."""
     p = generic_pack_10
     cases = [
         (p.h_of_tau_v, p.xi_of_tau_v),
@@ -212,17 +208,18 @@ def test_products_of_generic_pack_series(generic_pack_10):
         (p.xi_of_tau_w, p.u_of_tau_w),
         (p.v_of_w, p.v_of_w),
         (p.lambda1, p.lambda2),
+        (p.lambda2, p.lambda2),
     ]
     for s, t in cases:
         for x, y in ((s, t), (t, s)):
-            check_series_product(type(x), x._c, y._c, x.cap, EXACT)
+            if not any(isinstance(v, CubicRadical) for v in (*x._c.values(), *y._c.values())):
+                check_series_product(type(x), x._c, y._c, x.cap, EXACT)
             fx, fy = x.to_float(), y.to_float()
             check_series_product(type(x), fx._c, fy._c, x.cap, FLOAT)
 
 
 def test_cancelled_sums_are_dropped():
-    c = make_radical(0, 1, 0, Fraction(2))
-    # rational: (1 + x)(1 - x) = 1 - x**2, the x term cancels
+    # (1 + x)(1 - x) = 1 - x**2, the x term cancels
     for cls, k1, k2 in ((Series1, 1, 2), (Series2, (1, 0), (2, 0))):
         zero = 0 if cls is Series1 else (0, 0)
         a = {zero: Fraction(1), k1: Fraction(1)}
@@ -230,24 +227,11 @@ def test_cancelled_sums_are_dropped():
         got = series(cls, a, 4, EXACT) * series(cls, b, 4, EXACT)
         assert k1 not in got._c and got._c[k2] == -1
         check_series_product(cls, a, b, 4, EXACT)
-        # radical: c (1 + x) times c (1 - x); the x term cancels in all three parts
-        a = {zero: c, k1: c}
-        b = {zero: c, k1: -c}
-        got = series(cls, a, 4, EXACT) * series(cls, b, 4, EXACT)
-        assert k1 not in got._c
-        assert got._c[zero] == make_radical(0, 0, 1, 2)
-        check_series_product(cls, a, b, 4, EXACT)
-        # only the radical part cancels: c * c**2 = 2 is rational
-        a = {zero: c}
-        b = {zero: c * c}
-        got = series(cls, a, 4, EXACT) * series(cls, b, 4, EXACT)
-        assert got._c == {zero: Fraction(2)} and type(got._c[zero]) is Fraction
-        check_series_product(cls, a, b, 4, EXACT)
 
 
 def test_empty_operands_and_truncation():
-    a = {0: Fraction(1, 3), 2: make_radical(1, 1, 0, 2), 3: Fraction(5)}
-    for b in ({}, {1: Fraction(2)}, {3: make_radical(0, 0, 1, 2)}):
+    a = {0: Fraction(1, 3), 2: Fraction(-7, 2), 3: Fraction(5)}
+    for b in ({}, {1: Fraction(2)}, {3: Fraction(4, 9)}):
         for cap in (0, 2, 3, 4, 6):
             aa = {k: v for k, v in a.items() if k <= cap}
             bb = {k: v for k, v in b.items() if k <= cap}
@@ -292,7 +276,7 @@ def test_row_mul_add_matches_reference(case):
     got = _product(operand_pairs, deg)
     assert bits(got.items()) == bits(want.items())
     if mode == EXACT:
-        assert all(isinstance(v, (Fraction, CubicRadical)) for v in got.values())
+        assert all(isinstance(v, Fraction) for v in got.values())
 
 
 def test_row_mul_add_keeps_zero_sums():
@@ -313,35 +297,46 @@ def test_row_mul_add_keeps_zero_sums():
     assert _product([], 3) == {}
 
 
-# -- mixed cube-root fields -----------------------------------------------------
+# -- radical operands -------------------------------------------------------------
 
 
-def ref_error(fn):
+def refusal(fn):
     with pytest.raises(UsageError) as exc:
         fn()
     return str(exc.value)
 
 
+RADICAL_REFUSAL = "the series kernel multiplies rational coefficients only, got CubicRadical("
+
+
 @pytest.mark.parametrize("cls", [Series1, Series2])
-def test_mixed_radicands_raise_parent_message(cls):
+def test_kernel_refuses_radical_operands(cls):
+    """A series product, or a sum of products, with a CubicRadical
+    coefficient in either operand is refused, naming the coefficient."""
     c2 = make_radical(0, 1, 0, 2)
-    c3 = make_radical(1, 1, 0, 3)
 
     def key(j):
         return j if cls is Series1 else (j, 0)
 
-    # the two radicands in two series
-    s = series(cls, {key(0): Fraction(1), key(1): c2}, 4, EXACT)
-    t = series(cls, {key(1): c3}, 4, EXACT)
-    want = ref_error(lambda: ref_mul(s, t))
-    assert want == "cannot mix cube roots of 2 and 3"
-    assert ref_error(lambda: s * t) == want
-    # the two radicands in one series, meeting at one key
-    s = series(cls, {key(0): c2, key(1): c3}, 4, EXACT)
-    t = series(cls, {key(0): Fraction(1), key(1): Fraction(1)}, 4, EXACT)
-    want = ref_error(lambda: ref_mul(s, t))
-    assert want == "cannot mix cube roots of 2 and 3"
-    assert ref_error(lambda: s * t) == want
+    q = series(cls, {key(0): Fraction(1), key(1): Fraction(1, 3)}, 4, EXACT)
+    r = series(cls, {key(0): Fraction(1), key(1): c2}, 4, EXACT)
+    for fn in (lambda: q * r, lambda: r * q, lambda: _product([(q, q), (q, r)], 3)):
+        message = refusal(fn)
+        assert message.startswith(RADICAL_REFUSAL + "0, 1, 0; cbrt 2):"), message
+        assert "the cube root enters a normal-form pack only when it is assembled" in message
+
+
+def test_row_mul_add_mixed_radicands():
+    """Two cube-root fields in one operand, or in two pairs of one call:
+    the first radical read is refused."""
+    c2 = make_radical(0, 1, 0, 2)
+    c3 = make_radical(1, 1, 0, 3)
+    a = {0: c2, 1: c3}
+    b = {0: Fraction(1), 1: Fraction(1)}
+    A, B, C, D = rows_of(False, (a, b, {0: c2}, {1: c3}), 3, EXACT)
+    for pairs in ([(A, B)], [(B, C), (B, D)]):
+        message = refusal(lambda: _product(pairs, 3))
+        assert message.startswith(RADICAL_REFUSAL + "0, 1, 0; cbrt 2)")
 
 
 @pytest.mark.parametrize("cls", [Series1, Series2])
@@ -351,48 +346,7 @@ def test_text_writer_refuses_mixed_radicands_with_the_product_message(cls):
     key = (lambda j: j) if cls is Series1 else (lambda j: (j, 0))
     s = series(cls, {key(0): c2, key(1): c3}, 4, EXACT)
     write = series1_text if cls is Series1 else series2_text
-    assert ref_error(lambda: write(s)) == "cannot mix cube roots of 2 and 3"
-
-
-def test_row_mul_add_mixed_radicands():
-    c2 = make_radical(0, 1, 0, 2)
-    c3 = make_radical(1, 1, 0, 3)
-    a = {0: c2, 1: c3}
-    b = {0: Fraction(1), 1: Fraction(1)}
-    A, B = rows_of(False, (a, b), 3, EXACT)
-    want = ref_error(lambda: ref_row_mul_add({}, a, b, 3))
-    assert ref_error(lambda: _product([(A, B)], 3)) == want
-    # the two fields in two pairs of one call, meeting at x
-    c, d = {0: c2}, {1: c3}
-    C, D = rows_of(False, (c, d), 3, EXACT)
-
-    def ref():
-        out = {}
-        ref_row_mul_add(out, b, c, 3)
-        ref_row_mul_add(out, b, d, 3)
-
-    want = ref_error(ref)
-    assert want == "cannot mix cube roots of 2 and 3"
-    assert ref_error(lambda: _product([(B, C), (B, D)], 3)) == want
-
-
-def test_radical_product_matches_scalar_arithmetic():
-    """Large denominators on both sides and a radicand with rq != 1."""
-    rad = Fraction(-4, 15)
-    a = {
-        0: make_radical(Fraction(3, 7), Fraction(-5, 11), Fraction(2, 13), rad),
-        1: Fraction(9, 17),
-    }
-    b = {
-        0: make_radical(Fraction(1, 19), 0, Fraction(-4, 23), rad),
-        2: make_radical(1, Fraction(1, 29), 0, rad),
-    }
-    got = series(Series1, a, 3, EXACT) * series(Series1, b, 3, EXACT)
-    assert got._c[0] == a[0] * b[0]
-    assert got._c[1] == a[1] * b[0]
-    assert got._c[2] == a[0] * b[2]
-    assert got._c[3] == a[1] * b[2]
-    assert math.isfinite(got.validity_radius())
+    assert refusal(lambda: write(s)) == "cannot mix cube roots of 2 and 3"
 
 
 # -- the Horner kernel ------------------------------------------------------------
@@ -411,29 +365,28 @@ def ref_horner(rows, s):
     return acc
 
 
-def coefficient_st(mode, rad, kinds):
-    return floats_st if mode == FLOAT else exact_coeffs(rad, kinds)
+def coefficient_st(mode, kinds):
+    return floats_st if mode == FLOAT else exact_coeffs(kinds)
 
 
 @st.composite
 def horner_cases(draw, mode):
-    """(rows, s): Series2 rows and a substitution of valuation 1 or 2 in one
-    cube-root field, each operand with its own coefficient kinds, stored
-    zeros kept, s's valuation term first."""
+    """(rows, s): Series2 rows and a substitution of valuation 1 or 2, each
+    operand with its own coefficient kinds, stored zeros kept, s's valuation
+    term first."""
     cap = draw(st.integers(1, 6))
     val = draw(st.sampled_from([1, 2]))
-    rad = draw(st.sampled_from(RADS))
     key = st.tuples(st.integers(0, cap), st.integers(0, cap)).filter(
         lambda k: k[0] + k[1] <= cap
     )
     higher = key.filter(lambda k: k[0] + k[1] >= val)
     lead = draw(st.integers(0, val))
-    s = {(lead, val - lead): draw(coefficient_st(mode, rad, draw(st.sampled_from(KINDS))))}
+    s = {(lead, val - lead): draw(coefficient_st(mode, draw(st.sampled_from(KINDS))))}
     s.update(
-        draw(st.dictionaries(higher, coefficient_st(mode, rad, draw(st.sampled_from(KINDS))), max_size=8))
+        draw(st.dictionaries(higher, coefficient_st(mode, draw(st.sampled_from(KINDS))), max_size=8))
     )
     rows = [
-        draw(st.dictionaries(key, coefficient_st(mode, rad, draw(st.sampled_from(KINDS))), max_size=6))
+        draw(st.dictionaries(key, coefficient_st(mode, draw(st.sampled_from(KINDS))), max_size=6))
         for _ in range(draw(st.integers(1, cap + 1)))
     ]
     return [series(Series2, r, cap, mode) for r in rows], series(Series2, s, cap, mode)
@@ -449,52 +402,33 @@ def test_horner_matches_series_horner(case):
     want = ref_horner(rows, s)._c
     assert bits(got.items()) == bits(want.items())
     if s.mode == EXACT:
-        assert all(isinstance(v, (Fraction, CubicRadical)) for v in got.values())
+        assert all(isinstance(v, Fraction) for v in got.values())
 
 
-nonzero_radical = st.builds(make_radical, small_q, small_q, small_q, st.just(Fraction(2))).filter(
-    lambda v: isinstance(v, CubicRadical)
-)
-
-
-@given(
-    st.integers(2, 5),
-    st.sampled_from([1, 2]),
-    st.dictionaries(
-        st.tuples(st.integers(0, 3), st.integers(0, 3)), nonzero_radical, max_size=4
-    ),
-    st.lists(st.builds(make_radical, small_q, small_q, small_q, st.just(Fraction(3))), min_size=1),
-)
-@settings(max_examples=100, deadline=None)
-def test_horner_mixed_radicands_raise_parent_message(cap, val, top, s_values):
-    """A partial sum in one field times a substitution in another."""
-    rows = [series(Series2, {(0, 0): Fraction(1)}, cap, EXACT)]
-    top = {k: v for k, v in top.items() if k[0] + k[1] <= cap - val}
-    top[(0, 0)] = make_radical(0, 1, 0, 2)
-    rows.append(series(Series2, top, cap, EXACT))
-    keys = [(i, d - i) for d in range(val, cap + 1) for i in range(d + 1)]
-    s_c = {k: v for k, v in zip(keys, s_values) if isinstance(v, CubicRadical)}
-    s_c[(val, 0)] = make_radical(1, 1, 0, 3)
-    s = series(Series2, s_c, cap, EXACT)
-    want = ref_error(lambda: ref_horner(rows, s))
-    assert want == "cannot mix cube roots of 2 and 3"
-    assert ref_error(lambda: _horner(rows, s)) == want
+def test_horner_refuses_radical_operands():
+    """A CubicRadical in a row, read at any step, or in the substitution."""
+    c2 = make_radical(0, 1, 0, 2)
+    one = series(Series2, {(0, 0): Fraction(1)}, 3, EXACT)
+    x = series(Series2, {(1, 0): Fraction(1)}, 3, EXACT)
+    radical_row = series(Series2, {(0, 0): c2}, 3, EXACT)
+    radical_s = series(Series2, {(1, 0): Fraction(1), (0, 1): c2}, 3, EXACT)
+    for rows, s in (([one, radical_row], x), ([radical_row, one], x), ([one, one], radical_s)):
+        assert refusal(lambda: _horner(rows, s)).startswith(RADICAL_REFUSAL)
 
 
 def test_horner_row_meets_the_other_field():
-    """The last row's term meets a product term of the other field."""
+    """The last row's term meets a product term of the other field: the
+    first radical read is refused."""
     c2 = make_radical(0, 1, 0, 2)
     c3 = make_radical(0, 1, 0, 3)
     rows = [series(Series2, c, 3, EXACT) for c in ({(1, 0): c3}, {(0, 0): c2})]
     s = series(Series2, {(1, 0): Fraction(1)}, 3, EXACT)
-    want = ref_error(lambda: ref_horner(rows, s))
-    assert want == "cannot mix cube roots of 3 and 2"
-    assert ref_error(lambda: _horner(rows, s)) == want
+    assert refusal(lambda: _horner(rows, s)).startswith(RADICAL_REFUSAL + "0, 1, 0; cbrt 2)")
 
 
 @pytest.mark.parametrize(
     "c, one",
-    [(Fraction(3, 2), Fraction(1)), (make_radical(1, 1, 0, 2), Fraction(1)), (1.5, 1.0)],
+    [(Fraction(3, 2), Fraction(1)), (Fraction(-5, 7), Fraction(1)), (1.5, 1.0)],
 )
 def test_horner_drops_sums_that_cancel(c, one):
     """c - c x + x (c + y): the x term of the last row cancels and goes."""

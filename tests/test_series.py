@@ -330,7 +330,8 @@ def test_cube_normalize_trivial():
 @settings(max_examples=25, deadline=None)
 def test_cube_normalize_composes_to_w3(seed):
     rng = random.Random(seed)
-    coeffs = {3: Fraction(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 6))}
+    # a cubic coefficient with a rational cube root: exact series hold no radicals
+    coeffs = {3: Fraction(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 6)) ** 3}
     for j in range(4, 9):
         if rng.random() < 0.6:
             coeffs[j] = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
@@ -341,6 +342,15 @@ def test_cube_normalize_composes_to_w3(seed):
     for j, v in back.terms():
         if j <= back.eff:
             assert v == (1 if j == 3 else 0), (j, v)
+
+
+def test_cube_normalize_refuses_an_irrational_cube_root():
+    """Exact series hold no radicals: c3 = 2 would need cbrt(1/2). Float
+    mode takes the real cube root."""
+    with pytest.raises(UsageError, match=r"rational cube root of 1/c3, and c3 = 2 has none"):
+        cube_root_normalize(s1({3: 2, 4: 1}))
+    v = cube_root_normalize(s1({3: 2.0}, mode=FLOAT))
+    assert math.isclose(v.coefficient(1), 0.5 ** (1 / 3), rel_tol=1e-15)
 
 
 def test_cube_normalize_degenerate():

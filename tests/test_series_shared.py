@@ -3,8 +3,8 @@
 ``Series1`` and ``Series2`` share their termwise ring code, float cache,
 validity radius and gate. A one-variable series lifted onto an axis of a
 pair (``lift1to2``) and restricted back (``at_zero``) must therefore give
-the same answer through either class, for exact, ``CubicRadical`` and float
-coefficients.
+the same answer through either class, for exact and float coefficients,
+and for ``CubicRadical`` ones in everything but arithmetic.
 
 Kept in this file as references: the validity radius written out once per
 class, as the two classes computed it before they shared one formula, and
@@ -28,7 +28,7 @@ from hodocusp import (
     expand_potential,
     hodograph_map,
 )
-from hodocusp.scalars import make_radical, scalar_float
+from hodocusp.scalars import CubicRadical, make_radical, scalar_float
 from hodocusp.series import (
     EXACT,
     FLOAT,
@@ -92,9 +92,9 @@ def ref_eval1(s, x):
 
 
 @st.composite
-def coeff_kind(draw):
-    """(mode, value strategy) for one of the three coefficient kinds."""
-    kind = draw(st.sampled_from(["fraction", "radical", "float"]))
+def coeff_kind(draw, kinds=("fraction", "radical", "float")):
+    """(mode, value strategy) for one of the coefficient kinds."""
+    kind = draw(st.sampled_from(kinds))
     if kind == "float":
         return FLOAT, floats_st
     if kind == "fraction":
@@ -129,7 +129,8 @@ def same_series(s1, s2, axis):
 # -- Series1 against lifted Series2 -------------------------------------------------
 
 
-@given(kind=coeff_kind(), axis=st.sampled_from([0, 1]), data=st.data())
+# CubicRadical coefficients take part in no arithmetic
+@given(kind=coeff_kind(("fraction", "float")), axis=st.sampled_from([0, 1]), data=st.data())
 @settings(max_examples=120, deadline=None)
 def test_ring_ops_agree_through_lift(kind, axis, data):
     mode, values = kind
@@ -210,7 +211,13 @@ def _pack_series(pack, m):
             out.append(s)
     out += [m.t, m.x, m.tau, m.xi]
     out += [s.to_float() for s in out]
-    out += [s.derivative() if isinstance(s, Series1) else s.derivative(s.names[1]) for s in out]
+    # a CubicRadical takes part in no arithmetic, so radical series are not
+    # differentiated
+    out += [
+        s.derivative() if isinstance(s, Series1) else s.derivative(s.names[1])
+        for s in out
+        if not any(isinstance(v, CubicRadical) for v in s._c.values())
+    ]
     return out
 
 
@@ -236,8 +243,10 @@ def test_validity_radius_bit_equal_to_reference(packs):
             assert s.validity_radius() == r
             seen += 1
             finite += math.isfinite(r)
-    # 8 pack and 4 map series per pack, each also as float and differentiated
-    assert seen == 3 * 12 * 2 * 2 and finite > 20
+    # 8 pack and 4 map series per pack, each also as float, and all
+    # differentiated but the 3 radical series of the canonical pack and the 5
+    # of the exact generic one
+    assert seen == 3 * 12 * 2 * 2 - 3 - 5 and finite > 20
 
 
 def test_gate_messages_match_reference(packs):

@@ -198,7 +198,7 @@ def zero_curves(pack: NormalFormPack, taus, check=True):
     each seed is refined by Newton in V and pushed through xi.
     """
     hs = pack.h_of_tau_v
-    dv = hs.derivative("V")
+    dv = pack._dh_dv
     b11 = scalar_float(pack.b11)
     out = []
     for tau in taus:

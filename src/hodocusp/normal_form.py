@@ -93,6 +93,11 @@ class NormalFormPack:
         p = self.problem
         return scalar_float(p.t_star), scalar_float(p.x_star), scalar_float(p.v_star)
 
+    @cached_property
+    def _dh_dv(self):
+        """dh/dV(tau, V), for the Newton steps of ``cusp.zero_curves``."""
+        return self.h_of_tau_v.derivative("V")
+
 
 def build_normal_form(m: HodographMap) -> NormalFormPack:
     p = m.problem

@@ -14,6 +14,20 @@ Each series carries an effective order ``eff <= cap``: the highest total
 degree whose coefficients are trusted. Derivatives decrement it; sums take
 the min; products and compositions use valuation-aware rules so that e.g.
 multiplying by h loses nothing at the cap.
+
+Float evaluation runs the series' kernel, compiled from its float plan on
+the first evaluation: one straight-line Python function, acc = acc * x + c
+per Horner entry for one variable, and for two the powers x2 = x * x,
+x3 = x2 * x, .. then acc += c * x_i * y_j per term in ``terms()`` order.
+Factors x**0, y**0 and the first power's 1.0 * x are left out; multiplying
+by the float 1.0 is exact, so the bits are those of the loop that
+multiplied by it. Finite constants are ``repr`` literals, which read back
+exactly; inf and nan constants are bound by name in the kernel's globals,
+keeping a nan's sign and payload. The kernel takes floats or numpy arrays,
+so ``evaluate`` and the grid evaluators of ``verify`` share it. ``evaluate``
+reads (kernel, validity radius) once and calls the gate only for a point
+outside the radius, so a refusal keeps the gate's text. The validity
+radius alone compiles nothing.
 """
 
 from __future__ import annotations
@@ -149,18 +163,20 @@ def _over_one_denominator(terms):
 
 
 class _Series:
-    """What Series1 and Series2 share: termwise ring code, the float and
-    product-kernel caches and the validity-disc gate.
+    """What Series1 and Series2 share: termwise ring code, the float plan,
+    compiled float kernel and product-kernel caches and the validity-disc
+    gate.
 
     Terms live in ``_c``, keyed by exponent: an int for one variable, an
     (i, j) pair for two. ``_vars`` holds the variable name or name pair,
     which the subclasses expose as ``name`` and ``names``. A subclass
     supplies ``_degree`` (total degree of a key, refusing negative
-    exponents), ``_plan`` (the evaluation plan built from its float terms)
-    and whether its keys are (i, j) pairs, ``_pairs``.
+    exponents), ``_plan`` (the evaluation plan built from its float terms),
+    ``_source`` (the kernel's text for a plan) and whether its keys are
+    (i, j) pairs, ``_pairs``.
     """
 
-    __slots__ = ("_vars", "cap", "mode", "eff", "_c", "_fcache", "_kcache")
+    __slots__ = ("_vars", "cap", "mode", "eff", "_c", "_fcache", "_ecache", "_kcache")
     _pairs = False
 
     def __init__(self, var, cap, coeffs, mode, eff):
@@ -182,6 +198,7 @@ class _Series:
         self.eff = cap if eff is None else min(eff, cap)
         self._c = c
         self._fcache = None
+        self._ecache = None
         self._kcache = None
 
     # -- trusted fast constructor for internal use -------------------------
@@ -195,6 +212,7 @@ class _Series:
         s.eff = min(eff, cap)
         s._c = coeffs
         s._fcache = None
+        s._ecache = None
         s._kcache = None
         return s
 
@@ -324,8 +342,8 @@ class _Series:
         """(evaluation plan, validity radius).
 
         Built once per series from the float coefficients grouped by total
-        degree, in term order within each degree. The scalar and the numpy
-        evaluators both read the plan, through one kernel per series kind.
+        degree, in term order within each degree. ``_float_kernel``
+        compiles the plan.
         """
         if self._fcache is None:
             bands = {}
@@ -333,6 +351,15 @@ class _Series:
                 bands.setdefault(self._degree(k), []).append((k, scalar_float(v)))
             self._fcache = (self._plan(bands), _band_radius(bands, self.cap))
         return self._fcache
+
+    def _float_kernel(self):
+        """(kernel, validity radius), the kernel compiled on first use; it
+        takes the arguments and a start value ``acc``, 0.0 or an array of
+        zeros."""
+        if self._ecache is None:
+            plan, radius = self._floats()
+            self._ecache = (_compile_kernel(self._source, plan), radius)
+        return self._ecache
 
     def validity_radius(self) -> float:
         """Largest radius at which the top-degree band stays negligible.
@@ -373,35 +400,26 @@ def _band_radius(bands, cap) -> float:
     return (VALIDITY_REL_TOL * lead_mag / top_mag) ** (1.0 / (cap - lead_deg))
 
 
-def _eval1(row, x, acc):
-    """Horner's rule over a ``Series1`` plan row at x, starting from acc.
-
-    x and acc are both floats or both numpy arrays: points and grids share
-    this one rule, so a grid node gets the bits of the point.
+def _compile_kernel(source, plan):
+    """``def kernel(<params>, acc): <lines>; return acc``, compiled, where
+    ``source(plan, constant)`` gives (params, lines) built from int
+    exponents and the floats it passes through ``constant``: a finite one
+    becomes its ``repr``, inf or nan a name bound in the kernel's globals.
     """
-    for c in row:
-        acc = acc * x + c
-    return acc
+    names = {}
 
+    def constant(c):
+        if math.isfinite(c):
+            return repr(c)
+        name = f"k{len(names)}"
+        names[name] = c
+        return name
 
-def _eval2(plan, x, y, acc):
-    """Add the ``Series2`` plan terms c * x**i * y**j to acc one at a time,
-    in plan order.
-
-    x, y and acc are floats or numpy arrays; an array acc is added into in
-    place. The powers start from the float 1.0, and multiplying by it is
-    exact, so a grid node gets the bits of the point.
-    """
-    deg_x, deg_y, terms = plan
-    xp = [1.0]
-    for _ in range(deg_x):
-        xp.append(xp[-1] * x)
-    yp = [1.0]
-    for _ in range(deg_y):
-        yp.append(yp[-1] * y)
-    for i, j, c in terms:
-        acc += c * xp[i] * yp[j]
-    return acc
+    params, lines = source(plan, constant)
+    body = "".join(f"    {line}\n" for line in lines)
+    text = f"def kernel({params}, acc):\n{body}    return acc\n"
+    exec(compile(text, "<series kernel>", "exec"), names)
+    return names["kernel"]
 
 
 class Series2(_Series):
@@ -508,6 +526,30 @@ class Series2(_Series):
         deg_y = max((j for _, j, _ in terms), default=0)
         return deg_x, deg_y, terms
 
+    @staticmethod
+    def _source(plan, constant):
+        """The powers x2 = x * x, .. up to the plan's largest exponents, then
+        acc += c * x_i * y_j per term in plan order, factors x**0 and y**0
+        left out."""
+        deg_x, deg_y, terms = plan
+
+        def power(v, n):
+            return v if n == 1 else f"{v}{n}"
+
+        lines = [
+            f"{v}{n} = {power(v, n - 1)} * {v}"
+            for v, deg in (("x", deg_x), ("y", deg_y))
+            for n in range(2, deg + 1)
+        ]
+        for i, j, c in terms:
+            factors = [constant(c)]
+            if i:
+                factors.append(power("x", i))
+            if j:
+                factors.append(power("y", j))
+            lines.append("acc += " + " * ".join(factors))
+        return "x, y", lines
+
     validity_radius = _Series.validity_radius
 
     def evaluate(self, x, y, check=True) -> float:
@@ -515,9 +557,10 @@ class Series2(_Series):
         to a running total that starts at +0.0."""
         x = float(x)
         y = float(y)
-        if check:
+        kernel, radius = self._float_kernel()
+        if check and max(abs(x), abs(y)) > radius:
             self._gate(max(abs(x), abs(y)), "evaluation point radius {:.6g}")
-        return _eval2(self._floats()[0], x, y, 0.0)
+        return kernel(x, y, 0.0)
 
 
 class Series1(_Series):
@@ -588,13 +631,20 @@ class Series1(_Series):
         top = max(bands, default=0)
         return [bands[j][0][1] if j in bands else 0.0 for j in range(top, -1, -1)]
 
+    @staticmethod
+    def _source(row, constant):
+        """Horner's rule over the row as straight-line text, one
+        acc = acc * x + c per entry."""
+        return "x", [f"acc = acc * x + {constant(c)}" for c in row]
+
     validity_radius = _Series.validity_radius
 
     def evaluate(self, x, check=True) -> float:
         x = float(x)
-        if check:
+        kernel, radius = self._float_kernel()
+        if check and abs(x) > radius:
             self._gate(abs(x), "evaluation point |{:.6g}|", x)
-        return _eval1(self._floats()[0], x, 0.0)
+        return kernel(x, 0.0)
 
 
 # -- constructors ------------------------------------------------------------

@@ -36,7 +36,6 @@ from .hodograph import HodographMap
 from .normal_form import NormalFormPack
 from .pde import KorobeinikSeries
 from .scalars import scalar_float
-from .series import _eval1, _eval2
 
 MAX_NODES = 8_000_000
 MIN_HALVINGS = 3
@@ -103,15 +102,16 @@ def _grid_radius(X: np.ndarray) -> float:
 
 
 def _eval1_grid(s, X: np.ndarray, check: bool = True) -> np.ndarray:
+    """The series' kernel over an array, the rule its points run."""
     if check:
         s._gate(_grid_radius(X), "grid radius {:.6g}")
-    return _eval1(s._floats()[0], X, np.zeros_like(X, dtype=float))
+    return s._float_kernel()[0](X, np.zeros_like(X, dtype=float))
 
 
 def _eval2_grid(s, X: np.ndarray, Y: np.ndarray, check: bool = True) -> np.ndarray:
     if check:
         s._gate(max(_grid_radius(X), _grid_radius(Y)), "grid radius {:.6g}")
-    return _eval2(s._floats()[0], X, Y, np.zeros_like(X, dtype=float))
+    return s._float_kernel()[0](X, Y, np.zeros_like(X, dtype=float))
 
 
 # -- branch field ----------------------------------------------------------------

@@ -1,20 +1,32 @@
-"""The cached evaluation plan keeps the evaluators' float bits.
+"""The compiled series kernels keep the evaluators' float bits.
 
 Each series builds one evaluation plan next to its validity radius: for
 ``Series1`` the Horner row without the zeros above the top term, for
 ``Series2`` the largest exponents and the flat (i, j, coeff) terms in
-``terms()`` order. The scalar and the numpy evaluators both read it, through
-one kernel per series kind: Horner's rule for one variable, and for two the
-terms added one at a time, in ``terms()`` order, to a total that starts at
-+0.0.
+``terms()`` order. On first evaluation the plan is compiled into one
+straight-line function, the series' kernel: acc = acc * x + c per Horner
+entry, or the powers x2 = x * x, x3 = x2 * x, .. and then one
+acc += c * x_i * y_j per term, in plan order, to a total that starts at
++0.0. The kernel leaves out the factors x**0 and y**0 and the first power's
+1.0 * x: multiplying by the float 1.0 is exact, so the bits do not move.
+Finite constants are written as their ``repr``, which reads back exactly;
+inf and nan constants are bound by name, which keeps a nan's sign and
+payload. ``Series*.evaluate`` and the numpy grid evaluators of ``verify``
+call the same kernel, floats or arrays.
 
 Kept here as references: the evaluators written without the plan (powers
 up to the cap, the dense Horner row over degrees 0..cap, the terms read
-from ``terms()``, and the grid versions of both), and the per-call float
-base point of ``reconstruct``. Results must agree bit for bit, signed zeros
-and nan payloads included, and refusals must carry the same text. A point
-and a grid node at the same arguments must get the same bits, on every
-series of real packs as on hand-made ones.
+from ``terms()``, and the grid versions of both), and ``reconstruct``
+written with the per-call float base point and the reference evaluators.
+Results must agree bit for bit, signed zeros and nan payloads included,
+and refusals must carry the same text. This holds on random and hand-made
+series, on every series of exact order-16 packs, and at probes just
+outside the radii that ``reconstruct`` gates. On series with inf, nan,
+subnormal and huge constants a nan constant can meet another nan, and
+there nans compare without their payloads (see ``nan_folded``); a single
+nan keeps its payload. A point and a grid node at the same arguments must
+get the same bits. Kernels are compiled on first evaluation only: neither
+the validity radius nor ``save_pack`` compiles one.
 
 The discriminant of the cusp cubic is one product-form expression, and
 the scale of the fold tolerance one ``m * sqrt(m)``, that ``cusp_roots``
@@ -22,6 +34,7 @@ and ``verify.branch_field`` both call; a fixed set of (p, q) pairs checks
 that the two classifiers see the same bits and draw the same class.
 """
 
+import dataclasses
 import math
 import random
 import struct
@@ -40,10 +53,10 @@ from hodocusp import (
     expand_potential,
     hodograph_map,
 )
-from hodocusp import cusp, verify
-from hodocusp.cusp import BOUNDARY_TOL, cusp_roots, reconstruct
+from hodocusp import cusp, series, verify
+from hodocusp.cusp import BOUNDARY_TOL, cusp_roots, reconstruct, zero_curves
 from hodocusp.errors import UsageError
-from hodocusp.normal_form import NormalFormPack
+from hodocusp.normal_form import NormalFormPack, save_pack
 from hodocusp.scalars import make_radical, scalar_float
 from hodocusp.series import EXACT, FLOAT, Series1, Series2
 from hodocusp.verify import GridSpec, _eval1_grid, _eval2_grid, _grid_radius, branch_field
@@ -160,11 +173,37 @@ def bits(v):
     return v
 
 
-def outcome(f, *args):
-    """Bits of the result, or the type and text of the error raised."""
+def nan_folded(v):
+    """``bits`` with every nan read as one nan.
+
+    Where two nans of different sign or payload meet in one addition,
+    CPython returns either: the generic float add returns its second
+    operand's nan, the add it specializes to after a few runs of the same
+    instruction its first. A kernel compiled a moment ago and a warm
+    reference loop can thus differ in a nan's payload, but only where a nan
+    constant or argument meets another nan, as on the series of
+    ``NONFINITE``; ``test_a_single_nan_keeps_its_bits`` compares payloads
+    where one nan flows.
+    """
+    if isinstance(v, np.ndarray) and v.dtype.kind == "f":
+        return bits(np.where(np.isnan(v), math.nan, v))
+    if isinstance(v, (list, tuple)):
+        return [nan_folded(w) for w in v]
+    if isinstance(v, float) and math.isnan(v):
+        return bits(math.nan)
+    return bits(v)
+
+
+def raw(v):
+    return struct.pack("<d", v)
+
+
+def outcome(f, *args, key=bits):
+    """``key`` of the result (default its bits), or the type and text of
+    the error raised."""
     try:
         with np.errstate(all="ignore"):
-            return bits(f(*args))
+            return key(f(*args))
     except (DomainError, OverflowError, ValueError) as exc:
         return type(exc).__name__, str(exc)
 
@@ -246,6 +285,13 @@ def test_eval2_grid_bits(s, xys, check):
     assert outcome(_eval2_grid, s, X, Y, check) == outcome(ref_eval2_grid, s, X, Y, check)
 
 
+# a negative quiet nan with a payload: its repr, "nan", reads back as a
+# positive nan without one
+NEG_NAN = struct.unpack("<d", struct.pack("<Q", 0xFFF8_0000_0000_1234))[0]
+TINY = 5e-324  # the smallest subnormal
+NAN_ROW = Series1("x", 6, {0: NEG_NAN, 2: TINY, 4: 1e308}, mode=FLOAT)
+INF_PAIR = Series2(PAIR, 6, {(1, 0): INF, (0, 2): -INF, (2, 1): TINY, (3, 3): 1e308}, mode=FLOAT)
+
 HANDMADE = [
     # empty: the plan's row is the bare constant 0.0, which still turns
     # inf and nan arguments into nan as the dense row did
@@ -259,23 +305,80 @@ HANDMADE = [
     Series2(PAIR, 6, {(0, 0): 1e-300, (3, 0): 1e300, (0, 3): 1e300}, mode=FLOAT),
 ]
 
+# constants with no exact literal (inf, -inf, the nan above) next to
+# subnormals and 1e308
+NONFINITE = [
+    NAN_ROW,
+    Series1("x", 4, {0: -TINY, 1: INF, 3: -INF, 4: 2.2250738585072014e-308}, mode=FLOAT),
+    INF_PAIR,
+    Series2(PAIR, 5, {(0, 1): -TINY, (1, 1): NEG_NAN, (2, 2): 1e308, (0, 5): -1e308}, mode=FLOAT),
+]
 
-@pytest.mark.parametrize("s", HANDMADE, ids=repr)
-def test_handmade_series_on_special_arguments(s):
+
+def assert_special_arguments(s, key):
+    """Points and grids at SPECIALS and two plain arguments, against the
+    references, compared through ``key``."""
     points = SPECIALS + [1.5, -3.0]
     X = np.array(points)
     if isinstance(s, Series1):
         for x in points:
             for check in (True, False):
-                assert outcome(s.evaluate, x, check) == outcome(ref_evaluate1, s, x, check)
-        assert outcome(_eval1_grid, s, X, False) == outcome(ref_eval1_grid, s, X, False)
+                assert outcome(s.evaluate, x, check, key=key) == outcome(
+                    ref_evaluate1, s, x, check, key=key)
+        assert outcome(_eval1_grid, s, X, False, key=key) == outcome(
+            ref_eval1_grid, s, X, False, key=key)
         return
     for x in points:
         for y in points:
             for check in (True, False):
-                assert outcome(s.evaluate, x, y, check) == outcome(ref_evaluate2, s, x, y, check)
+                assert outcome(s.evaluate, x, y, check, key=key) == outcome(
+                    ref_evaluate2, s, x, y, check, key=key)
         Y = np.full_like(X, x)
-        assert outcome(_eval2_grid, s, X, Y, False) == outcome(ref_eval2_grid, s, X, Y, False)
+        assert outcome(_eval2_grid, s, X, Y, False, key=key) == outcome(
+            ref_eval2_grid, s, X, Y, False, key=key)
+
+
+@pytest.mark.parametrize("s", HANDMADE, ids=repr)
+def test_handmade_series_on_special_arguments(s):
+    assert_special_arguments(s, bits)
+
+
+@pytest.mark.parametrize("s", NONFINITE, ids=repr)
+def test_nonfinite_constants_on_special_arguments(s):
+    """A nan constant meets the nan argument, or a nan made of inf - inf,
+    so nans compare without their payloads here."""
+    assert_special_arguments(s, nan_folded)
+
+
+def test_a_single_nan_keeps_its_bits():
+    """A nan constant or argument that meets no other nan reaches the
+    result with its sign and payload, from the kernel as from the
+    references. A constant written as the literal ``nan`` would read back
+    as a positive nan without the payload; it is bound by name."""
+    finite1 = Series1("x", 4, {0: 1.0, 2: 3.0}, mode=FLOAT)
+    finite2 = Series2(PAIR, 4, {(0, 0): 1.0, (1, 0): 2.0, (1, 1): -0.5, (0, 2): 3.0}, mode=FLOAT)
+    cases = [
+        (NAN_ROW, (0.5,)),
+        (NAN_ROW, (-3.0,)),
+        (finite1, (NEG_NAN,)),
+        (finite2, (NEG_NAN, 0.5)),
+        (finite2, (0.25, NEG_NAN)),
+    ]
+    for s, args in cases:
+        if isinstance(s, Series1):
+            ref, grid, ref_grid = ref_evaluate1, _eval1_grid, ref_eval1_grid
+        else:
+            ref, grid, ref_grid = ref_evaluate2, _eval2_grid, ref_eval2_grid
+        arrays = [np.array([a]) for a in args]
+        with np.errstate(all="ignore"):
+            got = [s.evaluate(*args, check=False), ref(s, *args, False),
+                   grid(s, *arrays, False)[0], ref_grid(s, *arrays, False)[0]]
+        assert [raw(g) for g in got] == [raw(NEG_NAN)] * 4, (s, args)
+    bound = NAN_ROW._float_kernel()[0].__globals__
+    assert sorted(k for k in bound if k.startswith("k")) == ["k0", "kernel"]
+    assert raw(bound["k0"]) == raw(NEG_NAN)
+    bound = INF_PAIR._float_kernel()[0].__globals__
+    assert sorted(bound[k] for k in bound if k.startswith("k") and k != "kernel") == [-INF, INF]
 
 
 def test_plan_shapes():
@@ -340,12 +443,92 @@ def test_branch_field_matches_reference(packs, monkeypatch):
         for grid, branch in grids:
             T, X = np.meshgrid(grid.axis(0), grid.axis(1), indexing="ij")
             cases.append((pack, T, X, branch))
-    got = [outcome(branch_field, *case, False) for case in cases]
+    # past the generic lambda2's radius: the gated sheet is refused
+    pack = packs["generic_n10", EXACT]
+    side = pack.multivalued_halfplane()
+    t0, x0 = float(pack.problem.t_star), float(pack.problem.x_star)
+    T, X = np.meshgrid(t0 + side * np.linspace(1e-3, 1.2e-3, 5), x0 + np.zeros(5), indexing="ij")
+    cases.append((pack, T, X, None))
+    got = [outcome(branch_field, *case, check) for case in cases for check in (False, True)]
     monkeypatch.setattr(verify, "_eval1_grid", ref_eval1_grid)
     monkeypatch.setattr(verify, "_eval2_grid", ref_eval2_grid)
-    want = [outcome(branch_field, *case, False) for case in cases]
+    want = [outcome(branch_field, *case, check) for case in cases for check in (False, True)]
     assert got == want
-    assert all(isinstance(g, list) for g in got), "every sheet must evaluate"
+    assert all(isinstance(g, list) for g in got[::2]), "every sheet must evaluate ungated"
+    # gated, the generic sheets are refused: two at W(tau, U), one at lambda2
+    assert [g[0] for g in got[1::2] if isinstance(g, tuple)] == ["DomainError"] * 3
+
+
+def pushed_probes(pack, taus, us):
+    """(t, x) whose cusp cubic at tau has the root u, for each tau and u."""
+    t_star, x_star, v_star = pack._float_base
+    lam1, lam2 = pack.lambda1.to_float(), pack.lambda2.to_float()
+    out = []
+    for tau in taus:
+        l1, l2 = lam1.evaluate(tau, check=False), lam2.evaluate(tau, check=False)
+        for u in us:
+            out.append((t_star + tau, x_star + v_star * tau + u ** 3 + l1 * u + l2))
+    return out
+
+
+def test_reconstruct_gates_like_the_reference(pool_packs):
+    """Probes just inside and just outside the validity radii of series that
+    reconstruct evaluates: lambda1 (a generic pack's lambda1 ends below its
+    cap, so one is given a top term), lambda2 and W(tau, U). Refusals must
+    occur and match the reference, text included."""
+    generic = pool_packs[0, 16]
+    lam1 = generic.lambda1
+    slope = abs(float(lam1.coefficient(1)))
+    # top term c tau**16 with radius (1e-12 slope / c)**(1/15) = 1e-3
+    top = Series1("tau", 16, {16: Fraction(slope * 1e-12 / 1e-3 ** 15)})
+    bounded = dataclasses.replace(generic, lambda1=lam1 + top)
+    assert math.isclose(bounded.lambda1.validity_radius(), 1e-3, rel_tol=1e-9)
+    near = [1 - 1e-6, 1 + 1e-6, 1.01]
+    refused = set()
+    for pack, attr in ((bounded, "lambda1"), (generic, "lambda2"), (generic, "w_of_tau_u")):
+        s = getattr(pack, attr)
+        r = s.validity_radius()
+        if attr == "w_of_tau_u":
+            probes = pushed_probes(pack, [1e-4, -1e-4], [m * r for m in near] + [-m * r for m in near])
+        else:
+            probes = pushed_probes(pack, [m * r for m in near] + [-m * r for m in near], [0.0])
+        for t, x in probes:
+            for check in (True, False):
+                got = outcome(lambda: branch_tuples(reconstruct(t, x, pack, check=check)))
+                assert got == outcome(ref_reconstruct, t, x, pack, check)
+                if got[0] == "DomainError":
+                    refused.add(got[1].endswith(f"validity radius {r:.6g} of {s!r}") and attr)
+    assert {"lambda1", "lambda2", "w_of_tau_u"} <= refused
+
+
+def counting_compiles(monkeypatch):
+    """A list that gains one entry per kernel compiled from now on."""
+    compiled = []
+    compile_kernel = series._compile_kernel
+
+    def counted(source, plan):
+        compiled.append(plan)
+        return compile_kernel(source, plan)
+
+    monkeypatch.setattr(series, "_compile_kernel", counted)
+    return compiled
+
+
+def test_kernels_compile_on_first_evaluation_only(tmp_path, monkeypatch):
+    compiled = counting_compiles(monkeypatch)
+    pack = build_normal_form(hodograph_map(expand_potential(canonical_problem(), 10)))
+    for attr in PACK_SERIES:
+        getattr(pack, attr).validity_radius()
+    save_pack(pack, tmp_path)
+    assert compiled == []
+    p = pack.problem
+    reconstruct(float(p.t_star) + 1e-4, float(p.x_star), pack)
+    assert len(compiled) == 5  # lambda1, lambda2, W(tau, U), V(W), h(tau, V)
+    taus = [pack.multivalued_halfplane() * 1e-3]
+    first = zero_curves(pack, taus)
+    assert len(compiled) == 7  # xi(tau, V) and dh/dV
+    assert zero_curves(pack, taus) == first
+    assert len(compiled) == 7
 
 
 # -- points against grids: one rule per series kind -------------------------------------
@@ -358,33 +541,39 @@ EDGES = [0.0, -0.0, INF, -INF, math.nan, 1e200, -1e200]
 
 
 def point_and_grid_bits(s, X, Y, check):
-    """(evaluate at each node, the grid evaluator over all nodes), as bytes;
-    Y is ignored for a Series1."""
+    """(evaluate at each node, the grid evaluator over all nodes), as bytes,
+    then the same from the reference evaluators; Y is ignored for a
+    Series1."""
     with np.errstate(all="ignore"):
         if isinstance(s, Series1):
             point = [s.evaluate(x, check) for x in X.tolist()]
             grid = _eval1_grid(s, X, check)
+            ref_point = [ref_evaluate1(s, x, check) for x in X.tolist()]
+            ref_grid = ref_eval1_grid(s, X, check)
         else:
             point = [s.evaluate(x, y, check) for x, y in zip(X.tolist(), Y.tolist())]
             grid = _eval2_grid(s, X, Y, check)
-    return np.array(point, dtype=float).tobytes(), grid.tobytes()
+            ref_point = [ref_evaluate2(s, x, y, check) for x, y in zip(X.tolist(), Y.tolist())]
+            ref_grid = ref_eval2_grid(s, X, Y, check)
+    return [bits(np.array(point, dtype=float)), bits(grid),
+            bits(np.array(ref_point, dtype=float)), bits(ref_grid)]
 
 
 def assert_points_match_grid(s, rng, count):
     """Random nodes inside the validity disc (inside 1e-3 where it is
     unbounded) with the gate on, then every pair of edge arguments with it
-    off."""
+    off; points, grid and both references must agree."""
     r = s.validity_radius()
     # random.uniform(-reach, reach) overflows once 2 * reach does
     reach = 1e-3 if math.isinf(r) else min(r, 1e300)
     X = np.array([rng.uniform(-reach, reach) for _ in range(count)])
     Y = np.array([rng.uniform(-reach, reach) for _ in range(count)])
-    point, grid = point_and_grid_bits(s, X, Y, True)
-    assert point == grid, f"{s!r} inside radius {r:.6g}"
+    point, *others = point_and_grid_bits(s, X, Y, True)
+    assert others == [point] * 3, f"{s!r} inside radius {r:.6g}"
     X = np.array([x for x in EDGES for _ in EDGES])
     Y = np.array(EDGES * len(EDGES))
-    point, grid = point_and_grid_bits(s, X, Y, False)
-    assert point == grid, f"{s!r} at edge arguments"
+    point, *others = point_and_grid_bits(s, X, Y, False)
+    assert others == [point] * 3, f"{s!r} at edge arguments"
 
 
 @pytest.fixture(scope="module")
@@ -400,6 +589,8 @@ def pool_packs():
 def test_point_and_grid_evaluators_agree_on_packs(packs, pool_packs):
     rng = random.Random(14)
     canonical = [packs["canonical", mode] for mode in (EXACT, FLOAT)]
+    # every exact order-16 pack: the canonical one and pool instances 0-2
+    canonical.append(build_normal_form(hodograph_map(expand_potential(canonical_problem(), 16))))
     for pack in [*canonical, *pool_packs.values()]:
         for name in PACK_SERIES:
             assert_points_match_grid(getattr(pack, name), rng, 300)

@@ -300,7 +300,7 @@ def _cmd_verify(ns, cfg, digest) -> int:
         step=float(parse_exact(_require(gblock, "step", "verify.grid"), "verify.grid.step")),
     )
     branch = block.get("branch")
-    if branch is not None and (isinstance(branch, bool) or branch not in (0, 1, 2)):
+    if branch is not None and (type(branch) is not int or branch not in (0, 1, 2)):
         raise UsageError("config: 'verify.branch' must be 0, 1 or 2")
     halvings = _int_in(block, "halvings", "verify", 3, 3, 8)
     rep = system_residual(pack, grid, branch=branch, halvings=halvings)

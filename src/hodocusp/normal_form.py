@@ -19,7 +19,8 @@ is quasi-homogeneous (tau has weight 2; U, W and V weight 1), so c only
 rescales W to w = cW. Steps 3-5 therefore run over Q on xi/c3, whose cubic
 coefficient is 1, in w; the pack is assembled by lifting each series to the
 W frame with the weight table ``_C_POWERS``, which gives every coefficient
-its power of c, so the fitted identity is exact, not approximate. Float
+its power of c, so the fitted identity is exact, not approximate. The
+verifiers read the stored pack over Q(c), not through the table. Float
 mode builds in the W frame directly. sign(lambda1 slope) = -sign(b11)
 determines at runtime which tau half-plane carries the three-root wedge.
 """
@@ -32,15 +33,16 @@ from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
-from .errors import DegeneracyError, UsageError
+from .errors import DegeneracyError
 from .hodograph import HodographMap
 from .pde import ProblemData
-from .scalars import CubicRadical, _over_power, _times_power, cbrt_exact, scalar_float
+from .scalars import CubicRadical, _times_power, cbrt_exact, make_radical, scalar_float
 from .series import (
     EXACT,
     Series1,
     Series2,
     _product,
+    _radicand,
     cube_root_normalize,
     implicit_solve,
     lift1to2,
@@ -162,41 +164,10 @@ _C_POWERS = {
 
 
 def _lift(s, attr, c):
-    """The pack series ``attr`` in the W frame from its rational form in
-    w = cW; a float series (c None) is already in the W frame."""
-    if c is None:
-        return s
+    """The pack series ``attr`` in the W frame from its rational form in w = cW."""
     power = _C_POWERS[attr]
     lifted = {k: _times_power(v, c, power(k)) for k, v in s._c.items()}
     return s._raw(s._vars, s.cap, lifted, s.mode, s.eff)
-
-
-def _read(pack, attr, c):
-    """The pack series ``attr`` read back to its rational form in w = cW.
-
-    Refuses a coefficient that is not a rational times the one power of c
-    that its key requires."""
-    s = getattr(pack, attr)
-    if c is None:
-        return s
-    power = _C_POWERS[attr]
-    out = {}
-    for k, v in s._c.items():
-        n = power(k)
-        out[k] = _over_power(v, c, n)
-        if out[k] is None:
-            raise UsageError(
-                f"{attr} coefficient {k} = {v!r} is not a rational times c^{n}, c = {c!r}"
-            )
-    return s._raw(s._vars, s.cap, out, s.mode, s.eff)
-
-
-def _pack_root(pack):
-    """c = (12/(5 b11))**(1/3) of an exact pack, from the problem data; None
-    for a float pack."""
-    if pack.mode != EXACT:
-        return None
-    return cbrt_exact(Fraction(12, 5) / pack.problem.b11)
 
 
 def _cube_series(xi_tw: Series2) -> Series1:
@@ -276,38 +247,82 @@ def _fit_miniversal(xi_tw: Series2):
 
 def verify_miniversal(pack: NormalFormPack) -> Series2:
     """Residual xi(tau, W) - (U^3 + lambda1 U + lambda2); exactly zero to cap.
-
-    An exact pack is read back to w = cW through the weight table, where the
-    identity xi~ = c3 (U~^3 + lambda1~ U~ + lambda2~) holds over Q, and its
-    residual is lifted like xi.
-    """
-    c = _pack_root(pack)
-    xi, u, lam1, lam2 = (
-        _read(pack, attr, c) for attr in ("xi_of_tau_w", "u_of_tau_w", "lambda1", "lambda2")
-    )
-    l1 = lift1to2(lam1, xi.names, 0)
-    l2 = lift1to2(lam2, xi.names, 0)
-    cubic = u * u * u + l1 * u + l2
-    if c is not None:
-        cubic = cubic.scale(_times_power(Fraction(1), c, -3))
-    return _lift(xi - cubic, "xi_of_tau_w", c)
+    The pack is read as it is stored, over Q(c) (see ``_split``)."""
+    xi, u = pack.xi_of_tau_w, pack.u_of_tau_w
+    l1, l2 = (lift1to2(s, xi.names, 0) for s in (pack.lambda1, pack.lambda2))
+    rad, (xi, u, l1, l2) = _split(xi, u, l1, l2)
+    cubic = _plus(_plus(_times(_times(u, u, rad), u, rad), _times(l1, u, rad)), l2)
+    return _join(_minus(xi, cubic), rad)
 
 
 def roundtrip_w_u(pack: NormalFormPack) -> tuple[Series2, Series2]:
-    """U(tau, W(tau, U)) - U and W(tau, U(tau, W)) - W; both zero to cap.
-
-    An exact pack is read back to w = cW, the round trips run over Q, and
-    their residuals are lifted like W(tau, U) and U(tau, W).
-    """
-    c = _pack_root(pack)
-    u = _read(pack, "u_of_tau_w", c)
-    w = _read(pack, "w_of_tau_u", c)
-    u_id = variable2(("tau", "U"), u.cap, "U", mode=pack.mode)
-    w_id = variable2(("tau", "W"), w.cap, "W", mode=pack.mode)
+    """U(tau, W(tau, U)) - U and W(tau, U(tau, W)) - W; both zero to cap,
+    read over Q(c) like ``verify_miniversal``."""
+    u_id = variable2(("tau", "U"), pack.order, "U", mode=pack.mode)
+    w_id = variable2(("tau", "W"), pack.order, "W", mode=pack.mode)
+    rad, (u, w, u_id, w_id) = _split(pack.u_of_tau_w, pack.w_of_tau_u, u_id, w_id)
     return (
-        _lift(substitute(u, "W", w) - u_id, "w_of_tau_u", c),
-        _lift(substitute(w, "U", u) - w_id, "u_of_tau_w", c),
+        _join(_minus(_substitute(u, w, rad), u_id), rad),
+        _join(_minus(_substitute(w, u, rad), w_id), rad),
     )
+
+
+def _split(*series):
+    """(rad, splits): each series S as three rational series (S0, S1, S2)
+    with S = S0 + c S1 + c**2 S2 and the eff of S, where c**3 = rad is read
+    from the coefficients. Without a CubicRadical (a float pack, or a
+    rational c) each S is its own S0, and rad is 0."""
+    rad = _radicand(v for s in series for v in s._c.values()) or 0
+    splits = []
+    for s in series:
+        parts = ({}, {}, {})
+        for k, v in s._c.items():
+            for part, a in zip(parts, (v.a0, v.a1, v.a2) if isinstance(v, CubicRadical) else (v,)):
+                if a:
+                    part[k] = a
+        splits.append(tuple(s._raw(s._vars, s.cap, part, s.mode, s.eff) for part in parts))
+    return rad, splits
+
+
+def _join(parts, rad) -> Series2:
+    """The series S0 + c S1 + c**2 S2 of a split, c**3 = rad."""
+    s0, s1, s2 = parts
+    c = dict(s0._c)
+    for k in [*s1._c, *s2._c]:
+        c[k] = make_radical(s0._get(k), s1._get(k), s2._get(k), rad)
+    return Series2(s0.names, s0.cap, c, mode=s0.mode, eff=min(p.eff for p in parts))
+
+
+def _plus(a, b):
+    return tuple(p + q for p, q in zip(a, b))
+
+
+def _minus(a, b):
+    return tuple(p - q for p, q in zip(a, b))
+
+
+def _times(a, b, rad):
+    """The product of two splits: nine rational products, c**3 = rad folded in."""
+    out = [None] * 5
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            p = x * y
+            out[i + j] = p if out[i + j] is None else out[i + j] + p
+    return out[0] + out[3].scale(rad), out[1] + out[4].scale(rad), out[2]
+
+
+def _substitute(a, s, rad):
+    """The split of a(tau, s): a's second variable replaced by s, a split
+    with zero constant term, by Horner's rule in that variable."""
+    names, cap = s[0].names, s[0].cap
+    acc = None
+    for j in range(cap, -1, -1):
+        row = tuple(
+            p._raw(names, cap, {(i, 0): v for (i, e), v in p._c.items() if e == j}, p.mode, p.eff)
+            for p in a
+        )
+        acc = row if acc is None else _plus(row, _times(acc, s, rad))
+    return acc
 
 
 # -- serialization ------------------------------------------------------------

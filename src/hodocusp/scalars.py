@@ -7,9 +7,10 @@ Three scalar families are used by the series layer:
   radicand (CubicRadical) -- the only irrationality an exact normal-form
   pack holds is c = (12/(5*b11))**(1/3). It enters only when the pack is
   assembled, each coefficient a rational times a power of c built once by
-  ``_times_power`` (and read back by ``_over_power``), so a CubicRadical is
-  stored, compared, negated, printed and converted to float, but takes
-  part in no arithmetic,
+  ``_times_power``, so a CubicRadical is stored, compared, negated, printed
+  and converted to float, but takes part in no arithmetic. The exact
+  verifiers read a stored pack over Q(c) through its components a0, a1, a2
+  and join their results with ``make_radical``,
 * complex numbers with rational components (QComplex), used by the
   analytic-continuation diagnostics so that squared distances stay rational.
 """
@@ -159,33 +160,15 @@ def _reduced(n0, n1, n2, d, rad) -> Fraction | CubicRadical:
     return _element(n0, n1, n2, d, rad)
 
 
-def _power(c, n):
-    """c**n as (slot, r) with c**n = r * c**slot and r rational, for a
-    rational c or c = cbrt(rad), whose cube is the radicand."""
-    if isinstance(c, CubicRadical):
-        return n % 3, c.rad ** (n // 3)
-    return 0, c**n
-
-
 def _times_power(q, c, n) -> Fraction | CubicRadical:
-    """q * c**n for a rational q, as one element built once."""
-    slot, r = _power(c, n)
-    q *= r
-    if slot == 0:
-        return q
+    """q * c**n for a rational q, as one element built once; c is rational
+    or c = cbrt(rad), and then c**n = rad**(n // 3) * c**(n % 3)."""
+    if not isinstance(c, CubicRadical):
+        return q * c**n
+    q *= c.rad ** (n // 3)
     parts = [0, 0, 0]
-    parts[slot] = q.numerator
+    parts[n % 3] = q.numerator
     return _reduced(*parts, q.denominator, c.rad)
-
-
-def _over_power(v, c, n) -> Fraction | None:
-    """The rational q with v = q * c**n, or None when v is not one."""
-    slot, r = _power(c, n)
-    if isinstance(v, CubicRadical):
-        q = Fraction((v.n0, v.n1, v.n2)[slot], v.d) / r
-    else:
-        q = v / r
-    return q if _times_power(q, c, n) == v else None
 
 
 def make_radical(a0, a1, a2, rad) -> Fraction | CubicRadical:

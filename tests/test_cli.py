@@ -225,6 +225,21 @@ def test_verify_branch_validation(tmp_path, capsys):
     assert "'verify.branch' must be 0, 1 or 2" in capsys.readouterr().err
 
 
+def test_verify_branch_refuses_a_float(tmp_path, capsys):
+    """1.0 equals branch 1 but is not an integer, like every other integer key."""
+    cfg = write_cfg(
+        tmp_path,
+        PROBLEM
+        + "verify:\n"
+        + "  grid: {center: [0.5, 0], half_width: 0.001, step: 0.0001}\n"
+        + "  branch: 1.0\n",
+    )
+    rc = cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "'verify.branch' must be 0, 1 or 2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # -- korobeinik ---------------------------------------------------------------------
 
 

@@ -5,7 +5,6 @@ import hashlib
 import importlib.util
 import json
 import random
-import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +15,6 @@ from hodocusp import (
     DegeneracyError,
     DomainError,
     ProblemData,
-    UsageError,
     build_normal_form,
     canonical_problem,
     cbrt_exact,
@@ -28,6 +26,7 @@ from hodocusp import (
     save_pack,
     verify_miniversal,
 )
+from hodocusp import normal_form
 from hodocusp.scalars import rational_cbrt
 from hodocusp.series import (
     FLOAT,
@@ -220,13 +219,32 @@ def test_w_frame_pack_satisfies_the_identities_in_float(order):
             assert abs(back - w) <= 1e-12 * max(abs(w), abs(tau)), (problem, tau, w)
 
 
+@pytest.mark.parametrize("attr", ["xi_of_tau_w", "u_of_tau_w", "lambda1", "lambda2"])
+def test_a_shifted_weight_table_breaks_the_miniversal_identity(monkeypatch, attr):
+    """The exact pack read as it is stored: one entry of the weight table
+    shifted by one power of c, which changes only how the pack is
+    assembled, leaves a residual below the effective order."""
+    power = normal_form._C_POWERS[attr]
+    monkeypatch.setitem(normal_form._C_POWERS, attr, lambda k: power(k) + 1)
+    assert low2(verify_miniversal(random_pack(0, order=16))) != {}
+
+
+@pytest.mark.parametrize("attr", ["u_of_tau_w", "w_of_tau_u"])
+def test_a_shifted_weight_table_breaks_the_w_u_roundtrips(monkeypatch, attr):
+    power = normal_form._C_POWERS[attr]
+    monkeypatch.setitem(normal_form._C_POWERS, attr, lambda k: power(k) + 1)
+    ru, rw = roundtrip_w_u(random_pack(0, order=16))
+    assert low2(ru) != {}
+    assert low2(rw) != {}
+
+
 @pytest.mark.parametrize(
     "attr, key",
     [("u_of_tau_w", (1, 1)), ("u_of_tau_w", (1, 2)), ("lambda1", 1), ("xi_of_tau_w", (0, 3))],
 )
-def test_verify_refuses_a_coefficient_at_another_power_of_c(attr, key):
-    """A pack whose coefficient sits at c**(n + 1) instead of c**n is refused
-    by both identity checks that read it, naming the series and the key."""
+def test_a_coefficient_at_another_power_of_c_leaves_a_residual(attr, key):
+    """A pack whose coefficient sits at c**(n + 1) instead of c**n fails
+    both identity checks that read it."""
     pack = random_pack(0, order=6)
     rad = Fraction(12, 5) / pack.b11
     s = getattr(pack, attr)
@@ -236,12 +254,10 @@ def test_verify_refuses_a_coefficient_at_another_power_of_c(attr, key):
     moved = make_radical(parts[2] * rad, parts[0], parts[1], rad)
     corrupted = type(s)._raw(s._vars, s.cap, {**s._c, key: moved}, s.mode, s.eff)
     bad = dataclasses.replace(pack, **{attr: corrupted})
-    message = rf"{attr} coefficient {re.escape(str(key))} = .* is not a rational times c\^"
-    with pytest.raises(UsageError, match=message):
-        verify_miniversal(bad)
+    assert low2(verify_miniversal(bad)) != {}
     if attr == "u_of_tau_w":
-        with pytest.raises(UsageError, match=f"{attr} coefficient"):
-            roundtrip_w_u(bad)
+        ru, rw = roundtrip_w_u(bad)
+        assert low2(ru) != {} and low2(rw) != {}
 
 
 def test_lambda22_corruption_leaves_unit_residual(canonical_pack):

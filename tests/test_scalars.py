@@ -22,7 +22,7 @@ from hodocusp import (
     real_cbrt,
     scalar_float,
 )
-from hodocusp.scalars import _over_power, _times_power
+from hodocusp.scalars import _times_power
 
 fractions_st = st.fractions(
     min_value=-4, max_value=4, max_denominator=24
@@ -159,8 +159,6 @@ def test_radical_pow_and_cube():
     assert _times_power(Fraction(-1), c, 3) == Fraction(-12, 5)
     assert _times_power(Fraction(-1), c, 1) == -c
     assert _times_power(Fraction(5, 12), c, 4) == c
-    assert _over_power(c, c, 1) == 1 and _over_power(c, c, 4) == Fraction(5, 12)
-    assert _over_power(c, c, 2) is None and _over_power(Fraction(1), c, 1) is None
     # a rational root: plain Fraction powers
     assert _times_power(Fraction(3), Fraction(2), -2) == Fraction(3, 4)
 

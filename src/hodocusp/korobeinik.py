@@ -13,8 +13,10 @@ R + 2 sqrt(R1) = R0 is {|u - u*| + 2 sqrt(|h|) < R0}.
 Everything that can be decided in exact rational arithmetic is: squared
 pole distances, bidisc classification, membership tests, and the
 divergence-witness confirmation (whose term ratios overflow float range
-long before the heuristic window is reached). Floats appear only in the
-final ratio-limit extrapolation and in reports.
+long before the heuristic window is reached). Floats appear in the
+Cauchy check, in the rounded ratios of a bidisc sample, which fall back to
+the exact ones wherever they cannot decide, and in the final ratio-limit
+extrapolation and reports.
 
 The exact terms g_n(u) are not built from the closed form
 g1^(2k)(u)/(k!(k+1)!) one n at a time. g_{k+1}(u) = Catalan_k [z**(2k)]
@@ -25,18 +27,26 @@ polynomial part is shifted to u once, all of it shares one integer
 denominator, and no gcd runs (``_exact_terms``). A verdict reads only the
 last RATIO_TAIL ratios, so a run starts at k0 = K - RATIO_TAIL - 1: each
 pole's term there is one binary power of w, and the RATIO_TAIL + 1 terms
-from k0 cost O(RATIO_TAIL + log K) big-integer products. Only the terms
-whose ratios are read are squared, into integers M_k over the denominator
-den0**2 step**k, so each term ratio is one integer true division of
-consecutive M_k (see ``ratio_points``). When a window term is zero (a
-polynomial seed, or poles that cancel exactly), the run falls back to
-k = 0, O(K) products, and reads the nonzero terms as before
-(``_tail_run``). Reduced Fractions are built only where they are asked
-for (the tail of ``confirm_divergence``).
+from k0 cost O(RATIO_TAIL + log K) big-integer products
+(``_window_run``). When a window term is zero (a polynomial seed, or poles
+that cancel exactly), the run falls back to k = 0, O(K) products, and
+reads the nonzero terms as before.
+
+A radius probe and the witness square the terms whose ratios they read,
+into integers M_k over the denominator den0**2 step**k, so each term ratio
+is one integer true division of consecutive M_k (``_tail_run``,
+``ratio_points``); the witness compares its squared ratios by integer
+cross-multiplication (``_Quotient``), with no gcd. A bidisc sample squares
+nothing: its last six terms, the step and |h|**2 are rounded to floats
+from their top 64 bits, and the median of the five ratios carries a
+proven relative error bound (``_rounded_median``). Only a median within
+that bound of 1 +- HEURISTIC_MARGIN, or a scaled value that is not a
+normal float, sends the sample to the exact ratios of the same terms, so
+every verdict is the exact one.
 
 Seeds and points are read exactly where they enter: a float or complex
 input counts as its decimal (``parse_exact``, ``parse_point``), so every
-diagnostic has one exact path.
+diagnostic reports what the input's decimal twin reports.
 """
 
 from __future__ import annotations
@@ -46,6 +56,7 @@ import functools
 import math
 import random
 import statistics
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,6 +66,7 @@ from .pde import (
     SeedFunction,
     _complex_evaluator,
     _seed_b0,
+    _seed_kernels,
     _taylor_run,
     expand_potential,
     h_scaled,
@@ -91,25 +103,40 @@ def _exact_terms(seed: SeedFunction, u: QComplex, K: int, start: int = 0):
     return out, den0, L * L
 
 
-def _tail_run(seed: SeedFunction, u: QComplex, K: int, read: int):
-    """(M, first, step): the squared terms a verdict reads, with
-    |g_{k+1}(u)|**2 = M[k - first] / (den0**2 step**k).
+def _window_run(seed: SeedFunction, u: QComplex, K: int):
+    """(T, first, L**2): the terms g_{k+1}(u) = (X_k + i Y_k) / (den0 L**(2k))
+    that a verdict reads, T = [(X_k, Y_k) for k = first..K-1].
 
     The run starts at k0 = K - RATIO_TAIL - 1. When none of its RATIO_TAIL + 1
     terms is zero (X = Y = 0 tests that without squaring), the window holds
-    every ratio pair that the last RATIO_TAIL ratios of the full run read,
-    and only its last ``read`` terms are squared (first = K - read). When a
-    window term is zero (a polynomial seed, or poles that cancel exactly), or
-    K leaves no room for the window, the run falls back to k = 0 and every
-    term is squared (first = 0).
+    every ratio pair that the last RATIO_TAIL ratios of the full run read
+    (first = k0). When a window term is zero (a polynomial seed, or poles
+    that cancel exactly), or K leaves no room for the window, the run falls
+    back to k = 0 (first = 0).
     """
     k0 = K - RATIO_TAIL - 1
     if k0 > 0:
         terms, _, L2 = _exact_terms(seed, u, K, k0)
         if all(x or y for x, y in terms):
-            return [x * x + y * y for x, y in terms[-read:]], K - read, L2 * L2
+            return terms, k0, L2
     terms, _, L2 = _exact_terms(seed, u, K)
-    return [x * x + y * y for x, y in terms], 0, L2 * L2
+    return terms, 0, L2
+
+
+def _squared(terms, first, read):
+    """(M, first): a window's last ``read`` terms squared, or every term of
+    a run from k = 0 (first = 0), with
+    |g_{k+1}(u)|**2 = M[k - first] / (den0**2 L**(4k))."""
+    if first:
+        terms, first = terms[-read:], first + len(terms) - read
+    return [x * x + y * y for x, y in terms], first
+
+
+def _tail_run(seed: SeedFunction, u: QComplex, K: int, read: int):
+    """(M, first, step): the squared terms of ``_window_run`` that a verdict
+    reads, ``_squared``, and step = L**4."""
+    terms, first, L2 = _window_run(seed, u, K)
+    return (*_squared(terms, first, read), L2 * L2)
 
 
 def ratio_points(mags2, h_abs2=None, step=1, first=0):
@@ -243,11 +270,11 @@ def witness_terms(pred_ratio: float) -> int:
 def confirm_divergence(seed: SeedFunction, u, h_abs, K: int):
     """Exact heuristic run at |h| = h_abs; returns (confirmed, float ratios).
 
-    Squared term ratios are compared in exact rational arithmetic, since
-    the terms themselves overflow floats for the K this can need; only the
-    last RATIO_TAIL of them, which the heuristic reads, are computed
-    (``_tail_run``) and become Fractions. A float h_abs is read as its
-    decimal (``parse_exact``).
+    Squared term ratios are compared exactly, since the terms themselves
+    overflow floats for the K this can need; only the last RATIO_TAIL of
+    them, which the heuristic reads, are computed (``_tail_run``), each as
+    an unreduced integer quotient (``_Quotient``). A float h_abs is read as
+    its decimal (``parse_exact``).
     """
     u = parse_point(u, "u")
     seed.assert_not_pole(u, "u")
@@ -255,10 +282,29 @@ def confirm_divergence(seed: SeedFunction, u, h_abs, K: int):
     h2 = parse_exact(h_abs, "h_abs") ** 2
     pts = ratio_points(mags, h2, step, first)[-RATIO_TAIL:]
     sq = [
-        Fraction(mags[n - first] * h2.numerator, mags[n - first - 1] * step * h2.denominator)
+        _Quotient(mags[n - first] * h2.numerator, mags[n - first - 1] * step * h2.denominator)
         for n, _ in pts
     ]
     return divergence_heuristic(sq), tuple(r for _, r in pts)
+
+
+class _Quotient:
+    """num / den with den > 0, compared with a float (read exactly) or with
+    another quotient by integer cross-multiplication: the decisions of a
+    reduced Fraction, with no gcd on the multi-thousand-bit terms."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: int, den: int):
+        self.num = num
+        self.den = den
+
+    def __gt__(self, other: float) -> bool:
+        n, d = other.as_integer_ratio()
+        return self.num * d > n * self.den
+
+    def __ge__(self, other: "_Quotient") -> bool:
+        return self.num * other.den >= other.num * self.den
 
 
 @dataclass(frozen=True)
@@ -389,19 +435,84 @@ def _classify_sample(seed, u, h, h_abs, K):
 
 def _observe_point(seed, u, h_abs, K) -> str:
     """Ratio-tail verdict for the series at a concrete (u, h): the median
-    of the last five ratios, read from the last six terms."""
-    mags, first, step = _tail_run(seed, u, K, 6)
-    pts = ratio_points(mags, h_abs * h_abs, step, first)
-    # a window run (first > 0) had RATIO_TAIL + 1 nonzero terms
-    if first == 0 and len(pts) < RATIO_TAIL:
-        return "converges"  # terminating terms: polynomial seed
-    tail = [r for _, r in pts[-5:]]
-    med = statistics.median(tail)
+    of the last five ratios, read from the last six terms.
+
+    From a window run the ratios are first rounded (``_rounded_median``);
+    the exact ratios of the same terms (``ratio_points``) are computed only
+    when the rounded median cannot decide, so the verdict is always the
+    exact one."""
+    terms, first, L2 = _window_run(seed, u, K)
+    h2 = parse_exact(h_abs * h_abs, "h_abs2")
+    step = L2 * L2
+    med = _rounded_median(terms[-6:], step, h2) if first else None
+    if med is None:
+        mags, first = _squared(terms, first, 6)
+        pts = ratio_points(mags, h2, step, first)
+        # a window run (first > 0) had RATIO_TAIL + 1 nonzero terms
+        if first == 0 and len(pts) < RATIO_TAIL:
+            return "converges"  # terminating terms: polynomial seed
+        med = statistics.median(r for _, r in pts[-5:])
     if med < 1.0 - HEURISTIC_MARGIN:
         return "converges"
     if med > 1.0 + HEURISTIC_MARGIN:
         return "diverges"
     return "inconclusive"
+
+
+# Relative error bound of a ratio of ``_rounded_median`` against the float
+# ratio ``ratio_points`` gives for the same terms, with a safety factor of
+# 100. With u = 2**-53: an integer rounded to its top 64 bits and then to a
+# float is off by at most 2**-63 + u relative (a Gaussian integer: its
+# modulus, by at most sqrt(2) 2**-63 + u, the shift being shared). A squared
+# modulus x*x + y*y then carries 4u (two conversions squared, a product, a
+# sum), a quotient of two of them 9u, the factor h2n / (h2d step) 5u (three
+# conversions, a product, a quotient), their product u more, and ldexp is
+# exact on a normal result: 15u for the squared ratio, 7.5u + u/2 after the
+# square root. ``ratio_points`` rounds the exact quotient once and then its
+# square root, 1u. So the two ratios differ by at most 9u (1.0e-15) relative,
+# and the median of five moves by at most the largest such difference.
+_ROUNDED_RATIO_ERR = 1e-13
+
+
+def _rounded(x: int, y: int = 0):
+    """(a, b, e) with x ~ a 2**e and y ~ b 2**e: the floats of their top 64
+    bits under one shift e >= 0."""
+    e = max(max(x.bit_length(), y.bit_length()) - 64, 0)
+    return float(x >> e), float(y >> e), e
+
+
+def _rounded_median(terms, step, h2):
+    """The median of the five ratios |h| |t_{k+1}| / |t_k| of six nonzero
+    Gaussian-integer terms, in floats from their top bits, with no big-integer
+    square or division; None when it lies within _ROUNDED_RATIO_ERR of
+    1 +- HEURISTIC_MARGIN, or a scaled value is not finite or not normal.
+
+    With |t_k| ~ |(x_k, y_k)| 2**e_k, step ~ s 2**es and h2 ~ (hn / hd)
+    2**(ehn - ehd), the squared ratio is
+    (x_k**2 + y_k**2) / (x_{k-1}**2 + y_{k-1}**2) hn / (hd s)
+    times 2**(2 (e_k - e_{k-1}) + ehn - ehd - es).
+    """
+    hn, _, ehn = _rounded(h2.numerator)
+    hd, _, ehd = _rounded(h2.denominator)
+    s, _, es = _rounded(step)
+    scale = hn / (hd * s)
+    shift = ehn - ehd - es
+    mods = [(a * a + b * b, e) for a, b, e in (_rounded(x, y) for x, y in terms)]
+    ratios = []
+    for (m0, e0), (m1, e1) in zip(mods, mods[1:]):
+        try:
+            r2 = math.ldexp(m1 / m0 * scale, 2 * (e1 - e0) + shift)
+        except OverflowError:
+            return None
+        if not sys.float_info.min <= r2 <= sys.float_info.max:
+            return None
+        ratios.append(math.sqrt(r2))
+    med = statistics.median(ratios)
+    tol = med * _ROUNDED_RATIO_ERR
+    for edge in (1.0 - HEURISTIC_MARGIN, 1.0 + HEURISTIC_MARGIN):
+        if abs(med - edge) <= tol:
+            return None
+    return med
 
 
 def _divergence_witness(seed, u0, R, R1):
@@ -514,9 +625,9 @@ def cauchy_bound_check(seed: SeedFunction, r, r0, eps, n_max: int) -> CauchyRepo
         raise UsageError(
             "seed has a pole inside |z| < r; the bound requires analyticity there"
         )
-    value = _complex_evaluator(seed, 0)
+    value, circle = _seed_kernels(seed, 0)
     rho = r - eps
-    c_eps = max(map(abs, map(value, (rho * e for e in _circle_roots()))))
+    c_eps = max(circle(rho, _circle_roots()))
     z_points = [0j]
     for frac in (Fraction(1, 3), Fraction(2, 3), Fraction(1)):
         for k in range(8):

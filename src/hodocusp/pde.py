@@ -17,6 +17,7 @@ This module owns both sides of that bridge.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -423,41 +424,115 @@ class SeedFunction:
 def _complex_evaluator(seed: SeedFunction, m: int):
     """z -> the m-th derivative of the seed at a complex z, in floats.
 
-    The one float evaluation of a seed. The per-term constants are
-    converted once, outside the per-point call: a pole's position and
-    residue as complex numbers, the residue then times the rising factor
-    (n)(n+1)...(n+m-1) when m > 0, and a polynomial coefficient as the exact
-    c_j * perm(j, m), rounded once the way complex arithmetic converts a
-    Fraction. A power (a - z)**k that is zero (z on the pole, or so near it
-    that the power underflows) is a DomainError.
+    The one float evaluation of a seed, compiled into one straight-line
+    function (``_seed_kernels``): it returns the parts added in seed order, a
+    pole's part as c / (a - z) ** power and a polynomial part by Horner's
+    rule from 0j. A power (a - z)**k that is zero (z on the pole, or so near
+    it that the power underflows) is a DomainError.
     """
-    parts = []  # (a, c, power) for poles, (None, coefficients high to low, 0)
+    return _seed_kernels(seed, m)[0]
+
+
+# A circle radius and pole parts inside this bound keep every a - z finite.
+_BARE_BOUND = 2.0**1000
+
+
+def _seed_kernels(seed: SeedFunction, m: int):
+    """(kernel, circle) for the seed's m-th derivative.
+
+    kernel(z) is ``_complex_evaluator``. circle(rho, roots) is the list of
+    abs(kernel(rho * e)) for the roots e (parts at most 1 in size), with the
+    same loop compiled inline and a first-order pole written c / (a - z).
+    CPython computes (a - z) ** 1 as (1 + 0j) * (a - z), which differs from
+    a - z only where a part of a - z is -0.0 (the product gives +0.0) or
+    infinite (the power then raises OverflowError). a is exact, so its parts
+    are never -0.0, and x - y is -0.0 only when x is. With rho and the pole's
+    parts inside +-2**1000, a - z is finite. So the two forms give the same
+    bits, and only under an abs; outside the bound the circle calls kernel.
+
+    The per-term constants are converted once, outside the per-point call: a
+    pole's position and residue as complex numbers, the residue then times
+    the rising factor (n)(n+1)...(n+m-1) when m > 0, and a polynomial
+    coefficient as the exact c_j * perm(j, m), rounded once the way complex
+    arithmetic converts a Fraction. They are bound as the closure cells of
+    the functions a ``_seed_kernel_factory`` makes, compiled once per shape
+    of the seed, so the orders of a Cauchy check compile no text of their
+    own.
+    """
+    shape, constants, poles = [], [], []
     for t in seed.terms:
         if isinstance(t, PolyTerm):
             cs = [t.coeffs[j] * math.perm(j, m) for j in range(len(t.coeffs) - 1, m - 1, -1)]
-            parts.append((None, tuple(complex(c) for c in cs), 0))
+            shape.append("h")
+            constants.append(tuple(complex(c) for c in cs))
+            continue
+        a = t.a.to_complex()
+        c = t.c.to_complex() if isinstance(t.c, QComplex) else complex(t.c)
+        if m:
+            c = c * math.prod(range(t.n, t.n + m))
+        power = t.n + m
+        poles.append((a, power))
+        bare = power == 1 and abs(a.real) < _BARE_BOUND and abs(a.imag) < _BARE_BOUND
+        shape.append("1" if bare else "p")
+        constants += [c, a, power]
+
+    def refusal(z):
+        a, power = next((a, power) for a, power in poles if (a - z) ** power == 0)
+        return _zero_power(a, z, power, m)
+
+    return _seed_kernel_factory(tuple(shape))(refusal, *constants)
+
+
+@functools.lru_cache(maxsize=64)
+def _seed_kernel_factory(shape):
+    """``factory(refusal, *constants) -> (kernel, circle)``, compiled once
+    per shape.
+
+    The shape has one letter per part of the seed: "h" a polynomial (its
+    coefficient tuple, high to low), "p" a pole c / (a - z) ** n (c, a, n)
+    and "1" a first-order pole that the circle writes bare (c, a, 1; see
+    ``_seed_kernels``). A division by zero raises refusal(z).
+    """
+    params, horner, powered, bare = ["refusal"], [], [], []
+    for i, kind in enumerate(shape):
+        if kind == "h":
+            params.append(f"h{i}")
+            horner += [f"v{i} = 0j", f"for c in h{i}:", f"    v{i} = v{i} * z + c"]
+            powered.append(f"v{i}")
+            bare.append(f"v{i}")
         else:
-            c = t.c.to_complex() if isinstance(t.c, QComplex) else complex(t.c)
-            if m:
-                c = c * math.prod(range(t.n, t.n + m))
-            parts.append((t.a.to_complex(), c, t.n + m))
+            params += [f"c{i}", f"a{i}", f"n{i}"]
+            powered.append(f"c{i} / (a{i} - z) ** n{i}")
+            bare.append(f"c{i} / (a{i} - z)" if kind == "1" else powered[-1])
 
-    def evaluate(z):
-        total = None
-        for a, c, power in parts:
-            if a is None:
-                v = 0j
-                for cj in c:
-                    v = v * z + cj
-            else:
-                try:
-                    v = c / (a - z) ** power
-                except ZeroDivisionError:
-                    raise _zero_power(a, z, power, m) from None
-            total = v if total is None else total + v
-        return total
+    def block(lines, indent):
+        return "".join(f"{' ' * indent}{line}\n" for line in lines)
 
-    return evaluate
+    text = (
+        f"def factory({', '.join(params)}):\n"
+        "    def kernel(z):\n"
+        "        try:\n"
+        + block(horner + ["return " + " + ".join(powered)], 12)
+        + "        except ZeroDivisionError:\n"
+        "            raise refusal(z) from None\n"
+        "\n"
+        "    def circle(rho, roots):\n"
+        f"        if not -{_BARE_BOUND!r} < rho < {_BARE_BOUND!r}:\n"
+        "            return [abs(kernel(rho * e)) for e in roots]\n"
+        "        out = []\n"
+        "        for e in roots:\n"
+        "            z = rho * e\n"
+        "            try:\n"
+        + block(horner + [f"out.append(abs({' + '.join(bare)}))"], 16)
+        + "            except ZeroDivisionError:\n"
+        "                raise refusal(z) from None\n"
+        "        return out\n"
+        "\n"
+        "    return kernel, circle\n"
+    )
+    names = {}
+    exec(compile(text, "<seed kernel>", "exec"), names)
+    return names["factory"]
 
 
 class KorobeinikSeries:

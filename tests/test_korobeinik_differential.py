@@ -17,10 +17,18 @@ Each kernel is checked against a slow reference kept in this file:
   the run from k = 0, and the verdicts read from that window (radius
   probes, bidisc samples, witnesses) against the full closed-form run,
   windows with zero terms (the fallback to k = 0) included;
+* the bidisc sample verdicts read from rounded ratios (``_rounded_median``)
+  against the exact ratios of the same window, on the shipped config, the
+  goldens, generated benchmark configs and windows with zero terms, and on
+  samples whose exact median sits on a margin, where the exact ratios must
+  decide; the witness's unreduced quotients against reduced Fractions;
 * ``cauchy_bound_check`` against a per-call run of the closed forms, and
   the one float evaluator of a seed (``pde._complex_evaluator``, which
   ``SeedFunction.value_at`` and ``derivative_at`` call at complex points)
   against the closed forms kept here, repr for repr, refusals included;
+* the compiled seed kernel and its Cauchy circle against the closure the
+  evaluator was before it was compiled, raw bit for raw bit, and Cauchy
+  reports on the shipped, golden and generated configs against that closure;
 * the one exact Taylor run of the seed (``pde._taylor_run``) against
   ``SeedFunction.derivative_at(u, j) / j!`` and the ``differentiated()``
   chain, from every start with strides 1 and 2, the boundary row
@@ -31,11 +39,17 @@ Each kernel is checked against a slow reference kept in this file:
 """
 
 import cmath
+import importlib.util
 import math
+import random
 import statistics
+import struct
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -1084,3 +1098,271 @@ def test_alpha_probe_fixed_cases():
     check_alpha_probe(catalan, [Fraction(1, 2)], 0, 16, us)
     check_alpha_probe(odd, [Fraction(1, 3), Fraction(-1, 5)], 0, 10, us)
     check_alpha_probe(POLY_ONLY, [Fraction(-1, 3), 0, Fraction(1, 7)], Fraction(1, 9), 6, us)
+
+
+# -- rounded sample verdicts --------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDENS = ("korobeinik_3pole", "korobeinik_catalan", "korobeinik_poly")
+
+
+def korobeinik_blocks(perfbench_seeds):
+    """The korobeinik sections of the shipped config, the three goldens and
+    the generated configs of the benchmark's seeds, drawn as
+    ``perfbench/workloads.py`` draws them."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", ROOT / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    texts = [(ROOT / "configs" / "catalan.yaml").read_text()]
+    texts += [(ROOT / "tests" / "golden" / g / "config.yaml").read_text() for g in GOLDENS]
+    for s in perfbench_seeds:
+        rng = random.Random(f"korobeinik:{s}")
+        texts += [inputs.korobeinik_config(rng, k) for k in range(10)]
+    return [yaml.safe_load(text)["korobeinik"] for text in texts]
+
+
+def median_verdict(med):
+    if med < 1.0 - HEURISTIC_MARGIN:
+        return "converges"
+    if med > 1.0 + HEURISTIC_MARGIN:
+        return "diverges"
+    return "inconclusive"
+
+
+def ref_exact_observe_point(seed, u, h_abs, K):
+    """The sample verdict from the exact ratios of the window run, as
+    ``_observe_point`` read it before its ratios were rounded."""
+    mags, first, step = korobeinik._tail_run(seed, u, K, 6)
+    pts = ratio_points(mags, h_abs * h_abs, step, first)
+    if first == 0 and len(pts) < RATIO_TAIL:
+        return "converges"
+    return median_verdict(statistics.median(r for _, r in pts[-5:]))
+
+
+def spy_rounded_median(monkeypatch):
+    """A list that gains each value ``_rounded_median`` returns from now
+    on: None where the exact ratios had to decide."""
+    returned = []
+    inner = korobeinik._rounded_median
+
+    def spy(*args):
+        returned.append(inner(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(korobeinik, "_rounded_median", spy)
+    return returned
+
+
+@pytest.mark.parametrize("K", [40, 80])
+def test_rounded_sample_verdicts_match_the_exact_ratios(K, monkeypatch):
+    rounded = spy_rounded_median(monkeypatch)
+    inner = korobeinik._observe_point
+    pairs = []
+
+    def both(seed, u, h_abs, K):
+        got = inner(seed, u, h_abs, K)
+        pairs.append((got, ref_exact_observe_point(seed, u, h_abs, K)))
+        return got
+
+    monkeypatch.setattr(korobeinik, "_observe_point", both)
+    for k in korobeinik_blocks(perfbench_seeds=(1, 2, 3)):
+        seed = SeedFunction.from_config(k["g1"])
+        bd = k["bidisc"]
+        bidisc_check(seed, k.get("u_star", 0), bd["R"], bd["R1"], bd.get("samples", 24), K)
+    assert len(pairs) > 200
+    assert all(got == want for got, want in pairs)
+    assert {got for got, _ in pairs} == {"converges", "diverges"}
+    # the rounded medians decided every sample: none lay near a margin
+    assert len(rounded) == len(pairs) and None not in rounded
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK_SEEDS))
+@pytest.mark.parametrize("K", [20, 41])
+def test_rounded_verdicts_on_windows_with_zero_terms(name, K, monkeypatch):
+    rounded = spy_rounded_median(monkeypatch)
+    seed = FALLBACK_SEEDS[name]
+    for h_abs in (Fraction(1, 8), Fraction(2), Fraction(50)):
+        got = _observe_point(seed, U_FALLBACK, h_abs, K)
+        assert got == ref_exact_observe_point(seed, U_FALLBACK, h_abs, K)
+    # these runs fall back to k = 0 and never reach the rounded ratios
+    assert rounded == []
+
+
+@pytest.mark.parametrize("edge", [1.0 - HEURISTIC_MARGIN, 1.0 + HEURISTIC_MARGIN])
+@pytest.mark.parametrize("nudge", [-1, 0, 1])
+def test_a_median_on_the_margin_takes_the_exact_ratios(edge, nudge, monkeypatch):
+    """|h| scaled from the exact median ratio at |h| = 1 puts the exact
+    median on the margin, to a few units in the last place; the rounded
+    median cannot decide there, and the exact ratios of the same window do."""
+    u, K = QComplex(Fraction(1, 16)), 40
+    mags, first, step = korobeinik._tail_run(THREE_POLE, u, K, 6)
+    unit = statistics.median(r for _, r in ratio_points(mags, 1, step, first))
+    h = edge / unit
+    for _ in range(abs(nudge)):
+        h = math.nextafter(h, math.copysign(math.inf, nudge))
+    h_abs = Fraction(h)
+    exact = statistics.median(r for _, r in ratio_points(mags, h_abs * h_abs, step, first))
+    assert abs(exact - edge) <= 8 * math.ulp(edge)
+    rounded = spy_rounded_median(monkeypatch)
+    exact_calls = []
+    inner = korobeinik.ratio_points
+
+    def spy(*args):
+        exact_calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(korobeinik, "ratio_points", spy)
+    got = _observe_point(THREE_POLE, u, h_abs, K)
+    assert rounded == [None] and len(exact_calls) == 1
+    assert got == ref_exact_observe_point(THREE_POLE, u, h_abs, K)
+    assert got == median_verdict(exact)
+
+
+def test_quotients_decide_like_reduced_fractions():
+    """The witness's unreduced quotients against Fractions: ratios on, just
+    above and below (1 + margin)**2, and windows whose last ratio equals
+    the first."""
+    lo_n, lo_d = ((1.0 + HEURISTIC_MARGIN) ** 2).as_integer_ratio()
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(300):
+        nums = [rng.choice([lo_n + 1, rng.randint(lo_n, 2 * lo_n)]) for _ in range(RATIO_TAIL)]
+        if rng.random() < 0.5:
+            nums[rng.randrange(RATIO_TAIL)] = rng.choice([lo_n, lo_n - 1])
+        window = []
+        for num in nums:
+            k = rng.randint(1, 10**30)
+            window.append((num * k, lo_d * k))
+        if rng.random() < 0.5:
+            window[-1] = (3 * window[0][0], 3 * window[0][1])
+        got = divergence_heuristic([korobeinik._Quotient(n, d) for n, d in window])
+        assert got == divergence_heuristic([Fraction(n, d) for n, d in window])
+        seen.add((got, window[-1][0] * window[0][1] == window[0][0] * window[-1][1]))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+# -- the compiled seed kernel -------------------------------------------------------
+
+
+def ref_closure_evaluator(seed, m):
+    """``_complex_evaluator`` as the closure it was before the seed was
+    compiled: the parts in a loop, each pole as c / (a - z) ** power."""
+    parts = []
+    for t in seed.terms:
+        if isinstance(t, PolyTerm):
+            cs = [t.coeffs[j] * math.perm(j, m) for j in range(len(t.coeffs) - 1, m - 1, -1)]
+            parts.append((None, tuple(complex(c) for c in cs), 0))
+        else:
+            c = t.c.to_complex() if isinstance(t.c, QComplex) else complex(t.c)
+            if m:
+                c = c * math.prod(range(t.n, t.n + m))
+            parts.append((t.a.to_complex(), c, t.n + m))
+
+    def evaluate(z):
+        total = None
+        for a, c, power in parts:
+            if a is None:
+                v = 0j
+                for cj in c:
+                    v = v * z + cj
+            else:
+                try:
+                    v = c / (a - z) ** power
+                except ZeroDivisionError:
+                    raise pde._zero_power(a, z, power, m) from None
+            total = v if total is None else total + v
+        return total
+
+    return evaluate
+
+
+def raw_bits(x):
+    """The float's 64 bits: its hex() and, for a nan, sign and payload."""
+    return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+
+def bits_outcome(f):
+    """Raw bits of the real and imaginary parts, or of each float in a list,
+    or the type and text of the exception raised."""
+    try:
+        v = f()
+    except (DomainError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(v, complex):
+        return raw_bits(v.real), raw_bits(v.imag)
+    return [raw_bits(x) for x in v]
+
+
+KERNEL_SEEDS = {
+    # a pair of poles of order 1 and 2 with complex residues, a real pole
+    # and a polynomial part
+    "mixed": SeedFunction(
+        [
+            PoleTerm(QComplex(Fraction(3, 2), 2), QComplex(1, Fraction(1, 4)), 1),
+            PoleTerm(QComplex(Fraction(3, 2), -2), QComplex(1, Fraction(-1, 4)), 2),
+            PoleTerm(QComplex(Fraction(-5, 2)), Fraction(-7, 8), 1),
+            PolyTerm((Fraction(0), Fraction(-1, 2), Fraction(0), Fraction(3))),
+        ]
+    ),
+    "three first-order poles": THREE_POLE,
+    # a first-order pole past the bound that the bare form needs
+    "far pole": SeedFunction(
+        [PoleTerm(QComplex(2**1001), Fraction(1), 1), PoleTerm(QComplex(Fraction(1, 3), Fraction(-1, 7)), Fraction(2), 1)]
+    ),
+    # a first-order pole inside the bound, which a circle of radius near the
+    # largest float overflows: there (a - z) ** 1 raises and a - z does not
+    "pole near the bound": SeedFunction([PoleTerm(QComplex(2**999), Fraction(1), 1)]),
+    "polynomial": POLY_ONLY,
+}
+KERNEL_POINTS = [
+    0j,
+    complex(-0.0, 0.0),
+    complex(0.0, -0.0),
+    complex(-0.0, -0.0),
+    0.5 - 0.25j,
+    complex(-1.25, -0.0),
+    complex(-0.0, 3.0),
+    complex(1.5, 2.0),  # on a pole of "mixed"
+    complex(1e300, -1e300),
+    complex(math.inf, 0.0),
+    complex(math.nan, 1.0),
+]
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SEEDS))
+def test_seed_kernel_keeps_the_closure_bits(name):
+    seed = KERNEL_SEEDS[name]
+    for m in range(21):
+        kernel, ref = _complex_evaluator(seed, m), ref_closure_evaluator(seed, m)
+        for z in KERNEL_POINTS:
+            assert bits_outcome(lambda: kernel(z)) == bits_outcome(lambda: ref(z)), (m, z)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SEEDS) + ["catalan"])
+@pytest.mark.parametrize("rho", [0.75, 1.0, 2.5, 2.0**1001, sys.float_info.max])
+def test_seed_circle_keeps_the_closure_abs_bits(name, rho):
+    """The circle writes first-order poles bare, under an abs; at rho = 1 it
+    meets the pole of the Catalan seed, beyond 2**1000 it calls the kernel."""
+    seed = CATALAN if name == "catalan" else KERNEL_SEEDS[name]
+    roots = korobeinik._circle_roots()
+    ref = ref_closure_evaluator(seed, 0)
+    _, circle = pde._seed_kernels(seed, 0)
+    got = bits_outcome(lambda: circle(rho, roots))
+    want = bits_outcome(lambda: [abs(ref(rho * e)) for e in roots])
+    assert got == want
+
+
+def test_cauchy_reports_keep_the_closure_bits():
+    for k in korobeinik_blocks(perfbench_seeds=range(1, 6)):
+        seed = SeedFunction.from_config(k["g1"])
+        cb = k["cauchy"]
+        r, r0, eps = (parse_exact(cb[key]) for key in ("r", "r0", "eps"))
+        closures = {}
+
+        def closed_form(z, m):
+            if m not in closures:
+                closures[m] = ref_closure_evaluator(seed, m)
+            return closures[m](z)
+
+        got = cauchy_bound_check(seed, r, r0, eps, cb["n_max"])
+        assert repr(got) == repr(ref_cauchy(seed, r, r0, eps, cb["n_max"], closed_form))

@@ -14,9 +14,9 @@ Everything that can be decided in exact rational arithmetic is: squared
 pole distances, bidisc classification, membership tests, and the
 divergence-witness confirmation (whose term ratios overflow float range
 long before the heuristic window is reached). Floats appear in the
-Cauchy check, in the rounded ratios of a bidisc sample, which fall back to
-the exact ones wherever they cannot decide, and in the final ratio-limit
-extrapolation and reports.
+Cauchy check, in the terms of a bidisc sample, which fall back to the
+exact ones wherever their error bound cannot decide, and in the final
+ratio-limit extrapolation and reports.
 
 The exact terms g_n(u) are not built from the closed form
 g1^(2k)(u)/(k!(k+1)!) one n at a time. g_{k+1}(u) = Catalan_k [z**(2k)]
@@ -36,12 +36,18 @@ A radius probe and the witness square the terms whose ratios they read,
 into integers M_k over the denominator den0**2 step**k, so each term ratio
 is one integer true division of consecutive M_k (``_tail_run``,
 ``ratio_points``); the witness compares its squared ratios by integer
-cross-multiplication (``_Quotient``), with no gcd. A bidisc sample squares
-nothing: its last six terms, the step and |h|**2 are rounded to floats
-from their top 64 bits, and the median of the five ratios carries a
-proven relative error bound (``_rounded_median``). Only a median within
-that bound of 1 +- HEURISTIC_MARGIN, or a scaled value that is not a
-normal float, sends the sample to the exact ratios of the same terms, so
+cross-multiplication (``_Quotient``), with no gcd. Their float ratios
+reach the printed reports bit for bit, so they stay exact. A bidisc sample
+reports only a verdict, and computes its eleven window terms in floats
+(``_float_median``): each w = 1/(a - u) is rounded once from the exact
+difference, each pole takes one binary power of w and then steps by w**2,
+and consecutive Catalan numbers enter the ratios as the exact factor
+2(2k+1)/(k+2). Each term carries a forward error bound (Higham, ch. 3;
+complex products after Brent, Percival and Zimmermann) with a safety
+factor of 100. The float median decides only when all eleven terms are
+proven nonzero (so the exact run would take its window too), every
+product stays far inside float range, and the median lies outside its
+bound of 1 +- HEURISTIC_MARGIN; otherwise the exact window run decides, so
 every verdict is the exact one.
 
 Seeds and points are read exactly where they enter: a float or complex
@@ -56,15 +62,17 @@ import functools
 import math
 import random
 import statistics
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, UsageError
 from .pde import (
+    PoleTerm,
+    PolyTerm,
     ProblemData,
     SeedFunction,
     _complex_evaluator,
+    _gauss_pow,
     _seed_b0,
     _seed_kernels,
     _taylor_run,
@@ -123,20 +131,14 @@ def _window_run(seed: SeedFunction, u: QComplex, K: int):
     return terms, 0, L2
 
 
-def _squared(terms, first, read):
-    """(M, first): a window's last ``read`` terms squared, or every term of
-    a run from k = 0 (first = 0), with
-    |g_{k+1}(u)|**2 = M[k - first] / (den0**2 L**(4k))."""
+def _tail_run(seed: SeedFunction, u: QComplex, K: int, read: int):
+    """(M, first, step): the last ``read`` terms of ``_window_run`` squared,
+    or every term of a run from k = 0 (first = 0), with
+    |g_{k+1}(u)|**2 = M[k - first] / (den0**2 step**k) and step = L**4."""
+    terms, first, L2 = _window_run(seed, u, K)
     if first:
         terms, first = terms[-read:], first + len(terms) - read
-    return [x * x + y * y for x, y in terms], first
-
-
-def _tail_run(seed: SeedFunction, u: QComplex, K: int, read: int):
-    """(M, first, step): the squared terms of ``_window_run`` that a verdict
-    reads, ``_squared``, and step = L**4."""
-    terms, first, L2 = _window_run(seed, u, K)
-    return (*_squared(terms, first, read), L2 * L2)
+    return [x * x + y * y for x, y in terms], first, L2 * L2
 
 
 def ratio_points(mags2, h_abs2=None, step=1, first=0):
@@ -396,17 +398,43 @@ def bidisc_check(
     )
 
 
+def _limit_denominator(x: float, max_den: int) -> Fraction:
+    """Fraction(x).limit_denominator(max_den) in integers: the fraction
+    nearest x with a denominator of at most max_den, from the continued
+    fraction of x's integer ratio. The walk, the bound on the last
+    semiconvergent and the tie rule (the convergent p1/q1 wins a tie) are
+    CPython's, so the result is the identical Fraction, with no Fraction
+    arithmetic on the way."""
+    n, d = x.as_integer_ratio()
+    if d <= max_den:
+        return Fraction(n, d)
+    den = d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > max_den:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (max_den - q0) // q1
+    # p1/q1 is d/(q1 den) from x and 1/(q1 (q0 + k q1)) from the semiconvergent
+    if 2 * d * (q0 + k * q1) <= den:
+        return Fraction(p1, q1)
+    return Fraction(p0 + k * p1, q0 + k * q1)
+
+
 def _sample_bidisc_point(rnd, u0, R, R1, complex_h=False):
     """Rational point of the open bidisc; |h| stays exactly rational."""
     den = 128
     while True:
-        xr = Fraction(rnd.uniform(-1.0, 1.0)).limit_denominator(den)
-        yr = Fraction(rnd.uniform(-1.0, 1.0)).limit_denominator(den)
+        xr = _limit_denominator(rnd.uniform(-1.0, 1.0), den)
+        yr = _limit_denominator(rnd.uniform(-1.0, 1.0), den)
         if 0 < xr * xr + yr * yr < 1:
             break
     u = QComplex(u0.re + R * xr, u0.im + R * yr)
     while True:
-        m = Fraction(rnd.uniform(0.0, 1.0)).limit_denominator(den) * R1
+        m = _limit_denominator(rnd.uniform(0.0, 1.0), den) * R1
         if m != 0:
             break
     if complex_h:
@@ -417,14 +445,17 @@ def _sample_bidisc_point(rnd, u0, R, R1, complex_h=False):
 
 
 def _classify_sample(seed, u, h, h_abs, K):
-    d2 = seed.min_pole_distance2(u)
+    """The sample's predicted class from the exact 4|h| against d(u)**2, and
+    its observed verdict; both read the exact differences a - u."""
+    diffs = [a - u for a in seed.poles()]
+    d2 = min((z.abs2() for z in diffs), default=None)
     if d2 is None or 4 * h_abs < d2:
         predicted = "converges"
     elif 4 * h_abs > d2:
         predicted = "diverges"
     else:
         predicted = "boundary"
-    observed = _observe_point(seed, u, h_abs, K)
+    observed = _observe_point(seed, u, h_abs, K, diffs)
     return BidiscSample(
         u=u.to_complex(),
         h=h.to_complex(),
@@ -433,21 +464,21 @@ def _classify_sample(seed, u, h, h_abs, K):
     )
 
 
-def _observe_point(seed, u, h_abs, K) -> str:
-    """Ratio-tail verdict for the series at a concrete (u, h): the median
-    of the last five ratios, read from the last six terms.
+def _observe_point(seed, u, h_abs, K, diffs=None) -> str:
+    """Ratio-tail verdict for the series at a concrete (u, h), |h| = h_abs
+    exact: the median of the last five ratios, read from the last six terms.
 
-    From a window run the ratios are first rounded (``_rounded_median``);
-    the exact ratios of the same terms (``ratio_points``) are computed only
-    when the rounded median cannot decide, so the verdict is always the
-    exact one."""
-    terms, first, L2 = _window_run(seed, u, K)
-    h2 = parse_exact(h_abs * h_abs, "h_abs2")
-    step = L2 * L2
-    med = _rounded_median(terms[-6:], step, h2) if first else None
+    The terms are first computed in floats from the differences
+    diffs = [a - u] of the seed's poles (``_float_median``); only where the
+    error bound of that path cannot decide do the exact ratios of the window
+    run (``_tail_run``, ``ratio_points``) decide, so the verdict is always
+    the exact one."""
+    if diffs is None:
+        diffs = [a - u for a in seed.poles()]
+    med = _float_median(seed, diffs, h_abs, K)
     if med is None:
-        mags, first = _squared(terms, first, 6)
-        pts = ratio_points(mags, h2, step, first)
+        mags, first, step = _tail_run(seed, u, K, 6)
+        pts = ratio_points(mags, h_abs * h_abs, step, first)
         # a window run (first > 0) had RATIO_TAIL + 1 nonzero terms
         if first == 0 and len(pts) < RATIO_TAIL:
             return "converges"  # terminating terms: polynomial seed
@@ -459,56 +490,126 @@ def _observe_point(seed, u, h_abs, K) -> str:
     return "inconclusive"
 
 
-# Relative error bound of a ratio of ``_rounded_median`` against the float
-# ratio ``ratio_points`` gives for the same terms, with a safety factor of
-# 100. With u = 2**-53: an integer rounded to its top 64 bits and then to a
-# float is off by at most 2**-63 + u relative (a Gaussian integer: its
-# modulus, by at most sqrt(2) 2**-63 + u, the shift being shared). A squared
-# modulus x*x + y*y then carries 4u (two conversions squared, a product, a
-# sum), a quotient of two of them 9u, the factor h2n / (h2d step) 5u (three
-# conversions, a product, a quotient), their product u more, and ldexp is
-# exact on a normal result: 15u for the squared ratio, 7.5u + u/2 after the
-# square root. ``ratio_points`` rounds the exact quotient once and then its
-# square root, 1u. So the two ratios differ by at most 9u (1.0e-15) relative,
-# and the median of five moves by at most the largest such difference.
-_ROUNDED_RATIO_ERR = 1e-13
+# Error bound of ``_float_median`` against the float ratios that
+# ``ratio_points`` gives for the exact window, with u = 2**-53 (Higham,
+# Accuracy and Stability of Numerical Algorithms, ch. 3: gamma_n = nu/(1 - nu)).
+# Every product and every rounded input below has a modulus in
+# [_FLOAT_LO, _FLOAT_HI], so no part of it overflows, and a part that
+# underflows errs by at most 2**-1075 absolute, under 2**-170 of the modulus,
+# which the safety factor absorbs: the usual relative error model holds.
+# - w = 1/(a - u) and c are rounded from exact values, the binomial
+#   C(m+2k-1, 2k) from an integer and the Catalan factor 2(2k+1)/(k+2) from
+#   two: each errs by at most u (a complex one part by part, so in modulus too).
+# - A complex product errs by at most sqrt(5) u < 3u relative (Brent, Percival
+#   and Zimmermann, Math. Comp. 76 (2007) 1469-1481), a square formed as
+#   ((x + y)(x - y), 2xy) by at most 3u, and a real times a complex one by u.
+# - w**E, by one binary power (``pde._gauss_pow``) and steps by w**2, is a
+#   product tree of E factors w whose E - 1 products count once per use: a
+#   relative error of at most (1 + u)**E (1 + 3u)**(E-1). Times c, the
+#   binomial and their product: each pole's term t carries gamma_{4E+3}
+#   relative.
+# - n terms add up part by part with gamma_{n-1} times sqrt(2) sum |t|.
+# So |S - S_exact| <= (4E + 2n + 3) u A (1 + O(u)) with A = sum |t| over
+# the poles and E the largest exponent, and the term bound is that times
+# _SAFETY. A term whose modulus exceeds its bound is nonzero, and its
+# modulus is within bound / |S| of the exact one, relative.
+# A ratio |h| q_k |S_{k+1}| / |S_k| adds nine roundings (|h|, q_k, their
+# product, two moduli of 2u each, the quotient, the product), and the exact
+# path's ratio is within 1.5u of the true one (a correctly rounded square,
+# then its root): 11u, times _SAFETY, on top of the two terms' relative
+# bounds. The median of five ratios moves by at most the largest of them.
+_UNIT = 2.0**-53
+_SAFETY = 100
+_FLOAT_LO = 2.0**-900
+_FLOAT_HI = 2.0**900
 
 
-def _rounded(x: int, y: int = 0):
-    """(a, b, e) with x ~ a 2**e and y ~ b 2**e: the floats of their top 64
-    bits under one shift e >= 0."""
-    e = max(max(x.bit_length(), y.bit_length()) - 64, 0)
-    return float(x >> e), float(y >> e), e
+def _float_median(seed, diffs, h_abs, K):
+    """The median of the last five ratios |h| |g_{k+2}(u)| / |g_{k+1}(u)| in
+    floats, or None when it cannot decide the verdict.
 
-
-def _rounded_median(terms, step, h2):
-    """The median of the five ratios |h| |t_{k+1}| / |t_k| of six nonzero
-    Gaussian-integer terms, in floats from their top bits, with no big-integer
-    square or division; None when it lies within _ROUNDED_RATIO_ERR of
-    1 +- HEURISTIC_MARGIN, or a scaled value is not finite or not normal.
-
-    With |t_k| ~ |(x_k, y_k)| 2**e_k, step ~ s 2**es and h2 ~ (hn / hd)
-    2**(ehn - ehd), the squared ratio is
-    (x_k**2 + y_k**2) / (x_{k-1}**2 + y_{k-1}**2) hn / (hd s)
-    times 2**(2 (e_k - e_{k-1}) + ehn - ehd - es).
+    g_{k+1}(u) = Catalan_k S_k with S_k = sum_p c_p C(m_p+2k-1, 2k) w_p**(m_p+2k)
+    over the poles c_p/(a_p - u)**m_p, and w_p = 1/(a_p - u) rounded once from
+    the exact difference in ``diffs``.
+    The eleven terms k = k0..K-1, k0 = K - RATIO_TAIL - 1, that the exact
+    window run would take start from one binary power of w_p per pole and
+    step by w_p**2; consecutive Catalan numbers enter the ratios as the exact
+    factor 2(2k+1)/(k+2). None (the exact path decides) when a polynomial part
+    reaches the window, when a term is not proven nonzero by its error bound
+    (the exact run would then fall back to k = 0), when a modulus or a squared
+    ratio leaves [_FLOAT_LO, _FLOAT_HI], or when the median lies within its
+    bound of 1 +- HEURISTIC_MARGIN.
     """
-    hn, _, ehn = _rounded(h2.numerator)
-    hd, _, ehd = _rounded(h2.denominator)
-    s, _, es = _rounded(step)
-    scale = hn / (hd * s)
-    shift = ehn - ehd - es
-    mods = [(a * a + b * b, e) for a, b, e in (_rounded(x, y) for x, y in terms)]
-    ratios = []
-    for (m0, e0), (m1, e1) in zip(mods, mods[1:]):
-        try:
-            r2 = math.ldexp(m1 / m0 * scale, 2 * (e1 - e0) + shift)
-        except OverflowError:
+    k0 = K - RATIO_TAIL - 1
+    poles = [t for t in seed.terms if isinstance(t, PoleTerm)]
+    if k0 <= 0 or not poles:
+        return None
+    if any(2 * k0 < len(t.coeffs) for t in seed.terms if isinstance(t, PolyTerm)):
+        return None
+    try:
+        h = float(h_abs)
+        cs = [
+            complex(float(t.c.re), float(t.c.im)) if isinstance(t.c, QComplex) else float(t.c)
+            for t in poles
+        ]
+        ws = []
+        for z in diffs:
+            # a - u = (x + i y) / qs over the product qs of its denominators
+            x, y = z.re.numerator * z.im.denominator, z.im.numerator * z.re.denominator
+            qs, n2 = z.re.denominator * z.im.denominator, x * x + y * y
+            ws.append(complex(qs * x / n2, -(qs * y) / n2))
+    except (OverflowError, ZeroDivisionError):
+        return None
+    if not _FLOAT_LO <= h <= _FLOAT_HI:
+        return None
+    S = [0j] * (RATIO_TAIL + 1)
+    A = [0.0] * (RATIO_TAIL + 1)
+    for t, c, w in zip(poles, cs, ws):
+        m = t.n
+        p = p0 = complex(*_gauss_pow(w.real, w.imag, m + 2 * k0))
+        w2 = w * w
+        b = 1.0
+        for i in range(RATIO_TAIL + 1):
+            if i:
+                p *= w2
+            if m > 1:
+                k = k0 + i
+                try:
+                    b = float(math.comb(m + 2 * k - 1, 2 * k))
+                except OverflowError:
+                    return None
+            term = c * b * p
+            a = abs(term)
+            if not _FLOAT_LO <= a <= _FLOAT_HI:
+                return None
+            S[i] += term
+            A[i] += a
+        # the powers of w between w and its last power, and c times the
+        # (nondecreasing) binomials, stay between these moduli
+        ends = (abs(w), abs(c), abs(p0), abs(p), abs(c) * b)
+        if not (_FLOAT_LO <= min(ends) and max(ends) <= _FLOAT_HI):
             return None
-        if not sys.float_info.min <= r2 <= sys.float_info.max:
+    # the term bound (4E + 2n + 3) u A, times _SAFETY, with E = max m_p + 2k
+    units = _SAFETY * _UNIT
+    fixed = 4 * max(t.n for t in poles) + 2 * len(poles) + 3
+    mods, rels = [], []
+    for i, (s, a) in enumerate(zip(S, A)):
+        mod = abs(s)
+        bound = units * (fixed + 8 * (k0 + i)) * a
+        if mod <= bound:
+            return None  # not proven nonzero
+        mods.append(mod)
+        rels.append(bound / mod)
+    ratios, tol = [], 0.0
+    for i in range(RATIO_TAIL - 5, RATIO_TAIL):
+        k = k0 + i
+        r = h * (2 * (2 * k + 1) / (k + 2)) * (mods[i + 1] / mods[i])
+        if not _FLOAT_LO <= r * r <= _FLOAT_HI:
             return None
-        ratios.append(math.sqrt(r2))
+        ratios.append(r)
+        tol = max(tol, rels[i] + rels[i + 1])
     med = statistics.median(ratios)
-    tol = med * _ROUNDED_RATIO_ERR
+    tol = med * (tol + 11 * units)
     for edge in (1.0 - HEURISTIC_MARGIN, 1.0 + HEURISTIC_MARGIN):
         if abs(med - edge) <= tol:
             return None
@@ -528,7 +629,7 @@ def _divergence_witness(seed, u0, R, R1):
     t_lo = max(0.0, 1.0 - 2.0 * math.sqrt(float(R1)) / sq_d)
     t_hi = min(1.0, float(R) / sq_d)
     for mid in (0.5, 0.45, 0.55, 0.4, 0.6, 0.35, 0.65):
-        t = Fraction(t_lo + (t_hi - t_lo) * mid).limit_denominator(1000)
+        t = _limit_denominator(t_lo + (t_hi - t_lo) * mid, 1000)
         u = QComplex(u0.re + t * (a.re - u0.re), u0.im + t * (a.im - u0.im))
         d2u = seed.min_pole_distance2(u)
         if t * t * d2 < R * R and d2u < 4 * R1 and d2u > 0:

@@ -627,7 +627,8 @@ class BridgeCheck:
 
 
 def _gauss_pow(zr: int, zi: int, n: int):
-    """(zr + i zi)**n for n >= 0 by binary powering (Knuth, TAOCP 2, 4.6.3)."""
+    """(zr + i zi)**n for n >= 0 by binary powering (Knuth, TAOCP 2, 4.6.3), in
+    Gaussian integers or, for the bidisc samples, in floats."""
     pr, pi = 1, 0
     while n:
         if n & 1:

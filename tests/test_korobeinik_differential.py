@@ -17,11 +17,15 @@ Each kernel is checked against a slow reference kept in this file:
   the run from k = 0, and the verdicts read from that window (radius
   probes, bidisc samples, witnesses) against the full closed-form run,
   windows with zero terms (the fallback to k = 0) included;
-* the bidisc sample verdicts read from rounded ratios (``_rounded_median``)
+* the bidisc sample verdicts decided from float terms (``_float_median``)
   against the exact ratios of the same window, on the shipped config, the
-  goldens, generated benchmark configs and windows with zero terms, and on
-  samples whose exact median sits on a margin, where the exact ratios must
-  decide; the witness's unreduced quotients against reduced Fractions;
+  goldens and generated benchmark configs at K = 20, 40, 80 and 200, and on
+  the samples the floats cannot decide (windows with zero terms, a
+  polynomial part in the window, float range left, a median on a margin),
+  where the exact path must run once; the integer ``_limit_denominator``
+  against ``Fraction.limit_denominator`` and the sampled points against the
+  Fraction sampler; the witness's unreduced quotients against reduced
+  Fractions;
 * ``cauchy_bound_check`` against a per-call run of the closed forms, and
   the one float evaluator of a seed (``pde._complex_evaluator``, which
   ``SeedFunction.value_at`` and ``derivative_at`` call at complex points)
@@ -137,8 +141,9 @@ def ref_radius_probe(seed, u, K):
     return ConvergenceReport(u.to_complex(), ratios, est, pred, verdict)
 
 
-def ref_observe_point(seed, u, h_abs, K):
-    """The bidisc sample verdict over the closed-form magnitudes of the whole run."""
+def ref_observe_point(seed, u, h_abs, K, diffs=None):
+    """The bidisc sample verdict over the closed-form magnitudes of the whole
+    run; the pole differences a - u that ``bidisc_check`` passes are unused."""
     mags2 = ref_magnitudes2(korobeinik_series(seed, u, K), u, K)
     pts = ratio_points(mags2, h_abs * h_abs)
     if len(pts) < RATIO_TAIL:
@@ -853,7 +858,9 @@ def test_pole_seeds_read_only_the_window(monkeypatch):
     )
     radius_probe(THREE_POLE, Fraction(1, 16), 60)
     K_w = rep.witness.terms
-    assert starts == [(40, 29)] * 6 + [(K_w, K_w - RATIO_TAIL - 1), (60, 49)]
+    # the six samples are decided in floats (``_float_median``) and run no
+    # exact terms; the witness and the probe run only their windows
+    assert starts == [(K_w, K_w - RATIO_TAIL - 1), (60, 49)]
 
 
 # -- cauchy and bridge --------------------------------------------------------------
@@ -1100,7 +1107,7 @@ def test_alpha_probe_fixed_cases():
     check_alpha_probe(POLY_ONLY, [Fraction(-1, 3), 0, Fraction(1, 7)], Fraction(1, 9), 6, us)
 
 
-# -- rounded sample verdicts --------------------------------------------------------
+# -- float sample verdicts ----------------------------------------------------------
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDENS = ("korobeinik_3pole", "korobeinik_catalan", "korobeinik_poly")
@@ -1129,71 +1136,103 @@ def median_verdict(med):
     return "inconclusive"
 
 
-def ref_exact_observe_point(seed, u, h_abs, K):
-    """The sample verdict from the exact ratios of the window run, as
-    ``_observe_point`` read it before its ratios were rounded."""
+def exact_median(seed, u, h_abs, K):
+    """The median of the last five exact ratios of the window run; None for
+    terminating terms."""
     mags, first, step = korobeinik._tail_run(seed, u, K, 6)
     pts = ratio_points(mags, h_abs * h_abs, step, first)
     if first == 0 and len(pts) < RATIO_TAIL:
-        return "converges"
-    return median_verdict(statistics.median(r for _, r in pts[-5:]))
+        return None
+    return statistics.median(r for _, r in pts[-5:])
 
 
-def spy_rounded_median(monkeypatch):
-    """A list that gains each value ``_rounded_median`` returns from now
-    on: None where the exact ratios had to decide."""
+def ref_exact_observe_point(seed, u, h_abs, K):
+    """The sample verdict from the exact ratios of the window run, as
+    ``_observe_point`` read it before its terms were computed in floats."""
+    med = exact_median(seed, u, h_abs, K)
+    return "converges" if med is None else median_verdict(med)
+
+
+def spy_float_median(monkeypatch):
+    """A list that gains each value ``_float_median`` returns from now on:
+    None where the exact ratios had to decide."""
     returned = []
-    inner = korobeinik._rounded_median
+    inner = korobeinik._float_median
 
     def spy(*args):
         returned.append(inner(*args))
         return returned[-1]
 
-    monkeypatch.setattr(korobeinik, "_rounded_median", spy)
+    monkeypatch.setattr(korobeinik, "_float_median", spy)
     return returned
 
 
-@pytest.mark.parametrize("K", [40, 80])
-def test_rounded_sample_verdicts_match_the_exact_ratios(K, monkeypatch):
-    rounded = spy_rounded_median(monkeypatch)
+def spy_exact_runs(monkeypatch):
+    """A list that gains the arguments of each exact window run (``_tail_run``)."""
+    calls = []
+    inner = korobeinik._tail_run
+
+    def spy(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(korobeinik, "_tail_run", spy)
+    return calls
+
+
+@pytest.mark.parametrize("K", [20, 40, 80, 200])
+def test_float_sample_verdicts_match_the_exact_ratios(K, monkeypatch):
+    returned = spy_float_median(monkeypatch)
     inner = korobeinik._observe_point
     pairs = []
 
-    def both(seed, u, h_abs, K):
-        got = inner(seed, u, h_abs, K)
-        pairs.append((got, ref_exact_observe_point(seed, u, h_abs, K)))
+    def both(seed, u, h_abs, K, diffs):
+        got = inner(seed, u, h_abs, K, diffs)
+        med = exact_median(seed, u, h_abs, K)
+        pairs.append((got, "converges" if med is None else median_verdict(med)))
+        # far inside its proven bound, the float median is the exact one
+        assert returned[-1] is None or abs(returned[-1] - med) <= 1e-12 * med
         return got
 
     monkeypatch.setattr(korobeinik, "_observe_point", both)
+    reach = 0  # samples of seeds whose polynomial part reaches the window
     for k in korobeinik_blocks(perfbench_seeds=(1, 2, 3)):
         seed = SeedFunction.from_config(k["g1"])
         bd = k["bidisc"]
-        bidisc_check(seed, k.get("u_star", 0), bd["R"], bd["R1"], bd.get("samples", 24), K)
+        samples = bd.get("samples", 24)
+        bidisc_check(seed, k.get("u_star", 0), bd["R"], bd["R1"], samples, K)
+        polys = [t for t in seed.terms if isinstance(t, PolyTerm)]
+        reach += samples * any(len(t.coeffs) > 2 * (K - RATIO_TAIL - 1) for t in polys)
     assert len(pairs) > 200
     assert all(got == want for got, want in pairs)
     assert {got for got, _ in pairs} == {"converges", "diverges"}
-    # the rounded medians decided every sample: none lay near a margin
-    assert len(rounded) == len(pairs) and None not in rounded
+    # the float path decided every sample but those whose polynomial part
+    # reaches the window (the degree-40 golden at K = 20): none lay near a
+    # margin or out of float range
+    assert len(returned) == len(pairs)
+    assert returned.count(None) == reach == (8 if K == 20 else 0)
 
 
 @pytest.mark.parametrize("name", sorted(FALLBACK_SEEDS))
 @pytest.mark.parametrize("K", [20, 41])
-def test_rounded_verdicts_on_windows_with_zero_terms(name, K, monkeypatch):
-    rounded = spy_rounded_median(monkeypatch)
+def test_float_verdicts_on_windows_with_zero_terms(name, K, monkeypatch):
     seed = FALLBACK_SEEDS[name]
-    for h_abs in (Fraction(1, 8), Fraction(2), Fraction(50)):
-        got = _observe_point(seed, U_FALLBACK, h_abs, K)
-        assert got == ref_exact_observe_point(seed, U_FALLBACK, h_abs, K)
-    # these runs fall back to k = 0 and never reach the rounded ratios
-    assert rounded == []
+    hs = (Fraction(1, 8), Fraction(2), Fraction(50))
+    want = [ref_exact_observe_point(seed, U_FALLBACK, h_abs, K) for h_abs in hs]
+    returned = spy_float_median(monkeypatch)
+    exact_runs = spy_exact_runs(monkeypatch)
+    assert [_observe_point(seed, U_FALLBACK, h_abs, K) for h_abs in hs] == want
+    # no window term is proven nonzero in floats, so each sample runs the
+    # exact path once (which then falls back to k = 0)
+    assert returned == [None] * 3 and len(exact_runs) == 3
 
 
 @pytest.mark.parametrize("edge", [1.0 - HEURISTIC_MARGIN, 1.0 + HEURISTIC_MARGIN])
 @pytest.mark.parametrize("nudge", [-1, 0, 1])
 def test_a_median_on_the_margin_takes_the_exact_ratios(edge, nudge, monkeypatch):
     """|h| scaled from the exact median ratio at |h| = 1 puts the exact
-    median on the margin, to a few units in the last place; the rounded
-    median cannot decide there, and the exact ratios of the same window do."""
+    median on the margin, to a few units in the last place; the float
+    median cannot decide there, and the exact ratios of the window do."""
     u, K = QComplex(Fraction(1, 16)), 40
     mags, first, step = korobeinik._tail_run(THREE_POLE, u, K, 6)
     unit = statistics.median(r for _, r in ratio_points(mags, 1, step, first))
@@ -1203,7 +1242,8 @@ def test_a_median_on_the_margin_takes_the_exact_ratios(edge, nudge, monkeypatch)
     h_abs = Fraction(h)
     exact = statistics.median(r for _, r in ratio_points(mags, h_abs * h_abs, step, first))
     assert abs(exact - edge) <= 8 * math.ulp(edge)
-    rounded = spy_rounded_median(monkeypatch)
+    want = ref_exact_observe_point(THREE_POLE, u, h_abs, K)
+    returned = spy_float_median(monkeypatch)
     exact_calls = []
     inner = korobeinik.ratio_points
 
@@ -1213,9 +1253,114 @@ def test_a_median_on_the_margin_takes_the_exact_ratios(edge, nudge, monkeypatch)
 
     monkeypatch.setattr(korobeinik, "ratio_points", spy)
     got = _observe_point(THREE_POLE, u, h_abs, K)
-    assert rounded == [None] and len(exact_calls) == 1
-    assert got == ref_exact_observe_point(THREE_POLE, u, h_abs, K)
-    assert got == median_verdict(exact)
+    assert returned == [None] and len(exact_calls) == 1
+    assert got == want == median_verdict(exact)
+
+
+ORDER_300_POLE = SeedFunction([PoleTerm(QComplex(1), Fraction(1), 300)])
+UNDECIDED_IN_FLOATS = {
+    # the degree-58 part adds to the window's first term at K = 40
+    "polynomial reaching the window": (
+        SeedFunction([PoleTerm(QComplex(1), Fraction(1)),
+                      PolyTerm((Fraction(2),) + (Fraction(0),) * 57 + (Fraction(1, 3),))]),
+        QComplex(Fraction(1, 3)), Fraction(1, 16), 40),
+    "poles cancelling at u": (
+        FALLBACK_SEEDS["symmetric equal residues"], U_FALLBACK, Fraction(1, 8), 40),
+    # w = 10/3 and -10/7 with residues 1 and (7/3)**61: the window's second
+    # term (k = 30) is zero, but its float parts do not cancel exactly
+    "one window term cancelling": (
+        SeedFunction([PoleTerm(QComplex(Fraction(3, 10)), Fraction(1)),
+                      PoleTerm(QComplex(Fraction(-7, 10)), Fraction(7, 3) ** 61)]),
+        QComplex(0), Fraction(1, 100), 40),
+    # |w| = 2**20: w**59 leaves float range
+    "pole near u": (CATALAN, QComplex(1 - Fraction(1, 2**20)), Fraction(1, 8), 40),
+    # |w| = 1/11585: w**79 is a subnormal float
+    "term underflowing": (CATALAN, QComplex(1 - 11585), Fraction(11585**2, 8), 40),
+    # |w| = 2: w**1179 and w**9979 leave float range
+    "K = 600": (CATALAN, QComplex(Fraction(1, 2)), Fraction(1, 8), 600),
+    "K = 5000": (CATALAN, QComplex(Fraction(1, 2)), Fraction(1, 8), 5000),
+    # |w| = 1, but C(299 + 2k, 2k) exceeds 2**1024 for k >= 589
+    "binomial out of range": (ORDER_300_POLE, QComplex(0), Fraction(1, 8), 600),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNDECIDED_IN_FLOATS))
+def test_the_exact_path_runs_once_where_floats_cannot_decide(name, monkeypatch):
+    seed, u, h_abs, K = UNDECIDED_IN_FLOATS[name]
+    want = ref_exact_observe_point(seed, u, h_abs, K)
+    returned = spy_float_median(monkeypatch)
+    exact_runs = spy_exact_runs(monkeypatch)
+    # no OverflowError escapes the float path
+    assert _observe_point(seed, u, h_abs, K) == want
+    assert returned == [None] and len(exact_runs) == 1
+
+
+# -- bidisc sample points -----------------------------------------------------------
+
+
+def limit_denominator_cases():
+    """Seeded floats in [-1, 1] and [0, 1], with the values where the
+    continued-fraction walk or its tie rule turns: zeros, +-1, k/128, the
+    dyadic ties (2j + 1)/256 between two fractions of denominator <= 128 and
+    their neighbours, and subnormals."""
+    rng = random.Random(29)
+    xs = [rng.uniform(-1.0, 1.0) for _ in range(50_000)]
+    xs += [rng.uniform(0.0, 1.0) for _ in range(50_000)]
+    xs += [0.0, -0.0, 1.0, -1.0]
+    xs += [k / 128 for k in range(-128, 129)]
+    ties = [(2 * j + 1) / 256 for j in range(-128, 128)]
+    xs += ties + [math.nextafter(t, s) for t in ties for s in (-math.inf, math.inf)]
+    tiny = sys.float_info.min
+    xs += [5e-324, -5e-324, tiny, -tiny, math.nextafter(tiny, 0.0)]
+    xs += [rng.randrange(1, 2**52) * 5e-324 for _ in range(100)]
+    return xs
+
+
+def test_limit_denominator_is_cpythons():
+    xs = limit_denominator_cases()
+    assert len(xs) > 10**5
+    for max_den in (128, 1000):
+        for x in xs if max_den == 128 else xs[::10]:
+            got = korobeinik._limit_denominator(x, max_den)
+            want = Fraction(x).limit_denominator(max_den)
+            assert type(got) is Fraction
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator), x
+    # a tie goes to the convergent: 1/256 lies halfway between 0 and 1/128
+    assert korobeinik._limit_denominator(1 / 256, 128) == 0
+
+
+def ref_sample_bidisc_point(rnd, u0, R, R1, complex_h=False):
+    """``_sample_bidisc_point`` with ``Fraction.limit_denominator``."""
+    den = 128
+    while True:
+        xr = Fraction(rnd.uniform(-1.0, 1.0)).limit_denominator(den)
+        yr = Fraction(rnd.uniform(-1.0, 1.0)).limit_denominator(den)
+        if 0 < xr * xr + yr * yr < 1:
+            break
+    u = QComplex(u0.re + R * xr, u0.im + R * yr)
+    while True:
+        m = Fraction(rnd.uniform(0.0, 1.0)).limit_denominator(den) * R1
+        if m != 0:
+            break
+    if complex_h:
+        h = QComplex(m * Fraction(3, 5), rnd.choice((1, -1)) * m * Fraction(4, 5))
+    else:
+        h = QComplex(rnd.choice((1, -1)) * m)
+    return u, h, m
+
+
+def test_sampled_points_are_unchanged():
+    """The (u, h, |h|) sequences of the shipped, golden and generated configs,
+    drawn as ``bidisc_check`` draws them, against the Fraction sampler."""
+    for k in korobeinik_blocks(perfbench_seeds=(1, 2, 3)):
+        bd = k["bidisc"]
+        u0 = parse_point(k.get("u_star", 0))
+        R, R1 = parse_exact(bd["R"]), parse_exact(bd["R1"])
+        got, want = random.Random(bd.get("seed", 7)), random.Random(bd.get("seed", 7))
+        for i in range(bd.get("samples", 24)):
+            a = korobeinik._sample_bidisc_point(got, u0, R, R1, complex_h=(i % 4 == 3))
+            b = ref_sample_bidisc_point(want, u0, R, R1, complex_h=(i % 4 == 3))
+            assert [(z.re, z.im) for z in a[:2]] + [a[2]] == [(z.re, z.im) for z in b[:2]] + [b[2]]
 
 
 def test_quotients_decide_like_reduced_fractions():

@@ -58,6 +58,28 @@ def fold_scale(p, q):
     return m * np.sqrt(m)
 
 
+def _near_fold(p, q, disc):
+    """Whether ``cusp_roots`` takes repeated roots at (p, q), for floats or
+    numpy arrays; disc = ``cubic_discriminant(p, q)``. |disc| lies within
+    BOUNDARY_TOL * ``fold_scale(p, q)``, and (p, q) is either the cusp point,
+    m = max(|p|, |q|) <= BOUNDARY_TOL, or a double root whose simple root
+    3q/p lies within the Cauchy bound 1 + m; otherwise (p == 0 among them)
+    the sign of disc decides. ``verify.branch_field`` refuses these nodes.
+    """
+    near = abs(disc) <= BOUNDARY_TOL * fold_scale(p, q)
+    if isinstance(near, bool):
+        if not near:
+            return False
+        m = max(abs(p), abs(q))
+    else:
+        if not near.any():
+            return near
+        import numpy as np  # only grid callers pass arrays, and they hold numpy
+
+        m = np.maximum(abs(p), abs(q))
+    return near & ((m <= BOUNDARY_TOL) | (abs(3.0 * q) <= abs(p) * (1.0 + m)))
+
+
 def cusp_roots(p, q):
     """Real roots of U**3 + p U + q = 0, ascending, as (root, multiplicity).
 
@@ -69,18 +91,14 @@ def cusp_roots(p, q):
     p = float(p)
     q = float(q)
     disc = cubic_discriminant(p, q)
-    if abs(disc) <= BOUNDARY_TOL * fold_scale(p, q):
-        m = max(abs(p), abs(q))
-        if m <= BOUNDARY_TOL:
+    if _near_fold(p, q, disc):
+        if max(abs(p), abs(q)) <= BOUNDARY_TOL:
             return [(0.0, 3)]
-        # a double root a and a simple one -2a = 3q/p, but only when that
-        # lies within the Cauchy bound 1 + m of every root; otherwise (p == 0
-        # among them) the sign of disc decides below
-        if abs(3.0 * q) <= abs(p) * (1.0 + m):
-            a = -1.5 * q / p
-            pair = [(a, 2), (-2.0 * a, 1)]
-            pair.sort(key=lambda rm: rm[0])
-            return pair
+        # a double root a and a simple one -2a = 3q/p
+        a = -1.5 * q / p
+        pair = [(a, 2), (-2.0 * a, 1)]
+        pair.sort(key=lambda rm: rm[0])
+        return pair
     if disc > 0.0:
         # p < 0 is forced here; amplitude 2 sqrt(-p/3)
         m = 2.0 * math.sqrt(-p / 3.0)

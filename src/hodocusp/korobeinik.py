@@ -77,7 +77,6 @@ from .pde import (
     _seed_kernels,
     _taylor_run,
     expand_potential,
-    h_scaled,
 )
 from .scalars import (
     QComplex,
@@ -280,14 +279,15 @@ def confirm_divergence(seed: SeedFunction, u, h_abs, K: int):
     """
     u = parse_point(u, "u")
     seed.assert_not_pole(u, "u")
-    mags, first, step = _tail_run(seed, u, K, RATIO_TAIL + 1)
+    mags, _, step = _tail_run(seed, u, K, RATIO_TAIL + 1)
     h2 = parse_exact(h_abs, "h_abs") ** 2
-    pts = ratio_points(mags, h2, step, first)[-RATIO_TAIL:]
     sq = [
-        _Quotient(mags[n - first] * h2.numerator, mags[n - first - 1] * step * h2.denominator)
-        for n, _ in pts
-    ]
-    return divergence_heuristic(sq), tuple(r for _, r in pts)
+        _Quotient(b * h2.numerator, a * step * h2.denominator)
+        for a, b in zip(mags, mags[1:])
+        if a and b
+    ][-RATIO_TAIL:]
+    # the float ratios of ``ratio_points``: one true division of the same integers
+    return divergence_heuristic(sq), tuple(math.sqrt(q.num / q.den) for q in sq)
 
 
 class _Quotient:
@@ -373,18 +373,20 @@ def bidisc_check(
     u0 = parse_point(u_star, "u_star")
     seed.assert_not_pole(u0, "u_star")
 
-    d2s = [d2 for _, d2 in seed._pole_distances2(u0)]
+    pairs = seed._pole_distances2(u0)
+    d2s = [d2 for _, d2 in pairs]
     analytic = not any(lt_dist_vs_radius(d2, R, R1) for d2 in d2s)
 
     rnd = random.Random(rng_seed)
+    poles = seed.poles()
     rows = []
     for i in range(samples):
-        u, h, h_abs = _sample_bidisc_point(rnd, u0, R, R1, complex_h=(i % 4 == 3))
+        u, h, h_abs = _sample_bidisc_point(rnd, u0, R, R1, poles, complex_h=(i % 4 == 3))
         rows.append(_classify_sample(seed, u, h, h_abs, probe_terms))
 
     witness = None
     if not analytic:
-        witness = _divergence_witness(seed, u0, R, R1)
+        witness = _divergence_witness(seed, u0, R, R1, pairs)
 
     pole_d = math.sqrt(float(min(d2s))) if d2s else math.inf
     return BidiscReport(
@@ -424,15 +426,18 @@ def _limit_denominator(x: float, max_den: int) -> Fraction:
     return Fraction(p0 + k * p1, q0 + k * q1)
 
 
-def _sample_bidisc_point(rnd, u0, R, R1, complex_h=False):
-    """Rational point of the open bidisc; |h| stays exactly rational."""
+def _sample_bidisc_point(rnd, u0, R, R1, poles, complex_h=False):
+    """Rational point of the open bidisc; |h| stays exactly rational. A u
+    on one of the seed's ``poles`` is drawn again, as is one outside the
+    disc: the series has no terms there."""
     den = 128
     while True:
         xr = _limit_denominator(rnd.uniform(-1.0, 1.0), den)
         yr = _limit_denominator(rnd.uniform(-1.0, 1.0), den)
         if 0 < xr * xr + yr * yr < 1:
-            break
-    u = QComplex(u0.re + R * xr, u0.im + R * yr)
+            u = QComplex(u0.re + R * xr, u0.im + R * yr)
+            if u not in poles:
+                break
     while True:
         m = _limit_denominator(rnd.uniform(0.0, 1.0), den) * R1
         if m != 0:
@@ -464,7 +469,7 @@ def _classify_sample(seed, u, h, h_abs, K):
     )
 
 
-def _observe_point(seed, u, h_abs, K, diffs=None) -> str:
+def _observe_point(seed, u, h_abs, K, diffs) -> str:
     """Ratio-tail verdict for the series at a concrete (u, h), |h| = h_abs
     exact: the median of the last five ratios, read from the last six terms.
 
@@ -473,8 +478,6 @@ def _observe_point(seed, u, h_abs, K, diffs=None) -> str:
     error bound of that path cannot decide do the exact ratios of the window
     run (``_tail_run``, ``ratio_points``) decide, so the verdict is always
     the exact one."""
-    if diffs is None:
-        diffs = [a - u for a in seed.poles()]
     med = _float_median(seed, diffs, h_abs, K)
     if med is None:
         mags, first, step = _tail_run(seed, u, K, 6)
@@ -616,15 +619,16 @@ def _float_median(seed, diffs, h_abs, K):
     return med
 
 
-def _divergence_witness(seed, u0, R, R1):
+def _divergence_witness(seed, u0, R, R1, pairs):
     """A bidisc point with 4|h| > d(u)**2, confirmed by the exact heuristic.
 
     u sits on the segment from u* toward the offending pole, far enough in
     that the pointwise radius d(u)**2/4 drops below R1; |h| is the midpoint
     of (d(u)**2/4, R1), so the point stays strictly inside the bidisc.
+    ``pairs`` is ``seed._pole_distances2(u0)``.
     """
     # min keeps the first of equally near poles (conjugate pairs tie)
-    a, d2 = min(seed._pole_distances2(u0), key=lambda pair: pair[1])
+    a, d2 = min(pairs, key=lambda pair: pair[1])
     sq_d = math.sqrt(float(d2))
     t_lo = max(0.0, 1.0 - 2.0 * math.sqrt(float(R1)) / sq_d)
     t_hi = min(1.0, float(R) / sq_d)
@@ -777,12 +781,9 @@ def variable_alpha_probe(
     if b0 is None:
         raise UsageError("variable-alpha probe needs a seed real on the real axis")
     problem = ProblemData(b0=b0, alpha=alpha, v_star=2 * u_star_q)
-    sol = expand_potential(problem, order)
-    c = h_scaled(sol.series)
-    rows = {}
-    for i, j, v in c.terms():
-        rows.setdefault(i, {})[j] = v
-    int_rows = [_integer_row(rows.get(k, {})) for k in range(1, c.cap + 1)]
+    rows = expand_potential(problem, order).rows
+    # row k cut at j <= order - k is row k + 1 of C = hB (``pde.h_scaled``)
+    int_rows = [_integer_row(rows[k][: order - k + 1]) for k in range(order + 1)]
     reports = []
     for u in u_list:
         uq = parse_point(u, "u")
@@ -797,13 +798,10 @@ def variable_alpha_probe(
     return reports
 
 
-def _integer_row(row: dict):
+def _integer_row(row: list):
     """(d, [n_J, ..., n_0]) with row[j] = n_j / d over the row's common denominator."""
-    if not row:
-        return 1, []
-    d = math.lcm(*(x.denominator for x in row.values()))
-    xs = [row.get(j, 0) for j in range(max(row), -1, -1)]
-    return d, [x.numerator * (d // x.denominator) for x in xs]
+    d = math.lcm(*(x.denominator for x in row))
+    return d, [x.numerator * (d // x.denominator) for x in reversed(row)]
 
 
 def _row_mag2(int_row, v: QComplex) -> Fraction:
@@ -814,8 +812,6 @@ def _row_mag2(int_row, v: QComplex) -> Fraction:
     no Fraction is built in the loop.
     """
     d, nums = int_row
-    if not nums:
-        return Fraction(0)
     vd = math.lcm(v.re.denominator, v.im.denominator)
     vr = v.re.numerator * (vd // v.re.denominator)
     vi = v.im.numerator * (vd // v.im.denominator)

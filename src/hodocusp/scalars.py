@@ -79,48 +79,29 @@ def rational_cbrt(q: Fraction) -> Fraction | None:
 class CubicRadical:
     """a0 + a1*c + a2*c**2 with c = real cube root of ``rad`` (a non-cube rational).
 
-    An element is stored as integers (n0 + n1*c + n2*c**2) / d over one
-    denominator d > 0, reduced by a single gcd, so equal elements have equal
-    fields. Construct through :func:`make_radical`, :func:`cbrt_exact` or
-    ``_reduced``: they collapse elements with n1 = n2 = 0 to plain
-    Fractions, so a live element is never rational.
+    An element stores its three rational parts a0, a1, a2 and the radicand
+    as Fractions, each reduced, so equal elements have equal fields.
+    Construct through :func:`make_radical`, :func:`cbrt_exact` or
+    ``_times_power``: they pass Fractions, and collapse elements with
+    a1 = a2 = 0 to plain Fractions, so a live element is never rational.
     """
 
-    __slots__ = ("n0", "n1", "n2", "d", "rad")
+    __slots__ = ("a0", "a1", "a2", "rad")
 
-    def __init__(self, a0, a1, a2, rad):
-        a0, a1, a2 = Fraction(a0), Fraction(a1), Fraction(a2)
-        d = math.lcm(a0.denominator, a1.denominator, a2.denominator)
-        self.n0 = a0.numerator * (d // a0.denominator)
-        self.n1 = a1.numerator * (d // a1.denominator)
-        self.n2 = a2.numerator * (d // a2.denominator)
-        self.d = d
-        self.rad = Fraction(rad)
-
-    @property
-    def a0(self) -> Fraction:
-        return Fraction(self.n0, self.d)
-
-    @property
-    def a1(self) -> Fraction:
-        return Fraction(self.n1, self.d)
-
-    @property
-    def a2(self) -> Fraction:
-        return Fraction(self.n2, self.d)
+    def __init__(self, a0: Fraction, a1: Fraction, a2: Fraction, rad: Fraction):
+        self.a0, self.a1, self.a2, self.rad = a0, a1, a2, rad
 
     def __neg__(self):
-        return _element(-self.n0, -self.n1, -self.n2, self.d, self.rad)
+        return CubicRadical(-self.a0, -self.a1, -self.a2, self.rad)
 
     # -- comparisons and conversions --------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, CubicRadical):
             return (
-                self.n0 == other.n0
-                and self.n1 == other.n1
-                and self.n2 == other.n2
-                and self.d == other.d
+                self.a0 == other.a0
+                and self.a1 == other.a1
+                and self.a2 == other.a2
                 and self.rad == other.rad
             )
         if isinstance(other, (int, Fraction)):
@@ -130,34 +111,14 @@ class CubicRadical:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.n0, self.n1, self.n2, self.d, self.rad))
+        return hash((self.a0, self.a1, self.a2, self.rad))
 
     def __float__(self):
-        # n / d is correctly rounded, so each term equals float(Fraction(n, d))
         c = real_cbrt(float(self.rad))
-        d = self.d
-        return self.n0 / d + self.n1 / d * c + self.n2 / d * c * c
+        return float(self.a0) + float(self.a1) * c + float(self.a2) * c * c
 
     def __repr__(self):
         return f"CubicRadical({self.a0}, {self.a1}, {self.a2}; cbrt {self.rad})"
-
-
-def _element(n0, n1, n2, d, rad) -> CubicRadical:
-    """A CubicRadical from fields already in canonical form."""
-    x = object.__new__(CubicRadical)
-    x.n0, x.n1, x.n2, x.d, x.rad = n0, n1, n2, d, rad
-    return x
-
-
-def _reduced(n0, n1, n2, d, rad) -> Fraction | CubicRadical:
-    """Canonical element of (n0 + n1 c + n2 c**2) / d for d > 0; rational
-    when n1 = n2 = 0. The radicand is known not to be a perfect cube."""
-    if not (n1 or n2):
-        return Fraction(n0, d)
-    g = math.gcd(n0, n1, n2, d)
-    if g != 1:
-        n0, n1, n2, d = n0 // g, n1 // g, n2 // g, d // g
-    return _element(n0, n1, n2, d, rad)
 
 
 def _times_power(q, c, n) -> Fraction | CubicRadical:
@@ -166,9 +127,11 @@ def _times_power(q, c, n) -> Fraction | CubicRadical:
     if not isinstance(c, CubicRadical):
         return q * c**n
     q *= c.rad ** (n // 3)
-    parts = [0, 0, 0]
-    parts[n % 3] = q.numerator
-    return _reduced(*parts, q.denominator, c.rad)
+    if n % 3 == 0 or q == 0:
+        return q
+    parts = [Fraction(0)] * 3
+    parts[n % 3] = q
+    return CubicRadical(*parts, c.rad)
 
 
 def make_radical(a0, a1, a2, rad) -> Fraction | CubicRadical:

@@ -30,7 +30,7 @@ from functools import partial
 
 import numpy as np
 
-from .cusp import BOUNDARY_TOL, cubic_discriminant, fold_scale, reconstruct
+from .cusp import _near_fold, cubic_discriminant, reconstruct
 from .errors import UsageError
 from .hodograph import HodographMap
 from .normal_form import NormalFormPack
@@ -152,12 +152,7 @@ def branch_field(pack: NormalFormPack, T: np.ndarray, X: np.ndarray, branch=None
     lam2 = _eval1_grid(pack.lambda2, tau, check)
     q = lam2 - xi
     disc = cubic_discriminant(lam1, q)
-    near = np.abs(disc) <= BOUNDARY_TOL * fold_scale(lam1, q)
-    if near.any():
-        # the nodes where cusp_roots takes repeated roots: the cusp point,
-        # or a double root whose simple root 3q/p is within the Cauchy bound
-        m = np.maximum(np.abs(lam1), np.abs(q))
-        near &= (m <= BOUNDARY_TOL) | (np.abs(3.0 * q) <= np.abs(lam1) * (1.0 + m))
+    near = _near_fold(lam1, q, disc)
     if near.any():
         raise UsageError(
             f"grid touches a fold curve: |discriminant| ~ 0 at {int(near.sum())} nodes"

@@ -1,4 +1,4 @@
-"""The CLI digest table: every command, both modes, five shipped configs.
+"""The CLI digest table: every command, both modes, six shipped configs.
 
     PYTHONPATH=src python tests/golden/cli/digests.py
 
@@ -34,6 +34,7 @@ CONFIGS = {
     "korobeinik_3pole.yaml": REPO / "tests" / "golden" / "korobeinik_3pole" / "config.yaml",
     "korobeinik_catalan.yaml": REPO / "tests" / "golden" / "korobeinik_catalan" / "config.yaml",
     "korobeinik_poly.yaml": REPO / "tests" / "golden" / "korobeinik_poly" / "config.yaml",
+    "korobeinik_onpole.yaml": REPO / "tests" / "golden" / "korobeinik_onpole" / "config.yaml",
 }
 COMMANDS = ("expand", "normalform", "solve", "curves", "verify", "korobeinik")
 MODES = ("exact", "float")

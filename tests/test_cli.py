@@ -258,12 +258,16 @@ def test_korobeinik_full_config(tmp_path, capsys):
     assert len(lines) == 2 + 3 + 1  # header line, 3 probes, 1 witness
 
 
-@pytest.mark.parametrize("name", ["korobeinik_catalan", "korobeinik_3pole", "korobeinik_poly"])
+@pytest.mark.parametrize(
+    "name", ["korobeinik_catalan", "korobeinik_3pole", "korobeinik_poly", "korobeinik_onpole"]
+)
 def test_korobeinik_matches_golden(name, tmp_path, monkeypatch, capsys):
     # the pole-only goldens were recorded with the closed-form term
     # magnitudes (one KorobeinikSeries.coefficient per n), the polynomial
-    # one with one reduced Fraction per term; stdout names the output
-    # path, so the run uses a relative --out from a fixed cwd
+    # one with one reduced Fraction per term, and the on-pole one (whose
+    # sampler seed draws a point on the pole, drawn again) with the float
+    # sample verdicts; stdout names the output path, so the run uses a
+    # relative --out from a fixed cwd
     golden = REPO / "tests" / "golden" / name
     monkeypatch.chdir(tmp_path)
     rc = cli.main(["korobeinik", "--config", str(golden / "config.yaml"), "--out", "out"])
@@ -447,7 +451,7 @@ def _digest_table():
 
 
 def test_cli_digest_table_is_unchanged(tmp_path):
-    """Every command in both modes on the five shipped configs exits with
+    """Every command in both modes on the six shipped configs exits with
     the code, and writes the stdout, stderr and file bytes, recorded in
     tests/golden/cli/digests.txt. A row that moves must be explained, and
     the table regenerated with the script beside it."""

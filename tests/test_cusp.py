@@ -17,6 +17,7 @@ from hodocusp import (
     hodograph_map,
 )
 from hodocusp.cusp import (
+    _near_fold,
     cubic_discriminant,
     cusp_roots,
     fold_curves,
@@ -70,8 +71,11 @@ def test_single_real_root():
     assert abs(r - 1.0) < 1e-15
 
 
-@pytest.mark.parametrize("p", [0.0, -0.0])
-@pytest.mark.parametrize("q", [1e-8, -1e-8, 1e-7, -3e-10])
+ZERO_P_IN_BAND = [(p, q) for p in (0.0, -0.0) for q in (1e-8, -1e-8, 1e-7, -3e-10)]
+BEYOND_THE_ROOT_BOUND = [(1e-20, 1e-8), (-1e-20, 1e-8), (1e-16, -3e-9), (-2e-14, 5e-10)]
+
+
+@pytest.mark.parametrize("p, q", ZERO_P_IN_BAND)
 def test_zero_p_in_the_fold_band_is_one_simple_root(p, q):
     # |disc| = 27 q**2 lies inside the fold tolerance, but U**3 + q has one
     # simple real root, the real cube root of -q (this used to divide by p)
@@ -81,7 +85,7 @@ def test_zero_p_in_the_fold_band_is_one_simple_root(p, q):
     assert math.copysign(1.0, r) == -math.copysign(1.0, q)
 
 
-@pytest.mark.parametrize("p, q", [(1e-20, 1e-8), (-1e-20, 1e-8), (1e-16, -3e-9), (-2e-14, 5e-10)])
+@pytest.mark.parametrize("p, q", BEYOND_THE_ROOT_BOUND)
 def test_fold_band_pair_beyond_the_root_bound_is_one_simple_root(p, q):
     # |disc| lies inside the absolute fold band, but the pair's simple root
     # 3q/p would lie far beyond the Cauchy bound 1 + max(|p|, |q|) of every
@@ -93,6 +97,34 @@ def test_fold_band_pair_beyond_the_root_bound_is_one_simple_root(p, q):
     assert m == 1
     assert abs((r * r + p) * r + q) <= 1e-15 * abs(q)
     assert abs(r) <= 1.0 + max(abs(p), abs(q))
+
+
+def test_fold_predicate_is_the_same_for_floats_and_arrays():
+    """``_near_fold`` on a float pair against the one-element-array call
+    that ``verify.branch_field`` makes: the fold-band cases above, the
+    double and triple roots, and seeded pairs at many scales and on or
+    next to the fold q = +-2 (-p/3)**1.5."""
+    rng = random.Random(30)
+    pairs = ZERO_P_IN_BAND + BEYOND_THE_ROOT_BOUND
+    pairs += [(-3.0, 2.0), (-0.75, 0.25), (0.0, 0.0), (-0.0, 0.0), (1e-13, -1e-13)]
+    for _ in range(2000):
+        scale = 10.0 ** rng.randint(-14, 2)
+        pairs.append((rng.uniform(-3.0, 3.0) * scale, rng.uniform(-3.0, 3.0) * scale))
+    for _ in range(1000):
+        p = -rng.uniform(0.0, 3.0) * 10.0 ** rng.randint(-8, 0)
+        nudge = rng.choice((0.0, rng.uniform(-1e-11, 1e-11), rng.uniform(-1e-3, 1e-3)))
+        pairs.append((p, rng.choice((1.0, -1.0)) * 2.0 * (-p / 3.0) ** 1.5 * (1.0 + nudge)))
+    verdicts = []
+    for p, q in pairs:
+        got = _near_fold(p, q, cubic_discriminant(p, q))
+        P, Q = np.array([p]), np.array([q])
+        grid = _near_fold(P, Q, cubic_discriminant(P, Q))
+        assert type(got) is bool and grid.shape == (1,)
+        assert got == bool(grid[0]), (p, q)
+        verdicts.append(got)
+    P, Q = np.array(pairs).T
+    assert _near_fold(P, Q, cubic_discriminant(P, Q)).tolist() == verdicts
+    assert 100 < sum(verdicts) < len(verdicts) - 100
 
 
 def test_cardano_cancellation_free():

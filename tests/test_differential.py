@@ -10,18 +10,21 @@ Each kernel is checked against a slow reference kept in this file:
 * ``implicit_solve`` against the band-by-band solve it replaced,
   coefficient and insertion order alike, with float results within
   rounding of the exact ones;
-* the integer ``CubicRadical`` against the same element written with
-  three Fractions: its canonical form, negation, float conversion, and
+* ``CubicRadical`` against the textbook field formulas over three
+  Fractions: its stored parts, negation, float conversion (also against
+  the integer form (n0 + n1 c + n2 c**2) / d it was once stored in), and
   the rational multiples of powers of the cube root that a normal-form
-  pack is assembled from, against the textbook field formulas.
+  pack is assembled from.
 
 The series kernels run over Q only; a ``CubicRadical`` takes part in no
 arithmetic.
 """
 
+import importlib.util
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +44,7 @@ from hodocusp.series import (
     variable2,
 )
 
+POOL_N16 = Path(__file__).parent / "golden" / "pool_n16.py"
 HV = ("h", "V")
 TV = ("tau", "V")
 CAP = 5
@@ -104,12 +108,13 @@ def test_radical_matches_fraction_formulas(a, r, k, n):
         c_n = ref_mul(c_n, step, r)
     z = _times_power(k, cbrt_exact(r), n)
     assert as_parts(z) == tuple(k * p for p in c_n)
-    # a canonical form: equal values have equal fields and hashes
+    # a canonical form: equal values have equal stored parts and hashes
     if isinstance(z, CubicRadical):
         w = make_radical(*as_parts(z), r)
         assert z == w and hash(z) == hash(w)
-        assert (z.n0, z.n1, z.n2, z.d) == (w.n0, w.n1, w.n2, w.d)
-        assert math.gcd(z.n0, z.n1, z.n2, z.d) == 1 and z.d > 0
+        parts = (z.a0, z.a1, z.a2, z.rad)
+        assert parts == (w.a0, w.a1, w.a2, w.rad) == (*as_parts(z), r)
+        assert all(type(x) is Fraction for x in parts)
 
 
 @given(a=triples_st, r=st.sampled_from(RADS), n=st.integers(0, 7))
@@ -126,6 +131,50 @@ def test_radical_pow_and_float_match_reference(a, r, n):
     assert float(x) == ref_float(a, r)
     assert float(-x) == ref_float(tuple(-p for p in a), r)
     assert float(xn) == ref_float(want, r)
+
+
+def ref_integer_float(x):
+    """float(x) as the integer form (n0 + n1 c + n2 c**2) / d computed it,
+    over the lcm d of the parts' denominators."""
+    parts = (x.a0, x.a1, x.a2)
+    d = math.lcm(*(a.denominator for a in parts))
+    n0, n1, n2 = (a.numerator * (d // a.denominator) for a in parts)
+    c = real_cbrt(float(x.rad))
+    return n0 / d + n1 / d * c + n2 / d * c * c
+
+
+def radical_coefficients(pack):
+    from hodocusp.normal_form import _PACK_FILES
+
+    return [
+        v
+        for attr, _ in _PACK_FILES
+        for v in getattr(pack, attr)._c.values()
+        if isinstance(v, CubicRadical)
+    ]
+
+
+@given(a=triples_st, r=st.sampled_from(RADS))
+@settings(max_examples=200, deadline=None)
+def test_radical_float_matches_the_integer_form_on_random_elements(a, r):
+    x = make_radical(*a, r)
+    if isinstance(x, CubicRadical):
+        assert float(x) == ref_integer_float(x)
+        assert float(-x) == ref_integer_float(-x)
+
+
+def test_radical_float_matches_the_integer_form_on_packs(canonical_pack):
+    spec = importlib.util.spec_from_file_location("pool_n16", POOL_N16)
+    pool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pool)
+    packs = [canonical_pack] + [pool.pool_pack(i) for i in pool.INSTANCES]
+    counts = []
+    for pack in packs:
+        coeffs = radical_coefficients(pack)
+        counts.append(len(coeffs))
+        for v in coeffs:
+            assert float(v) == ref_integer_float(v), v
+    assert min(counts) > 0 and sum(counts) > 1000
 
 
 @given(a=triples_st, root=fractions_st.filter(lambda q: q != 0))

@@ -756,7 +756,8 @@ def test_cusp_roots_and_branch_field_share_the_discriminant(monkeypatch):
     scale = recording("scale", cusp.fold_scale)
     for module in (cusp, verify):
         monkeypatch.setattr(module, "cubic_discriminant", disc)
-        monkeypatch.setattr(module, "fold_scale", scale)
+    # both classifiers scale the fold band in ``cusp._near_fold``
+    monkeypatch.setattr(cusp, "fold_scale", scale)
     with pytest.raises(UsageError):
         branch_field(pack, P, -Q, None, check=False)
     ((grid_disc,), (grid_scale,)) = seen.values()

@@ -141,6 +141,12 @@ def ref_radius_probe(seed, u, K):
     return ConvergenceReport(u.to_complex(), ratios, est, pred, verdict)
 
 
+def observe_point(seed, u, h_abs, K):
+    """``_observe_point`` with the pole differences a - u that
+    ``_classify_sample`` hands it."""
+    return _observe_point(seed, u, h_abs, K, [a - u for a in seed.poles()])
+
+
 def ref_observe_point(seed, u, h_abs, K, diffs=None):
     """The bidisc sample verdict over the closed-form magnitudes of the whole
     run; the pole differences a - u that ``bidisc_check`` passes are unused."""
@@ -749,7 +755,7 @@ def check_window_verdicts(seed, u, K, h_values):
     assert repr(radius_probe(seed, u, K)) == repr(ref_radius_probe(seed, u, K))
     mags2 = full_run_ref_magnitudes(seed, u, K)
     for h in h_values:
-        assert _observe_point(seed, u, h, K) == ref_observe_point(seed, u, h, K)
+        assert observe_point(seed, u, h, K) == ref_observe_point(seed, u, h, K)
         got = confirm_divergence(seed, u, h, K)
         assert got == ref_confirm_divergence(seed, u, h, K, mags2)
 
@@ -1221,7 +1227,7 @@ def test_float_verdicts_on_windows_with_zero_terms(name, K, monkeypatch):
     want = [ref_exact_observe_point(seed, U_FALLBACK, h_abs, K) for h_abs in hs]
     returned = spy_float_median(monkeypatch)
     exact_runs = spy_exact_runs(monkeypatch)
-    assert [_observe_point(seed, U_FALLBACK, h_abs, K) for h_abs in hs] == want
+    assert [observe_point(seed, U_FALLBACK, h_abs, K) for h_abs in hs] == want
     # no window term is proven nonzero in floats, so each sample runs the
     # exact path once (which then falls back to k = 0)
     assert returned == [None] * 3 and len(exact_runs) == 3
@@ -1252,7 +1258,7 @@ def test_a_median_on_the_margin_takes_the_exact_ratios(edge, nudge, monkeypatch)
         return inner(*args)
 
     monkeypatch.setattr(korobeinik, "ratio_points", spy)
-    got = _observe_point(THREE_POLE, u, h_abs, K)
+    got = observe_point(THREE_POLE, u, h_abs, K)
     assert returned == [None] and len(exact_calls) == 1
     assert got == want == median_verdict(exact)
 
@@ -1291,7 +1297,7 @@ def test_the_exact_path_runs_once_where_floats_cannot_decide(name, monkeypatch):
     returned = spy_float_median(monkeypatch)
     exact_runs = spy_exact_runs(monkeypatch)
     # no OverflowError escapes the float path
-    assert _observe_point(seed, u, h_abs, K) == want
+    assert observe_point(seed, u, h_abs, K) == want
     assert returned == [None] and len(exact_runs) == 1
 
 
@@ -1356,11 +1362,30 @@ def test_sampled_points_are_unchanged():
         bd = k["bidisc"]
         u0 = parse_point(k.get("u_star", 0))
         R, R1 = parse_exact(bd["R"]), parse_exact(bd["R1"])
+        poles = SeedFunction.from_config(k["g1"]).poles()
         got, want = random.Random(bd.get("seed", 7)), random.Random(bd.get("seed", 7))
         for i in range(bd.get("samples", 24)):
-            a = korobeinik._sample_bidisc_point(got, u0, R, R1, complex_h=(i % 4 == 3))
+            a = korobeinik._sample_bidisc_point(got, u0, R, R1, poles, complex_h=(i % 4 == 3))
             b = ref_sample_bidisc_point(want, u0, R, R1, complex_h=(i % 4 == 3))
             assert [(z.re, z.im) for z in a[:2]] + [a[2]] == [(z.re, z.im) for z in b[:2]] + [b[2]]
+
+
+def test_a_sample_on_a_pole_is_drawn_again():
+    """The onpole golden's sampler seed puts sample 2 exactly on the pole
+    u = 1 under the sampler without the pole test (where the exact run
+    divided by zero); the sampler draws that point again, and every
+    sample keeps off the pole."""
+    k = yaml.safe_load((ROOT / "tests" / "golden" / "korobeinik_onpole" / "config.yaml").read_text())
+    k = k["korobeinik"]
+    poles = SeedFunction.from_config(k["g1"]).poles()
+    bd = k["bidisc"]
+    u0, R, R1 = parse_point(k["u_star"]), parse_exact(bd["R"]), parse_exact(bd["R1"])
+    got, want = random.Random(bd["seed"]), random.Random(bd["seed"])
+    new = [korobeinik._sample_bidisc_point(got, u0, R, R1, poles, i % 4 == 3) for i in range(24)]
+    old = [ref_sample_bidisc_point(want, u0, R, R1, i % 4 == 3) for i in range(24)]
+    assert [i for i, (u, _, _) in enumerate(old) if u in poles] == [2]
+    assert new[:2] == old[:2]
+    assert not any(u in poles for u, _, _ in new)
 
 
 def test_quotients_decide_like_reduced_fractions():

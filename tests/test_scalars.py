@@ -159,6 +159,13 @@ def test_radical_pow_and_cube():
     assert _times_power(Fraction(-1), c, 3) == Fraction(-12, 5)
     assert _times_power(Fraction(-1), c, 1) == -c
     assert _times_power(Fraction(5, 12), c, 4) == c
+    # q = 0 and n = 0 (mod 3) collapse to a plain Fraction
+    for n in range(-7, 8):
+        assert type(_times_power(Fraction(0), c, n)) is Fraction
+        z = _times_power(Fraction(-3, 7), c, n)
+        assert (type(z) is Fraction) == (n % 3 == 0)
+        if n % 3 == 0:
+            assert z == Fraction(-3, 7) * Fraction(12, 5) ** (n // 3)
     # a rational root: plain Fraction powers
     assert _times_power(Fraction(3), Fraction(2), -2) == Fraction(3, 4)
 

@@ -431,7 +431,7 @@ def _cmd_korobeinik(ns, cfg, digest) -> int:
                 "config: 'korobeinik.alpha_probe.u' must be a non-empty list"
             )
         order = _int_in(ap, "order", "korobeinik.alpha_probe", _order(cfg), MIN_ORDER, MAX_ORDER)
-        got = variable_alpha_probe(seed, alpha, u_star, order, list(us))
+        got = variable_alpha_probe(seed, alpha, order, list(us))
         reports.extend(got)
         for r in got:
             summary.append(

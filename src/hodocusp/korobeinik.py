@@ -69,14 +69,12 @@ from .errors import DomainError, UsageError
 from .pde import (
     PoleTerm,
     PolyTerm,
-    ProblemData,
     SeedFunction,
     _complex_evaluator,
     _gauss_pow,
-    _seed_b0,
     _seed_kernels,
     _taylor_run,
-    expand_potential,
+    expand_potential,  # unused here; perfbench's tracer patches this name
 )
 from .scalars import (
     QComplex,
@@ -152,7 +150,8 @@ def ratio_points(mags2, h_abs2=None, step=1, first=0):
     |h| factor; a float h_abs2 is read as its decimal (``parse_exact``). The
     quotient is one integer true division, which rounds correctly like
     float(Fraction), so it gives the same bits whether or not the fraction
-    is reduced.
+    is reduced; a quotient past float range is taken over 4**e and its root
+    times 2**e, and a root past float range reads inf.
     """
     h2 = Fraction(1) if h_abs2 is None else parse_exact(h_abs2, "h_abs2")
     pts = []
@@ -162,7 +161,11 @@ def ratio_points(mags2, h_abs2=None, step=1, first=0):
             continue
         num = b.numerator * a.denominator * h2.numerator
         den = b.denominator * a.numerator * step * h2.denominator
-        pts.append((first + i, math.sqrt(num / den)))
+        e = max(0, (num.bit_length() - den.bit_length()) // 2 - 510)
+        try:
+            pts.append((first + i, math.ldexp(math.sqrt(num / (den << 2 * e)), e)))
+        except OverflowError:
+            pts.append((first + i, math.inf))
     return pts
 
 
@@ -218,10 +221,11 @@ def predicted_radius(seed: SeedFunction, u) -> float:
 
 
 def _radius_verdict(limit, spread):
-    """(estimated_radius, verdict) from a ratio limit and its relative spread."""
-    if not math.isfinite(limit) or spread > SPREAD_TOL:
+    """(estimated_radius, verdict) from a ratio limit and its relative spread;
+    a limit at or below 1e-12 (ratios falling towards 0) shows no radius."""
+    if not math.isfinite(limit) or spread > SPREAD_TOL or limit <= 1e-12:
         return math.nan, "inconclusive"
-    return (math.inf if limit <= 1e-12 else 1.0 / limit), "converges"
+    return 1.0 / limit, "converges"
 
 
 def radius_probe(seed: SeedFunction, u, K: int = 40) -> ConvergenceReport:
@@ -231,14 +235,17 @@ def radius_probe(seed: SeedFunction, u, K: int = 40) -> ConvergenceReport:
     u = parse_point(u, "u")
     seed.assert_not_pole(u, "u")
     mags, first, step = _tail_run(seed, u, K, RATIO_TAIL + 1)
-    pts = ratio_points(mags, step=step, first=first)[-RATIO_TAIL:]
-    pred = predicted_radius(seed, u)
-    uf = u.to_complex()
+    return _probe_report(seed, u, ratio_points(mags, step=step, first=first)[-RATIO_TAIL:])
+
+
+def _probe_report(seed: SeedFunction, u: QComplex, pts) -> ConvergenceReport:
+    """The report of a probe at u from the ratios its estimate reads; an
+    entire seed converges everywhere, with radius inf."""
     ratios = tuple(r for _, r in pts)
     if seed.is_entire():
-        return ConvergenceReport(uf, ratios, math.inf, math.inf, "converges")
+        return ConvergenceReport(u.to_complex(), ratios, math.inf, math.inf, "converges")
     est, verdict = _radius_verdict(*richardson_limit(pts))
-    return ConvergenceReport(uf, ratios, est, pred, verdict)
+    return ConvergenceReport(u.to_complex(), ratios, est, predicted_radius(seed, u), verdict)
 
 
 def divergence_heuristic(ratios2) -> bool:
@@ -286,8 +293,8 @@ def confirm_divergence(seed: SeedFunction, u, h_abs, K: int):
         for a, b in zip(mags, mags[1:])
         if a and b
     ][-RATIO_TAIL:]
-    # the float ratios of ``ratio_points``: one true division of the same integers
-    return divergence_heuristic(sq), tuple(math.sqrt(q.num / q.den) for q in sq)
+    ratios = ratio_points(mags, h2, step)[-RATIO_TAIL:]  # the integers of ``sq``
+    return divergence_heuristic(sq), tuple(r for _, r in ratios)
 
 
 class _Quotient:
@@ -766,60 +773,62 @@ def cauchy_bound_check(seed: SeedFunction, r, r0, eps, n_max: int) -> CauchyRepo
 # -- variable-alpha probe ------------------------------------------------------
 
 
-def variable_alpha_probe(
-    seed: SeedFunction, alpha, u_star, order: int, u_list
-) -> list:
+def variable_alpha_probe(seed: SeedFunction, alpha, order: int, u_list) -> list:
     """Exploratory radius probes for the potential built with general alpha.
 
-    The boundary row comes from the seed through u = v/2; the potential is
-    expanded exactly and its h-rows are evaluated at each probe u. The
-    predicted radius column carries the alpha == 4 pole law for comparison;
-    no agreement is asserted (for alpha == 4 this reduces to radius_probe).
+    With B_0(v) = g1(v/2), the potential's recurrence makes each row
+    B_k = sum_{m<=k} c_km B_0^(2m), with c_00 = 1 and
+    c_{k+1,m+1} = (4 c_km + sum_{l=1..k} alpha_l c_{k-l,m}) / ((k+1)(k+2)).
+    As B_0^(2m)(2u) = m!(m+1)!/4**m g_{m+1}(u), the rows at a probe point are
+    B_k(2u) = sum_{m<=k} w_km g_{m+1}(u), w_km = c_km m!(m+1)!/4**m: exact at
+    every u, from the terms k <= order of one ``_exact_terms`` run there. The
+    predicted radius column carries the alpha == 4 pole law; no agreement is
+    asserted. For alpha == 4, w is the identity and the ratios are
+    ``radius_probe``'s at the same u and term count; with a finite alpha a
+    polynomial seed's rows terminate, and it reads radius inf, as there.
     """
-    u_star_q = parse_exact(u_star, "u_star")
-    b0 = _seed_b0(seed, u_star_q, order)
-    if b0 is None:
-        raise UsageError("variable-alpha probe needs a seed real on the real axis")
-    problem = ProblemData(b0=b0, alpha=alpha, v_star=2 * u_star_q)
-    rows = expand_potential(problem, order).rows
-    # row k cut at j <= order - k is row k + 1 of C = hB (``pde.h_scaled``)
-    int_rows = [_integer_row(rows[k][: order - k + 1]) for k in range(order + 1)]
+    alpha = [parse_exact(x, f"alpha[{i + 1}]") for i, x in enumerate(alpha)]
+    weights = _alpha_weights(alpha, order)
     reports = []
     for u in u_list:
         uq = parse_point(u, "u")
-        v_val = (uq - QComplex(u_star_q)) * 2
-        pts = ratio_points([_row_mag2(row, v_val) for row in int_rows])[-RATIO_TAIL:]
-        limit, spread = richardson_limit(pts)
-        pred = predicted_radius(seed, uq)
-        est, verdict = _radius_verdict(limit, spread)
-        reports.append(
-            ConvergenceReport(uq.to_complex(), tuple(r for _, r in pts), est, pred, verdict)
-        )
+        seed.assert_not_pole(uq, "u")
+        rows, _, L2 = _alpha_rows(seed, uq, weights)
+        pts = ratio_points([x * x + y * y for x, y in rows], step=L2 * L2)
+        reports.append(_probe_report(seed, uq, pts[-RATIO_TAIL:]))
     return reports
 
 
-def _integer_row(row: list):
-    """(d, [n_J, ..., n_0]) with row[j] = n_j / d over the row's common denominator."""
-    d = math.lcm(*(x.denominator for x in row))
-    return d, [x.numerator * (d // x.denominator) for x in reversed(row)]
+def _alpha_weights(alpha, order: int):
+    """(w, W): the rows w[k][m] = W w_km, k <= order, m <= k, of the
+    ``variable_alpha_probe`` weights as integers over one denominator W;
+    ``alpha`` holds alpha_1, alpha_2, ... as Fractions. The c triangle's
+    recurrence times (m+1)!(m+2)!/4**(m+1) builds w directly: w_00 = 1 and
+    w_{k+1,m+1} = (m+1)(m+2) (4 w_km + sum_l alpha_l w_{k-l,m}) / (4(k+1)(k+2))."""
+    w = [[Fraction(1)]]
+    for k in range(order):
+        nxt = [Fraction(0)] * (k + 2)
+        for m in range(k + 1):
+            acc = 4 * w[k][m]
+            for l in range(1, min(k - m, len(alpha)) + 1):
+                acc += alpha[l - 1] * w[k - l][m]
+            nxt[m + 1] = acc * (m + 1) * (m + 2) / (4 * (k + 1) * (k + 2))
+        w.append(nxt)
+    W = math.lcm(*(x.denominator for row in w for x in row))
+    return [[x.numerator * (W // x.denominator) for x in row] for row in w], W
 
 
-def _row_mag2(int_row, v: QComplex) -> Fraction:
-    """|sum_j row[j] v**j|**2 as one Fraction, by integer Horner.
-
-    With v = (vr + i vi)/vd, the homogeneous Horner sum
-    S = sum_j n_j (vr + i vi)**j vd**(J-j) gives row(v) = S/(d vd**J), so
-    no Fraction is built in the loop.
-    """
-    d, nums = int_row
-    vd = math.lcm(v.re.denominator, v.im.denominator)
-    vr = v.re.numerator * (vd // v.re.denominator)
-    vi = v.im.numerator * (vd // v.im.denominator)
-    X, Y = nums[0], 0
-    scale = 1
-    for n in nums[1:]:
-        scale *= vd
-        X, Y = X * vr - Y * vi + n * scale, X * vi + Y * vr
-    den = d * scale
-    return Fraction(X * X + Y * Y, den * den)
-
+def _alpha_rows(seed: SeedFunction, u: QComplex, weights):
+    """(T, W den0, L**2) with B_k(2u) = (X_k + i Y_k) / (W den0 L**(2k)),
+    T = [(X_k, Y_k) for k <= order], for the weights (w, W) of
+    ``_alpha_weights`` and the terms (x_m + i y_m) / (den0 L**(2m)) of one
+    ``_exact_terms`` run: X_k + i Y_k = sum_m w[k][m] (x_m + i y_m) L**(2(k-m))."""
+    w, W = weights
+    terms, den0, L2 = _exact_terms(seed, u, len(w))
+    rows = []
+    for row in w:
+        X = Y = 0
+        for wkm, (x, y) in zip(row, terms):
+            X, Y = X * L2 + wkm * x, Y * L2 + wkm * y
+        rows.append((X, Y))
+    return rows, W * den0, L2

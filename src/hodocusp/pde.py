@@ -738,16 +738,6 @@ def _b0_row(taylor):
     return [Fraction(x, d << j) for j, (x, d) in enumerate(taylor)]
 
 
-def _seed_b0(seed: SeedFunction, u_star: Fraction, order: int):
-    """Boundary row of B0(v) = g1(v/2) about v* = 2 u*, up to j = 2*order.
-
-    b0_j = [z**j] g1(u* + z) / 2**j = (1/2)^j g1^(j)(u*) / j!; None when
-    some coefficient is not real.
-    """
-    taylor = _seed_taylor(seed, u_star, 2 * order + 1)
-    return None if taylor is None else _b0_row(taylor)
-
-
 def bridge_check(seed: SeedFunction, u_star, order: int) -> BridgeCheck:
     """Expand the potential from B0(v) = g1(v/2) and compare rows.
 

@@ -22,6 +22,7 @@ from hodocusp import (
 from hodocusp.korobeinik import (
     RATIO_TAIL,
     _exact_terms,
+    _radius_verdict,
     confirm_divergence,
     divergence_heuristic,
     predicted_radius,
@@ -55,6 +56,18 @@ def test_pole_distance_radius_law(catalan_seed, u, want):
     rep = radius_probe(catalan_seed, u, K=40)
     assert rep.predicted_radius == want
     assert rep.estimated_radius == pytest.approx(want, rel=2e-3)
+
+
+def test_ratios_past_float_range():
+    # g1 = u + u**2 at a tiny u: g_2 / g_1 is about 1/u, whose square passes
+    # float range at 1e-200, and the ratio itself at 5e-324, where it reads inf
+    seed = SeedFunction.from_config([{"poly": [0, 1, 1]}])
+    u = Fraction(1, 10**200)
+    (ratio,) = radius_probe(seed, u, 20).ratios
+    assert ratio == pytest.approx(float(1 / (u + u * u)), rel=1e-15)
+    assert radius_probe(seed, 5e-324, 20).ratios == (math.inf,)
+    ((n, r),) = ratio_points([Fraction(1), Fraction(10**600)])
+    assert n == 1 and r == pytest.approx(1e300, rel=1e-15)
 
 
 def test_entire_seed_converges_everywhere():
@@ -337,7 +350,7 @@ def test_variable_alpha_reduces_to_radius_probe(catalan_seed):
     # the seed series ratios bit for bit; each report keeps the last
     # RATIO_TAIL ratios, the ones its estimate reads
     base = radius_probe(catalan_seed, 0, K=40)
-    (va,) = variable_alpha_probe(catalan_seed, (), 0, 16, [0])
+    (va,) = variable_alpha_probe(catalan_seed, (), 16, [0])
     terms, _, L2 = _exact_terms(catalan_seed, QComplex(0), 40)
     pts = ratio_points([x * x + y * y for x, y in terms], step=L2 * L2)
     # the h-rows 1..17 of the order-16 potential give the ratios n = 1..16;
@@ -351,7 +364,7 @@ def test_variable_alpha_reduces_to_radius_probe(catalan_seed):
 
 def test_variable_alpha_corrections_stay_finite(catalan_seed):
     for a1 in (Fraction(1), Fraction(-1)):
-        (rep,) = variable_alpha_probe(catalan_seed, (a1,), 0, 16, [0])
+        (rep,) = variable_alpha_probe(catalan_seed, (a1,), 16, [0])
         assert rep.verdict == "converges"
         assert 0.0 < rep.estimated_radius < math.inf
 
@@ -364,11 +377,35 @@ def test_variable_alpha_probe_needs_exact_seed():
         (PolyTerm((0, 1)), PoleTerm(QComplex(Fraction(3, 2)), Fraction(3, 4), 1))
     )
     assert seed.terms == twin.terms
-    got = variable_alpha_probe(seed, (0.5,), 0.125, 6, [0, 0.25, 0.125 - 0.25j])
+    got = variable_alpha_probe(seed, (0.5,), 6, [0, 0.25, 0.125 - 0.25j])
     want = variable_alpha_probe(
-        twin, (Fraction(1, 2),), Fraction(1, 8), 6, [0, Fraction(1, 4), [Fraction(1, 8), Fraction(-1, 4)]]
+        twin, (Fraction(1, 2),), 6, [0, Fraction(1, 4), [Fraction(1, 8), Fraction(-1, 4)]]
     )
     assert repr(got) == repr(want)
+
+
+def test_variable_alpha_probe_refuses_a_pole_and_bad_alpha(catalan_seed):
+    with pytest.raises(DomainError, match="u sits exactly on a pole"):
+        variable_alpha_probe(catalan_seed, (1,), 8, [0, 1])
+    with pytest.raises(UsageError, match=r"alpha\[2\]"):
+        variable_alpha_probe(catalan_seed, (1, math.nan), 8, [0])
+
+
+def test_variable_alpha_probe_on_an_entire_seed_converges():
+    # with a finite alpha the rows of a polynomial seed terminate
+    seed = SeedFunction.from_config([{"poly": [1, 2, 0, 3, 0, 0, 5]}])
+    for rep in variable_alpha_probe(seed, (Fraction(1, 2), -1), 16, [0, Fraction(1, 3), [0, 1]]):
+        assert (rep.estimated_radius, rep.predicted_radius) == (math.inf, math.inf)
+        assert rep.verdict == "converges"
+
+
+def test_radius_verdict_claims_no_radius_from_a_vanishing_limit():
+    # ratios falling to 0 extrapolate to a limit at or below 1e-12; that
+    # shows no radius, and only a seed shown entire reads radius inf
+    for limit in (0.0, 1e-12, -0.5):
+        est, verdict = _radius_verdict(limit, 0.0)
+        assert math.isnan(est) and verdict == "inconclusive"
+    assert _radius_verdict(4.0, 0.0) == (0.25, "converges")
 
 
 def test_predicted_radius_law(catalan_seed):

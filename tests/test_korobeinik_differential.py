@@ -36,10 +36,13 @@ Each kernel is checked against a slow reference kept in this file:
 * the one exact Taylor run of the seed (``pde._taylor_run``) against
   ``SeedFunction.derivative_at(u, j) / j!`` and the ``differentiated()``
   chain, from every start with strides 1 and 2, the boundary row
-  ``_seed_b0`` against one ``derivative_at`` per order, and
-  ``bridge_check`` against one derivative evaluation per (k, j) pair;
-* ``variable_alpha_probe`` against its per-row ``Fraction``/``QComplex``
-  evaluation, bit for bit.
+  ``_b0_row(_seed_taylor(...))`` against one ``derivative_at`` per order,
+  and ``bridge_check`` against one derivative evaluation per (k, j) pair;
+* the potential's rows at each probe point (``variable_alpha_probe``)
+  against the constant terms of ``expand_potential`` built from the
+  boundary row about that point, as exact Fractions, and its reports
+  against the ones those give, bit for bit; with alpha == 4, its ratios
+  against those of the seed's exact run at the same point.
 """
 
 import cmath
@@ -89,7 +92,6 @@ from hodocusp.pde import (
     _complex_evaluator,
     bridge_check,
     expand_potential,
-    h_scaled,
     korobeinik_series,
 )
 from hodocusp.scalars import QComplex, parse_exact, parse_point
@@ -132,7 +134,11 @@ def ref_confirm_divergence(seed, u, h_abs, K, mags2=None):
 def ref_radius_probe(seed, u, K):
     """The radius probe over the closed-form magnitudes of the whole run."""
     u = parse_point(u)
-    pts = ratio_points(ref_magnitudes2(korobeinik_series(seed, u, K), u, K))
+    return ref_report(seed, u, ratio_points(ref_magnitudes2(korobeinik_series(seed, u, K), u, K)))
+
+
+def ref_report(seed, u, pts):
+    """The probe report at u from the ratios of its whole run."""
     ratios = tuple(r for _, r in pts[-RATIO_TAIL:])
     pred = predicted_radius(seed, u)
     if seed.is_entire():
@@ -195,17 +201,21 @@ def ref_cauchy(seed, r, r0, eps, n_max, closed_form=None):
     return CauchyReport(c_eps, n_max, max_ratio, worst[0], worst[1], max_ratio <= 1.0 + 1e-6)
 
 
+def ref_boundary_row(seed, u, order):
+    """b0_j = g1^(j)(u) / (2**j j!) for j <= 2 order, one ``derivative_at``
+    call per order, as QComplex."""
+    return [
+        seed.derivative_at(u, j) * QComplex(Fraction(1, 2**j * math.factorial(j)))
+        for j in range(2 * order + 1)
+    ]
+
+
 def ref_seed_b0(seed, u_star, order):
-    """The boundary row from one ``derivative_at`` call per order."""
+    """The real boundary row about u_star, or None when some b0_j is not real."""
     u = QComplex(u_star)
     seed.assert_not_pole(u, "u_star")
-    b0 = []
-    for j in range(2 * order + 1):
-        d = seed.derivative_at(u, j)
-        if not d.is_real():
-            return None
-        b0.append(Fraction(1, 2) ** j * d.re / math.factorial(j))
-    return b0
+    b0 = ref_boundary_row(seed, u, order)
+    return [b.re for b in b0] if all(b.is_real() for b in b0) else None
 
 
 def ref_bridge(seed, u_star, order):
@@ -227,54 +237,16 @@ def ref_bridge(seed, u_star, order):
     return BridgeCheck(not mismatches, order, checked, tuple(mismatches))
 
 
-def ref_row_at(row, v_val):
-    """sum_j row[j] * v_val**j by QComplex powers."""
-    if not row:
-        return None
-    total = None
-    power = 1
-    for j in range(max(row) + 1):
-        if j:
-            power = power * v_val
-        if j in row:
-            term = row[j] * power
-            total = term if total is None else total + term
-    return total
-
-
-def ref_abs2(v):
-    return v.abs2() if isinstance(v, QComplex) else Fraction(v) ** 2
-
-
-def ref_variable_alpha_probe(seed, alpha, u_star, order, u_list):
-    """The alpha probe with each row evaluated and squared in Fractions."""
-    u_star_q = parse_exact(u_star, "u_star")
-    b0 = ref_seed_b0(seed, u_star_q, order)
-    sol = expand_potential(ProblemData(b0=b0, alpha=alpha, v_star=2 * u_star_q), order)
-    c = h_scaled(sol.series)
-    rows = {}
-    for i, j, v in c.terms():
-        rows.setdefault(i, {})[j] = v
-    reports = []
-    for u in u_list:
-        uq = parse_point(u, "u")
-        v_val = (uq - QComplex(u_star_q)) * 2
-        mags2 = []
-        for k in range(1, c.cap + 1):
-            acc = ref_row_at(rows.get(k, {}), v_val)
-            mags2.append(ref_abs2(acc) if acc is not None else Fraction(0))
-        pts = ratio_points(mags2)
-        est, verdict = _radius_verdict(*richardson_limit(pts))
-        reports.append(
-            ConvergenceReport(
-                uq.to_complex(),
-                tuple(r for _, r in pts[-RATIO_TAIL:]),
-                est,
-                predicted_radius(seed, uq),
-                verdict,
-            )
-        )
-    return reports
+def ref_alpha_mags2(seed, alpha, order, u):
+    """|B_k(2u)|**2 for k <= order: the constant terms of the rows of
+    ``expand_potential`` built from the boundary row about u, its real and
+    imaginary parts expanded apart (the recurrence is linear)."""
+    b0 = ref_boundary_row(seed, u, order)
+    re, im = (
+        expand_potential(ProblemData(b0=[part(b) for b in b0], alpha=alpha), order).rows
+        for part in (lambda b: b.re, lambda b: b.im)
+    )
+    return [re[k][0] ** 2 + im[k][0] ** 2 for k in range(order + 1)]
 
 
 def ref_closed_form(terms, z, m, value_form=False):
@@ -597,11 +569,10 @@ def test_float_built_seed_reports_are_its_decimal_twins():
             confirm_divergence(twin, QComplex(Fraction(1, 16), Fraction(1, 8)), Fraction(1, 2), 60),
         ),
         (
-            variable_alpha_probe(seed, (0.625, -0.75), u_star, 8, [-0.4375, 0.0625 + 0.125j]),
+            variable_alpha_probe(seed, (0.625, -0.75), 8, [-0.4375, 0.0625 + 0.125j]),
             variable_alpha_probe(
                 twin,
                 (Fraction(5, 8), Fraction(-3, 4)),
-                u_star_q,
                 8,
                 [Fraction(-7, 16), [Fraction(1, 16), Fraction(1, 8)]],
             ),
@@ -635,7 +606,7 @@ def test_diagnostics_at_complex_points_never_take_the_closed_form(monkeypatch):
     assert bidisc_check(THREE_POLE, 0.0625j, 0.5, 0.0625, samples=4).analytic
     confirm_divergence(seed, u, Fraction(1, 2), 60)
     exact_magnitudes2(seed, u, 40)
-    assert len(variable_alpha_probe(seed, (0.625,), -0.0625, 6, [u, 0.25 - 0.125j])) == 2
+    assert len(variable_alpha_probe(seed, (0.625,), 6, [u, 0.25 - 0.125j])) == 2
     assert in_union_domain(0.01 + 0.01j, u, 0j, 1.0)
 
 
@@ -1041,14 +1012,15 @@ def test_taylor_run_never_takes_the_closed_form(monkeypatch):
     u = QComplex(Fraction(1, 3), Fraction(1, 7))
     pde._taylor_run(seed, u, 0, 120, 2)
     _exact_terms(seed, u, 60, 49)
-    pde._seed_b0(seed, Fraction(1, 3), 6)
+    pde._seed_taylor(seed, Fraction(1, 3), 13)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.one_of(seeds(), real_seeds()), big_den_q, st.integers(1, 10))
 def test_seed_b0_matches_one_derivative_per_order(seed, u_star, order):
     assume(seed.min_pole_distance2(QComplex(u_star)) != 0)
-    got = pde._seed_b0(seed, u_star, order)
+    taylor = pde._seed_taylor(seed, u_star, 2 * order + 1)
+    got = None if taylor is None else pde._b0_row(taylor)
     want = ref_seed_b0(seed, u_star, order)
     assert (got is None) == (want is None)
     assert got == want
@@ -1057,7 +1029,7 @@ def test_seed_b0_matches_one_derivative_per_order(seed, u_star, order):
 def test_seed_b0_refuses_a_pole_at_u_star():
     seed = SeedFunction.from_config([{"pole": {"a": Fraction(1, 3), "c": 1}}])
     with pytest.raises(DomainError, match="u_star sits exactly on a pole"):
-        pde._seed_b0(seed, Fraction(1, 3), 4)
+        pde._seed_taylor(seed, Fraction(1, 3), 9)
 
 
 alphas = st.lists(
@@ -1074,43 +1046,71 @@ probe_points = st.one_of(
 )
 
 
-def check_alpha_probe(seed, alpha, u_star, order, us):
-    got = variable_alpha_probe(seed, alpha, u_star, order, us)
-    want = ref_variable_alpha_probe(seed, alpha, u_star, order, us)
-    assert [r.ratios for r in got] == [r.ratios for r in want]
+def check_alpha_probe(seed, alpha, order, us):
+    """The probe's rows at each u, squared, against ``ref_alpha_mags2`` as
+    exact Fractions, and its reports against the ones those rows give."""
+    got = variable_alpha_probe(seed, alpha, order, us)
+    weights = korobeinik._alpha_weights([parse_exact(a) for a in alpha], order)
+    want = []
+    for u in us:
+        u = parse_point(u)
+        rows, den, L2 = korobeinik._alpha_rows(seed, u, weights)
+        mags2 = ref_alpha_mags2(seed, alpha, order, u)
+        assert [
+            Fraction(x * x + y * y, (den * L2**k) ** 2) for k, (x, y) in enumerate(rows)
+        ] == mags2
+        want.append(ref_report(seed, u, ratio_points(mags2)))
     assert repr(got) == repr(want)  # ratios, estimates and verdicts, nan included
 
 
 @settings(max_examples=15, deadline=None)
 @given(
-    real_seeds(),
+    st.one_of(seeds(), real_seeds()),
     alphas,
-    st.fractions(min_value=Fraction(-1, 4), max_value=Fraction(1, 4), max_denominator=10**6),
     st.integers(4, 10),
     st.lists(probe_points, min_size=1, max_size=3),
 )
-def test_alpha_probe_matches_fraction_rows(seed, alpha, u_star, order, us):
-    assume(seed.min_pole_distance2(QComplex(u_star)) != 0)
+def test_alpha_probe_matches_the_potential_about_u(seed, alpha, order, us):
     assume(all(seed.min_pole_distance2(parse_point(u)) != 0 for u in us))
-    check_alpha_probe(seed, alpha, u_star, order, us)
+    check_alpha_probe(seed, alpha, order, us)
+
+
+ALPHA_SEEDS = (
+    THREE_POLE,
+    SeedFunction.from_config([{"pole": {"a": 1, "c": 1}}]),
+    # odd: every row vanishes at u = 0, which leaves that probe no ratios
+    SeedFunction.from_config([{"pole": {"a": 1, "c": 1}}, {"pole": {"a": -1, "c": 1}}]),
+    POLY_ONLY,
+    # not real on the real axis
+    SeedFunction.from_config(
+        [{"poly": [1, 2]}, {"pole": {"a": [Fraction(3, 4), 1], "c": [1, Fraction(1, 2)]}}]
+    ),
+)
+ALPHA_POINTS = [Fraction(-7, 16), Fraction(1, 16), 0, [Fraction(1, 8), Fraction(-1, 5)], 0.3 - 0.1j]
 
 
 def test_alpha_probe_fixed_cases():
-    three_pole = SeedFunction.from_config(
-        [
-            {"pole": {"a": [Fraction(-209, 272), Fraction(45, 34)], "c": Fraction(15, 8)}},
-            {"pole": {"a": [Fraction(-209, 272), Fraction(-45, 34)], "c": Fraction(15, 8)}},
-            {"pole": {"a": Fraction(31, 16), "c": Fraction(-1, 8)}},
-        ]
-    )
-    catalan = SeedFunction.from_config([{"pole": {"a": 1, "c": 1}}])
-    # odd about u* = 0: every potential row skips the even powers of V
-    odd = SeedFunction.from_config([{"pole": {"a": 1, "c": 1}}, {"pole": {"a": -1, "c": 1}}])
-    us = [Fraction(-7, 16), Fraction(1, 16), 0, [Fraction(1, 8), Fraction(-1, 5)], 0.3 - 0.1j]
-    check_alpha_probe(three_pole, [Fraction(5, 8), Fraction(-3, 4)], Fraction(-1, 16), 8, us)
-    check_alpha_probe(catalan, [Fraction(1, 2)], 0, 16, us)
-    check_alpha_probe(odd, [Fraction(1, 3), Fraction(-1, 5)], 0, 10, us)
-    check_alpha_probe(POLY_ONLY, [Fraction(-1, 3), 0, Fraction(1, 7)], Fraction(1, 9), 6, us)
+    check_alpha_probe(ALPHA_SEEDS[0], [Fraction(5, 8), Fraction(-3, 4)], 8, ALPHA_POINTS)
+    check_alpha_probe(ALPHA_SEEDS[1], [Fraction(1, 2)], 16, ALPHA_POINTS)
+    check_alpha_probe(ALPHA_SEEDS[2], [Fraction(1, 3), Fraction(-1, 5)], 10, ALPHA_POINTS)
+    check_alpha_probe(ALPHA_SEEDS[3], [Fraction(-1, 3), 0, Fraction(1, 7)], 6, ALPHA_POINTS)
+    check_alpha_probe(ALPHA_SEEDS[4], [Fraction(1, 4), Fraction(1, 2)], 12, ALPHA_POINTS)
+
+
+@pytest.mark.parametrize("seed", ALPHA_SEEDS)
+@pytest.mark.parametrize("alpha", [(), (0, 0)])
+def test_alpha_probe_at_alpha_4_reads_the_seed_run(seed, alpha):
+    # alpha == 4: B_k(2u) = g_{k+1}(u), so away from u* too the ratios are
+    # those of the seed's exact run at u, and of the radius probe's window
+    for order in (8, 16):
+        for u, rep in zip(ALPHA_POINTS, variable_alpha_probe(seed, alpha, order, ALPHA_POINTS)):
+            u = parse_point(u)
+            terms, _, L2 = _exact_terms(seed, u, order + 1)
+            pts = ratio_points([x * x + y * y for x, y in terms], step=L2 * L2)
+            assert rep.ratios == tuple(r for _, r in pts[-RATIO_TAIL:])
+            mags, first, step = korobeinik._tail_run(seed, u, order + 1, RATIO_TAIL + 1)
+            tail = ratio_points(mags, step=step, first=first)[-RATIO_TAIL:]
+            assert rep.ratios == tuple(r for _, r in tail)
 
 
 # -- float sample verdicts ----------------------------------------------------------

@@ -70,9 +70,9 @@ from .pde import (
     PoleTerm,
     PolyTerm,
     SeedFunction,
-    _complex_evaluator,
+    _float_parts,
     _gauss_pow,
-    _seed_kernels,
+    _order_kernels,
     _taylor_run,
     expand_potential,  # unused here; perfbench's tracer patches this name
 )
@@ -408,15 +408,20 @@ def bidisc_check(
 
 
 def _limit_denominator(x: float, max_den: int) -> Fraction:
-    """Fraction(x).limit_denominator(max_den) in integers: the fraction
-    nearest x with a denominator of at most max_den, from the continued
-    fraction of x's integer ratio. The walk, the bound on the last
-    semiconvergent and the tie rule (the convergent p1/q1 wins a tie) are
-    CPython's, so the result is the identical Fraction, with no Fraction
-    arithmetic on the way."""
+    """Fraction(x).limit_denominator(max_den): ``_limit_ratio`` as a
+    Fraction."""
+    return Fraction(*_limit_ratio(x, max_den))
+
+
+def _limit_ratio(x: float, max_den: int):
+    """(p, q), the fraction p/q nearest x with 0 < q <= max_den, in lowest
+    terms, from the continued fraction of x's integer ratio. The walk, the
+    bound on the last semiconvergent and the tie rule (the convergent p1/q1
+    wins a tie) are CPython's ``Fraction.limit_denominator``, so p/q is its
+    result, with no Fraction arithmetic on the way."""
     n, d = x.as_integer_ratio()
     if d <= max_den:
-        return Fraction(n, d)
+        return n, d
     den = d
     p0, q0, p1, q1 = 0, 1, 1, 0
     while True:
@@ -429,31 +434,41 @@ def _limit_denominator(x: float, max_den: int) -> Fraction:
     k = (max_den - q0) // q1
     # p1/q1 is d/(q1 den) from x and 1/(q1 (q0 + k q1)) from the semiconvergent
     if 2 * d * (q0 + k * q1) <= den:
-        return Fraction(p1, q1)
-    return Fraction(p0 + k * p1, q0 + k * q1)
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
 
 
 def _sample_bidisc_point(rnd, u0, R, R1, poles, complex_h=False):
     """Rational point of the open bidisc; |h| stays exactly rational. A u
     on one of the seed's ``poles`` is drawn again, as is one outside the
-    disc: the series has no terms there."""
+    disc: the series has no terms there. Each draw stays an integer
+    numerator over its denominator until the returned values are built."""
     den = 128
+    (xn, xd), (yn, yd) = u0.re.as_integer_ratio(), u0.im.as_integer_ratio()
+    rn, rd = R.as_integer_ratio()
     while True:
-        xr = _limit_denominator(rnd.uniform(-1.0, 1.0), den)
-        yr = _limit_denominator(rnd.uniform(-1.0, 1.0), den)
-        if 0 < xr * xr + yr * yr < 1:
-            u = QComplex(u0.re + R * xr, u0.im + R * yr)
+        p, q = _limit_ratio(rnd.uniform(-1.0, 1.0), den)
+        s, t = _limit_ratio(rnd.uniform(-1.0, 1.0), den)
+        # 0 < (p/q)**2 + (s/t)**2 < 1, then u = u0 + R (p/q + i s/t)
+        if 0 < (p * t) ** 2 + (s * q) ** 2 < (q * t) ** 2:
+            u = QComplex(
+                Fraction(xn * rd * q + rn * p * xd, xd * rd * q),
+                Fraction(yn * rd * t + rn * s * yd, yd * rd * t),
+            )
             if u not in poles:
                 break
     while True:
-        m = _limit_denominator(rnd.uniform(0.0, 1.0), den) * R1
-        if m != 0:
+        p, q = _limit_ratio(rnd.uniform(0.0, 1.0), den)
+        if p:
             break
+    # |h| = (p/q) R1 > 0
+    mn, md = R1.as_integer_ratio()
+    mn, md = mn * p, md * q
     if complex_h:
-        h = QComplex(m * Fraction(3, 5), rnd.choice((1, -1)) * m * Fraction(4, 5))
+        h = QComplex(Fraction(3 * mn, 5 * md), Fraction(rnd.choice((1, -1)) * 4 * mn, 5 * md))
     else:
-        h = QComplex(rnd.choice((1, -1)) * m)
-    return u, h, m
+        h = QComplex(Fraction(rnd.choice((1, -1)) * mn, md))
+    return u, h, Fraction(mn, md)
 
 
 def _classify_sample(seed, u, h, h_abs, K):
@@ -695,6 +710,7 @@ def in_union_domain(h, u, u_star, R0) -> bool:
 # -- Cauchy derivative bound ---------------------------------------------------
 
 CIRCLE_SAMPLES = 4096
+_BLOCK = 64  # consecutive roots per block of the pruned circle maximum
 
 
 @functools.cache
@@ -702,6 +718,127 @@ def _circle_roots():
     """The CIRCLE_SAMPLES unit roots exp(2 pi i k / CIRCLE_SAMPLES), built
     on the first Cauchy check rather than at import."""
     return tuple(cmath.exp(2j * math.pi * k / CIRCLE_SAMPLES) for k in range(CIRCLE_SAMPLES))
+
+
+@functools.cache
+def _circle_blocks():
+    """The roots in runs of _BLOCK consecutive roots, and each run's middle
+    root (its root _BLOCK // 2)."""
+    roots = _circle_roots()
+    blocks = tuple(roots[i:i + _BLOCK] for i in range(0, CIRCLE_SAMPLES, _BLOCK))
+    return blocks, tuple(b[_BLOCK // 2] for b in blocks)
+
+
+# Error bound of ``_block_bounds``, with u = 2**-53 and the rules of the
+# ``_float_median`` comment. A sample is abs(S(z)) at a float point z = rho e,
+# computed by the circle kernel; T(z) is the sum of |t| over the parts t of
+# S at z, with the float constants of ``pde._float_parts``. N counts the
+# parts, n is the largest pole order and d the largest polynomial degree.
+# - A root e_k lies within the arc theta = 2 pi (_BLOCK / 2) / CIRCLE_SAMPLES
+#   = pi/64 of its block's middle root e_mid, so the exact roots lie within
+#   the chord 2 sin(theta/2) < theta (1 - 1e-4) of each other. A float root
+#   lies within 16u of its exact root (its angle rounds twice, by at most
+#   4 pi u, and cmath.exp once per part), and z = rho e errs by u per part.
+#   So |z_k - z_mid| <= rho (chord + 36u) < fl(rho _ARC) = reach.
+# - The kernel: a - z rounds by u; (a - z)**n, CPython's binary powering for
+#   n <= 100, by (1 + u)**n (1 + 3u)**(n-1) as a product tree (see
+#   ``_float_median``); c / p, Smith's method, by at most 7u in modulus. So
+#   a pole part errs by (4n + 4)u of its modulus. Horner's rule from 0j, d
+#   complex products and d + 1 additions, errs by 4(d + 1)u of
+#   sum |c_j| |z|**j. The N parts add up within (N - 1)u of the sum of their
+#   moduli, and abs (hypot, within one ulp) adds 2u. A sample is at most
+#   T(z) (1 + (4n + 4d + N + 10)u).
+# - The bound: |c| (hypot) errs by 2u; x = fl(|a - z_mid| _NEAR) lies below
+#   |a - z_mid|, which errs by 3u; g = fl(x - reach) <= (1 + u) |a - z| over
+#   the block, and g**n (pow, within one ulp) and |c| / g**n add 3u: each
+#   pole term bounds its part at every z of the block within (n + 5)u.
+#   |z| <= rho (1 + 3u), and Horner's rule over |c_j| and rho rounds 2d
+#   times on nonnegative values: within 5d u. N nonnegative terms add up
+#   within (N - 1)u, and the widening and the slack round twice.
+# So a sample is at most the bound times 1 + (5n + 9d + 2N + 16)u (1 + O(u)):
+# the widening is that count times _SAFETY. The range tests of
+# ``_block_bounds`` keep every power of |a - z| on the circle (and so every
+# step of the binary powering) in [_FLOAT_LO, _FLOAT_HI], and max(1, rho)**d
+# and sum |c_j| max(1, rho)**j, which bounds every Horner step, below
+# _FLOAT_HI. So no skipped sample overflows or raises, and a rounding that
+# underflows, off by at most 2**-1075 absolute, grows by at most 2**900
+# before it reaches a sample or a bound: the slack 2**-170 per part and per
+# degree covers it. A sample below a bound that is below a sampled value is
+# smaller than that value.
+_ARC = 2 * math.pi * (_BLOCK // 2) / CIRCLE_SAMPLES
+_NEAR = 1 - 2.0**-48
+_POWER_BITS = 900  # log2 of _FLOAT_HI
+
+
+def _block_bounds(parts, rho):
+    """One upper bound of the circle's samples per block of
+    ``_circle_blocks``, each widened by its rounding margin; a block next
+    to a pole, where no bound is formed, reads inf. None (the full sweep
+    runs) when the seed has no pole, whose bound would prune nothing, when
+    a pole's order exceeds 100 or when rho or a power of |a - z| on the
+    circle leaves [_FLOAT_LO, _FLOAT_HI], which takes in the kernel path of
+    rho outside +-2**1000."""
+    poles = [t for t in parts if not isinstance(t, PolyTerm)]
+    if not poles or not _FLOAT_LO <= rho <= _FLOAT_HI:
+        return None
+    for a, _, n in poles:
+        if n > 100 or n * math.log2(math.hypot(a.real, a.imag) + rho) > _POWER_BITS:
+            return None
+    lift = max(1.0, rho)
+    poly, deg = 0.0, 0
+    for t in parts:
+        if isinstance(t, PolyTerm):
+            lo = hi = 0.0
+            for c in reversed(t.coeffs):
+                lo = lo * rho + abs(float(c))
+                hi = hi * lift + abs(float(c))
+            deg = max(deg, len(t.coeffs) - 1)
+            if hi > _FLOAT_HI:
+                return None
+            poly += lo
+    if deg * math.log2(lift) > _POWER_BITS:
+        return None
+    top = max(n for _, _, n in poles)
+    widen = 1 + _SAFETY * _UNIT * (5 * top + 9 * deg + 2 * len(parts) + 16)
+    slack = (len(parts) + deg) * 2.0**-170
+    reach = rho * _ARC
+    # math.hypot, where abs raises on overflow
+    poles = [(a, math.hypot(c.real, c.imag), n) for a, c, n in poles]
+    bounds = []
+    for e in _circle_blocks()[1]:
+        z = rho * e
+        total = poly
+        for a, c, n in poles:
+            g = abs(a - z) * _NEAR - reach
+            gn = g**n if g > 0 else 0.0
+            if gn < _FLOAT_LO:
+                total = math.inf
+                break
+            total += c / gn
+        bounds.append(total * widen + slack)
+    return bounds
+
+
+def _circle_max(parts, circle, rho):
+    """max(circle(rho, _circle_roots())) to the bit, from the blocks that can
+    hold it (see ``cauchy_bound_check``)."""
+    bounds = _block_bounds(parts, rho)
+    if bounds is not None:
+        blocks, mids = _circle_blocks()
+        try:
+            values = circle(rho, mids)
+            best, total = max(values), sum(values)
+            for i in sorted(range(len(blocks)), key=bounds.__getitem__, reverse=True):
+                if bounds[i] < best:
+                    break
+                values = circle(rho, blocks[i])
+                best, total = max(best, *values), total + sum(values)
+        except (DomainError, OverflowError):
+            total = math.nan  # the full sweep raises it at its first sample
+        # a finite sum of the samples taken means each of them is finite
+        if math.isfinite(total):
+            return best
+    return max(circle(rho, _circle_roots()))
 
 
 @dataclass(frozen=True)
@@ -721,6 +858,24 @@ def cauchy_bound_check(seed: SeedFunction, r, r0, eps, n_max: int) -> CauchyRepo
     (4096 points). The inequality is the Cauchy integral estimate, so a
     pass is expected for any f analytic in |z| < r; a small relative slack
     absorbs the sampling of the circle maximum.
+
+    The maximum is found without evaluating every sample. The roots fall
+    into 64 blocks of 64 consecutive roots. Each block's middle root is
+    sampled first, and each block gets an upper bound for its samples:
+    sum_p |c_p| / (|a_p - z_mid| - delta)**n_p + sum_j |c_j| rho**j, where
+    delta bounds the distance of the block's points from its middle point,
+    widened by a derived rounding margin (``_block_bounds``). Blocks are
+    sampled in descending bound order until a bound falls strictly below
+    the largest sample so far; every skipped sample is then smaller than
+    that, so the maximum keeps its bits. All 4096 samples run, as one
+    sweep, for a seed without poles or with a pole of order above 100, for
+    rho or pole powers beyond float range, and when a sample is not finite
+    (the maximum over a nan depends on the order) or raises.
+
+    A bound that is not a finite positive float at some n <= n_max checks
+    nothing, and is a UsageError naming the first such n. It overflows by
+    n = 171, where n! does, or sooner; the power of r - r0 - eps can also
+    under- or overflow.
     """
     r_q = parse_exact(r, "r")
     r = float(r_q)
@@ -737,24 +892,33 @@ def cauchy_bound_check(seed: SeedFunction, r, r0, eps, n_max: int) -> CauchyRepo
         raise UsageError(
             "seed has a pole inside |z| < r; the bound requires analyticity there"
         )
-    value, circle = _seed_kernels(seed, 0)
+    parts = _float_parts(seed)
+    value, circle = _order_kernels(parts, 0)
     rho = r - eps
-    c_eps = max(circle(rho, _circle_roots()))
-    z_points = [0j]
-    for frac in (Fraction(1, 3), Fraction(2, 3), Fraction(1)):
-        for k in range(8):
-            z_points.append(r0 * float(frac) * cmath.exp(2j * math.pi * k / 8))
+    c_eps = _circle_max(parts, circle, rho)
     gap = r - r0 - eps
-    max_ratio = 0.0
-    worst = (0, 0j)
+    bounds = []
     fact = 1.0
     denom = gap
     for n in range(n_max + 1):
         if n > 0:
             fact *= n
             denom *= gap
-        bound = c_eps * fact * rho / denom
-        f = _complex_evaluator(seed, n) if n else value
+        bound = c_eps * fact * rho / denom if denom else math.inf
+        if not 0.0 < bound < math.inf:
+            raise UsageError(
+                f"cauchy: the bound C(eps) n! (r-eps)/(r-r0-eps)^(n+1) is {bound!r} "
+                f"at n = {n}, not a finite positive float; n_max must be below {n}"
+            )
+        bounds.append(bound)
+    z_points = [0j]
+    for frac in (Fraction(1, 3), Fraction(2, 3), Fraction(1)):
+        for k in range(8):
+            z_points.append(r0 * float(frac) * cmath.exp(2j * math.pi * k / 8))
+    max_ratio = 0.0
+    worst = (0, 0j)
+    for n, bound in enumerate(bounds):
+        f = _order_kernels(parts, n)[0] if n else value
         for z in z_points:
             ratio = abs(f(z)) / bound
             if ratio > max_ratio:

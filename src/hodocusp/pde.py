@@ -438,7 +438,25 @@ _BARE_BOUND = 2.0**1000
 
 
 def _seed_kernels(seed: SeedFunction, m: int):
-    """(kernel, circle) for the seed's m-th derivative.
+    """(kernel, circle) for the seed's m-th derivative: ``_order_kernels``
+    of the seed's ``_float_parts``."""
+    return _order_kernels(_float_parts(seed), m)
+
+
+def _float_parts(seed: SeedFunction):
+    """The seed's terms as the float kernels read them: a polynomial term
+    as it is, a pole as (a, c, n) with its position and residue converted
+    to complex once, so that the orders of one Cauchy check share them."""
+    return tuple(
+        t if isinstance(t, PolyTerm)
+        else (t.a.to_complex(), t.c.to_complex() if isinstance(t.c, QComplex) else complex(t.c), t.n)
+        for t in seed.terms
+    )
+
+
+def _order_kernels(parts, m: int):
+    """(kernel, circle) for the m-th derivative of the seed whose
+    ``_float_parts`` are ``parts``.
 
     kernel(z) is ``_complex_evaluator``. circle(rho, roots) is the list of
     abs(kernel(rho * e)) for the roots e (parts at most 1 in size), with the
@@ -451,26 +469,24 @@ def _seed_kernels(seed: SeedFunction, m: int):
     bits, and only under an abs; outside the bound the circle calls kernel.
 
     The per-term constants are converted once, outside the per-point call: a
-    pole's position and residue as complex numbers, the residue then times
-    the rising factor (n)(n+1)...(n+m-1) when m > 0, and a polynomial
-    coefficient as the exact c_j * perm(j, m), rounded once the way complex
-    arithmetic converts a Fraction. They are bound as the closure cells of
-    the functions a ``_seed_kernel_factory`` makes, compiled once per shape
-    of the seed, so the orders of a Cauchy check compile no text of their
-    own.
+    pole's residue times the rising factor (n)(n+1)...(n+m-1) when m > 0,
+    and a polynomial coefficient as the exact c_j * perm(j, m), rounded once
+    the way complex arithmetic converts a Fraction. They are bound as the
+    closure cells of the functions a ``_seed_kernel_factory`` makes,
+    compiled once per shape of the seed, so the orders of a Cauchy check
+    compile no text of their own.
     """
     shape, constants, poles = [], [], []
-    for t in seed.terms:
+    for t in parts:
         if isinstance(t, PolyTerm):
             cs = [t.coeffs[j] * math.perm(j, m) for j in range(len(t.coeffs) - 1, m - 1, -1)]
             shape.append("h")
             constants.append(tuple(complex(c) for c in cs))
             continue
-        a = t.a.to_complex()
-        c = t.c.to_complex() if isinstance(t.c, QComplex) else complex(t.c)
+        a, c, n = t
         if m:
-            c = c * math.prod(range(t.n, t.n + m))
-        power = t.n + m
+            c = c * math.prod(range(n, n + m))
+        power = n + m
         poles.append((a, power))
         bare = power == 1 and abs(a.real) < _BARE_BOUND and abs(a.imag) < _BARE_BOUND
         shape.append("1" if bare else "p")
@@ -491,7 +507,7 @@ def _seed_kernel_factory(shape):
     The shape has one letter per part of the seed: "h" a polynomial (its
     coefficient tuple, high to low), "p" a pole c / (a - z) ** n (c, a, n)
     and "1" a first-order pole that the circle writes bare (c, a, 1; see
-    ``_seed_kernels``). A division by zero raises refusal(z).
+    ``_order_kernels``). A division by zero raises refusal(z).
     """
     params, horner, powered, bare = ["refusal"], [], [], []
     for i, kind in enumerate(shape):

@@ -305,6 +305,30 @@ def test_korobeinik_cauchy_rejects_malformed_value(tmp_path, capsys):
     assert "eps: cannot parse rational" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "n_max, eps, first",
+    [
+        # 171! overflows, in the bound and in the kernel's residue constant
+        (171, "0.1", 144),
+        # 0.01**(n+1) underflows to zero at n = 161
+        (170, "0.49", 87),
+    ],
+)
+def test_korobeinik_cauchy_refuses_a_bound_past_float_range(n_max, eps, first, tmp_path, capsys):
+    """An n_max whose bound C(eps) n! (r-eps)/(r-r0-eps)^(n+1) leaves float
+    range is a usage error naming the first such n; up to n = first - 1 the
+    check runs."""
+    text = CATALAN.read_text().replace("n_max: 20", f"n_max: {n_max}").replace("eps: 0.1", f"eps: {eps}")
+    rc = cli.main(["korobeinik", "--config", str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"is inf at n = {first}, not a finite positive float; n_max must be below {first}" in err
+    text = text.replace(f"n_max: {n_max}", f"n_max: {first - 1}")
+    rc = cli.main(["korobeinik", "--config", str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert "cauchy bound: C(eps) = " in capsys.readouterr().out
+
+
 def test_korobeinik_needs_a_section(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "korobeinik:\n  g1:\n    - poly: [0, 1]\n")
     rc = cli.main(["korobeinik", "--config", str(cfg), "--out", str(tmp_path / "o")])

@@ -33,6 +33,11 @@ Each kernel is checked against a slow reference kept in this file:
 * the compiled seed kernel and its Cauchy circle against the closure the
   evaluator was before it was compiled, raw bit for raw bit, and Cauchy
   reports on the shipped, golden and generated configs against that closure;
+* the pruned circle maximum (``_circle_max``) against the maximum of the
+  full sweep, raw bit for raw bit or the same exception, and each block's
+  bound (``_block_bounds``) against each of its samples, on seeds built to
+  strain the bound and on the shipped, golden and generated configs, where
+  it evaluates under a quarter of the samples;
 * the one exact Taylor run of the seed (``pde._taylor_run``) against
   ``SeedFunction.derivative_at(u, j) / j!`` and the ``differentiated()``
   chain, from every start with strides 1 and 2, the boundary row
@@ -1536,3 +1541,101 @@ def test_cauchy_reports_keep_the_closure_bits():
 
         got = cauchy_bound_check(seed, r, r0, eps, cb["n_max"])
         assert repr(got) == repr(ref_cauchy(seed, r, r0, eps, cb["n_max"], closed_form))
+
+
+# -- the pruned circle maximum ------------------------------------------------------
+
+
+def check_circle_max(seed, rho):
+    """``_circle_max`` against max(circle(rho, roots)), raw bits or the same
+    exception; each block's bound against each of its samples. Returns the
+    number of samples the pruned maximum evaluated."""
+    parts = pde._float_parts(seed)
+    _, circle = pde._order_kernels(parts, 0)
+    roots = korobeinik._circle_roots()
+    seen = []
+
+    def counted(rho, points):
+        seen.append(len(points))
+        return circle(rho, points)
+
+    got = bits_outcome(lambda: [korobeinik._circle_max(parts, counted, rho)])
+    assert got == bits_outcome(lambda: [max(circle(rho, roots))])
+    bounds = korobeinik._block_bounds(parts, rho)
+    for bound, block in zip(bounds or (), korobeinik._circle_blocks()[0]):
+        try:
+            assert max(circle(rho, block)) <= bound
+        except (DomainError, OverflowError):
+            assert bound == math.inf  # a block through a pole or past float range
+    return sum(seen)
+
+
+PRUNE_SEEDS = {
+    # a pole just outside the circle |z| = 1: a sharp peak
+    "sharp peak": SeedFunction([PoleTerm(QComplex(Fraction(1001, 1000)), Fraction(1), 1)]),
+    # a conjugate pair on the imaginary axis: equal peaks near z = i and
+    # z = -i, in blocks 16 and 48
+    "conjugate pair": SeedFunction(
+        [PoleTerm(QComplex(0, Fraction(6, 5)), Fraction(1), 1),
+         PoleTerm(QComplex(0, Fraction(-6, 5)), Fraction(1), 1)]
+    ),
+    # residues of opposite sign that nearly cancel: on |z| = 1 the triangle
+    # inequality bounds their sum by 5 (at z = 1) to 45 (at z = -1) times
+    # its size
+    "opposite residues": SeedFunction(
+        [PoleTerm(QComplex(Fraction(6, 5)), Fraction(1), 1),
+         PoleTerm(QComplex(Fraction(13, 10)), Fraction(-1), 1)]
+    ),
+    "double pole": SeedFunction(
+        [PoleTerm(QComplex(Fraction(3, 2), Fraction(1, 2)), QComplex(1, -1), 2),
+         PolyTerm((Fraction(1), Fraction(-1, 2)))]
+    ),
+    "mixed": KERNEL_SEEDS["mixed"],
+    # no pole: the bound is a constant and prunes nothing
+    "polynomial": POLY_ONLY,
+    # samples past float range, where abs raises OverflowError in the full
+    # sweep too
+    "overflowing": SeedFunction([PoleTerm(QComplex(Fraction(3, 2)), Fraction(17 * 10**307), 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRUNE_SEEDS))
+@pytest.mark.parametrize("rho", [0.5, 0.9, 0.99, 0.999, 1.0])
+def test_circle_max_keeps_the_full_sweep_bits(name, rho):
+    count = check_circle_max(PRUNE_SEEDS[name], rho)
+    if name == "sharp peak":
+        assert count < CIRCLE_SAMPLES / 4
+    if name == "polynomial":
+        assert count == CIRCLE_SAMPLES
+
+
+@pytest.mark.parametrize("rho", [2.0**1001, 2.0**-1000])
+def test_circle_max_outside_float_range_sweeps_every_root(rho):
+    """At rho = 2**1001 the circle calls the kernel per point; both ends of
+    the range run the one full sweep."""
+    assert check_circle_max(KERNEL_SEEDS["mixed"], rho) == CIRCLE_SAMPLES
+
+
+def test_circle_max_on_a_pole_raises_the_full_sweeps_error():
+    """The circle through the Catalan seed's pole: the pruned maximum meets
+    it in the block next to it and runs the full sweep, which raises the
+    refusal at the first root."""
+    check_circle_max(CATALAN, 1.0)
+    parts = pde._float_parts(CATALAN)
+    with pytest.raises(DomainError, match=r"\(a - u\)\*\*1 is zero at u = \(1\+0j\)"):
+        korobeinik._circle_max(parts, pde._order_kernels(parts, 0)[1], 1.0)
+
+
+def test_circle_max_evaluates_few_samples_on_generated_configs():
+    """Bit for bit on the shipped, golden and generated configs, and under a
+    quarter of the samples evaluated on the generated ones (about 13%), so a
+    silent return to the full sweep fails here."""
+    evaluated = total = 0
+    for i, k in enumerate(korobeinik_blocks(perfbench_seeds=(1, 2, 3))):
+        cb = k["cauchy"]
+        r, eps = (float(parse_exact(cb[key])) for key in ("r", "eps"))
+        count = check_circle_max(SeedFunction.from_config(k["g1"]), r - eps)
+        if i > len(GOLDENS):  # a generated config
+            evaluated, total = evaluated + count, total + CIRCLE_SAMPLES
+    assert total == 30 * CIRCLE_SAMPLES
+    assert evaluated < total / 4, evaluated / total

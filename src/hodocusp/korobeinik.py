@@ -13,10 +13,11 @@ R + 2 sqrt(R1) = R0 is {|u - u*| + 2 sqrt(|h|) < R0}.
 Everything that can be decided in exact rational arithmetic is: squared
 pole distances, bidisc classification, membership tests, and the
 divergence-witness confirmation (whose term ratios overflow float range
-long before the heuristic window is reached). Floats appear in the
-Cauchy check, in the terms of a bidisc sample, which fall back to the
-exact ones wherever their error bound cannot decide, and in the final
-ratio-limit extrapolation and reports.
+long before the heuristic window is reached). Pole distances are read in
+integers, from the seed's pole table (``SeedFunction._pole_offsets``).
+Floats appear in the Cauchy check, in the terms of a bidisc sample, which
+fall back to the exact ones wherever their error bound cannot decide, and
+in the final ratio-limit extrapolation and reports.
 
 The exact terms g_n(u) are not built from the closed form
 g1^(2k)(u)/(k!(k+1)!) one n at a time. g_{k+1}(u) = Catalan_k [z**(2k)]
@@ -39,8 +40,8 @@ is one integer true division of consecutive M_k (``_tail_run``,
 cross-multiplication (``_Quotient``), with no gcd. Their float ratios
 reach the printed reports bit for bit, so they stay exact. A bidisc sample
 reports only a verdict, and computes its eleven window terms in floats
-(``_float_median``): each w = 1/(a - u) is rounded once from the exact
-difference, each pole takes one binary power of w and then steps by w**2,
+(``_float_median``): each w = 1/(a - u) is rounded once from the integer
+pole offsets, each pole takes one binary power of w and then steps by w**2,
 and consecutive Catalan numbers enter the ratios as the exact factor
 2(2k+1)/(k+2). Each term carries a forward error bound (Higham, ch. 3;
 complex products after Brent, Percival and Zimmermann) with a safety
@@ -385,10 +386,9 @@ def bidisc_check(
     analytic = not any(lt_dist_vs_radius(d2, R, R1) for d2 in d2s)
 
     rnd = random.Random(rng_seed)
-    poles = seed.poles()
     rows = []
     for i in range(samples):
-        u, h, h_abs = _sample_bidisc_point(rnd, u0, R, R1, poles, complex_h=(i % 4 == 3))
+        u, h, h_abs = _sample_bidisc_point(rnd, u0, R, R1, seed, complex_h=(i % 4 == 3))
         rows.append(_classify_sample(seed, u, h, h_abs, probe_terms))
 
     witness = None
@@ -438,11 +438,11 @@ def _limit_ratio(x: float, max_den: int):
     return p0 + k * p1, q0 + k * q1
 
 
-def _sample_bidisc_point(rnd, u0, R, R1, poles, complex_h=False):
+def _sample_bidisc_point(rnd, u0, R, R1, seed, complex_h=False):
     """Rational point of the open bidisc; |h| stays exactly rational. A u
-    on one of the seed's ``poles`` is drawn again, as is one outside the
-    disc: the series has no terms there. Each draw stays an integer
-    numerator over its denominator until the returned values are built."""
+    on a pole of the seed (``SeedFunction._on_pole``) is drawn again, as
+    is one outside the disc: the series has no terms there. Each draw stays an integer numerator over its denominator until the
+    returned values are built."""
     den = 128
     (xn, xd), (yn, yd) = u0.re.as_integer_ratio(), u0.im.as_integer_ratio()
     rn, rd = R.as_integer_ratio()
@@ -455,7 +455,7 @@ def _sample_bidisc_point(rnd, u0, R, R1, poles, complex_h=False):
                 Fraction(xn * rd * q + rn * p * xd, xd * rd * q),
                 Fraction(yn * rd * t + rn * s * yd, yd * rd * t),
             )
-            if u not in poles:
+            if not seed._on_pole(u):
                 break
     while True:
         p, q = _limit_ratio(rnd.uniform(0.0, 1.0), den)
@@ -473,16 +473,14 @@ def _sample_bidisc_point(rnd, u0, R, R1, poles, complex_h=False):
 
 def _classify_sample(seed, u, h, h_abs, K):
     """The sample's predicted class from the exact 4|h| against d(u)**2, and
-    its observed verdict; both read the exact differences a - u."""
-    diffs = [a - u for a in seed.poles()]
-    d2 = min((z.abs2() for z in diffs), default=None)
-    if d2 is None or 4 * h_abs < d2:
-        predicted = "converges"
-    elif 4 * h_abs > d2:
-        predicted = "diverges"
-    else:
-        predicted = "boundary"
-    observed = _observe_point(seed, u, h_abs, K, diffs)
+    its observed verdict; both read the integer pole offsets of u
+    (``SeedFunction._pole_offsets``). With d(u)**2 = n/D**2 and
+    |h| = p/q, 4|h| - d(u)**2 has the sign of 4 p D**2 - n q."""
+    D, offs = offsets = seed._pole_offsets(u)
+    p, q = h_abs.numerator, h_abs.denominator
+    gap = 4 * p * D * D - min(x * x + y * y for x, y in offs) * q if offs else -1
+    predicted = "converges" if gap < 0 else "diverges" if gap > 0 else "boundary"
+    observed = _observe_point(seed, u, h_abs, K, offsets)
     return BidiscSample(
         u=u.to_complex(),
         h=h.to_complex(),
@@ -491,16 +489,16 @@ def _classify_sample(seed, u, h, h_abs, K):
     )
 
 
-def _observe_point(seed, u, h_abs, K, diffs) -> str:
+def _observe_point(seed, u, h_abs, K, offsets) -> str:
     """Ratio-tail verdict for the series at a concrete (u, h), |h| = h_abs
     exact: the median of the last five ratios, read from the last six terms.
 
-    The terms are first computed in floats from the differences
-    diffs = [a - u] of the seed's poles (``_float_median``); only where the
+    The terms are first computed in floats from the seed's pole offsets
+    ``offsets`` = ``seed._pole_offsets(u)`` (``_float_median``); only where the
     error bound of that path cannot decide do the exact ratios of the window
     run (``_tail_run``, ``ratio_points``) decide, so the verdict is always
     the exact one."""
-    med = _float_median(seed, diffs, h_abs, K)
+    med = _float_median(seed, offsets, h_abs, K)
     if med is None:
         mags, first, step = _tail_run(seed, u, K, 6)
         pts = ratio_points(mags, h_abs * h_abs, step, first)
@@ -549,13 +547,15 @@ _FLOAT_LO = 2.0**-900
 _FLOAT_HI = 2.0**900
 
 
-def _float_median(seed, diffs, h_abs, K):
+def _float_median(seed, offsets, h_abs, K):
     """The median of the last five ratios |h| |g_{k+2}(u)| / |g_{k+1}(u)| in
     floats, or None when it cannot decide the verdict.
 
     g_{k+1}(u) = Catalan_k S_k with S_k = sum_p c_p C(m_p+2k-1, 2k) w_p**(m_p+2k)
     over the poles c_p/(a_p - u)**m_p, and w_p = 1/(a_p - u) rounded once from
-    the exact difference in ``diffs``.
+    the exact difference: with ``offsets`` = (D, [(x_p, y_p)]) of
+    ``seed._pole_offsets(u)``, w_p = D (x_p - i y_p)/(x_p**2 + y_p**2), each
+    part one integer true division, which rounds correctly.
     The eleven terms k = k0..K-1, k0 = K - RATIO_TAIL - 1, that the exact
     window run would take start from one binary power of w_p per pole and
     step by w_p**2; consecutive Catalan numbers enter the ratios as the exact
@@ -577,12 +577,11 @@ def _float_median(seed, diffs, h_abs, K):
             complex(float(t.c.re), float(t.c.im)) if isinstance(t.c, QComplex) else float(t.c)
             for t in poles
         ]
+        D, offs = offsets
         ws = []
-        for z in diffs:
-            # a - u = (x + i y) / qs over the product qs of its denominators
-            x, y = z.re.numerator * z.im.denominator, z.im.numerator * z.re.denominator
-            qs, n2 = z.re.denominator * z.im.denominator, x * x + y * y
-            ws.append(complex(qs * x / n2, -(qs * y) / n2))
+        for x, y in offs:
+            n2 = x * x + y * y
+            ws.append(complex(D * x / n2, -D * y / n2))
     except (OverflowError, ZeroDivisionError):
         return None
     if not _FLOAT_LO <= h <= _FLOAT_HI:
@@ -875,7 +874,11 @@ def cauchy_bound_check(seed: SeedFunction, r, r0, eps, n_max: int) -> CauchyRepo
     A bound that is not a finite positive float at some n <= n_max checks
     nothing, and is a UsageError naming the first such n. It overflows by
     n = 171, where n! does, or sooner; the power of r - r0 - eps can also
-    under- or overflow.
+    under- or overflow. So is an n at which the kernel of order n would
+    convert a rising factor (m)(m+1)...(m+n-1) past float range, for the
+    largest pole order m; that n is found before any kernel of order
+    n >= 1 is built. A C(eps) that is not a finite float (a sample's
+    modulus past float range) is a UsageError too.
     """
     r_q = parse_exact(r, "r")
     r = float(r_q)
@@ -895,14 +898,25 @@ def cauchy_bound_check(seed: SeedFunction, r, r0, eps, n_max: int) -> CauchyRepo
     parts = _float_parts(seed)
     value, circle = _order_kernels(parts, 0)
     rho = r - eps
-    c_eps = _circle_max(parts, circle, rho)
+    try:
+        c_eps = _circle_max(parts, circle, rho)
+    except OverflowError:  # a sample's modulus past float range
+        c_eps = math.inf
+    if not math.isfinite(c_eps):
+        raise UsageError(
+            f"cauchy: C(eps), the maximum of |g1| on |z| = r - eps, is {c_eps!r}, "
+            "not a finite float"
+        )
     gap = r - r0 - eps
+    top = max((t.n for t in seed.terms if isinstance(t, PoleTerm)), default=1)
     bounds = []
     fact = 1.0
+    rise = 1  # (top)(top+1)...(top+n-1), the largest pole's kernel factor
     denom = gap
     for n in range(n_max + 1):
         if n > 0:
             fact *= n
+            rise *= top + n - 1
             denom *= gap
         bound = c_eps * fact * rho / denom if denom else math.inf
         if not 0.0 < bound < math.inf:
@@ -910,6 +924,13 @@ def cauchy_bound_check(seed: SeedFunction, r, r0, eps, n_max: int) -> CauchyRepo
                 f"cauchy: the bound C(eps) n! (r-eps)/(r-r0-eps)^(n+1) is {bound!r} "
                 f"at n = {n}, not a finite positive float; n_max must be below {n}"
             )
+        try:
+            float(rise)  # as the kernel of order n converts it
+        except OverflowError:
+            raise UsageError(
+                f"cauchy: the rising factor ({top})...({top + n - 1}) of a pole of "
+                f"order {top} leaves float range at n = {n}; n_max must be below {n}"
+            ) from None
         bounds.append(bound)
     z_points = [0j]
     for frac in (Fraction(1, 3), Fraction(2, 3), Fraction(1)):
@@ -968,18 +989,33 @@ def _alpha_weights(alpha, order: int):
     ``variable_alpha_probe`` weights as integers over one denominator W;
     ``alpha`` holds alpha_1, alpha_2, ... as Fractions. The c triangle's
     recurrence times (m+1)!(m+2)!/4**(m+1) builds w directly: w_00 = 1 and
-    w_{k+1,m+1} = (m+1)(m+2) (4 w_km + sum_l alpha_l w_{k-l,m}) / (4(k+1)(k+2))."""
-    w = [[Fraction(1)]]
+    w_{k+1,m+1} = (m+1)(m+2) (4 w_km + sum_l alpha_l w_{k-l,m}) / (4(k+1)(k+2)).
+    It runs in integers: with alpha_l = A_l/a_d over their common
+    denominator a_d, row k is held over D_k, D_0 = 1 and
+    D_{k+1} = 4(k+1)(k+2) a_d D_k, so the numerators of row k + 1 are
+    (m+1)(m+2) (4 a_d n_km + sum_l A_l (D_k/D_{k-l}) n_{k-l,m})."""
+    ad = math.lcm(*(a.denominator for a in alpha))
+    A = [a.numerator * (ad // a.denominator) for a in alpha]  # alpha_l = A_l / ad
+    n, dens = [[1]], [1]  # w_km = n[k][m] / dens[k]
     for k in range(order):
-        nxt = [Fraction(0)] * (k + 2)
+        # alpha_l w_{k-l,m} over ad dens[k]: dens[k - l] divides dens[k]
+        lifts = [(l, A[l - 1], dens[k] // dens[k - l]) for l in range(1, min(k, len(A)) + 1) if A[l - 1]]
+        nxt = [0] * (k + 2)
         for m in range(k + 1):
-            acc = 4 * w[k][m]
-            for l in range(1, min(k - m, len(alpha)) + 1):
-                acc += alpha[l - 1] * w[k - l][m]
-            nxt[m + 1] = acc * (m + 1) * (m + 2) / (4 * (k + 1) * (k + 2))
-        w.append(nxt)
-    W = math.lcm(*(x.denominator for row in w for x in row))
-    return [[x.numerator * (W // x.denominator) for x in row] for row in w], W
+            acc = 4 * ad * n[k][m]
+            for l, a, f in lifts:
+                if l > k - m:
+                    break
+                acc += a * f * n[k - l][m]
+            nxt[m + 1] = (m + 1) * (m + 2) * acc
+        n.append(nxt)
+        dens.append(4 * (k + 1) * (k + 2) * ad * dens[k])
+    # over the last denominator, reduced once: the lcm of the reduced
+    # denominators D/gcd(D, x) is D/gcd(D, every x)
+    D = dens[-1]
+    w = [[x * (D // d) for x in row] for row, d in zip(n, dens)]
+    g = math.gcd(D, *(x for row in w for x in row))
+    return [[x // g for x in row] for row in w], D // g
 
 
 def _alpha_rows(seed: SeedFunction, u: QComplex, weights):

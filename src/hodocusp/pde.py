@@ -324,16 +324,25 @@ class SeedFunction:
 
     Every component is held exactly (see ``_exact_term``), so the seed is
     evaluated exactly at exact points, and at any other point by the one
-    float evaluator ``_complex_evaluator``.
+    float evaluator ``_complex_evaluator``. The pole positions are also
+    kept, once, as Gaussian integers over one common denominator Da (the
+    slot ``_pole_table``), from which ``_pole_offsets`` gives every exact
+    pole distance in integers.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_pole_table")
 
     def __init__(self, terms):
         terms = tuple(_exact_term(t) for t in terms)
         if not terms:
             raise UsageError("seed function needs at least one component")
         self.terms = terms
+        poles = [t.a for t in terms if isinstance(t, PoleTerm)]
+        Da = math.lcm(*(x.denominator for a in poles for x in (a.re, a.im)))
+        self._pole_table = (Da, tuple(
+            (a.re.numerator * (Da // a.re.denominator), a.im.numerator * (Da // a.im.denominator))
+            for a in poles
+        ))
 
     @classmethod
     def from_config(cls, obj, field="g1"):
@@ -399,25 +408,45 @@ class SeedFunction:
     def is_entire(self) -> bool:
         return not self.poles()
 
-    def _pole_distances2(self, u):
-        """(pole, exact squared distance from u) for each pole, in seed order.
-
-        u is read by ``parse_point``, so a float point counts as its decimal.
-        """
-        ps = self.poles()
-        if not ps:
-            return []
+    def _pole_offsets(self, u):
+        """(D, [(x_p, y_p)]) with a_p - u = (x_p + i y_p)/D for each pole a_p,
+        in seed order: signed integers over one positive denominator D, the
+        lcm of the pole table's Da and u's two denominators, which need not
+        be the least one. An entire seed gives (1, []) without reading u;
+        otherwise u is read by ``parse_point``, so a float point counts as
+        its decimal."""
+        Da, table = self._pole_table
+        if not table:
+            return 1, []
         u = parse_point(u, "u")
-        return [(a, (a - u).abs2()) for a in ps]
+        re, im = u.re, u.im
+        rd, id_ = re.denominator, im.denominator
+        D = math.lcm(Da, rd, id_)
+        f, ur, ui = D // Da, re.numerator * (D // rd), im.numerator * (D // id_)
+        return D, [(ar * f - ur, ai * f - ui) for ar, ai in table]
+
+    def _pole_distances2(self, u):
+        """(pole, exact squared distance from u) for each pole, in seed order,
+        each distance a Fraction (x**2 + y**2)/D**2 of ``_pole_offsets``."""
+        D, offsets = self._pole_offsets(u)
+        D2 = D * D
+        return [(a, Fraction(x * x + y * y, D2)) for a, (x, y) in zip(self.poles(), offsets)]
 
     def min_pole_distance2(self, u):
         """Exact squared distance (a Fraction) from u to the nearest pole;
         None when entire."""
-        return min((d2 for _, d2 in self._pole_distances2(u)), default=None)
+        D, offsets = self._pole_offsets(u)
+        if not offsets:
+            return None
+        return Fraction(min(x * x + y * y for x, y in offsets), D * D)
+
+    def _on_pole(self, u) -> bool:
+        """Whether u equals a pole exactly: an offset x = y = 0 of
+        ``_pole_offsets``."""
+        return any(not (x or y) for x, y in self._pole_offsets(u)[1])
 
     def assert_not_pole(self, u, field="u"):
-        d2 = self.min_pole_distance2(u)
-        if d2 is not None and d2 == 0:
+        if self._on_pole(u):
             raise DomainError(f"{field} sits exactly on a pole of the seed function")
 
 
@@ -661,10 +690,12 @@ def _taylor_run(seed: SeedFunction, u: QComplex, start: int, stop: int, stride: 
     integers: the one exact run of the seed's Taylor coefficients at u.
 
     A pole c/(a - u)**m contributes c C(m+j-1, j) w**(m+j), w = 1/(a - u).
-    Each w is written as a Gaussian integer over the common integer L of all
-    poles; a pole starts at j = start by one binary power of w and steps by
-    w**stride, so a later start skips the products of the terms before it
-    and gives the same integers. The polynomial part P is shifted to u once,
+    Each a - u is read in integers from the seed's pole table
+    (``SeedFunction._pole_offsets``), and each w is written as a Gaussian
+    integer over the common integer L of all poles; a pole starts at
+    j = start by one binary power of w and steps by w**stride, so a later
+    start skips the products of the terms before it and gives the same
+    integers. The polynomial part P is shifted to u once,
     in Gaussian integers, by repeated synthetic division (Knuth, TAOCP 2,
     4.6.4): with u = U/Du, z = y/Du and Dc clearing its coefficients,
     Dc Du**deg P(u + z) = sum_i n_i Du**(deg-i) (U + y)**i. The denominator
@@ -672,16 +703,19 @@ def _taylor_run(seed: SeedFunction, u: QComplex, start: int, stop: int, stride: 
     not depend on start or stop, and no gcd runs after the first one per pole.
     """
     poles = [t for t in seed.terms if isinstance(t, PoleTerm)]
-    # a - u = (p + iq)/D over one denominator D; then w = omega/nu reduced
-    diffs = [t.a - u for t in poles]
-    D = math.lcm(*(x.denominator for z in diffs for x in (z.re, z.im)))
+    # a - u = (p + iq)/D (``_pole_offsets``); then w = omega/nu reduced. D
+    # need not be the least denominator: scaling D, p and q by s scales
+    # g = gcd(Dp, Dq, p**2 + q**2) by s**2, so ws, L, den0 and every term
+    # keep their integers
+    D, offsets = seed._pole_offsets(u)
     ws = []
-    for z in diffs:
-        p, q = (z.re * D).numerator, (z.im * D).numerator
-        g = math.gcd(D * p, D * q, p * p + q * q)
-        ws.append((D * p // g, -D * q // g, (p * p + q * q) // g))
+    for p, q in offsets:
+        n2 = p * p + q * q
+        g = math.gcd(D * p, D * q, n2)
+        ws.append((D * p // g, -D * q // g, n2 // g))
     L = math.lcm(*(nu for _, _, nu in ws))
-    residues = [t.c if isinstance(t.c, QComplex) else QComplex(t.c) for t in poles]
+    # (re, im) of each residue; an int 0 has denominator 1 like a Fraction
+    residues = [(t.c.re, t.c.im) if isinstance(t.c, QComplex) else (t.c, 0) for t in poles]
     poly = []  # the polynomial components summed, coefficients ascending
     for t in seed.terms:
         if isinstance(t, PolyTerm):
@@ -692,7 +726,7 @@ def _taylor_run(seed: SeedFunction, u: QComplex, start: int, stop: int, stride: 
     Du = math.lcm(u.re.denominator, u.im.denominator)
     Dc = math.lcm(*(c.denominator for c in poly))
     Dp = Dc * Du**deg if poly else 1
-    Cden = math.lcm(Dp, *(x.denominator for z in residues for x in (z.re, z.im)))
+    Cden = math.lcm(Dp, *(x.denominator for z in residues for x in z))
     mmax = max((t.n for t in poles), default=0)
     den0 = Cden * L**mmax
     js = range(start, stop, stride)
@@ -702,7 +736,7 @@ def _taylor_run(seed: SeedFunction, u: QComplex, start: int, stop: int, stride: 
         f = L // nu
         wr, wi = wr * f, wi * f  # w = (wr + i wi) / L
         m = t.n
-        er, ei = (c.re * Cden).numerator, (c.im * Cden).numerator
+        er, ei = (x.numerator * (Cden // x.denominator) for x in c)
         pr, pi = _gauss_pow(wr, wi, m + start)
         scale = L ** (mmax - m)
         er, ei = (er * pr - ei * pi) * scale, (er * pi + ei * pr) * scale

@@ -329,6 +329,21 @@ def test_korobeinik_cauchy_refuses_a_bound_past_float_range(n_max, eps, first, t
     assert "cauchy bound: C(eps) = " in capsys.readouterr().out
 
 
+def test_korobeinik_cauchy_refuses_a_circle_maximum_past_float_range(tmp_path, capsys):
+    """A sample of |g1| on the circle whose modulus leaves float range makes
+    C(eps) meaningless: a usage error naming C(eps), not a traceback."""
+    text = (
+        "korobeinik:\n"
+        "  g1: [{pole: {a: 3/2, c: 1.2e308}}]\n"
+        "  cauchy: {r: 3/2, r0: 1/2, eps: 1/2, n_max: 2}\n"
+    )
+    rc = cli.main(["korobeinik", "--config", str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "cauchy: C(eps), the maximum of |g1| on |z| = r - eps, is inf, not a finite float" in (
+        capsys.readouterr().err
+    )
+
+
 def test_korobeinik_needs_a_section(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "korobeinik:\n  g1:\n    - poly: [0, 1]\n")
     rc = cli.main(["korobeinik", "--config", str(cfg), "--out", str(tmp_path / "o")])

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from hodocusp import korobeinik
 from hodocusp import (
     DomainError,
     QComplex,
@@ -340,6 +341,38 @@ def test_cauchy_bound_pole_on_the_circle_is_outside():
     # a hair further in, the pole is inside the open disc and is refused
     with pytest.raises(UsageError, match="pole inside"):
         cauchy_bound_check(seed, Fraction(9, 7) + Fraction(1, 10**12), Fraction(1, 2), Fraction(1, 7), 12)
+
+
+def test_cauchy_bound_refuses_a_rising_factor_past_float_range(monkeypatch):
+    """A pole of order 2 has the kernel constant (n + 1)! c at order n,
+    which leaves float range at n = 170 while the bound is still finite:
+    a usage error naming that n, raised before a kernel of any order n >= 1
+    is built; up to n = 169 the check runs."""
+    seed = SeedFunction([PoleTerm(QComplex(5), 1, 2)])
+    built = []
+    inner = korobeinik._order_kernels
+
+    def spy(parts, m):
+        built.append(m)
+        return inner(parts, m)
+
+    monkeypatch.setattr(korobeinik, "_order_kernels", spy)
+    with pytest.raises(UsageError, match=r"order 2 leaves float range at n = 170; n_max must be below 170"):
+        cauchy_bound_check(seed, 4, 0.5, 0.5, 170)
+    assert built == [0]
+    built.clear()
+    assert cauchy_bound_check(seed, 4, 0.5, 0.5, 169).passed
+    assert built == list(range(170))
+
+
+def test_cauchy_bound_refuses_a_circle_maximum_past_float_range():
+    # |c / (a - z)| on |z| = 1 reaches 2.4e308: the sample's modulus overflows
+    seed = SeedFunction.from_config([{"pole": {"a": Fraction(3, 2), "c": 1.2e308}}])
+    with pytest.raises(UsageError, match=r"C\(eps\), the maximum of \|g1\| on \|z\| = r - eps, is inf"):
+        cauchy_bound_check(seed, Fraction(3, 2), Fraction(1, 2), Fraction(1, 2), 2)
+    # a tenth of that residue stays in range
+    seed = SeedFunction.from_config([{"pole": {"a": Fraction(3, 2), "c": 1.2e307}}])
+    assert cauchy_bound_check(seed, Fraction(3, 2), Fraction(1, 2), Fraction(1, 2), 0).passed
 
 
 # -- variable-alpha probe -------------------------------------------------------

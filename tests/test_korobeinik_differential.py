@@ -47,7 +47,12 @@ Each kernel is checked against a slow reference kept in this file:
   against the constant terms of ``expand_potential`` built from the
   boundary row about that point, as exact Fractions, and its reports
   against the ones those give, bit for bit; with alpha == 4, its ratios
-  against those of the seed's exact run at the same point.
+  against those of the seed's exact run at the same point; the integer
+  alpha weights (``_alpha_weights``) against their Fraction recurrence;
+* the integer pole offsets of a point (``SeedFunction._pole_offsets``)
+  against the QComplex differences a - u and their ``abs2``, and
+  ``assert_not_pole`` against equality with a pole, float points read as
+  their decimals.
 """
 
 import cmath
@@ -153,14 +158,14 @@ def ref_report(seed, u, pts):
 
 
 def observe_point(seed, u, h_abs, K):
-    """``_observe_point`` with the pole differences a - u that
-    ``_classify_sample`` hands it."""
-    return _observe_point(seed, u, h_abs, K, [a - u for a in seed.poles()])
+    """``_observe_point`` with the integer pole offsets of u
+    (``SeedFunction._pole_offsets``) that ``_classify_sample`` hands it."""
+    return _observe_point(seed, u, h_abs, K, seed._pole_offsets(u))
 
 
-def ref_observe_point(seed, u, h_abs, K, diffs=None):
+def ref_observe_point(seed, u, h_abs, K, offsets=None):
     """The bidisc sample verdict over the closed-form magnitudes of the whole
-    run; the pole differences a - u that ``bidisc_check`` passes are unused."""
+    run; the pole offsets of u that ``bidisc_check`` passes are unused."""
     mags2 = ref_magnitudes2(korobeinik_series(seed, u, K), u, K)
     pts = ratio_points(mags2, h_abs * h_abs)
     if len(pts) < RATIO_TAIL:
@@ -252,6 +257,24 @@ def ref_alpha_mags2(seed, alpha, order, u):
         for part in (lambda b: b.re, lambda b: b.im)
     )
     return [re[k][0] ** 2 + im[k][0] ** 2 for k in range(order + 1)]
+
+
+def ref_alpha_weights(alpha, order):
+    """(w, W) of ``_alpha_weights`` from its recurrence in Fractions:
+    w_00 = 1 and
+    w_{k+1,m+1} = (m+1)(m+2) (4 w_km + sum_l alpha_l w_{k-l,m}) / (4(k+1)(k+2)),
+    then put over the lcm W of the reduced denominators."""
+    w = [[Fraction(1)]]
+    for k in range(order):
+        nxt = [Fraction(0)] * (k + 2)
+        for m in range(k + 1):
+            acc = 4 * w[k][m]
+            for l in range(1, min(k - m, len(alpha)) + 1):
+                acc += alpha[l - 1] * w[k - l][m]
+            nxt[m + 1] = acc * (m + 1) * (m + 2) / (4 * (k + 1) * (k + 2))
+        w.append(nxt)
+    W = math.lcm(*(x.denominator for row in w for x in row))
+    return [[x.numerator * (W // x.denominator) for x in row] for row in w], W
 
 
 def ref_closed_form(terms, z, m, value_form=False):
@@ -1118,6 +1141,108 @@ def test_alpha_probe_at_alpha_4_reads_the_seed_run(seed, alpha):
             assert rep.ratios == tuple(r for _, r in tail)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=16), max_size=6),
+    st.integers(0, 16),
+)
+def test_alpha_weights_match_the_fraction_recurrence(alpha, order):
+    got = korobeinik._alpha_weights(alpha, order)
+    assert got == ref_alpha_weights(alpha, order)
+    w, W = got
+    assert type(W) is int and all(type(x) is int for row in w for x in row)
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [[], [0], [0, 0], [Fraction(1, 3)], [0, Fraction(-5, 7), 0], [Fraction(5, 8), Fraction(-3, 4)]],
+)
+@pytest.mark.parametrize("order", [0, 1, 2, 8, 16])
+def test_alpha_weights_fixed_cases(alpha, order):
+    alpha = [Fraction(a) for a in alpha]
+    w, W = korobeinik._alpha_weights(alpha, order)
+    assert (w, W) == ref_alpha_weights(alpha, order)
+    if order == 0:
+        assert (w, W) == ([[1]], 1)
+    if not any(alpha):
+        # alpha == 4: the identity
+        assert W == 1 and w == [[int(m == k) for m in range(k + 1)] for k in range(order + 1)]
+
+
+# -- integer pole offsets -----------------------------------------------------------
+
+# the points of the exact and alpha-probe tests: rationals with large or
+# sample-sized denominators, [re, im] pairs, and complex floats (read as
+# their decimals)
+offset_points = st.one_of(points, big_den_q.map(QComplex), probe_points)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(seeds(), real_seeds()), offset_points)
+def test_pole_offsets_are_the_exact_differences(seed, u):
+    D, offsets = seed._pole_offsets(u)
+    uq = parse_point(u)
+    poles = seed.poles()
+    assert type(D) is int and D > 0 and len(offsets) == len(poles)
+    for a, (x, y) in zip(poles, offsets):
+        assert type(x) is int and type(y) is int
+        z = a - uq
+        assert (Fraction(x, D), Fraction(y, D)) == (z.re, z.im)
+        assert Fraction(x * x + y * y, D * D) == z.abs2()
+    want = [(a, (a - uq).abs2()) for a in poles]
+    assert seed._pole_distances2(u) == want
+    assert seed.min_pole_distance2(u) == min(d2 for _, d2 in want)
+
+
+@st.composite
+def seeds_and_points(draw):
+    """A seed and a point: one of its poles, as given or as complex floats
+    (on the pole only when their decimals are its parts), a point a hair
+    off a pole, or any point of ``offset_points``."""
+    seed = draw(st.one_of(seeds(), real_seeds()))
+    a = draw(st.sampled_from(seed.poles()))
+    kind = draw(st.sampled_from(["pole", "float pole", "near pole", "point"]))
+    if kind == "pole":
+        return seed, a
+    if kind == "float pole":
+        return seed, complex(float(a.re), float(a.im))
+    if kind == "near pole":
+        e = Fraction(draw(st.sampled_from([-1, 1])), draw(st.integers(2, 10**12)))
+        return seed, QComplex(a.re + e, a.im) if draw(st.booleans()) else QComplex(a.re, a.im + e)
+    return seed, draw(offset_points)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds_and_points())
+def test_assert_not_pole_refuses_exactly_the_poles(case):
+    seed, u = case
+    if any(a == parse_point(u) for a in seed.poles()):
+        with pytest.raises(DomainError, match="sits exactly on a pole"):
+            seed.assert_not_pole(u, "u")
+        assert seed._on_pole(u) and seed.min_pole_distance2(u) == 0
+    else:
+        seed.assert_not_pole(u, "u")
+        assert not seed._on_pole(u) and seed.min_pole_distance2(u) > 0
+
+
+def test_pole_offsets_fixed_cases():
+    # 0.5 reads as 1/2, a pole; 0.1 + 0.2j as 1/10 + i/5, the other one; the
+    # float nearest 1/3 is no pole
+    seed = SeedFunction.from_config(
+        [{"pole": {"a": Fraction(1, 2), "c": 1}}, {"pole": {"a": [Fraction(1, 10), Fraction(1, 5)], "c": 1}},
+         {"pole": {"a": Fraction(1, 3), "c": 1}}]
+    )
+    for u in (0.5, 0.1 + 0.2j, [Fraction(1, 3), 0]):
+        with pytest.raises(DomainError):
+            seed.assert_not_pole(u)
+    seed.assert_not_pole(1 / 3)
+    assert seed._pole_offsets(Fraction(1, 7)) == (210, [(105 - 30, 0), (21 - 30, 42), (70 - 30, 0)])
+    # an entire seed reads no point
+    assert POLY_ONLY._pole_offsets(None) == (1, [])
+    assert POLY_ONLY.min_pole_distance2(0) is None and POLY_ONLY._pole_distances2(0) == []
+    POLY_ONLY.assert_not_pole(0)
+
+
 # -- float sample verdicts ----------------------------------------------------------
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -1197,8 +1322,8 @@ def test_float_sample_verdicts_match_the_exact_ratios(K, monkeypatch):
     inner = korobeinik._observe_point
     pairs = []
 
-    def both(seed, u, h_abs, K, diffs):
-        got = inner(seed, u, h_abs, K, diffs)
+    def both(seed, u, h_abs, K, offsets):
+        got = inner(seed, u, h_abs, K, offsets)
         med = exact_median(seed, u, h_abs, K)
         pairs.append((got, "converges" if med is None else median_verdict(med)))
         # far inside its proven bound, the float median is the exact one
@@ -1367,10 +1492,10 @@ def test_sampled_points_are_unchanged():
         bd = k["bidisc"]
         u0 = parse_point(k.get("u_star", 0))
         R, R1 = parse_exact(bd["R"]), parse_exact(bd["R1"])
-        poles = SeedFunction.from_config(k["g1"]).poles()
+        seed = SeedFunction.from_config(k["g1"])
         got, want = random.Random(bd.get("seed", 7)), random.Random(bd.get("seed", 7))
         for i in range(bd.get("samples", 24)):
-            a = korobeinik._sample_bidisc_point(got, u0, R, R1, poles, complex_h=(i % 4 == 3))
+            a = korobeinik._sample_bidisc_point(got, u0, R, R1, seed, complex_h=(i % 4 == 3))
             b = ref_sample_bidisc_point(want, u0, R, R1, complex_h=(i % 4 == 3))
             assert [(z.re, z.im) for z in a[:2]] + [a[2]] == [(z.re, z.im) for z in b[:2]] + [b[2]]
 
@@ -1382,11 +1507,12 @@ def test_a_sample_on_a_pole_is_drawn_again():
     sample keeps off the pole."""
     k = yaml.safe_load((ROOT / "tests" / "golden" / "korobeinik_onpole" / "config.yaml").read_text())
     k = k["korobeinik"]
-    poles = SeedFunction.from_config(k["g1"]).poles()
+    seed = SeedFunction.from_config(k["g1"])
+    poles = seed.poles()
     bd = k["bidisc"]
     u0, R, R1 = parse_point(k["u_star"]), parse_exact(bd["R"]), parse_exact(bd["R1"])
     got, want = random.Random(bd["seed"]), random.Random(bd["seed"])
-    new = [korobeinik._sample_bidisc_point(got, u0, R, R1, poles, i % 4 == 3) for i in range(24)]
+    new = [korobeinik._sample_bidisc_point(got, u0, R, R1, seed, i % 4 == 3) for i in range(24)]
     old = [ref_sample_bidisc_point(want, u0, R, R1, i % 4 == 3) for i in range(24)]
     assert [i for i, (u, _, _) in enumerate(old) if u in poles] == [2]
     assert new[:2] == old[:2]

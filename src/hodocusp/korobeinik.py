@@ -407,12 +407,6 @@ def bidisc_check(
     )
 
 
-def _limit_denominator(x: float, max_den: int) -> Fraction:
-    """Fraction(x).limit_denominator(max_den): ``_limit_ratio`` as a
-    Fraction."""
-    return Fraction(*_limit_ratio(x, max_den))
-
-
 def _limit_ratio(x: float, max_den: int):
     """(p, q), the fraction p/q nearest x with 0 < q <= max_den, in lowest
     terms, from the continued fraction of x's integer ratio. The walk, the
@@ -654,7 +648,7 @@ def _divergence_witness(seed, u0, R, R1, pairs):
     t_lo = max(0.0, 1.0 - 2.0 * math.sqrt(float(R1)) / sq_d)
     t_hi = min(1.0, float(R) / sq_d)
     for mid in (0.5, 0.45, 0.55, 0.4, 0.6, 0.35, 0.65):
-        t = _limit_denominator(t_lo + (t_hi - t_lo) * mid, 1000)
+        t = Fraction(*_limit_ratio(t_lo + (t_hi - t_lo) * mid, 1000))
         u = QComplex(u0.re + t * (a.re - u0.re), u0.im + t * (a.im - u0.im))
         d2u = seed.min_pole_distance2(u)
         if t * t * d2 < R * R and d2u < 4 * R1 and d2u > 0:

@@ -272,12 +272,6 @@ class PolyTerm:
     def differentiated(self):
         return PolyTerm(tuple((j + 1) * c for j, c in enumerate(self.coeffs[1:])))
 
-    def derivative_at(self, u: QComplex, m):
-        acc = QComplex(0)
-        for j in range(len(self.coeffs) - 1, m - 1, -1):
-            acc = acc * u + self.coeffs[j] * math.perm(j, m)
-        return acc
-
 
 @dataclass(frozen=True)
 class PoleTerm:
@@ -290,17 +284,12 @@ class PoleTerm:
     def differentiated(self):
         return PoleTerm(self.a, self.n * self.c, self.n + 1)
 
-    def derivative_at(self, u: QComplex, m):
-        # d^m/du^m (a-u)^(-n) = (n)(n+1)...(n+m-1) (a-u)^(-n-m)
-        try:
-            return self.c * math.prod(range(self.n, self.n + m)) / (self.a - u) ** (self.n + m)
-        except ZeroDivisionError:
-            raise _zero_power(self.a, u, self.n + m, m) from None
-
 
 def _zero_power(a, u, power, m) -> DomainError:
-    """The refusal for (a - u)**power == 0: u on the pole a, or so near it
-    that the float power underflows."""
+    """The refusal of the m-th derivative of a pole term of order n at u,
+    power = n + m, for (a - u)**power == 0: exactly on the pole a at an
+    exact u (``_exact_derivative``), or at a float u so near it that the
+    float power underflows (``_complex_evaluator``)."""
     return DomainError(
         f"seed pole at a = {a!r}: (a - u)**{power} is zero at u = {u!r} "
         f"(derivative order {m})"
@@ -310,10 +299,13 @@ def _zero_power(a, u, power, m) -> DomainError:
 def _exact_term(t):
     """The component with exact constants: polynomial coefficients as
     Fractions, a pole's position as a QComplex and its residue as a
-    Fraction when real, else a QComplex; floats read as exact decimals."""
+    Fraction when real, else a QComplex; floats read as exact decimals. A
+    pole's order must be an int >= 1 (a bool is not one)."""
     if isinstance(t, PolyTerm):
         return PolyTerm(tuple(parse_exact(c, f"poly[{j}]") for j, c in enumerate(t.coeffs)))
     if isinstance(t, PoleTerm):
+        if isinstance(t.n, bool) or not isinstance(t.n, int) or t.n < 1:
+            raise UsageError(f"pole order n must be an integer >= 1, got {t.n!r}")
         c = parse_point(t.c, "pole.c")
         return PoleTerm(parse_point(t.a, "pole.a"), c.re if c.is_real() else c, t.n)
     raise UsageError(f"unknown seed component {type(t).__name__}")
@@ -366,6 +358,9 @@ class SeedFunction:
             elif kind == "pole":
                 if not isinstance(body, dict) or "a" not in body or "c" not in body:
                     raise UsageError(f"{where}: pole needs keys a and c")
+                for key in body:
+                    if key not in ("a", "c"):
+                        raise UsageError(f"{where}: unknown pole key {key!r} (keys are a and c)")
                 a = parse_point(body["a"], f"{where}.pole.a")
                 c = parse_point(body["c"], f"{where}.pole.c")
                 terms.append(PoleTerm(a, c, 1))
@@ -389,18 +384,15 @@ class SeedFunction:
         return self.derivative_at(u, 0)
 
     def derivative_at(self, u, m: int):
-        """m-th derivative at u by the closed component formulas: exact at a
-        QComplex, int or Fraction point, in complex floats
+        """m-th derivative at u, m a nonnegative int: exact at a QComplex,
+        int or Fraction point, as m! [z**m] g1(u + z) from one
+        ``_taylor_run`` (``_exact_derivative``), in complex floats
         (``_complex_evaluator``) at any other point."""
-        if isinstance(u, (int, Fraction)):
-            u = QComplex(u)
-        elif not isinstance(u, QComplex):
+        if isinstance(m, bool) or not isinstance(m, int) or m < 0:
+            raise UsageError(f"derivative order must be an integer >= 0, got {m!r}")
+        if not isinstance(u, (int, Fraction, QComplex)):
             return _complex_evaluator(self, m)(complex(u))
-        total = None
-        for t in self.terms:
-            v = t.derivative_at(u, m)
-            total = v if total is None else total + v
-        return total
+        return _exact_derivative(self, u, m, math.factorial(m))
 
     def poles(self):
         return tuple(t.a for t in self.terms if isinstance(t, PoleTerm))
@@ -454,22 +446,16 @@ def _complex_evaluator(seed: SeedFunction, m: int):
     """z -> the m-th derivative of the seed at a complex z, in floats.
 
     The one float evaluation of a seed, compiled into one straight-line
-    function (``_seed_kernels``): it returns the parts added in seed order, a
+    function (``_order_kernels``): it returns the parts added in seed order, a
     pole's part as c / (a - z) ** power and a polynomial part by Horner's
     rule from 0j. A power (a - z)**k that is zero (z on the pole, or so near
     it that the power underflows) is a DomainError.
     """
-    return _seed_kernels(seed, m)[0]
+    return _order_kernels(_float_parts(seed), m)[0]
 
 
 # A circle radius and pole parts inside this bound keep every a - z finite.
 _BARE_BOUND = 2.0**1000
-
-
-def _seed_kernels(seed: SeedFunction, m: int):
-    """(kernel, circle) for the seed's m-th derivative: ``_order_kernels``
-    of the seed's ``_float_parts``."""
-    return _order_kernels(_float_parts(seed), m)
 
 
 def _float_parts(seed: SeedFunction):
@@ -596,15 +582,16 @@ class KorobeinikSeries:
         self.cap = cap
 
     def coefficient(self, n: int, u):
-        """g_n(u); n >= 1. Exact at a QComplex, int or Fraction u, in complex
-        floats (``_float_coefficient``) at any other u."""
+        """g_n(u); n >= 1. Exact at a QComplex, int or Fraction u, as
+        g_{k+1}(u) = Catalan_k [z**(2k)] g1(u + z) from one ``_taylor_run``
+        (``_exact_derivative``), in complex floats (``_float_coefficient``)
+        at any other u."""
         if n < 1:
             raise UsageError("coefficient index starts at 1")
         if not isinstance(u, (int, Fraction, QComplex)):
             return self._float_coefficient(n)(complex(u))
         k = n - 1
-        d = self.seed.derivative_at(u, 2 * k)
-        return d if k == 0 else d / (math.factorial(k) * math.factorial(k + 1))
+        return _exact_derivative(self.seed, u, 2 * k, math.comb(2 * k, k) // (k + 1))
 
     def _float_coefficient(self, n: int):
         """z -> g_n(z) in complex floats: the seed's value form for n = 1,
@@ -632,8 +619,9 @@ class KorobeinikSeries:
         """Exact residuals k(k+1) g_{k+1}(u) - g_k''(u) for k = 1..cap - 1.
 
         g_k'' is computed through the symbolic derivative chain
-        g_{k+1} = g_k'' / (k (k+1)), independent of the closed factorial
-        formula used by :meth:`coefficient`; both routes must agree.
+        g_{k+1} = g_k'' / (k (k+1)), independent of the Catalan Taylor
+        coefficient of g1 that :meth:`coefficient` reads; both routes must
+        agree.
         """
         out = []
         gk = self.seed  # symbolic g_k, starting at k = 1
@@ -766,6 +754,22 @@ def _taylor_run(seed: SeedFunction, u: QComplex, start: int, stop: int, stride: 
             Y[i] += ai[j] * scale
             scale *= step
     return list(zip(X, Y)), den0, L
+
+
+def _exact_derivative(seed: SeedFunction, u, m: int, scale: int) -> QComplex:
+    """scale [z**m] g1(u + z) at an exact u (a QComplex, int or Fraction) as
+    a QComplex, from the one term of one ``_taylor_run``. At a pole, which
+    the run cannot read, it raises the ``_zero_power`` refusal of the m-th
+    derivative of the first pole at u in seed order."""
+    if not isinstance(u, QComplex):
+        u = QComplex(u)
+    poles = [t for t in seed.terms if isinstance(t, PoleTerm)]
+    for t, (x, y) in zip(poles, seed._pole_offsets(u)[1]):
+        if not (x or y):
+            raise _zero_power(t.a, u, t.n + m, m)
+    ((x, y),), den0, L = _taylor_run(seed, u, m, m + 1)
+    den = den0 * L**m
+    return QComplex(Fraction(scale * x, den), Fraction(scale * y, den))
 
 
 def _seed_taylor(seed: SeedFunction, u_star: Fraction, count: int):

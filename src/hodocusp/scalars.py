@@ -13,6 +13,9 @@ Three scalar families are used by the series layer:
   and join their results with ``make_radical``,
 * complex numbers with rational components (QComplex), used by the
   analytic-continuation diagnostics so that squared distances stay rational.
+  A QComplex adds, subtracts, multiplies and gives its squared modulus; it
+  has no division or power, as the exact seed values come from one integer
+  run (``pde._taylor_run``) and are only wrapped in a QComplex at the end.
 """
 
 from __future__ import annotations
@@ -197,36 +200,6 @@ class QComplex:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_qcomplex(other)
-        if other is None:
-            return NotImplemented
-        d = other.abs2()
-        if d == 0:
-            raise ZeroDivisionError
-        return QComplex(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
-
-    def __rtruediv__(self, other):
-        other = _as_qcomplex(other)
-        if other is None:
-            return NotImplemented
-        return other.__truediv__(self)
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = QComplex(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im

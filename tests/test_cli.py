@@ -344,6 +344,19 @@ def test_korobeinik_cauchy_refuses_a_circle_maximum_past_float_range(tmp_path, c
     )
 
 
+def test_korobeinik_refuses_an_unknown_pole_key(tmp_path, capsys):
+    """A pole body takes only a and c: a pole order key is a usage error,
+    not a simple pole."""
+    text = CATALAN.read_text().replace("- pole: {a: 1, c: 1}", "- pole: {a: 1, c: 1, n: 2}")
+    assert "n: 2}" in text
+    out = tmp_path / "o"
+    rc = cli.main(["korobeinik", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "g1[0]: unknown pole key 'n' (keys are a and c)" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_korobeinik_needs_a_section(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "korobeinik:\n  g1:\n    - poly: [0, 1]\n")
     rc = cli.main(["korobeinik", "--config", str(cfg), "--out", str(tmp_path / "o")])

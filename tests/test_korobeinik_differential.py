@@ -3,10 +3,14 @@
 Each kernel is checked against a slow reference kept in this file:
 
 * the exact terms (``_exact_terms``, squared here by ``exact_magnitudes2``)
-  against |g_n(u)|**2 from the closed form ``KorobeinikSeries.coefficient``,
-  one QComplex derivative per n, on real poles, conjugate pairs, complex
-  residues, polynomial parts and the higher-order poles of
-  ``seed.differentiated()``;
+  against |g_n(u)|**2 from the closed component formulas kept here
+  (``ref_exact_derivative``, on pairs of Fractions), one derivative per n,
+  on real poles, conjugate pairs, complex residues, polynomial parts and the
+  higher-order poles of ``seed.differentiated()``; the exact
+  ``SeedFunction.derivative_at``, ``value_at`` and
+  ``KorobeinikSeries.coefficient``, which read the same run, against those
+  closed forms at int, Fraction and complex rational points, on-pole
+  refusals included;
 * float-built seeds and float or complex points against their exact
   decimal twins, report for report, and the float evaluation at complex
   points against a kept copy of the closed forms, bit for bit;
@@ -22,7 +26,7 @@ Each kernel is checked against a slow reference kept in this file:
   goldens and generated benchmark configs at K = 20, 40, 80 and 200, and on
   the samples the floats cannot decide (windows with zero terms, a
   polynomial part in the window, float range left, a median on a margin),
-  where the exact path must run once; the integer ``_limit_denominator``
+  where the exact path must run once; the integer ``_limit_ratio``
   against ``Fraction.limit_denominator`` and the sampled points against the
   Fraction sampler; the witness's unreduced quotients against reduced
   Fractions;
@@ -38,11 +42,12 @@ Each kernel is checked against a slow reference kept in this file:
   bound (``_block_bounds``) against each of its samples, on seeds built to
   strain the bound and on the shipped, golden and generated configs, where
   it evaluates under a quarter of the samples;
-* the one exact Taylor run of the seed (``pde._taylor_run``) against
-  ``SeedFunction.derivative_at(u, j) / j!`` and the ``differentiated()``
-  chain, from every start with strides 1 and 2, the boundary row
-  ``_b0_row(_seed_taylor(...))`` against one ``derivative_at`` per order,
-  and ``bridge_check`` against one derivative evaluation per (k, j) pair;
+* the one exact Taylor run of the seed (``pde._taylor_run``) against the
+  closed forms' j-th derivative / j! and the ``differentiated()`` chain,
+  from every start with strides 1 and 2, the boundary row
+  ``_b0_row(_seed_taylor(...))`` against one closed-form derivative per
+  order, and ``bridge_check`` against one closed-form derivative per (k, j)
+  pair;
 * the potential's rows at each probe point (``variable_alpha_probe``)
   against the constant terms of ``expand_potential`` built from the
   boundary row about that point, as exact Fractions, and its reports
@@ -109,9 +114,74 @@ from hodocusp.scalars import QComplex, parse_exact, parse_point
 # -- references ---------------------------------------------------------------------
 
 
-def ref_magnitudes2(ks, u, K):
-    """|g_n(u)|**2 from the closed form, one coefficient per n."""
-    return [ks.coefficient(n, u).abs2() for n in range(1, K + 1)]
+def ref_cmul(x, y):
+    """The product of two (re, im) pairs."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def ref_cpow(z, n):
+    """z**n for a (re, im) pair and n >= 0, by binary powering."""
+    out = (Fraction(1), Fraction(0))
+    while n:
+        if n & 1:
+            out = ref_cmul(out, z)
+        z = ref_cmul(z, z)
+        n >>= 1
+    return out
+
+
+def ref_pair(v):
+    """(re, im) of a QComplex, int or Fraction, as Fractions."""
+    if isinstance(v, QComplex):
+        return v.re, v.im
+    return Fraction(v), Fraction(0)
+
+
+def ref_exact_derivative(terms, u, m):
+    """The m-th derivative of the seed at an exact point u (a QComplex) by
+    the closed component formulas, computed on (re, im) pairs of Fractions
+    and returned as a QComplex: a polynomial differentiated m times by
+    Horner's rule, and a pole c / (a - u)**n as
+    c n(n+1)...(n+m-1) / (a - u)**(n+m). A pole at u raises the seed's
+    DomainError for the first one in seed order, worded here."""
+    ur, ui = ref_pair(u)
+    re = im = Fraction(0)
+    for t in terms:
+        if isinstance(t, PolyTerm):
+            vr = vi = Fraction(0)
+            for j in range(len(t.coeffs) - 1, m - 1, -1):
+                vr, vi = ref_cmul((vr, vi), (ur, ui))
+                vr += t.coeffs[j] * math.perm(j, m)
+        else:
+            power = t.n + m
+            ar, ai = ref_pair(t.a)
+            dr, di = ref_cpow((ar - ur, ai - ui), power)
+            d2 = dr * dr + di * di
+            if d2 == 0:
+                raise DomainError(
+                    f"seed pole at a = {t.a!r}: (a - u)**{power} is zero at u = {u!r} "
+                    f"(derivative order {m})"
+                )
+            # c f / d = c f conj(d) / |d|**2
+            f = math.prod(range(t.n, t.n + m))
+            vr, vi = ref_cmul(ref_pair(t.c), (dr * f / d2, -di * f / d2))
+        re += vr
+        im += vi
+    return QComplex(re, im)
+
+
+def ref_coefficient(seed, n, u):
+    """g_n(u) = g1^(2k)(u) / (k!(k+1)!), k = n - 1, from the closed forms."""
+    k = n - 1
+    return ref_exact_derivative(seed.terms, u, 2 * k) * Fraction(
+        1, math.factorial(k) * math.factorial(k + 1)
+    )
+
+
+def ref_magnitudes2(seed, u, K):
+    """|g_n(u)|**2 from the closed forms, one derivative per n."""
+    u = parse_point(u)
+    return [ref_coefficient(seed, n, u).abs2() for n in range(1, K + 1)]
 
 
 def exact_magnitudes2(seed, u, K):
@@ -144,7 +214,7 @@ def ref_confirm_divergence(seed, u, h_abs, K, mags2=None):
 def ref_radius_probe(seed, u, K):
     """The radius probe over the closed-form magnitudes of the whole run."""
     u = parse_point(u)
-    return ref_report(seed, u, ratio_points(ref_magnitudes2(korobeinik_series(seed, u, K), u, K)))
+    return ref_report(seed, u, ratio_points(ref_magnitudes2(seed, u, K)))
 
 
 def ref_report(seed, u, pts):
@@ -166,7 +236,7 @@ def observe_point(seed, u, h_abs, K):
 def ref_observe_point(seed, u, h_abs, K, offsets=None):
     """The bidisc sample verdict over the closed-form magnitudes of the whole
     run; the pole offsets of u that ``bidisc_check`` passes are unused."""
-    mags2 = ref_magnitudes2(korobeinik_series(seed, u, K), u, K)
+    mags2 = ref_magnitudes2(seed, u, K)
     pts = ratio_points(mags2, h_abs * h_abs)
     if len(pts) < RATIO_TAIL:
         return "converges"
@@ -212,10 +282,10 @@ def ref_cauchy(seed, r, r0, eps, n_max, closed_form=None):
 
 
 def ref_boundary_row(seed, u, order):
-    """b0_j = g1^(j)(u) / (2**j j!) for j <= 2 order, one ``derivative_at``
-    call per order, as QComplex."""
+    """b0_j = g1^(j)(u) / (2**j j!) for j <= 2 order, one closed-form
+    derivative per order, as QComplex."""
     return [
-        seed.derivative_at(u, j) * QComplex(Fraction(1, 2**j * math.factorial(j)))
+        ref_exact_derivative(seed.terms, u, j) * Fraction(1, 2**j * math.factorial(j))
         for j in range(2 * order + 1)
     ]
 
@@ -229,7 +299,7 @@ def ref_seed_b0(seed, u_star, order):
 
 
 def ref_bridge(seed, u_star, order):
-    """Bridge comparison with one derivative evaluation per (k, j) pair."""
+    """Bridge comparison with one closed-form derivative per (k, j) pair."""
     u_star = Fraction(u_star)
     b0 = ref_seed_b0(seed, u_star, order)
     sol = expand_potential(ProblemData(b0=b0, alpha=(), v_star=2 * u_star), order)
@@ -237,7 +307,7 @@ def ref_bridge(seed, u_star, order):
     for k in range(order + 1):
         for j in range(order - k + 1):
             got = sol.row_coefficient(k, j)
-            d = seed.derivative_at(QComplex(u_star), 2 * k + j)
+            d = ref_exact_derivative(seed.terms, QComplex(u_star), 2 * k + j)
             want = Fraction(1, 2) ** j * d.re / (
                 math.factorial(j) * math.factorial(k) * math.factorial(k + 1)
             )
@@ -404,10 +474,9 @@ points = st.builds(
 @given(seeds(), points, st.integers(20, 120))
 def test_exact_magnitudes_match_closed_form(seed, u, K):
     assume(seed.min_pole_distance2(u) != 0)
-    ks = korobeinik_series(seed, u, K)
     got = exact_magnitudes2(seed, u, K)
     assert all(type(m) is Fraction for m in got)
-    assert got == ref_magnitudes2(ks, u, K)
+    assert got == ref_magnitudes2(seed, u, K)
 
 
 @pytest.mark.parametrize(
@@ -423,8 +492,7 @@ def test_exact_magnitudes_match_closed_form(seed, u, K):
 def test_exact_magnitudes_fixed_cases(cfg, u):
     seed = SeedFunction.from_config(cfg)
     for s in (seed, seed.differentiated().differentiated().differentiated()):
-        ks = korobeinik_series(s, u, 60)
-        assert exact_magnitudes2(s, u, 60) == ref_magnitudes2(ks, u, 60)
+        assert exact_magnitudes2(s, u, 60) == ref_magnitudes2(s, u, 60)
 
 
 def test_ratio_points_match_fraction_quotient():
@@ -535,7 +603,7 @@ def test_float_path_keeps_closed_form_bits():
         ks = korobeinik_series(seed, u, 40)
         got = exact_magnitudes2(seed, u, 40)
         assert all(type(m) is Fraction for m in got)
-        assert got == ref_magnitudes2(korobeinik_series(seed_q, u_q, 40), u_q, 40)
+        assert got == ref_magnitudes2(seed_q, u_q, 40)
         z = u_q.to_complex()
         assert repr(ks.coefficient(1, z)) == repr(ref_closed_form(seed_q.terms, z, 0, True))
         for k in (1, 2, 19):
@@ -744,15 +812,11 @@ def test_late_start_is_the_tail_of_the_full_run(case):
         assert _exact_terms(seed, u, stop, start) == (full[start:stop], den0, L2)
 
 
-def full_run_ref_magnitudes(seed, u, K):
-    return ref_magnitudes2(korobeinik_series(seed, u, K), u, K)
-
-
 def check_window_verdicts(seed, u, K, h_values):
     """Radius probe, sample verdicts and witness run against the closed-form
     magnitudes of the whole run."""
     assert repr(radius_probe(seed, u, K)) == repr(ref_radius_probe(seed, u, K))
-    mags2 = full_run_ref_magnitudes(seed, u, K)
+    mags2 = ref_magnitudes2(seed, u, K)
     for h in h_values:
         assert observe_point(seed, u, h, K) == ref_observe_point(seed, u, h, K)
         got = confirm_divergence(seed, u, h, K)
@@ -785,7 +849,7 @@ def ref_bidisc_check(seed, *args, **kwargs):
     closed-form magnitudes of the whole run."""
 
     def ref_confirm(s, u, h_abs, K):
-        return ref_confirm_divergence(s, u, h_abs, K, full_run_ref_magnitudes(s, u, K))
+        return ref_confirm_divergence(s, u, h_abs, K, ref_magnitudes2(s, u, K))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(korobeinik, "_observe_point", ref_observe_point)
@@ -830,7 +894,7 @@ def test_windows_with_zero_terms_fall_back_to_the_full_run(name, K, monkeypatch)
     seed = FALLBACK_SEEDS[name]
     window, _, _ = _exact_terms(seed, U_FALLBACK, K, K - RATIO_TAIL - 1)
     assert any(not (x or y) for x, y in window)
-    mags2 = full_run_ref_magnitudes(seed, U_FALLBACK, K)
+    mags2 = ref_magnitudes2(seed, U_FALLBACK, K)
     if name == "double pair at 45 degrees":
         assert all((m == 0) == (k % 2 == 0) for k, m in enumerate(mags2))
     elif name == "symmetric equal residues":
@@ -969,13 +1033,15 @@ def test_bridge_evaluates_each_derivative_once(cfg, u_star, order, monkeypatch):
 
 def check_taylor_run(seed, u, count):
     """The run times j! is the run of derivatives g1^(j)(u): checked against
-    derivative_at and the differentiated() chain up to j < count, and from
-    every start with strides 1 and 2 against the run from j = 0."""
+    the closed forms (``ref_exact_derivative``), ``derivative_at`` and the
+    differentiated() chain up to j < count, and from every start with
+    strides 1 and 2 against the run from j = 0."""
     run, den0, L = pde._taylor_run(seed, u, 0, count)
     assert all(type(x) is int and type(y) is int for x, y in run)
     g = seed
     for j, (x, y) in enumerate(run):
         got = QComplex(Fraction(x, den0 * L**j), Fraction(y, den0 * L**j)) * math.factorial(j)
+        assert got == ref_exact_derivative(seed.terms, u, j)
         assert got == seed.derivative_at(u, j)
         assert got == g.value_at(u)
         g = g.differentiated()
@@ -1028,19 +1094,57 @@ def test_derivative_run_fixed_cases(cfg, u):
         check_taylor_run(s, parse_point(u), 33)
 
 
-def test_taylor_run_never_takes_the_closed_form(monkeypatch):
-    def closed_form(*args):
-        raise AssertionError("closed-form derivative called")
+@st.composite
+def exact_points(draw, seed):
+    """An exact point for the seed: an int, a Fraction, a complex rational,
+    or one of its poles (as a Fraction when real, else a QComplex)."""
+    kind = draw(st.sampled_from(["int", "fraction", "complex"] + ["pole"] * bool(seed.poles())))
+    if kind == "int":
+        return draw(st.integers(-3, 3))
+    if kind == "fraction":
+        return draw(st.one_of(small_q, big_den_q))
+    if kind == "complex":
+        return draw(points)
+    a = draw(st.sampled_from(seed.poles()))
+    return a.re if a.is_real() else a
 
-    monkeypatch.setattr(PolyTerm, "derivative_at", closed_form)
-    monkeypatch.setattr(PoleTerm, "derivative_at", closed_form)
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.one_of(seeds(), real_seeds()), st.integers(0, 12))
+def test_exact_values_match_the_closed_forms(data, seed, m):
+    """derivative_at, value_at and coefficient at exact points against the
+    closed component formulas kept here, value or DomainError text."""
+    u = data.draw(exact_points(seed))
+    uq = parse_point(u)
+    want = _outcome(lambda: ref_exact_derivative(seed.terms, uq, m))
+    assert _outcome(lambda: seed.derivative_at(u, m)) == want
+    if m == 0:
+        assert _outcome(lambda: seed.value_at(u)) == want
+    ks = KorobeinikSeries(seed, m + 1)
+    assert _outcome(lambda: ks.coefficient(m + 1, u)) == _outcome(
+        lambda: ref_coefficient(seed, m + 1, uq)
+    )
+
+
+def test_exact_values_read_one_taylor_run(monkeypatch):
+    """An exact derivative or coefficient is the one term of one
+    ``_taylor_run``, started at its order."""
+    runs = []
+    inner = pde._taylor_run
+
+    def spy(seed, u, start, stop, stride=1):
+        runs.append((start, stop, stride))
+        return inner(seed, u, start, stop, stride)
+
+    monkeypatch.setattr(pde, "_taylor_run", spy)
     seed = SeedFunction.from_config(
         [{"poly": list(range(1, 98))}, {"pole": {"a": [2, 1], "c": [1, -1]}}]
     )
     u = QComplex(Fraction(1, 3), Fraction(1, 7))
-    pde._taylor_run(seed, u, 0, 120, 2)
-    _exact_terms(seed, u, 60, 49)
-    pde._seed_taylor(seed, Fraction(1, 3), 13)
+    assert seed.derivative_at(u, 7) == ref_exact_derivative(seed.terms, u, 7)
+    assert seed.value_at(Fraction(1, 3)) == ref_exact_derivative(seed.terms, QComplex(Fraction(1, 3)), 0)
+    assert KorobeinikSeries(seed, 9).coefficient(9, 2) == ref_coefficient(seed, 9, QComplex(2))
+    assert runs == [(7, 8, 1), (0, 1, 1), (16, 17, 1)]
 
 
 @settings(max_examples=25, deadline=None)
@@ -1457,12 +1561,12 @@ def test_limit_denominator_is_cpythons():
     assert len(xs) > 10**5
     for max_den in (128, 1000):
         for x in xs if max_den == 128 else xs[::10]:
-            got = korobeinik._limit_denominator(x, max_den)
+            p, q = korobeinik._limit_ratio(x, max_den)
             want = Fraction(x).limit_denominator(max_den)
-            assert type(got) is Fraction
-            assert (got.numerator, got.denominator) == (want.numerator, want.denominator), x
+            assert type(p) is int and type(q) is int
+            assert (p, q) == (want.numerator, want.denominator), x
     # a tie goes to the convergent: 1/256 lies halfway between 0 and 1/128
-    assert korobeinik._limit_denominator(1 / 256, 128) == 0
+    assert korobeinik._limit_ratio(1 / 256, 128) == (0, 1)
 
 
 def ref_sample_bidisc_point(rnd, u0, R, R1, complex_h=False):
@@ -1647,7 +1751,7 @@ def test_seed_circle_keeps_the_closure_abs_bits(name, rho):
     seed = CATALAN if name == "catalan" else KERNEL_SEEDS[name]
     roots = korobeinik._circle_roots()
     ref = ref_closure_evaluator(seed, 0)
-    _, circle = pde._seed_kernels(seed, 0)
+    _, circle = pde._order_kernels(pde._float_parts(seed), 0)
     got = bits_outcome(lambda: circle(rho, roots))
     want = bits_outcome(lambda: [abs(ref(rho * e)) for e in roots])
     assert got == want

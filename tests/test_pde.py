@@ -245,6 +245,9 @@ def test_differentiated_chain_matches_derivative_at():
     d2 = d1.differentiated()
     assert d1.value_at(u) == seed.derivative_at(u, 1)
     assert d2.value_at(u) == seed.derivative_at(u, 2)
+    # by hand: -1 + 3/(2 - u)**2 and 6/(2 - u)**3 at 2 - u = 9/4
+    assert seed.derivative_at(u, 1) == QComplex(Fraction(-11, 27))
+    assert seed.derivative_at(u, 2) == QComplex(Fraction(128, 243))
 
 
 def test_seed_config_grammar():
@@ -261,6 +264,24 @@ def test_seed_config_grammar():
         SeedFunction.from_config([{"exp": 1}])
     with pytest.raises(UsageError, match="keys a and c"):
         SeedFunction.from_config([{"pole": {"a": 1}}])
+    with pytest.raises(UsageError, match=r"g1\[1\]: unknown pole key 'n'"):
+        SeedFunction.from_config([{"poly": [1]}, {"pole": {"a": 1, "c": 1, "n": 2}}])
+
+
+@pytest.mark.parametrize("n", [0, -1, 1.5, True, "2"])
+def test_pole_order_below_one_is_refused(n):
+    with pytest.raises(UsageError, match=f"pole order n must be an integer >= 1, got {n!r}"):
+        SeedFunction([PoleTerm(QComplex(2), Fraction(1), n)])
+
+
+@pytest.mark.parametrize("m", [-1, -3, 1.5, True, None])
+def test_derivative_order_must_be_a_nonnegative_int(m):
+    pole = SeedFunction([PoleTerm(QComplex(2), Fraction(1), 1)])  # 1/(2 - u)
+    poly = SeedFunction([PolyTerm((Fraction(1), Fraction(2), Fraction(3)))])
+    for seed in (pole, poly):
+        for u in (Fraction(1, 2), QComplex(Fraction(1, 2), 1), 0.5, 0.5 + 1j):
+            with pytest.raises(UsageError, match=f"derivative order must be an integer >= 0, got {m!r}"):
+                seed.derivative_at(u, m)
 
 
 def test_min_pole_distance_exact():

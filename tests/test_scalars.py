@@ -195,26 +195,25 @@ def test_qcomplex_matches_complex(a, b, c, d):
     assert (z + w).to_complex() == pytest.approx(zf + wf)
     assert (z - w).to_complex() == pytest.approx(zf - wf)
     assert (z * w).to_complex() == pytest.approx(zf * wf)
-    if w != QComplex(0):
-        assert (z / w) * w == z
     assert z.abs2() == a * a + b * b
     assert z * QComplex(a, -b) == QComplex(z.abs2())
 
 
 def test_qcomplex_pow_and_real():
+    """A QComplex has no power: exact seed values come from integer runs."""
     z = QComplex(Fraction(1, 2), Fraction(1, 3))
-    assert z**3 == z * z * z
-    assert z**0 == QComplex(1)
+    with pytest.raises(TypeError):
+        z**3
     assert not z.is_real()
     assert QComplex(Fraction(5, 3)).is_real()
 
 
 def test_qcomplex_reflected_division():
-    assert 1 / QComplex(0, 2) == QComplex(0, Fraction(-1, 2))
-    assert Fraction(3, 2) / QComplex(1, 1) == QComplex(Fraction(3, 4), Fraction(-3, 4))
-    assert QComplex(1).__rtruediv__(1.5) is NotImplemented
-    with pytest.raises(TypeError):
-        1.5 / QComplex(1)
+    """A QComplex has no division, plain or reflected."""
+    for num, den in ((1, QComplex(0, 2)), (Fraction(3, 2), QComplex(1, 1)), (1.5, QComplex(1)),
+                     (QComplex(1), QComplex(0, 2)), (QComplex(1), 2)):
+        with pytest.raises(TypeError):
+            num / den
 
 
 def test_reflected_subtraction():
